@@ -18,19 +18,15 @@ from .graphs import (
 )
 from .hermitian import (
     HermitianMatrix,
-    albert_condition,
     min_eig_hermitian,
     pinv,
     schur_complement,
-    simultaneous_diagonalize,
 )
 from .operators import (
-    LocalOperators,
     delta_matrix,
     gamma2_matrix,
     gamma_forms,
     gamma_matrix,
-    local_operators,
     q_matrix,
 )
 from .curvature import (
@@ -58,12 +54,10 @@ __all__ = [
     "CurvatureProfile",
     "EditReport",
     "HermitianMatrix",
-    "LocalOperators",
     "LocalStructure",
     "ProductSpec",
     "ValidationError",
     "add_spherical_edge",
-    "albert_condition",
     "canonical_basis",
     "cartesian_product",
     "curvature",
@@ -79,7 +73,6 @@ __all__ = [
     "general_basis",
     "is_locally_balanced",
     "load_graph",
-    "local_operators",
     "local_structure",
     "merge_s2",
     "min_eig_hermitian",
@@ -93,7 +86,6 @@ __all__ = [
     "s1_in_regular",
     "schur_complement",
     "signature_groups_commute",
-    "simultaneous_diagonalize",
     "star_product",
     "switch",
     "tangent_from_function",

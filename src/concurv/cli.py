@@ -3,7 +3,8 @@
 Subcommands: validate, curvature, profile, product, balance, add-edge,
 merge, examples.  Every command builds a deterministic report that renders
 either as aligned text (default) or JSON (--json); exit code 0 on success,
-1 on validation failure, 2 on a numerical cross-check failure.  The env var
+1 on validation failure (including a malformed argument), 2 on a numerical
+cross-check failure.  The env var
 CURV_TOL overrides the default comparison tolerance.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -37,13 +39,24 @@ FRACTION_TOL = 1e-9
 
 def comparison_tol(default: float = 1e-9) -> float:
     raw = os.environ.get("CURV_TOL")
-    return float(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan  # rejected below like any other unusable value
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ValidationError(f"CURV_TOL must be a finite nonnegative number, got {raw!r}")
+    return tol
 
 
 def parse_n(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity", "oo"):
         return INF
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"expected a number or inf, got {text!r}") from None
 
 
 def _fraction_str(v: float) -> str | None:
@@ -215,7 +228,10 @@ def cmd_product(args) -> tuple[int, Report]:
             json.dump(prod.to_document(), fh, sort_keys=True, indent=2)
         report.add("written", args.out)
     if args.decompose:
-        x, x2 = (tok.strip() for tok in args.decompose.split(","))
+        toks = [tok.strip() for tok in args.decompose.split(",")]
+        if len(toks) != 2:
+            raise ValidationError(f"--decompose: expected X,X2, got {args.decompose!r}")
+        x, x2 = toks
         n = parse_n(args.N)
         n2 = parse_n(args.N2)
         dec = product_decomposition(g, g2, spec, x, x2, n, n2)
@@ -240,8 +256,11 @@ def cmd_balance(args) -> tuple[int, Report]:
 
 def _parse_sigma_arg(text: str | None, sign: int | None):
     if text is not None:
-        rows = json.loads(text)
-        return np.array([[complex(c[0], c[1]) for c in row] for row in rows])
+        try:
+            return np.array([[complex(c[0], c[1]) for c in row] for row in json.loads(text)])
+        except (TypeError, IndexError, ValueError, OverflowError):
+            raise ValidationError(
+                f"--sigma: expected JSON rows of [re, im] pairs, got {text!r}") from None
     if sign is not None:
         return np.array([[float(sign)]], dtype=complex)
     return None
@@ -283,12 +302,12 @@ def cmd_merge(args) -> tuple[int, Report]:
 def cmd_examples(args) -> tuple[int, Report]:
     report = Report("examples", args, [])
     failures = 0
-    for name, ok, detail in examples_registry.run_all():
+    for criterion, name, ok, detail in examples_registry.run():
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1
-        report.doc["results"][name] = {"ok": ok, "detail": detail}
-        report.add_line(f"[{status}] {name}{(': ' + detail) if detail else ''}")
+        report.doc["results"][name] = {"criterion": criterion, "ok": ok, "detail": detail}
+        report.add_line(f"[{status}] {criterion:>3s} {name}{(': ' + detail) if detail else ''}")
     report.add("failures", failures)
     if args.export:
         os.makedirs(args.export, exist_ok=True)
@@ -301,8 +320,17 @@ def cmd_examples(args) -> tuple[int, Report]:
     return (2 if failures else 0), report
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors, such as a non-numeric ``--alpha``, as validation
+    failures (exit 1) instead of argparse's exit 2, the cross-check code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="concurv",
         description="Bakry-Emery curvature of connection graphs.",
     )
@@ -376,9 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, report = args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

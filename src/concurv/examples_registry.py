@@ -1,7 +1,11 @@
-"""Checks of every bundled example against its expected reference values.
+"""The bundled examples and their expected reference values, as one table.
 
-Used by ``concurv examples``.  Each check returns (name, ok, detail); the
-matrix checks compare entrywise at 1e-12, curvature values at 1e-9 unless
+``ROWS`` has one ``(criterion, name, check)`` row per check: the acceptance
+criterion the check belongs to, a unique name, and a zero-argument callable
+returning ``(ok, detail)``.  The table drives both ``concurv examples``,
+which renders every row, and the acceptance tests, each of which runs the
+rows tagged with its criterion, so every fixture check is written once.
+Matrix checks compare entrywise at 1e-12, curvature values at 1e-9 unless
 the reference value is only known to a few decimals.
 
 One check is expected to fail: the non-commuting U(2) product is recorded
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import INF, curvature, curvature_bundle, curvature_oracle
+from .curvature import INF, canonical_basis, curvature, curvature_bundle, curvature_oracle
 from .fixtures import (
     EXPECTED,
     NONCOMMUTING_GAMMA2_MIN_EIG,
@@ -30,120 +34,178 @@ from .graphs import is_locally_balanced, local_structure
 from .local_ops import add_spherical_edge
 from .operators import gamma2_matrix, gamma_matrix, q_matrix
 from .product import ProductSpec, cartesian_product, product_vertex
-from .curvature import canonical_basis
 
 ENTRY_TOL = 1e-12
 VALUE_TOL = 1e-9
 
 
-def _close(a, b, tol):
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) <= tol
+# -- the balls and matrices the rows compare ---------------------------------
+
+def _loc(name: str):
+    return local_structure(fixture_graph(name), EXPECTED[name]["vertex"])
 
 
-def _matrix_checks():
-    e = EXPECTED["g1_u2"]
-    loc = local_structure(fixture_graph("g1_u2"), e["vertex"])
-    bundle = curvature_bundle(loc)
-    yield ("g1_u2 2*Gamma", _close(gamma_matrix(loc).mat, e["two_gamma"], ENTRY_TOL), "")
-    yield ("g1_u2 4*Gamma_2", _close(gamma2_matrix(loc).mat, e["four_gamma2"], ENTRY_TOL), "")
-    yield ("g1_u2 4*Q", _close(q_matrix(loc).mat, e["four_q"], ENTRY_TOL), "")
-    yield ("g1_u2 B0", _close(canonical_basis(loc), e["b0"], ENTRY_TOL), "")
-    yield ("g1_u2 A_inf", _close(bundle.a_inf.mat, e["a_inf"], ENTRY_TOL), "")
-    eigs = np.linalg.eigvalsh(bundle.a_inf.mat)
-    yield ("g1_u2 A_inf eigenvalues", _close(eigs, e["a_inf_eigs"], VALUE_TOL), "")
-    k, _ = curvature(loc, INF)
-    yield ("g1_u2 K(inf) = 3/2", abs(k - e["k_inf"]) <= VALUE_TOL, f"K = {k:.9f}")
-    k_oracle = curvature_oracle(loc, INF)
-    yield ("g1_u2 oracle agreement", abs(k_oracle - k) <= 1e-8, f"gap = {abs(k_oracle - k):.2e}")
-
-    e = EXPECTED["positive_strip"]
-    loc = local_structure(fixture_graph("positive_strip"), e["vertex"])
-    bundle = curvature_bundle(loc)
-    yield ("strip 4*Gamma", _close(2 * gamma_matrix(loc).mat, e["four_gamma"], ENTRY_TOL), "")
-    yield ("strip 4*Gamma_2", _close(gamma2_matrix(loc).mat, e["four_gamma2"], ENTRY_TOL), "")
-    yield ("strip B0", _close(canonical_basis(loc), e["b0"], ENTRY_TOL), "")
-    yield ("strip A_inf", _close(bundle.a_inf.mat, e["a_inf"], ENTRY_TOL), "")
-    k, _ = curvature(loc, INF)
-    yield ("strip K(inf) = (7-sqrt(17))/4",
-           abs(k - e["k_inf"]) <= VALUE_TOL and k > 0, f"K = {k:.9f}")
+def _product(name: str, name2: str, x: str, x2: str):
+    """The ball at (x, x2) in the product of two fixtures, built on call."""
+    def loc():
+        prod = cartesian_product(fixture_graph(name), fixture_graph(name2), ProductSpec(1.0, 1.0))
+        return local_structure(prod, product_vertex(x, x2))
+    return loc
 
 
-def _curvature_value_checks():
-    for name in ("triangle_signed", "triangle_u2", "diamond_signed", "diamond_u2",
-                 "g2_signed", "g3_signed", "g4_signed", "g5_signed"):
+def _edited(name: str):
+    """The fixture's spherical-edge addition: (edited graph, EditReport)."""
+    e = EXPECTED[name]
+    edit = e["edit"]
+    sigma = np.array([[float(edit["sign"])]], dtype=complex)
+    return add_spherical_edge(fixture_graph(name), e["vertex"], edit["yi"], edit["yj"], 1.0, sigma)
+
+
+def _k(loc) -> float:
+    return curvature(loc, INF)[0]
+
+
+def _a_inf(loc) -> np.ndarray:
+    return curvature_bundle(loc).a_inf.mat
+
+
+def _a_inf_eigs(loc) -> np.ndarray:
+    return np.linalg.eigvalsh(_a_inf(loc))
+
+
+def _two_gamma(loc) -> np.ndarray:
+    return gamma_matrix(loc).mat
+
+
+def _four_gamma(loc) -> np.ndarray:
+    return 2.0 * gamma_matrix(loc).mat
+
+
+def _four_gamma2(loc) -> np.ndarray:
+    return gamma2_matrix(loc).mat
+
+
+def _four_q(loc) -> np.ndarray:
+    return q_matrix(loc).mat
+
+
+# -- checks: zero-argument callables returning (ok, detail) -------------------
+
+def _close(actual: np.ndarray, expected: np.ndarray, tol: float = ENTRY_TOL):
+    resid = float(np.max(np.abs(actual - expected)))
+    return resid <= tol, f"max residual {resid:.1e}"
+
+
+def _matrix(name: str, form, key: str, tol: float = ENTRY_TOL):
+    """``form`` at the fixture's vertex against its expected ``key`` entry."""
+    return lambda: _close(form(_loc(name)), EXPECTED[name][key], tol)
+
+
+def _curvature(loc, expected: float, tol: float = VALUE_TOL):
+    """K(inf) at the ball ``loc()`` against ``expected``."""
+    def check():
+        k = _k(loc())
+        return abs(k - expected) <= tol, f"K = {k:.9f}"
+    return check
+
+
+def _fixture_curvature(name: str):
+    e = EXPECTED[name]
+    return _curvature(lambda: _loc(name), e["k_inf"], e.get("k_tol", VALUE_TOL))
+
+
+def _edit(name: str):
+    """K(inf) before and after the fixture's spherical-edge addition."""
+    def check():
         e = EXPECTED[name]
-        loc = local_structure(fixture_graph(name), e["vertex"])
-        k, _ = curvature(loc, INF)
-        tol = e.get("k_tol", VALUE_TOL)
-        yield (f"{name} K(inf)", abs(k - e["k_inf"]) <= tol, f"K = {k:.9f}")
-        if "a_inf" in e:
-            bundle = curvature_bundle(loc)
-            yield (f"{name} A_inf", _close(bundle.a_inf.mat, e["a_inf"], ENTRY_TOL), "")
+        _, rep = _edited(name)
+        ok = (abs(rep.before - e["k_inf"]) <= e.get("k_tol", VALUE_TOL)
+              and abs(rep.after - e["edit"]["k_after"]) <= e["edit"]["k_tol"])
+        return ok, f"K: {rep.before:.6f} -> {rep.after:.6f}"
+    return check
 
 
-def _edit_checks():
-    for name in ("g3_signed", "g4_signed", "g5_signed"):
-        e = EXPECTED[name]["edit"]
-        g = fixture_graph(name)
-        sigma = np.array([[float(e["sign"])]], dtype=complex)
-        g_new, edit = add_spherical_edge(g, EXPECTED[name]["vertex"], e["yi"], e["yj"],
-                                         1.0, sigma)
-        yield (f"{name} edited K(inf)", abs(edit.after - e["k_after"]) <= e["k_tol"],
-               f"K: {edit.before:.6f} -> {edit.after:.6f}")
-        if "a_inf_after" in e:
-            loc = local_structure(g_new, EXPECTED[name]["vertex"])
-            bundle = curvature_bundle(loc)
-            yield (f"{name} edited A_inf",
-                   _close(bundle.a_inf.mat, e["a_inf_after"], ENTRY_TOL), "")
+def _edited_a_inf(name: str):
+    def check():
+        e = EXPECTED[name]
+        loc = local_structure(_edited(name)[0], e["vertex"])
+        return _close(_a_inf(loc), e["edit"]["a_inf_after"])
+    return check
 
 
-def _product_checks():
-    spec = ProductSpec(1.0, 1.0)
-    tri = fixture_graph("triangle_signed")
-    dia = fixture_graph("diamond_signed")
-    prod = cartesian_product(tri, dia, spec)
-    loc = local_structure(prod, product_vertex("A", "1"))
-    k, _ = curvature(loc, INF)
-    yield ("signed triangle x diamond K(inf) at (A,1)",
-           abs(k - 0.5) <= VALUE_TOL, f"K = {k:.9f}")
+def _g1_oracle():
+    loc = _loc("g1_u2")
+    gap = abs(curvature_oracle(loc, INF) - _k(loc))
+    return gap <= 1e-8, f"gap = {gap:.2e}"
 
-    g2 = fixture_graph("g2_signed")
-    prod = cartesian_product(g2, tri, spec)
-    loc = local_structure(prod, product_vertex("1", "A"))
-    bundle = curvature_bundle(loc)
-    expected = reorder_blocks(PRODUCT_G2_TRIANGLE["a_inf"],
-                              PRODUCT_G2_TRIANGLE["labels"], loc.s1, 1)
-    yield ("g2 x triangle A_inf at (1,A)",
-           _close(bundle.a_inf.mat, expected, ENTRY_TOL), "")
-    k, _ = curvature(loc, INF)
-    yield ("g2 x triangle K(inf) at (1,A)",
-           abs(k - PRODUCT_G2_TRIANGLE["k_inf"]) <= PRODUCT_G2_TRIANGLE["k_tol"],
-           f"K = {k:.9f}")
 
-    tri_u2 = fixture_graph("triangle_u2")
-    dia_u2 = fixture_graph("diamond_u2")
-    prod = cartesian_product(tri_u2, dia_u2, spec)
-    loc = local_structure(prod, product_vertex("A", "1"))
+def _g2_triangle_a_inf():
+    loc = _product("g2_signed", "triangle_signed", "1", "A")()
+    e = PRODUCT_G2_TRIANGLE
+    return _close(_a_inf(loc), reorder_blocks(e["a_inf"], e["labels"], loc.s1, 1))
+
+
+def _noncommuting():
+    loc = _product("triangle_u2", "diamond_u2", "A", "1")()
     lam = float(np.linalg.eigvalsh(gamma2_matrix(loc).mat)[0])
-    k, _ = curvature(loc, INF)
+    k = _k(loc)
     ok = abs(lam - NONCOMMUTING_GAMMA2_MIN_EIG) <= NONCOMMUTING_TOL and k < 0
-    yield ("noncommuting U(2) product 4*Gamma_2 eigenvalue at (A,1)", ok,
-           f"min eig = {lam:.4f} (reference {NONCOMMUTING_GAMMA2_MIN_EIG}), K = {k:.4f}")
+    return ok, (f"min eig = {lam:.4f} (reference {NONCOMMUTING_GAMMA2_MIN_EIG}), "
+                f"K = {k:.4f}")
 
 
-def _balance_checks():
-    for name, vertex, expected in (("g1_u2", "1", False),
-                                   ("diamond_signed", "1", False),
-                                   ("g5_signed", "1", True)):
-        loc = local_structure(fixture_graph(name), vertex)
-        yield (f"{name} locally balanced at {vertex} is {expected}",
-               is_locally_balanced(loc) is expected, "")
+def _balanced(name: str, vertex: str, expected: bool):
+    def check():
+        return is_locally_balanced(local_structure(fixture_graph(name), vertex)) is expected, ""
+    return check
 
 
-def run_all():
-    """All example checks as (name, ok, detail) triples."""
+ROWS = (
+    ("01", "g1_u2 2*Gamma", _matrix("g1_u2", _two_gamma, "two_gamma")),
+    ("01", "g1_u2 4*Gamma_2", _matrix("g1_u2", _four_gamma2, "four_gamma2")),
+    ("01", "g1_u2 4*Q", _matrix("g1_u2", _four_q, "four_q")),
+    ("01", "g1_u2 B0", _matrix("g1_u2", canonical_basis, "b0")),
+    ("01", "g1_u2 A_inf", _matrix("g1_u2", _a_inf, "a_inf")),
+    ("01", "g1_u2 A_inf eigenvalues", _matrix("g1_u2", _a_inf_eigs, "a_inf_eigs", VALUE_TOL)),
+    ("01", "g1_u2 K(inf) = 3/2", _fixture_curvature("g1_u2")),
+    ("01", "g1_u2 oracle agreement", _g1_oracle),
+    ("02", "strip 4*Gamma", _matrix("positive_strip", _four_gamma, "four_gamma")),
+    ("02", "strip 4*Gamma_2", _matrix("positive_strip", _four_gamma2, "four_gamma2")),
+    ("02", "strip B0", _matrix("positive_strip", canonical_basis, "b0")),
+    ("02", "strip A_inf", _matrix("positive_strip", _a_inf, "a_inf")),
+    ("02", "strip K(inf) = (7-sqrt(17))/4 > 0", _fixture_curvature("positive_strip")),
+    ("03", "triangle_signed K(inf)", _fixture_curvature("triangle_signed")),
+    ("03", "triangle_u2 K(inf)", _fixture_curvature("triangle_u2")),
+    ("03", "diamond_signed K(inf)", _fixture_curvature("diamond_signed")),
+    ("03", "diamond_u2 K(inf)", _fixture_curvature("diamond_u2")),
+    ("03", "g5_signed K(inf)", _fixture_curvature("g5_signed")),
+    ("04", "g3_signed K(inf)", _fixture_curvature("g3_signed")),
+    ("04", "g3_signed A_inf", _matrix("g3_signed", _a_inf, "a_inf")),
+    ("04", "g4_signed K(inf)", _fixture_curvature("g4_signed")),
+    ("04", "g3_signed edited K(inf)", _edit("g3_signed")),
+    ("04", "g3_signed edited A_inf", _edited_a_inf("g3_signed")),
+    ("04", "g4_signed edited K(inf)", _edit("g4_signed")),
+    ("04", "g5_signed edited K(inf)", _edit("g5_signed")),
+    ("05a", "signed triangle x diamond K(inf) at (A,1)",
+     _curvature(_product("triangle_signed", "diamond_signed", "A", "1"), 0.5)),
+    ("05b", "g2_signed K(inf)", _fixture_curvature("g2_signed")),
+    ("05b", "g2_signed A_inf", _matrix("g2_signed", _a_inf, "a_inf")),
+    ("05b", "g2 x triangle A_inf at (1,A)", _g2_triangle_a_inf),
+    ("05b", "g2 x triangle K(inf) at (1,A)",
+     _curvature(_product("g2_signed", "triangle_signed", "1", "A"),
+                PRODUCT_G2_TRIANGLE["k_inf"], PRODUCT_G2_TRIANGLE["k_tol"])),
+    ("05c", "noncommuting U(2) product 4*Gamma_2 eigenvalue at (A,1)", _noncommuting),
+    ("07", "g1_u2 locally balanced at 1 is False", _balanced("g1_u2", "1", False)),
+    ("07", "diamond_signed locally balanced at 1 is False", _balanced("diamond_signed", "1", False)),
+    ("07", "g5_signed locally balanced at 1 is True", _balanced("g5_signed", "1", True)),
+)
+
+
+def run(criterion: str | None = None) -> list[tuple[str, str, bool, str]]:
+    """Run the rows of one criterion, or all rows, as (criterion, name, ok, detail)."""
     out = []
-    for gen in (_matrix_checks, _curvature_value_checks, _edit_checks,
-                _product_checks, _balance_checks):
-        out.extend(gen())
+    for crit, name, check in ROWS:
+        if criterion is None or crit == criterion:
+            ok, detail = check()
+            out.append((crit, name, ok, detail))
     return out

@@ -10,6 +10,7 @@ all operations here are pure functions returning new objects.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -31,7 +32,7 @@ def _check_unitary(sigma: np.ndarray, d: int, where: str) -> np.ndarray:
     if sigma.shape != (d, d):
         raise ValidationError(f"{where}: sigma has shape {sigma.shape}, expected ({d}, {d})")
     dev = float(np.max(np.abs(sigma @ sigma.conj().T - np.eye(d))))
-    if dev > UNITARY_TOL:
+    if not dev <= UNITARY_TOL:  # also rejects NaN and infinite entries
         raise ValidationError(
             f"{where}: sigma is not unitary, |sigma sigma^H - I| = {dev:.3e} > {UNITARY_TOL:.1e}"
         )
@@ -51,7 +52,7 @@ class ConnectionGraph:
         "real" restricts connections to real orthogonal matrices; computations
         still run in complex arithmetic either way.
     vertices : iterable of (id, measure)
-        Vertex ids are strings; measures are strictly positive.
+        Vertex ids are strings; measures are strictly positive and finite.
     edges : iterable of (u, v, weight, sigma)
         One entry per undirected edge, giving the connection for the stored
         orientation u -> v.  ``sigma=None`` means the identity.
@@ -73,8 +74,9 @@ class ConnectionGraph:
             if vid in mu:
                 raise ValidationError(f"duplicate vertex id {vid!r}")
             m = float(m)
-            if not m > 0:
-                raise ValidationError(f"vertex {vid!r}: measure must be positive, got {m}")
+            if not (m > 0 and math.isfinite(m)):
+                raise ValidationError(
+                    f"vertex {vid!r}: measure must be positive and finite, got {m}")
             mu[vid] = m
 
         adj: dict[str, dict[str, float]] = {v: {} for v in mu}
@@ -90,8 +92,9 @@ class ConnectionGraph:
             if v in adj[u]:
                 raise ValidationError(f"duplicate edge ({u!r}, {v!r})")
             w = float(w)
-            if not w > 0:
-                raise ValidationError(f"edge ({u!r}, {v!r}): weight must be positive, got {w}")
+            if not (w > 0 and math.isfinite(w)):
+                raise ValidationError(
+                    f"edge ({u!r}, {v!r}): weight must be positive and finite, got {w}")
             if sigma is None:
                 s = np.eye(d, dtype=complex)
             else:
@@ -182,7 +185,7 @@ def _parse_sigma(entry: dict, d: int, where: str) -> np.ndarray | None:
     raw = entry["sigma"]
     try:
         mat = np.array([[complex(cell[0], cell[1]) for cell in row] for row in raw])
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: malformed sigma, expected d x d rows of [re, im]") from exc
     return mat
 
@@ -212,15 +215,48 @@ def load_graph(document) -> ConnectionGraph:
         d = int(document["dimension"])
     except KeyError:
         raise ValidationError("graph document is missing 'dimension'") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"graph document: 'dimension' must be an integer, got {document['dimension']!r}"
+        ) from None
     field = document.get("field", "complex")
-    vertices = [(str(v["id"]), float(v.get("measure", 1.0)))
-                for v in document.get("vertices", [])]
+    vertices = []
+    for k, v in enumerate(_entries(document, "vertices")):
+        try:
+            vertices.append((str(v["id"]), float(v.get("measure", 1.0))))
+        except _BAD_ENTRY:
+            raise _malformed(f"vertex #{k}", v, ("id",), "measure") from None
     edges = []
-    for entry in document.get("edges", []):
-        u, v = str(entry["u"]), str(entry["v"])
+    for k, entry in enumerate(_entries(document, "edges")):
+        try:
+            u, v, w = str(entry["u"]), str(entry["v"]), float(entry.get("weight", 1.0))
+        except _BAD_ENTRY:
+            raise _malformed(f"edge #{k}", entry, ("u", "v"), "weight") from None
         sigma = _parse_sigma(entry, d, f"edge ({u!r}, {v!r})")
-        edges.append((u, v, float(entry.get("weight", 1.0)), sigma))
+        edges.append((u, v, w, sigma))
     return ConnectionGraph(d, field, vertices, edges)
+
+
+# What converting a malformed entry raises: a missing key, a non-object entry,
+# or a value float() rejects.
+_BAD_ENTRY = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _entries(document: Mapping, key: str) -> list:
+    items = document.get(key, [])
+    if not isinstance(items, list):
+        raise ValidationError(f"graph document: {key!r} must be a list")
+    return items
+
+
+def _malformed(where: str, entry, required: tuple[str, ...], number: str) -> ValidationError:
+    """Name the field that made a document entry fail to convert."""
+    if not isinstance(entry, Mapping):
+        return ValidationError(f"{where} must be a JSON object, got {entry!r}")
+    for key in required:
+        if key not in entry:
+            return ValidationError(f"{where} is missing {key!r}")
+    return ValidationError(f"{where}: {number!r} must be a number, got {entry.get(number)!r}")
 
 
 class LocalStructure:
@@ -255,9 +291,6 @@ class LocalStructure:
     def rate(self, u: str, v: str) -> float:
         """p_uv inside the ball, 0.0 for an absent edge."""
         return self.p.get((u, v), 0.0)
-
-    def connection(self, u: str, v: str) -> np.ndarray:
-        return self.sigma[(u, v)]
 
     def degree_ratio(self, v: str) -> float:
         """d_v / mu_v, summed over the oriented edges leaving v inside the ball."""

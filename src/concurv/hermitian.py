@@ -1,6 +1,5 @@
 """Dense complex Hermitian linear algebra: eigensolvers, Moore-Penrose
-pseudoinverses, Schur complements, Albert's compatibility condition and
-PSD tests.
+pseudoinverses, Schur complements and PSD tests.
 
 Everything operates on small dense matrices (desk scale, a few hundred rows
 at most).  Inputs are plain numpy arrays; :class:`HermitianMatrix` is a thin
@@ -56,12 +55,6 @@ class HermitianMatrix:
     def eigvals(self) -> np.ndarray:
         """Real eigenvalues in ascending order."""
         return np.linalg.eigvalsh(self.mat)
-
-    def min_eig(self):
-        return min_eig_hermitian(self)
-
-    def is_psd(self, slack: float = PSD_SLACK) -> bool:
-        return is_psd(self.mat, slack)
 
 
 def is_psd(m, slack: float = PSD_SLACK) -> bool:
@@ -121,25 +114,6 @@ def schur_complement(s, keep) -> HermitianMatrix:
     return HermitianMatrix(s22 - corr)
 
 
-def albert_condition(s11, s12, tol: float = PSD_SLACK) -> bool:
-    """Compatibility condition for PSD-ness of a partitioned Hermitian matrix.
-
-    True iff ``S11`` is PSD (within ``tol``) and ``S11 @ pinv(S11) @ S12``
-    reproduces ``S12`` within ``tol * (1 + |S12|)``.
-    """
-    a11 = _as_array(s11)
-    a12 = _as_array(s12)
-    if a11.shape[0] != a11.shape[1] or a11.shape[1] != a12.shape[0]:
-        raise ValidationError(
-            f"albert_condition: incompatible shapes {a11.shape} and {a12.shape}"
-        )
-    if a11.size and float(np.linalg.eigvalsh((a11 + a11.conj().T) / 2)[0]) < -tol:
-        return False
-    resid = float(np.max(np.abs(a11 @ pinv(a11) @ a12 - a12))) if a12.size else 0.0
-    bound = tol * (1.0 + (float(np.max(np.abs(a12))) if a12.size else 0.0))
-    return resid <= bound
-
-
 def min_eig_hermitian(m):
     """Smallest eigenvalue of a Hermitian matrix.
 
@@ -155,43 +129,3 @@ def min_eig_hermitian(m):
     gap = MULTIPLICITY_GAP * max(1.0, abs(lam))
     mult = int(np.sum(w <= lam + gap))
     return lam, v[:, 0].copy(), mult
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Hermitian PSD square root, with tiny negative eigenvalues clipped to 0."""
-    a = _as_array(m)
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def simultaneous_diagonalize(a, b, tol: float = PSD_SLACK):
-    """Congruence transform diagonalizing two PSD Hermitian matrices at once.
-
-    Returns ``(P, diag_a, diag_b)`` with ``P A P^H`` and ``P B P^H`` diagonal.
-    Only used as a diagnostic; both inputs must be PSD within ``tol``.
-    """
-    am = _as_array(a)
-    bm = _as_array(b)
-    if am.shape != bm.shape:
-        raise ValidationError("simultaneous_diagonalize: shape mismatch")
-    if not is_psd(am, tol) or not is_psd(bm, tol):
-        raise ValidationError("simultaneous_diagonalize: inputs must be PSD")
-    n = am.shape[0]
-    s = (am + bm + (am + bm).conj().T) / 2
-    w, u = np.linalg.eigh(s)
-    scale = max(1.0, float(w[-1])) if n else 1.0
-    pos = w > tol * scale
-    r = int(np.sum(pos))
-    # Rows for the range of A+B are rescaled to make the sum the identity; the
-    # common null space (null A intersect null B) passes through unchanged.
-    p1 = np.vstack([(u[:, pos] / np.sqrt(w[pos])).conj().T, u[:, ~pos].conj().T])
-    a1 = p1 @ am @ p1.conj().T
-    s1 = (a1[:r, :r] + a1[:r, :r].conj().T) / 2
-    _, t = np.linalg.eigh(s1)
-    p = np.eye(n, dtype=complex)
-    p[:r, :r] = t.conj().T
-    p = p @ p1
-    da = p @ am @ p.conj().T
-    db = p @ bm @ p.conj().T
-    return p, np.real(np.diag(da)).copy(), np.real(np.diag(db)).copy()

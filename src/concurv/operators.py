@@ -4,8 +4,7 @@ Delta(x), the forms 2*Gamma(x) and 4*Gamma_2(x), and the Schur complement
 
 Scale convention: the assembled matrices are stored exactly as the scaled
 versions 2*Gamma, 4*Gamma_2 and 4*Q so that combinatorial fixtures compare
-entrywise against known reference matrices; ``LocalOperators`` exposes the
-unscaled forms as properties.
+entrywise against known reference matrices.
 
 Basis order everywhere: center first, then the 1-sphere, then the 2-sphere,
 each in :class:`~concurv.graphs.LocalStructure` (sorted) order, one d-block
@@ -14,16 +13,13 @@ per vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import CrossCheckError, ValidationError
+from .errors import ValidationError
 from .graphs import ConnectionGraph, LocalStructure
-from .hermitian import HermitianMatrix, schur_complement
-
-CROSS_CHECK_TOL = 1e-9  # generic Schur vs closed-form agreement for 4Q
+from .hermitian import HermitianMatrix
 
 
 def _blk(i: int, d: int) -> slice:
@@ -138,93 +134,18 @@ def gamma2_matrix(local: LocalStructure) -> HermitianMatrix:
 def q_matrix(local: LocalStructure) -> HermitianMatrix:
     """4*Q(x): the Schur complement of the 2-sphere block in 4*Gamma_2(x).
 
-    Computed twice, once by the generic Schur complement and once from the
-    closed-form blocks, and the two results must agree entrywise; a mismatch
-    signals an assembly bug and raises :class:`CrossCheckError`.  For n = 0
-    there is nothing to eliminate and Q is Gamma_2 restricted to the 1-ball.
+    With ``G11`` the 1-ball block of 4*Gamma_2, ``C`` its 1-ball x 2-sphere
+    block and ``w`` the diagonal of its 2-sphere block,
+    ``4*Q = G11 - C diag(1/w) C^H``.  The elimination is exact and needs no
+    pseudoinverse because the 2-sphere block is, by construction, real,
+    diagonal and positive (see :func:`gamma2_matrix`).  For n = 0, ``C`` is
+    empty and Q is Gamma_2 restricted to the 1-ball.
     """
-    d, m, n = local.d, local.m, local.n
-    g2 = gamma2_matrix(local)
-    if n == 0:
-        return HermitianMatrix(g2.mat[: (m + 1) * d, : (m + 1) * d])
-    generic = schur_complement(g2, range((m + 1) * d))
-    closed = _q_closed_form(local, g2.mat)
-    resid = float(np.max(np.abs(generic.mat - closed)))
-    if resid > CROSS_CHECK_TOL:
-        raise CrossCheckError(
-            f"q_matrix cross-check failed at vertex {local.center!r}: "
-            f"generic Schur vs closed form differ by {resid:.3e} > {CROSS_CHECK_TOL:.1e}"
-        )
-    return generic
-
-
-def _q_closed_form(local: LocalStructure, g2: np.ndarray) -> np.ndarray:
-    """4*Q(x) from the explicit correction sums over 2-sphere vertices."""
-    d, m = local.d, local.m
-    x = local.center
-    s1, s2 = local.s1, local.s2
-    P = [local.p[(x, y)] for y in s1]
-    sx = [local.sigma[(x, y)] for y in s1]
-    out = np.array(g2[: (m + 1) * d, : (m + 1) * d], dtype=complex)
-
-    for z in s2:
-        r = [local.rate(y, z) for y in s1]
-        wk = sum(P[i] * r[i] for i in range(m))
-        # row vector of the x block against z, and its building blocks
-        sz = [local.sigma[(y, z)] if r[i] else None for i, y in enumerate(s1)]
-        xz = np.zeros((d, d), dtype=complex)
-        for i in range(m):
-            if r[i]:
-                xz = xz + P[i] * r[i] * sx[i].conj() @ sz[i].conj()
-        out[_blk(0, d), _blk(0, d)] -= xz @ xz.conj().T / wk
-        for i in range(m):
-            if r[i]:
-                corr = 2.0 * P[i] * r[i] / wk * xz @ sz[i].T
-                out[_blk(0, d), _blk(1 + i, d)] += corr
-                out[_blk(1 + i, d), _blk(0, d)] += corr.conj().T
-            for j in range(i, m):
-                if not (r[i] and r[j]):
-                    continue
-                if j == i:
-                    out[_blk(1 + i, d), _blk(1 + i, d)] -= (
-                        4.0 * P[i] ** 2 * r[i] ** 2 / wk * np.eye(d)
-                    )
-                else:
-                    corr = 4.0 * P[i] * r[i] * P[j] * r[j] / wk * sz[i].conj() @ sz[j].T
-                    out[_blk(1 + i, d), _blk(1 + j, d)] -= corr
-                    out[_blk(1 + j, d), _blk(1 + i, d)] -= corr.conj().T
-    return out
-
-
-@dataclass(frozen=True)
-class LocalOperators:
-    """All assembled matrices for one vertex, in the stored scale convention."""
-
-    delta: np.ndarray          # Delta(x), (m+1)d x d
-    gamma2x: HermitianMatrix   # 2*Gamma(x)
-    gamma2_2x: HermitianMatrix  # 4*Gamma_2(x)
-    q4: HermitianMatrix        # 4*Q(x)
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.gamma2x.mat / 2.0
-
-    @property
-    def gamma2(self) -> np.ndarray:
-        return self.gamma2_2x.mat / 4.0
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.q4.mat / 4.0
-
-
-def local_operators(local: LocalStructure) -> LocalOperators:
-    return LocalOperators(
-        delta=delta_matrix(local),
-        gamma2x=gamma_matrix(local),
-        gamma2_2x=gamma2_matrix(local),
-        q4=q_matrix(local),
-    )
+    g2 = gamma2_matrix(local).mat
+    b1 = (local.m + 1) * local.d
+    c = g2[:b1, b1:]
+    w = np.real(np.diag(g2)[b1:])
+    return HermitianMatrix(g2[:b1, :b1] - (c / w) @ c.conj().T)
 
 
 # -- direct (recursive) evaluation of the forms ---------------------------

@@ -149,3 +149,33 @@ def random_function(rng, vertices, d: int) -> dict[str, np.ndarray]:
 def assert_close(actual, expected, tol, label: str = ""):
     resid = float(np.max(np.abs(np.asarray(actual) - np.asarray(expected))))
     assert resid <= tol, f"{label or 'residual'} {resid:.3e} > {tol:.1e}"
+
+
+def _doc_text(vertices: str, edges: str, dimension: str = "1") -> str:
+    return f'{{"dimension": {dimension}, "vertices": [{vertices}], "edges": [{edges}]}}'
+
+
+_AB = '{"id": "a"}, {"id": "b"}'
+
+# Graph documents, as JSON text, that load_graph must reject with a
+# ValidationError, paired with a fragment of the expected message.
+NON_FINITE_DOCUMENTS = {
+    "nan_sigma": (_doc_text(_AB, '{"u": "a", "v": "b", "sigma": [[[NaN, 0]]]}'), "not unitary"),
+    "inf_weight": (_doc_text(_AB, '{"u": "a", "v": "b", "weight": 1e400}'), "finite"),
+    "inf_measure": (_doc_text('{"id": "a", "measure": 1e400}, {"id": "b"}',
+                              '{"u": "a", "v": "b"}'), "finite"),
+}
+MALFORMED_DOCUMENTS = {
+    "vertex_without_id": (_doc_text('{"measure": 1.0}', ""), "missing 'id'"),
+    "vertex_not_object": (_doc_text('"a"', ""), "JSON object"),
+    "vertices_not_list": ('{"dimension": 1, "vertices": 3}', "must be a list"),
+    "edge_without_u": (_doc_text(_AB, '{"v": "b"}'), "missing 'u'"),
+    "edge_without_v": (_doc_text(_AB, '{"u": "a"}'), "missing 'v'"),
+    "weight_not_numeric": (_doc_text(_AB, '{"u": "a", "v": "b", "weight": "heavy"}'),
+                           "'weight' must be a number"),
+    "measure_not_numeric": (_doc_text('{"id": "a", "measure": [1]}, {"id": "b"}', ""),
+                            "'measure' must be a number"),
+    "dimension_not_numeric": (_doc_text(_AB, "", dimension='"two"'), "'dimension' must be"),
+    "ragged_sigma": (_doc_text(_AB, '{"u": "a", "v": "b", "sigma": [[[1, 0], [0, 0]], [[0, 0]]]}',
+                               dimension="2"), "malformed sigma"),
+}

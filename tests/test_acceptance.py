@@ -1,5 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
-the measured margins (run with ``pytest -s`` to see them).
+the measured margins (run with ``pytest -s`` to see them).  The fixture
+checks are the rows of :mod:`concurv.examples_registry`, shared with
+``concurv examples``; each criterion test runs the rows tagged with it.
 
 Criterion 5c is expected to fail: the recorded reference eigenvalue -0.7660
 for the non-commuting U(2) product cannot be reproduced from the graphs as
@@ -7,16 +9,12 @@ defined (see the decisions ledger); the test asserts the recorded value
 faithfully instead of adjusting it.
 """
 
-import math
-
 import numpy as np
-import pytest
 
 from concurv import (
     INF,
     ProductSpec,
     add_spherical_edge,
-    canonical_basis,
     cartesian_product,
     curvature,
     curvature_bundle,
@@ -24,26 +22,15 @@ from concurv import (
     curvature_matrix,
     curvature_oracle,
     curvature_profile,
-    gamma2_matrix,
-    gamma_matrix,
     general_basis,
     is_locally_balanced,
     local_structure,
     merge_s2,
     product_decomposition,
-    product_vertex,
-    q_matrix,
     switch,
     tensor_matrix_check,
 )
-from concurv.fixtures import (
-    EXPECTED,
-    NONCOMMUTING_GAMMA2_MIN_EIG,
-    NONCOMMUTING_TOL,
-    PRODUCT_G2_TRIANGLE,
-    fixture_graph,
-    reorder_blocks,
-)
+from concurv import examples_registry
 from concurv.hermitian import pinv
 
 from helpers import (
@@ -56,69 +43,35 @@ from helpers import (
     random_switching,
 )
 
-ENTRY_TOL = 1e-12
-VALUE_TOL = 1e-9
-
 
 def report(criterion: str, detail: str):
     print(f"[criterion {criterion}] PASS  {detail}")
 
 
+def run_rows(criterion: str) -> str:
+    """Run the example-registry rows of one criterion, assert that all of them
+    pass, and return their details for the PASS line."""
+    rows = examples_registry.run(criterion)
+    assert rows, f"no registry rows for criterion {criterion}"
+    failed = [f"{name}: {detail}" for _, name, ok, detail in rows if not ok]
+    assert not failed, "; ".join(failed)
+    return "; ".join(f"{name}: {detail}" if detail else name for _, name, _, detail in rows)
+
+
 def test_criterion_01_reference_pipeline_u2_diamond():
-    e = EXPECTED["g1_u2"]
-    loc = local_structure(fixture_graph("g1_u2"), e["vertex"])
-    assert_close(gamma_matrix(loc).mat, e["two_gamma"], ENTRY_TOL, "2*Gamma")
-    assert_close(gamma2_matrix(loc).mat / 2.0, e["four_gamma2"] / 2.0, ENTRY_TOL, "2*Gamma_2")
-    assert_close(q_matrix(loc).mat / 2.0, e["four_q"] / 2.0, ENTRY_TOL, "2*Q")
-    assert_close(canonical_basis(loc), e["b0"], ENTRY_TOL, "B0")
-    bundle = curvature_bundle(loc)
-    assert_close(bundle.a_inf.mat, e["a_inf"], ENTRY_TOL, "A_inf")
-    eigs = np.linalg.eigvalsh(bundle.a_inf.mat)
-    assert_close(eigs, e["a_inf_eigs"], VALUE_TOL, "A_inf eigenvalues")
-    k, mult = curvature(loc, INF)
-    assert abs(k - 1.5) <= VALUE_TOL
-    report("01", f"entrywise pipeline residuals <= 1e-12, K(inf) = {k:.12f}")
+    report("01", run_rows("01"))
 
 
 def test_criterion_02_positive_strip():
-    e = EXPECTED["positive_strip"]
-    loc = local_structure(fixture_graph("positive_strip"), e["vertex"])
-    assert_close(2.0 * gamma_matrix(loc).mat, e["four_gamma"], ENTRY_TOL, "4*Gamma")
-    assert_close(gamma2_matrix(loc).mat, e["four_gamma2"], ENTRY_TOL, "4*Gamma_2")
-    assert_close(canonical_basis(loc), e["b0"], ENTRY_TOL, "B0")
-    bundle = curvature_bundle(loc)
-    assert_close(bundle.a_inf.mat, e["a_inf"], ENTRY_TOL, "A_inf")
-    k, _ = curvature(loc, INF)
-    expected_k = (7.0 - math.sqrt(17.0)) / 4.0
-    assert abs(k - expected_k) <= VALUE_TOL
-    assert k > 0
-    report("02", f"K(inf) = {k:.12f} = (7-sqrt(17))/4 > 0")
+    report("02", run_rows("02"))
 
 
 def test_criterion_03_signed_fixture_curvatures():
-    values = {}
-    for name, expected in (("triangle_signed", 0.5), ("diamond_signed", 1.5),
-                           ("diamond_u2", 1.5), ("g5_signed", 2.0)):
-        loc = local_structure(fixture_graph(name), EXPECTED[name]["vertex"])
-        k, _ = curvature(loc, INF)
-        assert abs(k - expected) <= VALUE_TOL, name
-        values[name] = k
-    report("03", ", ".join(f"{n}: {v:.10f}" for n, v in values.items()))
+    report("03", run_rows("03"))
 
 
 def test_criterion_04_local_edit_examples():
-    neg = np.array([[-1.0]], dtype=complex)
-    g3_before = local_structure(fixture_graph("g3_signed"), "1")
-    k_before, _ = curvature(g3_before, INF)
-    assert abs(k_before - (-0.569)) <= 1e-3
-    _, rep3 = add_spherical_edge(fixture_graph("g3_signed"), "1", "3", "4", 1.0, neg)
-    assert abs(rep3.after - 0.36) <= 1e-3
-    _, rep4 = add_spherical_edge(fixture_graph("g4_signed"), "1", "2", "3", 1.0, neg)
-    assert abs(rep4.before) <= VALUE_TOL and abs(rep4.after) <= VALUE_TOL
-    _, rep5 = add_spherical_edge(fixture_graph("g5_signed"), "1", "2", "3", 1.0, neg)
-    assert abs(rep5.before - 2.0) <= VALUE_TOL and abs(rep5.after - 1.5) <= VALUE_TOL
-    report("04", f"edits: {rep3.before:.4f}->{rep3.after:.4f}, "
-                 f"{rep4.before:.4f}->{rep4.after:.4f}, {rep5.before:.4f}->{rep5.after:.4f}")
+    report("04", run_rows("04"))
 
 
 def test_criterion_04_random_balanced_additions_monotone():
@@ -147,45 +100,17 @@ def test_criterion_04_random_merges_monotone():
 
 
 def test_criterion_05a_signed_product_curvature():
-    prod = cartesian_product(fixture_graph("triangle_signed"),
-                             fixture_graph("diamond_signed"), ProductSpec())
-    loc = local_structure(prod, product_vertex("A", "1"))
-    k, _ = curvature(loc, INF)
-    assert abs(k - 0.5) <= VALUE_TOL
-    report("05a", f"signed triangle x diamond K(inf) at (A,1) = {k:.12f}")
+    report("05a", run_rows("05a"))
 
 
 def test_criterion_05b_product_matrices():
-    e = EXPECTED["g2_signed"]
-    loc = local_structure(fixture_graph("g2_signed"), "1")
-    assert_close(curvature_bundle(loc).a_inf.mat, e["a_inf"], ENTRY_TOL, "A_inf(G2)")
-    k, _ = curvature(loc, INF)
-    assert abs(k - (-0.5502)) <= 1e-3
-
-    prod = cartesian_product(fixture_graph("g2_signed"),
-                             fixture_graph("triangle_signed"), ProductSpec())
-    locp = local_structure(prod, product_vertex("1", "A"))
-    expected = reorder_blocks(PRODUCT_G2_TRIANGLE["a_inf"],
-                              PRODUCT_G2_TRIANGLE["labels"], locp.s1, 1)
-    assert_close(curvature_bundle(locp).a_inf.mat, expected, ENTRY_TOL, "A_inf(product)")
-    kp, _ = curvature(locp, INF)
-    assert abs(kp - (-0.454)) <= 1e-3
-    report("05b", f"matrices entrywise <= 1e-12; K = {k:.6f} and {kp:.6f}")
+    report("05b", run_rows("05b"))
 
 
 def test_criterion_05c_noncommuting_reference_values():
     """Faithful check of the recorded reference values for the non-commuting
     product; currently expected to fail (see the module docstring)."""
-    prod = cartesian_product(fixture_graph("triangle_u2"),
-                             fixture_graph("diamond_u2"), ProductSpec())
-    loc = local_structure(prod, product_vertex("A", "1"))
-    lam = float(np.linalg.eigvalsh(gamma2_matrix(loc).mat)[0])
-    k, _ = curvature(loc, INF)
-    print(f"[criterion 05c] computed: min eig 4*Gamma_2(A,1) = {lam:.4f}, K = {k:.4f} "
-          f"(reference {NONCOMMUTING_GAMMA2_MIN_EIG})")
-    assert abs(lam - NONCOMMUTING_GAMMA2_MIN_EIG) <= NONCOMMUTING_TOL
-    assert k < 0
-    report("05c", f"noncommuting pair: min eig {lam:.4f}, K = {k:.4f} < 0")
+    report("05c", run_rows("05c"))
 
 
 def test_criterion_05d_random_commuting_decompositions():
@@ -263,9 +188,10 @@ def test_criterion_07_invariance_suites():
         bundle = curvature_bundle(loc)
         assert float(np.max(np.abs(bundle.a))) <= 1e-9
         assert float(np.max(np.abs(bundle.omega_t))) <= 1e-9
+    fixture_rows = run_rows("07")
     report("07", f"switch invariance worst {worst_switch:.3e}; "
                  f"basis equivalence worst {worst_eig:.3e}; kernel block vanished "
-                 f"on 10 balanced instances")
+                 f"on 10 balanced instances; {fixture_rows}")
 
 
 def test_criterion_08_curvature_function_shape():

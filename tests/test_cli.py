@@ -3,7 +3,9 @@ import json
 import pytest
 
 from concurv.cli import fmt_value, main
-from concurv.fixtures import fixture_document
+from concurv.fixtures import fixture_document, fixture_names
+
+from helpers import MALFORMED_DOCUMENTS, NON_FINITE_DOCUMENTS
 
 
 @pytest.fixture()
@@ -91,6 +93,37 @@ class TestValidateCommand:
 
     def test_missing_file_exits_1(self, capsys):
         assert main(["validate", "/nonexistent/graph.json"]) == 1
+
+    @pytest.mark.parametrize("name", sorted({**NON_FINITE_DOCUMENTS, **MALFORMED_DOCUMENTS}))
+    def test_rejected_document_exits_1(self, name, tmp_path, capsys):
+        text, message = {**NON_FINITE_DOCUMENTS, **MALFORMED_DOCUMENTS}[name]
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and message in err
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("argv", [
+        ["curvature", "g1_u2", "--vertex", "1", "--N", "abc"],
+        ["profile", "g1_u2", "--vertex", "1", "--grid", "1,abc,inf"],
+        ["product", "triangle_signed", "diamond_signed", "--decompose", "A,1", "--N", "x"],
+        ["product", "triangle_signed", "diamond_signed", "--decompose", "A,1", "--N2", "x"],
+        ["product", "triangle_signed", "diamond_signed", "--decompose", "A"],
+        ["product", "triangle_signed", "diamond_signed", "--alpha", "abc"],
+        ["add-edge", "g5_signed", "--vertex", "1", "--yi", "2", "--yj", "3", "--sigma", "[[1"],
+    ], ids=["N", "grid", "product_N", "product_N2", "decompose", "alpha", "sigma"])
+    def test_exits_1(self, argv, fixture_file, capsys):
+        argv = [fixture_file(a) if a in fixture_names() else a for a in argv]
+        assert main(argv) == 1
+        assert "validation error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["foo", "nan", "-1"])
+    def test_bad_curv_tol_exits_1(self, value, fixture_file, capsys, monkeypatch):
+        monkeypatch.setenv("CURV_TOL", value)
+        assert main(["curvature", fixture_file("g1_u2"), "--vertex", "1", "--oracle"]) == 1
+        assert "validation error: CURV_TOL" in capsys.readouterr().err
 
 
 class TestProfileCommand:

@@ -14,7 +14,14 @@ from concurv import (
 )
 from concurv.fixtures import fixture_document, fixture_graph
 
-from helpers import assert_close, random_balanced_graph, random_graph, random_switching
+from helpers import (
+    MALFORMED_DOCUMENTS,
+    NON_FINITE_DOCUMENTS,
+    assert_close,
+    random_balanced_graph,
+    random_graph,
+    random_switching,
+)
 
 
 class TestLoadGraph:
@@ -84,6 +91,18 @@ class TestLoadGraph:
             load_graph({"dimension": 1, "field": "real",
                         "vertices": [{"id": "a"}, {"id": "b"}],
                         "edges": [{"u": "a", "v": "b", "sigma": [[[0, 1]]]}]})
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_DOCUMENTS))
+    def test_non_finite_values_rejected(self, name):
+        text, message = NON_FINITE_DOCUMENTS[name]
+        with pytest.raises(ValidationError, match=message):
+            load_graph(text)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+    def test_malformed_document_rejected(self, name):
+        text, message = MALFORMED_DOCUMENTS[name]
+        with pytest.raises(ValidationError, match=message):
+            load_graph(text)
 
     def test_document_roundtrip(self):
         g = fixture_graph("g1_u2")

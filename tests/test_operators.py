@@ -8,15 +8,55 @@ from concurv import (
     gamma_forms,
     gamma_matrix,
     load_graph,
-    local_operators,
     local_structure,
     q_matrix,
+    schur_complement,
     switch,
 )
-from concurv.fixtures import fixture_graph
+from concurv.fixtures import fixture_graph, fixture_names
 from concurv.curvature import p0_transpose
 
 from helpers import assert_close, random_function, random_graph, random_switching
+
+
+def q_closed_form_loops(local, g2: np.ndarray) -> np.ndarray:
+    """4*Q(x) from the explicit correction sums over 2-sphere vertices, built
+    from the rates and connections of the ball: an oracle for q_matrix."""
+    d, m = local.d, local.m
+    x = local.center
+    s1, s2 = local.s1, local.s2
+    P = [local.p[(x, y)] for y in s1]
+    sx = [local.sigma[(x, y)] for y in s1]
+    out = np.array(g2[: (m + 1) * d, : (m + 1) * d], dtype=complex)
+
+    def blk(i):
+        return slice(i * d, (i + 1) * d)
+
+    for z in s2:
+        r = [local.rate(y, z) for y in s1]
+        wk = sum(P[i] * r[i] for i in range(m))
+        # row vector of the x block against z, and its building blocks
+        sz = [local.sigma[(y, z)] if r[i] else None for i, y in enumerate(s1)]
+        xz = np.zeros((d, d), dtype=complex)
+        for i in range(m):
+            if r[i]:
+                xz = xz + P[i] * r[i] * sx[i].conj() @ sz[i].conj()
+        out[blk(0), blk(0)] -= xz @ xz.conj().T / wk
+        for i in range(m):
+            if r[i]:
+                corr = 2.0 * P[i] * r[i] / wk * xz @ sz[i].T
+                out[blk(0), blk(1 + i)] += corr
+                out[blk(1 + i), blk(0)] += corr.conj().T
+            for j in range(i, m):
+                if not (r[i] and r[j]):
+                    continue
+                if j == i:
+                    out[blk(1 + i), blk(1 + i)] -= 4.0 * P[i] ** 2 * r[i] ** 2 / wk * np.eye(d)
+                else:
+                    corr = 4.0 * P[i] * r[i] * P[j] * r[j] / wk * sz[i].conj() @ sz[j].T
+                    out[blk(1 + i), blk(1 + j)] -= corr
+                    out[blk(1 + j), blk(1 + i)] -= corr.conj().T
+    return out
 
 
 def single_edge():
@@ -134,12 +174,26 @@ class TestQMatrix:
         assert_close(q_matrix(loc).mat, gamma2_matrix(loc).mat, 0.0)
 
     def test_cross_check_runs_on_random_graphs(self):
+        """q_matrix against both oracles at every fixture vertex and every
+        vertex of 210 random graphs with d = 1, 2, 3."""
         rng = np.random.default_rng(37)
-        for trial in range(10):
-            d = 1 if trial % 2 == 0 else 2
-            loc = local_structure(random_graph(rng, d=d), "1")
-            q = q_matrix(loc)  # internal generic-vs-closed-form assertion
-            assert float(np.max(np.abs(q.mat - q.mat.conj().T))) <= 1e-10
+        graphs = [fixture_graph(name) for name in fixture_names()]
+        for trial in range(210):
+            graphs.append(random_graph(rng, d=1 + trial % 3,
+                                       field="real" if trial % 4 == 3 else "complex"))
+        no_2_sphere = 0
+        for g in graphs:
+            for x in g.vertex_ids:
+                if not g.neighbors(x):
+                    continue
+                loc = local_structure(g, x)
+                g2 = gamma2_matrix(loc)
+                q = q_matrix(loc).mat
+                b1 = (loc.m + 1) * loc.d
+                assert_close(q, schur_complement(g2, range(b1)).mat, 1e-9, "generic Schur")
+                assert_close(q, q_closed_form_loops(loc, g2.mat), 1e-9, "loop closed form")
+                no_2_sphere += loc.n == 0
+        assert no_2_sphere >= 10
 
     def test_missing_spherical_edges_vanish(self):
         # no spherical or 2-sphere structure at all: Q reduces to Gamma_2 on B1
@@ -187,15 +241,18 @@ class TestSwitchingCovariance:
                          tb1.T @ delta_matrix(loc) @ np.conj(tau["1"]), 1e-9)
 
 
-def test_local_operators_scales():
-    loc = local_structure(fixture_graph("g1_u2"), "1")
-    ops = local_operators(loc)
-    assert_close(ops.gamma * 2, ops.gamma2x.mat, 0.0)
-    assert_close(ops.gamma2 * 4, ops.gamma2_2x.mat, 0.0)
-    assert_close(ops.q * 4, ops.q4.mat, 0.0)
-    # the 2-sphere block of 4 Gamma_2 is real, diagonal, positive
-    b1 = (loc.m + 1) * loc.d
-    s2_block = ops.gamma2_2x.mat[b1:, b1:]
-    assert_close(s2_block, np.diag(np.diag(s2_block)), 0.0)
-    assert np.all(np.real(np.diag(s2_block)) > 0)
-    assert float(np.max(np.abs(np.imag(np.diag(s2_block))))) == 0.0
+def test_two_sphere_block_real_diagonal_positive():
+    """The property that makes q_matrix's elimination exact: the 2-sphere
+    block of 4*Gamma_2 is real, diagonal and positive, so blocks between
+    2-sphere vertices vanish."""
+    rng = np.random.default_rng(39)
+    locs = [local_structure(fixture_graph("g1_u2"), "1")]
+    locs += [local_structure(random_graph(rng, d=1 + t % 3), "1") for t in range(30)]
+    locs = [loc for loc in locs if loc.n > 0]
+    assert len(locs) >= 10
+    for loc in locs:
+        b1 = (loc.m + 1) * loc.d
+        s2_block = gamma2_matrix(loc).mat[b1:, b1:]
+        assert_close(s2_block, np.diag(np.diag(s2_block)), 0.0)
+        assert np.all(np.real(np.diag(s2_block)) > 0)
+        assert float(np.max(np.abs(np.imag(np.diag(s2_block))))) == 0.0
