@@ -48,11 +48,8 @@ def p0_transpose(local: LocalStructure) -> np.ndarray:
     Its conjugate spans the kernel of 2*Gamma(x) and it annihilates Delta(x).
     """
     d, m = local.d, local.m
-    out = np.zeros((d, (m + 1) * d), dtype=complex)
-    out[:, :d] = np.eye(d)
-    for i, y in enumerate(local.s1):
-        out[:, (i + 1) * d:(i + 2) * d] = local.sigma[(local.center, y)].conj()
-    return out
+    blocks = np.concatenate([np.eye(d, dtype=complex)[None], local.sigma_x.conj()])
+    return blocks.transpose(1, 0, 2).reshape(d, (m + 1) * d)
 
 
 def canonical_basis(local: LocalStructure) -> np.ndarray:
@@ -63,14 +60,11 @@ def canonical_basis(local: LocalStructure) -> np.ndarray:
     ``B0 (2 Gamma(x)) B0^H = diag(0_d, I_md)`` by construction.
     """
     d, m = local.d, local.m
-    x = local.center
-    out = np.zeros(((m + 1) * d, (m + 1) * d), dtype=complex)
-    out[:d, :] = p0_transpose(local)
-    for i, y in enumerate(local.s1):
-        out[(i + 1) * d:(i + 2) * d, (i + 1) * d:(i + 2) * d] = (
-            np.eye(d) / np.sqrt(local.p[(x, y)])
-        )
-    return out
+    ys = np.arange(1, m + 1)
+    out = np.zeros((m + 1, d, m + 1, d), dtype=complex)
+    out[0] = p0_transpose(local).reshape(d, m + 1, d)
+    out[ys, :, ys, :] = np.eye(d) / np.sqrt(local.p_x)[:, None, None]
+    return out.reshape((m + 1) * d, (m + 1) * d)
 
 
 def basis_residual(local: LocalStructure, b: np.ndarray) -> float:
@@ -214,9 +208,11 @@ def curvature_oracle(local: LocalStructure, n, eps: float = 1e-10) -> float:
     size = (m + n2 + 1) * d
     b1 = (m + 1) * d
 
-    gamma2 = gamma2_matrix(local).mat / 4.0
+    four_gamma2 = gamma2_matrix(local).mat
+    two_gamma = gamma_matrix(local).mat
+    gamma2 = four_gamma2 / 4.0
     gamma_pad = np.zeros((size, size), dtype=complex)
-    gamma_pad[:b1, :b1] = gamma_matrix(local).mat / 2.0
+    gamma_pad[:b1, :b1] = two_gamma / 2.0
     delta = delta_matrix(local)
     dd_pad = np.zeros((size, size), dtype=complex)
     dd_pad[:b1, :b1] = delta @ delta.conj().T
@@ -233,9 +229,9 @@ def curvature_oracle(local: LocalStructure, n, eps: float = 1e-10) -> float:
 
     # Bracket from the Rayleigh-quotient bound |K| <= |4 Gamma_2| / lambda_+,
     # expanded defensively if the feasibility pattern disagrees.
-    gvals = np.linalg.eigvalsh(gamma_matrix(local).mat)
+    gvals = np.linalg.eigvalsh(two_gamma)
     lam_plus = float(gvals[d])
-    bound = float(np.max(np.abs(gamma2_matrix(local).mat))) / lam_plus
+    bound = float(np.max(np.abs(four_gamma2))) / lam_plus
     lo, hi = -4.0 * max(bound, 1.0), 4.0 * max(bound, 1.0)
     for _ in range(64):
         if feasible(lo):

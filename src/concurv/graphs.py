@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -41,6 +41,62 @@ def _check_unitary(sigma: np.ndarray, d: int, where: str) -> np.ndarray:
     return sigma
 
 
+class EdgeIndex(NamedTuple):
+    """Integer index of a graph's oriented edges, in CSR (compressed sparse
+    row) form.
+
+    Vertex k is ``ids[k]``; ids are sorted, so position order is id order.
+    The oriented edges leaving vertex k are rows ``indptr[k]:indptr[k + 1]``,
+    sorted by neighbor position; row e goes to ``nbr[e]`` with rate
+    ``rate[e] = w / mu`` of its source and connection ``sigma[e]`` (d x d,
+    read-only), and ``rev[e]`` is the row of the reverse orientation.
+    """
+
+    ids: tuple[str, ...]
+    names: np.ndarray      # ids as an object array, for gathering by position
+    pos: dict[str, int]
+    indptr: np.ndarray
+    nbr: np.ndarray
+    rate: np.ndarray
+    rev: np.ndarray
+    sigma: np.ndarray
+
+
+def _edge_index(mu: dict[str, float], stored: list[tuple[str, str, float]],
+                sigmas: list[np.ndarray], d: int):
+    """The edge index, the row of each oriented edge (u, v), and the sorted
+    neighbor tuple of each vertex."""
+    ids = tuple(sorted(mu))
+    pos = {v: k for k, v in enumerate(ids)}
+    n_e = len(stored)
+    u = np.fromiter((pos[a] for a, _, _ in stored), dtype=np.intp, count=n_e)
+    v = np.fromiter((pos[b] for _, b, _ in stored), dtype=np.intp, count=n_e)
+    w = np.fromiter((c for _, _, c in stored), dtype=float, count=n_e)
+    mu_arr = np.fromiter((mu[k] for k in ids), dtype=float, count=len(ids))
+    # Oriented edge k < n_e is stored edge k, k + n_e its reverse.
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    order = np.argsort(src * len(ids) + dst)    # by source, then by neighbor
+    src, dst = src[order], dst[order]
+    back = np.empty_like(order)
+    back[order] = np.arange(order.size)
+    indptr = np.zeros(len(ids) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=len(ids)), out=indptr[1:])
+    rate = np.concatenate([w, w])[order] / mu_arr[src]
+    rev = back[(order + n_e) % max(2 * n_e, 1)]
+    s = np.array(sigmas, dtype=complex).reshape(n_e, d, d)
+    sigma = np.concatenate([s, s.conj().transpose(0, 2, 1)])[order]
+    for arr in (indptr, dst, rate, rev, sigma):
+        arr.setflags(write=False)
+    names = np.array(ids, dtype=object)
+    src_ids, dst_ids = names[src].tolist(), names[dst].tolist()
+    rows = dict(zip(zip(src_ids, dst_ids), range(order.size)))
+    bounds = indptr.tolist()
+    nbrs = {x: tuple(dst_ids[bounds[k]:bounds[k + 1]]) for k, x in enumerate(ids)}
+    index = EdgeIndex(ids, names, pos, indptr, dst, rate, rev, sigma)
+    return index, rows, nbrs
+
+
 class ConnectionGraph:
     """Finite weighted graph with vertex measures and unitary edge connections.
 
@@ -56,9 +112,12 @@ class ConnectionGraph:
     edges : iterable of (u, v, weight, sigma)
         One entry per undirected edge, giving the connection for the stored
         orientation u -> v.  ``sigma=None`` means the identity.
+
+    ``index`` is the graph's :class:`EdgeIndex`, built once here; graphs are
+    immutable, so it never goes stale.
     """
 
-    __slots__ = ("dimension", "field", "_mu", "_adj", "_sigma", "_edges")
+    __slots__ = ("dimension", "field", "index", "_mu", "_adj", "_edges", "_row", "_nbrs")
 
     def __init__(self, dimension: int, field: str,
                  vertices: Iterable[tuple[str, float]],
@@ -80,8 +139,8 @@ class ConnectionGraph:
             mu[vid] = m
 
         adj: dict[str, dict[str, float]] = {v: {} for v in mu}
-        sig: dict[tuple[str, str], np.ndarray] = {}
         stored: list[tuple[str, str, float]] = []
+        sigmas: list[np.ndarray] = []
         for entry in edges:
             u, v, w, sigma = entry
             u, v = str(u), str(v)
@@ -104,28 +163,23 @@ class ConnectionGraph:
                     raise ValidationError(
                         f"edge ({u!r}, {v!r}): field='real' but sigma has imaginary entries"
                     )
-            s = np.ascontiguousarray(s)
-            s.setflags(write=False)
-            rev = s.conj().T.copy()
-            rev.setflags(write=False)
             adj[u][v] = w
             adj[v][u] = w
-            sig[(u, v)] = s
-            sig[(v, u)] = rev
             stored.append((u, v, w))
+            sigmas.append(s)
 
         self.dimension = d
         self.field = field
         self._mu = mu
         self._adj = adj
-        self._sigma = sig
         self._edges = tuple(stored)
+        self.index, self._row, self._nbrs = _edge_index(mu, stored, sigmas, d)
 
     # -- accessors ---------------------------------------------------------
 
     @property
     def vertex_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._mu))
+        return self.index.ids
 
     def __contains__(self, v: str) -> bool:
         return v in self._mu
@@ -134,7 +188,8 @@ class ConnectionGraph:
         return self._mu[v]
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted(self._adj[v]))
+        """The neighbors of v, sorted by id."""
+        return self._nbrs[v]
 
     def has_edge(self, u: str, v: str) -> bool:
         return v in self._adj.get(u, ())
@@ -143,7 +198,7 @@ class ConnectionGraph:
         return self._adj[u][v]
 
     def sigma(self, u: str, v: str) -> np.ndarray:
-        return self._sigma[(u, v)]
+        return self.index.sigma[self._row[(u, v)]]
 
     def degree(self, v: str) -> float:
         return sum(self._adj[v].values())
@@ -154,7 +209,8 @@ class ConnectionGraph:
 
     def edge_list(self) -> list[tuple[str, str, float, np.ndarray]]:
         """Stored-orientation edges as (u, v, weight, sigma)."""
-        return [(u, v, w, self._sigma[(u, v)]) for (u, v, w) in self._edges]
+        sigma, row = self.index.sigma, self._row
+        return [(u, v, w, sigma[row[(u, v)]]) for (u, v, w) in self._edges]
 
     def to_document(self) -> dict:
         """JSON-serializable document (see the graph schema in the README)."""
@@ -267,38 +323,79 @@ class LocalStructure:
     edge inside the ball (edges between two 2-sphere vertices are dropped),
     and the restricted connection.  s1 and s2 are sorted by vertex id, and
     every matrix downstream uses that order.
+
+    The ball is held as arrays.  ``p_x`` and ``sigma_x`` are the rates
+    p_xy_i and connections sigma_xy_i, in 1-sphere order.  Every oriented
+    edge y_i -> v leaving the 1-sphere inside the ball is one entry of the
+    ``edge_*`` arrays: ``edge_row`` is i, ``edge_col`` the ball position of v
+    (0 for the center, 1 + j for y_j, 1 + m + k for z_k), ``edge_p`` and
+    ``edge_p_back`` the rates p_y_iv and p_vy_i, and ``edge_sigma`` the
+    connection sigma_y_iv.  The entries are sorted by (col, row), so the
+    first m end at the center, one per y_i in order, and each y_i's edges
+    come center first, then 1-sphere, then 2-sphere.  The dictionaries ``p``
+    and ``sigma`` are built from the arrays on first use.
     """
 
-    __slots__ = ("center", "s1", "s2", "d", "m", "n", "p", "sigma", "dx_over_mux")
+    __slots__ = ("center", "s1", "s2", "d", "m", "n", "dx_over_mux", "p_x", "sigma_x",
+                 "edge_row", "edge_col", "edge_p", "edge_p_back", "edge_sigma", "_dicts")
 
     def __init__(self, center: str, s1: tuple[str, ...], s2: tuple[str, ...], d: int,
-                 p: dict[tuple[str, str], float], sigma: dict[tuple[str, str], np.ndarray]):
+                 p_x: np.ndarray, sigma_x: np.ndarray, edge_row: np.ndarray,
+                 edge_col: np.ndarray, edge_p: np.ndarray, edge_p_back: np.ndarray,
+                 edge_sigma: np.ndarray):
         self.center = center
-        self.s1 = tuple(s1)
-        self.s2 = tuple(s2)
+        self.s1 = s1
+        self.s2 = s2
         self.d = int(d)
-        self.m = len(self.s1)
-        self.n = len(self.s2)
-        self.p = dict(p)
-        self.sigma = dict(sigma)
-        self.dx_over_mux = sum(self.p[(center, y)] for y in self.s1)
+        self.m = len(s1)
+        self.n = len(s2)
+        self.p_x = p_x
+        self.sigma_x = sigma_x
+        self.edge_row = edge_row
+        self.edge_col = edge_col
+        self.edge_p = edge_p
+        self.edge_p_back = edge_p_back
+        self.edge_sigma = edge_sigma
+        # summed left to right, as the rates are listed
+        self.dx_over_mux = sum(p_x.tolist())
+        self._dicts = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
         """Center, then 1-sphere, then 2-sphere: the basis order of all matrices."""
         return (self.center,) + self.s1 + self.s2
 
+    @property
+    def p(self) -> dict[tuple[str, str], float]:
+        """p_uv for every oriented edge (u, v) inside the ball."""
+        return self._edge_dicts()[0]
+
+    @property
+    def sigma(self) -> dict[tuple[str, str], np.ndarray]:
+        """sigma_uv for every oriented edge (u, v) inside the ball."""
+        return self._edge_dicts()[1]
+
     def rate(self, u: str, v: str) -> float:
         """p_uv inside the ball, 0.0 for an absent edge."""
         return self.p.get((u, v), 0.0)
 
-    def degree_ratio(self, v: str) -> float:
-        """d_v / mu_v, summed over the oriented edges leaving v inside the ball."""
-        return sum(rate for (a, _), rate in self.p.items() if a == v)
+    def _edge_dicts(self):
+        if self._dicts is None:
+            x, names = self.center, self.vertices
+            p = dict(zip(((x, y) for y in self.s1), self.p_x.tolist()))
+            sigma = dict(zip(((x, y) for y in self.s1), self.sigma_x))
+            for i, k, r, r_back, s in zip(self.edge_row.tolist(), self.edge_col.tolist(),
+                                          self.edge_p.tolist(), self.edge_p_back.tolist(),
+                                          self.edge_sigma):
+                u, v = self.s1[i], names[k]
+                p[(u, v)], p[(v, u)] = r, r_back
+                sigma[(u, v)], sigma[(v, u)] = s, s.conj().T
+            self._dicts = (p, sigma)
+        return self._dicts
 
 
 def local_structure(g: ConnectionGraph, x: str) -> LocalStructure:
-    """Extract the incomplete 2-ball around x.
+    """Extract the incomplete 2-ball around x from the graph's edge index.
 
     Raises for an unknown or isolated center (curvature is undefined when the
     1-sphere is empty).  Edges joining two 2-sphere vertices are not included.
@@ -306,36 +403,36 @@ def local_structure(g: ConnectionGraph, x: str) -> LocalStructure:
     x = str(x)
     if x not in g:
         raise ValidationError(f"vertex {x!r} is not in the graph")
-    s1 = tuple(sorted(g.neighbors(x)))
-    if not s1:
+    ix = g.index
+    c = ix.pos[x]
+    lo, hi = ix.indptr[c], ix.indptr[c + 1]
+    if lo == hi:
         raise ValidationError(f"vertex {x!r} is isolated; curvature is undefined for m = 0")
-    s1_set = set(s1)
-    s2_set: set[str] = set()
-    for y in s1:
-        for u in g.neighbors(y):
-            if u != x and u not in s1_set:
-                s2_set.add(u)
-    s2 = tuple(sorted(s2_set))
-
-    p: dict[tuple[str, str], float] = {}
-    sigma: dict[tuple[str, str], np.ndarray] = {}
-
-    def add_edge(u: str, v: str):
-        p[(u, v)] = g.p(u, v)
-        p[(v, u)] = g.p(v, u)
-        sigma[(u, v)] = g.sigma(u, v)
-        sigma[(v, u)] = g.sigma(v, u)
-
-    for y in s1:
-        add_edge(x, y)
-    for i, y in enumerate(s1):
-        for y2 in s1[i + 1:]:
-            if g.has_edge(y, y2):
-                add_edge(y, y2)
-        for z in s2:
-            if g.has_edge(y, z):
-                add_edge(y, z)
-    return LocalStructure(x, s1, s2, g.dimension, p, sigma)
+    s1 = ix.nbr[lo:hi]
+    m = s1.size
+    # The CSR rows of the 1-sphere, concatenated: every edge leaving it.
+    starts = ix.indptr[s1]
+    counts = ix.indptr[s1 + 1] - starts
+    row = np.repeat(np.arange(m), counts)
+    e = np.arange(row.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    far = ix.nbr[e]
+    j = np.searchsorted(s1, far)
+    in_s1 = s1[np.minimum(j, m - 1)] == far
+    at_center = far == c
+    s2 = np.sort(far[~(in_s1 | at_center)])
+    first = np.ones(s2.size, dtype=bool)
+    first[1:] = s2[1:] != s2[:-1]
+    s2 = s2[first]
+    col = np.where(in_s1, 1 + j, 1 + m + np.searchsorted(s2, far))
+    col[at_center] = 0
+    order = np.argsort(col * m + row)
+    e, row, col = e[order], row[order], col[order]
+    return LocalStructure(
+        x, tuple(ix.names[s1]), tuple(ix.names[s2]), g.dimension,
+        p_x=ix.rate[lo:hi], sigma_x=ix.sigma[lo:hi],
+        edge_row=row, edge_col=col, edge_p=ix.rate[e], edge_p_back=ix.rate[ix.rev[e]],
+        edge_sigma=ix.sigma[e],
+    )
 
 
 def switch(g: ConnectionGraph, tau: Mapping[str, np.ndarray]) -> ConnectionGraph:

@@ -38,12 +38,13 @@ class HermitianMatrix:
         m = np.asarray(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-        dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        mh = m.conj().T
+        dev = float(np.max(np.abs(m - mh))) if m.size else 0.0
         if dev > HERMITIAN_TOL:
             raise ValidationError(
                 f"matrix is not Hermitian: max |M - M^H| = {dev:.3e} > {HERMITIAN_TOL:.1e}"
             )
-        m = (m + m.conj().T) / 2.0
+        m = (m + mh) / 2.0
         m.setflags(write=False)
         self.mat = m
         self.n = m.shape[0]
@@ -100,13 +101,15 @@ def schur_complement(s, keep) -> HermitianMatrix:
         raise ValidationError("schur_complement: the keep index set is empty")
     if keep.min() < 0 or keep.max() >= n or len(set(keep.tolist())) != keep.size:
         raise ValidationError("schur_complement: keep indices out of range or repeated")
-    drop = np.asarray([i for i in range(n) if i not in set(keep.tolist())], dtype=int)
-    s22 = a[np.ix_(keep, keep)]
+    dropped = np.ones(n, dtype=bool)
+    dropped[keep] = False
+    drop = np.flatnonzero(dropped)
+    s22 = a[keep[:, None], keep]
     if drop.size == 0:
         return HermitianMatrix(s22)
-    s11 = a[np.ix_(drop, drop)]
-    s12 = a[np.ix_(drop, keep)]
-    s21 = a[np.ix_(keep, drop)]
+    s11 = a[drop[:, None], drop]
+    s12 = a[drop[:, None], keep]
+    s21 = a[keep[:, None], drop]
     corr = s21 @ pinv(s11) @ s12
     # exactly Hermitian in exact arithmetic; a nearly singular block leaves
     # floating-point asymmetry that the explicit average removes

@@ -22,10 +22,6 @@ from .graphs import ConnectionGraph, LocalStructure
 from .hermitian import HermitianMatrix
 
 
-def _blk(i: int, d: int) -> slice:
-    return slice(i * d, (i + 1) * d)
-
-
 def delta_matrix(local: LocalStructure) -> np.ndarray:
     """The (m+1)d x d Laplacian block Delta(x).
 
@@ -34,27 +30,22 @@ def delta_matrix(local: LocalStructure) -> np.ndarray:
     vector ``(Delta f(x))^T``.
     """
     d, m = local.d, local.m
-    x = local.center
-    out = np.zeros(((m + 1) * d, d), dtype=complex)
-    out[_blk(0, d), :] = -local.dx_over_mux * np.eye(d)
-    for i, y in enumerate(local.s1):
-        out[_blk(i + 1, d), :] = local.p[(x, y)] * local.sigma[(x, y)].T
-    return out
+    blocks = np.concatenate([-local.dx_over_mux * np.eye(d)[None],
+                             local.p_x[:, None, None] * local.sigma_x.transpose(0, 2, 1)])
+    return blocks.reshape((m + 1) * d, d)
 
 
 def gamma_matrix(local: LocalStructure) -> HermitianMatrix:
     """2*Gamma(x): the (m+1)d form matrix of the squared gradient at x."""
     d, m = local.d, local.m
-    x = local.center
-    out = np.zeros(((m + 1) * d, (m + 1) * d), dtype=complex)
-    out[_blk(0, d), _blk(0, d)] = local.dx_over_mux * np.eye(d)
-    for i, y in enumerate(local.s1):
-        p = local.p[(x, y)]
-        s = local.sigma[(x, y)]
-        out[_blk(0, d), _blk(i + 1, d)] = -p * s.conj()
-        out[_blk(i + 1, d), _blk(0, d)] = -p * s.T
-        out[_blk(i + 1, d), _blk(i + 1, d)] = p * np.eye(d)
-    return HermitianMatrix(out)
+    p = local.p_x[:, None, None]
+    ys = np.arange(1, m + 1)
+    out = np.zeros((m + 1, d, m + 1, d), dtype=complex)   # out[a, :, b, :] is block (a, b)
+    out[0, :, 0, :] = local.dx_over_mux * np.eye(d)
+    out[0, :, ys, :] = -p * local.sigma_x.conj()
+    out[ys, :, 0, :] = -p * local.sigma_x.transpose(0, 2, 1)
+    out[ys, :, ys, :] = p * np.eye(d)
+    return HermitianMatrix(out.reshape((m + 1) * d, (m + 1) * d))
 
 
 def gamma2_matrix(local: LocalStructure) -> HermitianMatrix:
@@ -62,72 +53,46 @@ def gamma2_matrix(local: LocalStructure) -> HermitianMatrix:
 
     The 2-sphere diagonal block is real, diagonal and positive, with entries
     sum_i p_xyi p_yizk; blocks between two 2-sphere vertices vanish.
+
+    Every block comes from the edge arrays of the ball through the md x (m+n)d
+    matrix W, whose block (i, v) is ``p_xyi p_yiv conj(sigma_yiv)`` for each
+    edge from y_i into the 1- or 2-sphere: the 1-sphere x 2-sphere block is
+    ``-2 W12``, the 1-sphere block is ``2 V V^H - 2 (W11 + W11^H)`` with
+    ``V = stack(p_xyi sigma_xyi^T)`` off its diagonal, and the center row
+    gets ``(conj sigma_xy1, ..., conj sigma_xym) W``.
     """
     d, m, n = local.d, local.m, local.n
-    x = local.center
-    s1, s2 = local.s1, local.s2
-    P = [local.p[(x, y)] for y in s1]
-    pin = [local.p[(y, x)] for y in s1]
+    nb, md = 1 + m + n, m * d
+    size, b1 = nb * d, d + md
+    P, sx = local.p_x, local.sigma_x
+    row, col, r = local.edge_row, local.edge_col, local.edge_p
     dx = local.dx_over_mux
-    dy = [local.degree_ratio(y) for y in s1]
-    sx = [local.sigma[(x, y)] for y in s1]
-    eye = np.eye(d)
+    pin = r[:m]                                     # p_yix: the first m edges end at x
+    dy = np.bincount(row, weights=r, minlength=m)   # d_yi / mu_yi
+    c = P[row[m:]] * r[m:]                          # p_xyi p_yiv, edges off the center
+    into = np.bincount(col[m:], weights=c, minlength=nb)
 
-    size = (m + n + 1) * d
     out = np.zeros((size, size), dtype=complex)
+    blocks = out.reshape(nb, d, nb, d)
+    blocks[row[m:] + 1, :, col[m:], :] = (-2.0 * c)[:, None, None] * local.edge_sigma[m:].conj()
+    minus_2w = out[d:b1, d:]
+    sxc = sx.conj().transpose(1, 0, 2)              # conj(sigma_xyi), side by side
+    xrow = -0.5 * (sxc.reshape(d, md) @ minus_2w)
+    xrow[:, :md] += (sxc * (-(2.0 * pin + dy + dx) * P)[:, None]).reshape(d, md)
+    out[:d, :d] = (3.0 * sum((P * pin).tolist()) + dx * dx) * np.eye(d)
+    out[:d, d:] = xrow
+    out[d:, :d] = xrow.conj().T
 
-    out[_blk(0, d), _blk(0, d)] = (3.0 * sum(P[i] * pin[i] for i in range(m)) + dx * dx) * eye
+    yy = out[d:b1, d:b1]
+    yy += yy.conj().T
+    v = (P[:, None, None] * sx.transpose(0, 2, 1)).reshape(md, d)
+    yy += 2.0 * (v @ v.conj().T)
+    ys = np.arange(1, m + 1)
+    diag = (2.0 * P + 3.0 * dy - dx) * P + into[1:m + 1]
+    blocks[ys, :, ys, :] = diag[:, None, None] * np.eye(d)
 
-    for i, y in enumerate(s1):
-        # (x, y_i)
-        block = -(2.0 * pin[i] + dy[i] + dx) * P[i] * sx[i].conj()
-        for j, y2 in enumerate(s1):
-            if j == i:
-                continue
-            q_ji = local.rate(y2, y)
-            if q_ji:
-                block = block + P[j] * q_ji * sx[j].conj() @ local.sigma[(y2, y)].conj()
-        out[_blk(0, d), _blk(1 + i, d)] = block
-        out[_blk(1 + i, d), _blk(0, d)] = block.conj().T
-
-        # (y_i, y_i)
-        diag = (2.0 * P[i] + 3.0 * dy[i] - dx) * P[i]
-        diag += sum(P[j] * local.rate(s1[j], y) for j in range(m) if j != i)
-        out[_blk(1 + i, d), _blk(1 + i, d)] = diag * eye
-
-        # (y_i, y_j), j > i
-        for j in range(i + 1, m):
-            y2 = s1[j]
-            block = 2.0 * P[i] * P[j] * sx[i].T @ sx[j].conj()
-            cross = P[i] * local.rate(y, y2) + P[j] * local.rate(y2, y)
-            if cross:
-                block = block - 2.0 * cross * local.sigma[(y, y2)].conj()
-            out[_blk(1 + i, d), _blk(1 + j, d)] = block
-            out[_blk(1 + j, d), _blk(1 + i, d)] = block.conj().T
-
-    for k, z in enumerate(s2):
-        col = _blk(1 + m + k, d)
-        # (x, z_k)
-        block = np.zeros((d, d), dtype=complex)
-        for i, y in enumerate(s1):
-            r_ik = local.rate(y, z)
-            if r_ik:
-                block = block + P[i] * r_ik * sx[i].conj() @ local.sigma[(y, z)].conj()
-        out[_blk(0, d), col] = block
-        out[col, _blk(0, d)] = block.conj().T
-
-        # (y_i, z_k) and the diagonal (z_k, z_k)
-        wk = 0.0
-        for i, y in enumerate(s1):
-            r_ik = local.rate(y, z)
-            if not r_ik:
-                continue
-            wk += P[i] * r_ik
-            block = -2.0 * P[i] * r_ik * local.sigma[(y, z)].conj()
-            out[_blk(1 + i, d), col] = block
-            out[col, _blk(1 + i, d)] = block.conj().T
-        out[col, col] = wk * eye
-
+    out[b1:, d:b1] = out[d:b1, b1:].conj().T
+    out.reshape(-1)[b1 * (size + 1)::size + 1] = np.repeat(into[m + 1:], d)
     return HermitianMatrix(out)
 
 

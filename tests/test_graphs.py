@@ -121,6 +121,63 @@ class TestReverseConnections:
                 assert_close(g.sigma(v, u) @ g.sigma(u, v), np.eye(2), 1e-12)
 
 
+def ball_from_graph_loops(g, x):
+    """The 2-ball of x from the graph's accessors alone: the sorted spheres
+    and the rate and connection of every oriented in-ball edge (none between
+    two 2-sphere vertices).  An oracle for local_structure."""
+    s1 = g.neighbors(x)
+    s2 = tuple(sorted({u for y in s1 for u in g.neighbors(y)} - set(s1) - {x}))
+    pairs = [(x, y) for y in s1]
+    pairs += [(y, v) for y in s1 for v in g.neighbors(y) if v != x]
+    p, sigma = {}, {}
+    for u, v in pairs:
+        for a, b in ((u, v), (v, u)):
+            p[(a, b)] = g.p(a, b)
+            sigma[(a, b)] = g.sigma(a, b)
+    return s1, s2, p, sigma
+
+
+class TestEdgeIndex:
+    def test_rows_reproduce_the_edges(self):
+        """Every CSR row gives the neighbor, rate p_uv = w/mu_u and connection
+        of one oriented edge, against the constructor's input."""
+        rng = np.random.default_rng(23)
+        for trial in range(40):
+            d = 1 + trial % 3
+            ref = random_graph(rng, n_max=8, d=d, extra_edge_p=0.4)
+            mu = {v: ref.measure(v) for v in ref.vertex_ids}
+            given = {}
+            for u, v, w, s in ref.edge_list():
+                given[(u, v)] = (w, np.array(s))
+                given[(v, u)] = (w, np.array(s).conj().T)
+            # vertices and edges in a scrambled order
+            verts = [(v, mu[v]) for v in rng.permutation(list(mu)).tolist()]
+            edges = [ref.edge_list()[k] for k in rng.permutation(len(ref.edge_list()))]
+            g = ConnectionGraph(d, "complex", verts, edges)
+            ix = g.index
+            assert ix.ids == tuple(sorted(mu)) == g.vertex_ids
+            assert ix.indptr[-1] == len(given) == ix.nbr.size
+            for k, u in enumerate(ix.ids):
+                lo, hi = ix.indptr[k], ix.indptr[k + 1]
+                nbrs = tuple(ix.ids[j] for j in ix.nbr[lo:hi])
+                assert nbrs == g.neighbors(u) == tuple(sorted(v for (a, v) in given if a == u))
+                for e, v in zip(range(lo, hi), nbrs):
+                    w, s = given[(u, v)]
+                    assert ix.rate[e] == w / mu[u] == g.p(u, v)
+                    assert_close(ix.sigma[e], s, 0.0)
+                    assert_close(g.sigma(u, v), s, 0.0)
+                    assert ix.nbr[ix.rev[e]] == k and ix.rev[ix.rev[e]] == e
+            with pytest.raises(ValueError):
+                ix.sigma[0][0, 0] = 0.0
+
+    def test_edgeless_graph(self):
+        g = ConnectionGraph(2, "complex", [("b", 1.0), ("a", 2.0)], [])
+        assert g.vertex_ids == ("a", "b")
+        assert g.neighbors("a") == ()
+        assert g.index.sigma.shape == (0, 2, 2)
+        assert list(g.index.indptr) == [0, 0, 0]
+
+
 class TestLocalStructure:
     def test_u2_fixture(self):
         loc = local_structure(fixture_graph("g1_u2"), "1")
@@ -161,6 +218,26 @@ class TestLocalStructure:
         loc = local_structure(g, "x")
         assert loc.s2 == ("z1", "z2")
         assert ("z1", "z2") not in loc.p and ("z2", "z1") not in loc.p
+
+    def test_matches_graph_loops(self):
+        """Spheres, rates and connections of every ball against the loop
+        extraction from the graph, at every vertex of fixtures and 80 random
+        graphs, including 2-sphere edges that must be dropped."""
+        rng = np.random.default_rng(24)
+        graphs = [fixture_graph("g1_u2"), fixture_graph("positive_strip")]
+        graphs += [random_graph(rng, n_max=8, d=1 + t % 3, extra_edge_p=0.45) for t in range(80)]
+        for g in graphs:
+            for x in g.vertex_ids:
+                if not g.neighbors(x):
+                    continue
+                loc = local_structure(g, x)
+                s1, s2, p, sigma = ball_from_graph_loops(g, x)
+                assert (loc.s1, loc.s2) == (s1, s2)
+                assert loc.p == p
+                assert sorted(loc.sigma) == sorted(sigma)
+                for key, s in sigma.items():
+                    assert_close(loc.sigma[key], s, 0.0)
+                assert loc.dx_over_mux == sum(p[(x, y)] for y in s1)
 
     def test_deterministic(self):
         rng = np.random.default_rng(22)

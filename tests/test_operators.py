@@ -14,7 +14,7 @@ from concurv import (
     switch,
 )
 from concurv.fixtures import fixture_graph, fixture_names
-from concurv.curvature import p0_transpose
+from concurv.curvature import canonical_basis, p0_transpose
 
 from helpers import assert_close, random_function, random_graph, random_switching
 
@@ -56,6 +56,90 @@ def q_closed_form_loops(local, g2: np.ndarray) -> np.ndarray:
                     corr = 4.0 * P[i] * r[i] * P[j] * r[j] / wk * sz[i].conj() @ sz[j].T
                     out[blk(1 + i), blk(1 + j)] -= corr
                     out[blk(1 + j), blk(1 + i)] -= corr.conj().T
+    return out
+
+
+def _blk(i, d):
+    return slice(i * d, (i + 1) * d)
+
+
+def degree_ratio_loops(local, v):
+    """d_v / mu_v, summed over the oriented edges leaving v inside the ball."""
+    return sum(rate for (a, _), rate in local.p.items() if a == v)
+
+
+def gamma2_matrix_loops(local) -> np.ndarray:
+    """4*Gamma_2(x) assembled block by block from the rate and connection
+    dictionaries of the ball: an oracle for the array assembly."""
+    d, m, n = local.d, local.m, local.n
+    x = local.center
+    s1, s2 = local.s1, local.s2
+    P = [local.p[(x, y)] for y in s1]
+    pin = [local.p[(y, x)] for y in s1]
+    dx = local.dx_over_mux
+    dy = [degree_ratio_loops(local, y) for y in s1]
+    sx = [local.sigma[(x, y)] for y in s1]
+    eye = np.eye(d)
+    out = np.zeros(((m + n + 1) * d, (m + n + 1) * d), dtype=complex)
+    out[_blk(0, d), _blk(0, d)] = (3.0 * sum(P[i] * pin[i] for i in range(m)) + dx * dx) * eye
+    for i, y in enumerate(s1):
+        block = -(2.0 * pin[i] + dy[i] + dx) * P[i] * sx[i].conj()
+        for j, y2 in enumerate(s1):
+            q_ji = local.rate(y2, y)
+            if j != i and q_ji:
+                block = block + P[j] * q_ji * sx[j].conj() @ local.sigma[(y2, y)].conj()
+        out[_blk(0, d), _blk(1 + i, d)] = block
+        out[_blk(1 + i, d), _blk(0, d)] = block.conj().T
+        diag = (2.0 * P[i] + 3.0 * dy[i] - dx) * P[i]
+        diag += sum(P[j] * local.rate(s1[j], y) for j in range(m) if j != i)
+        out[_blk(1 + i, d), _blk(1 + i, d)] = diag * eye
+        for j in range(i + 1, m):
+            y2 = s1[j]
+            block = 2.0 * P[i] * P[j] * sx[i].T @ sx[j].conj()
+            cross = P[i] * local.rate(y, y2) + P[j] * local.rate(y2, y)
+            if cross:
+                block = block - 2.0 * cross * local.sigma[(y, y2)].conj()
+            out[_blk(1 + i, d), _blk(1 + j, d)] = block
+            out[_blk(1 + j, d), _blk(1 + i, d)] = block.conj().T
+    for k, z in enumerate(s2):
+        col = _blk(1 + m + k, d)
+        block = np.zeros((d, d), dtype=complex)
+        wk = 0.0
+        for i, y in enumerate(s1):
+            r_ik = local.rate(y, z)
+            if not r_ik:
+                continue
+            block = block + P[i] * r_ik * sx[i].conj() @ local.sigma[(y, z)].conj()
+            wk += P[i] * r_ik
+            yz = -2.0 * P[i] * r_ik * local.sigma[(y, z)].conj()
+            out[_blk(1 + i, d), col] = yz
+            out[col, _blk(1 + i, d)] = yz.conj().T
+        out[_blk(0, d), col] = block
+        out[col, _blk(0, d)] = block.conj().T
+        out[col, col] = wk * eye
+    return out
+
+
+def delta_matrix_loops(local) -> np.ndarray:
+    """Delta(x) block by block: an oracle for delta_matrix."""
+    d, m = local.d, local.m
+    x = local.center
+    out = np.zeros(((m + 1) * d, d), dtype=complex)
+    out[_blk(0, d), :] = -local.dx_over_mux * np.eye(d)
+    for i, y in enumerate(local.s1):
+        out[_blk(i + 1, d), :] = local.p[(x, y)] * local.sigma[(x, y)].T
+    return out
+
+
+def canonical_basis_loops(local) -> np.ndarray:
+    """B0 block by block: an oracle for canonical_basis."""
+    d, m = local.d, local.m
+    x = local.center
+    out = np.zeros(((m + 1) * d, (m + 1) * d), dtype=complex)
+    out[:d, :d] = np.eye(d)
+    for i, y in enumerate(local.s1):
+        out[:d, _blk(i + 1, d)] = local.sigma[(x, y)].conj()
+        out[_blk(i + 1, d), _blk(i + 1, d)] = np.eye(d) / np.sqrt(local.p[(x, y)])
     return out
 
 
@@ -208,6 +292,36 @@ class TestQMatrix:
             for j in range(1, 4):
                 if i != j:
                     assert q[i, j] == pytest.approx(2.0 * 1.0 * 1.0)
+
+
+class TestArrayAssemblyAgainstLoops:
+    def test_every_fixture_and_random_vertex(self):
+        """gamma2_matrix, delta_matrix and canonical_basis against their
+        block-by-block loop forms at 1e-12, at every fixture vertex and every
+        vertex of 150 random graphs with d = 1, 2, 3 and random weights and
+        measures."""
+        rng = np.random.default_rng(40)
+        graphs = [fixture_graph(name) for name in fixture_names()]
+        graphs += [random_graph(rng, n_max=7, d=1 + t % 3, extra_edge_p=0.45)
+                   for t in range(150)]
+        seen = {"balls": 0, "n = 0": 0, "1-sphere triangle": 0, "2-sphere edge dropped": 0}
+        for g in graphs:
+            for x in g.vertex_ids:
+                if not g.neighbors(x):
+                    continue
+                loc = local_structure(g, x)
+                assert_close(gamma2_matrix(loc).mat, gamma2_matrix_loops(loc), 1e-12, "Gamma_2")
+                assert_close(delta_matrix(loc), delta_matrix_loops(loc), 1e-12, "Delta")
+                assert_close(canonical_basis(loc), canonical_basis_loops(loc), 1e-12, "B0")
+                seen["balls"] += 1
+                seen["n = 0"] += loc.n == 0
+                seen["1-sphere triangle"] += any(
+                    g.has_edge(a, b) for i, a in enumerate(loc.s1) for b in loc.s1[i + 1:])
+                seen["2-sphere edge dropped"] += any(
+                    g.has_edge(a, b) for i, a in enumerate(loc.s2) for b in loc.s2[i + 1:])
+        assert seen["balls"] >= 700
+        for kind in ("n = 0", "1-sphere triangle", "2-sphere edge dropped"):
+            assert seen[kind] >= 100, (kind, seen)
 
 
 class TestSwitchingCovariance:
