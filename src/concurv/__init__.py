@@ -6,6 +6,8 @@ independent semidefinite-feasibility bisection cross-checks them.  See the
 README for the graph JSON schema and the CLI.
 """
 
+import importlib
+
 from .errors import CrossCheckError, ValidationError
 from .graphs import (
     ConnectionGraph,
@@ -42,9 +44,34 @@ from .curvature import (
     curvature_profile,
     general_basis,
 )
-from .tensor import phi_map, psi_extend, ric_and_metric, tangent_from_function, tensor_matrix_check
-from .product import ProductSpec, cartesian_product, product_decomposition, product_vertex, star_product
-from .local_ops import EditReport, add_spherical_edge, merge_s2, s1_in_regular
+
+# Names from modules that a curvature call never runs, imported on first
+# access (PEP 562) so that ``import concurv`` and the CLI do not load them.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("tensor", ("phi_map", "psi_extend", "ric_and_metric", "tangent_from_function",
+                    "tensor_matrix_check")),
+        ("product", ("ProductSpec", "cartesian_product", "product_decomposition",
+                     "product_vertex", "star_product")),
+        ("local_ops", ("EditReport", "add_spherical_edge", "merge_s2", "s1_in_regular")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "INF",

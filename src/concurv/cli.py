@@ -21,7 +21,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from . import examples_registry
 from .curvature import (
     INF,
     curvature,
@@ -29,9 +28,7 @@ from .curvature import (
     curvature_oracle,
     curvature_profile,
 )
-from .graphs import is_locally_balanced, load_graph, local_structure
-from .local_ops import add_spherical_edge, merge_s2
-from .product import ProductSpec, cartesian_product, product_decomposition
+from .graphs import is_locally_balanced, load_graph, local_structure, sigma_stack
 
 FRACTION_MAX_DEN = 16
 FRACTION_TOL = 1e-9
@@ -216,6 +213,7 @@ def cmd_profile(args) -> tuple[int, Report]:
 
 
 def cmd_product(args) -> tuple[int, Report]:
+    from .product import ProductSpec, cartesian_product, product_decomposition
     report = Report("product", args, [args.graph, args.graph2])
     g = _load(args.graph)
     g2 = _load(args.graph2)
@@ -254,22 +252,24 @@ def cmd_balance(args) -> tuple[int, Report]:
     return 0, report
 
 
-def _parse_sigma_arg(text: str | None, sign: int | None):
+def _parse_sigma_arg(text: str | None, sign: int | None, d: int):
     if text is not None:
         try:
-            return np.array([[complex(c[0], c[1]) for c in row] for row in json.loads(text)])
-        except (TypeError, IndexError, ValueError, OverflowError):
+            raw = json.loads(text)
+        except ValueError:
             raise ValidationError(
                 f"--sigma: expected JSON rows of [re, im] pairs, got {text!r}") from None
+        return sigma_stack([raw], d, lambda k: "--sigma")[0]
     if sign is not None:
         return np.array([[float(sign)]], dtype=complex)
     return None
 
 
 def cmd_add_edge(args) -> tuple[int, Report]:
+    from .local_ops import add_spherical_edge
     report = Report("add-edge", args, [args.graph])
     g = _load(args.graph)
-    sigma = _parse_sigma_arg(args.sigma, args.sign)
+    sigma = _parse_sigma_arg(args.sigma, args.sign, g.dimension)
     g_new, edit = add_spherical_edge(g, args.vertex, args.yi, args.yj,
                                      w_new=args.weight, sigma_new=sigma)
     report.add("vertex", args.vertex)
@@ -285,6 +285,7 @@ def cmd_add_edge(args) -> tuple[int, Report]:
 
 
 def cmd_merge(args) -> tuple[int, Report]:
+    from .local_ops import merge_s2
     report = Report("merge", args, [args.graph])
     g = _load(args.graph)
     g_new, edit = merge_s2(g, args.vertex, args.zk, args.zl)
@@ -300,6 +301,7 @@ def cmd_merge(args) -> tuple[int, Report]:
 
 
 def cmd_examples(args) -> tuple[int, Report]:
+    from . import examples_registry
     report = Report("examples", args, [])
     failures = 0
     for criterion, name, ok, detail in examples_registry.run():

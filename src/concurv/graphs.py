@@ -27,18 +27,63 @@ def _polar_unitary(a: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _check_unitary(sigma: np.ndarray, d: int, where: str) -> np.ndarray:
-    """Validate (and possibly re-project) one connection matrix."""
-    if sigma.shape != (d, d):
-        raise ValidationError(f"{where}: sigma has shape {sigma.shape}, expected ({d}, {d})")
-    dev = float(np.max(np.abs(sigma @ sigma.conj().T - np.eye(d))))
-    if not dev <= UNITARY_TOL:  # also rejects NaN and infinite entries
-        raise ValidationError(
-            f"{where}: sigma is not unitary, |sigma sigma^H - I| = {dev:.3e} > {UNITARY_TOL:.1e}"
-        )
-    if dev > REPROJECT_TOL:
-        sigma = _polar_unitary(sigma)
-    return sigma
+def _stack(mats: list, d: int, where) -> np.ndarray:
+    """The matrices as one (k, d, d) complex array, None meaning I_d.
+
+    ``where(k)`` names entry k in the error raised for a matrix that does
+    not convert or is not d x d.
+    """
+    given = [k for k, s in enumerate(mats) if s is not None]
+    try:
+        stacked = np.array([mats[k] for k in given] or np.empty((0, d, d)), dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        stacked = None
+    if stacked is None or stacked.shape != (len(given), d, d):
+        # Only after the stacked conversion failed: find the entry to blame.
+        for k in given:
+            try:
+                shape = np.asarray(mats[k], dtype=complex).shape
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(f"{where(k)}: sigma is not a numeric matrix") from None
+            if shape != (d, d):
+                raise ValidationError(
+                    f"{where(k)}: sigma has shape {shape}, expected ({d}, {d})")
+        raise ValidationError("connection matrices do not stack")
+    if len(given) == len(mats):
+        return stacked
+    out = np.empty((len(mats), d, d), dtype=complex)
+    out[:] = np.eye(d)
+    out[given] = stacked
+    return out
+
+
+def _check_unitary(s: np.ndarray, where, real: bool = False) -> np.ndarray:
+    """Validate a (k, d, d) stack of connection matrices in one pass.
+
+    Rows within UNITARY_TOL of unitary are accepted, and those further than
+    REPROJECT_TOL from it are replaced by their polar projection; with
+    ``real`` set, rows with imaginary entries are rejected too.  The first
+    failing row, in stack order, is named by ``where(k)`` in the error.
+    """
+    d = s.shape[-1]
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows fail below
+        dev = np.abs(s @ s.conj().transpose(0, 2, 1) - np.eye(d)).max(axis=(1, 2))
+    bad = ~(dev <= UNITARY_TOL)  # also rejects NaN and infinite entries
+    fix = np.flatnonzero((dev > REPROJECT_TOL) & ~bad)
+    if fix.size:
+        s = s.copy()
+        s[fix] = _polar_unitary(s[fix])
+    fail = bad
+    if real:
+        fail = bad | (np.abs(s.imag).max(axis=(1, 2)) > UNITARY_TOL)
+    if fail.any():
+        k = int(np.argmax(fail))
+        if bad[k]:
+            raise ValidationError(
+                f"{where(k)}: sigma is not unitary, "
+                f"|sigma sigma^H - I| = {dev[k]:.3e} > {UNITARY_TOL:.1e}")
+        raise ValidationError(f"{where(k)}: field='real' but sigma has imaginary entries")
+    return s
 
 
 class EdgeIndex(NamedTuple):
@@ -62,10 +107,10 @@ class EdgeIndex(NamedTuple):
     sigma: np.ndarray
 
 
-def _edge_index(mu: dict[str, float], stored: list[tuple[str, str, float]],
-                sigmas: list[np.ndarray], d: int):
-    """The edge index, the row of each oriented edge (u, v), and the sorted
-    neighbor tuple of each vertex."""
+def _edge_index(mu: dict[str, float], stored: list[tuple[str, str, float]], s: np.ndarray):
+    """The edge index over the stored edges and their (E, d, d) connections
+    ``s``, the row of each oriented edge (u, v), the rows of the stored
+    orientations in input order, and the sorted neighbor tuple of each vertex."""
     ids = tuple(sorted(mu))
     pos = {v: k for k, v in enumerate(ids)}
     n_e = len(stored)
@@ -84,7 +129,6 @@ def _edge_index(mu: dict[str, float], stored: list[tuple[str, str, float]],
     np.cumsum(np.bincount(src, minlength=len(ids)), out=indptr[1:])
     rate = np.concatenate([w, w])[order] / mu_arr[src]
     rev = back[(order + n_e) % max(2 * n_e, 1)]
-    s = np.array(sigmas, dtype=complex).reshape(n_e, d, d)
     sigma = np.concatenate([s, s.conj().transpose(0, 2, 1)])[order]
     for arr in (indptr, dst, rate, rev, sigma):
         arr.setflags(write=False)
@@ -94,7 +138,13 @@ def _edge_index(mu: dict[str, float], stored: list[tuple[str, str, float]],
     bounds = indptr.tolist()
     nbrs = {x: tuple(dst_ids[bounds[k]:bounds[k + 1]]) for k, x in enumerate(ids)}
     index = EdgeIndex(ids, names, pos, indptr, dst, rate, rev, sigma)
-    return index, rows, nbrs
+    return index, rows, back[:n_e], nbrs
+
+
+def _dimension(d: int) -> int:
+    if d < 1:
+        raise ValidationError(f"dimension must be a positive integer, got {d}")
+    return d
 
 
 class ConnectionGraph:
@@ -115,16 +165,19 @@ class ConnectionGraph:
 
     ``index`` is the graph's :class:`EdgeIndex`, built once here; graphs are
     immutable, so it never goes stale.
+
+    The edges are checked one by one for structure (endpoints, self-loops,
+    duplicates, weights), then their connections as one stacked array, so a
+    structural fault anywhere is reported before a bad connection.
     """
 
-    __slots__ = ("dimension", "field", "index", "_mu", "_adj", "_edges", "_row", "_nbrs")
+    __slots__ = ("dimension", "field", "index", "_mu", "_adj", "_edges", "_row",
+                 "_stored_rows", "_nbrs")
 
     def __init__(self, dimension: int, field: str,
                  vertices: Iterable[tuple[str, float]],
                  edges: Iterable[tuple[str, str, float, np.ndarray | None]]):
-        d = int(dimension)
-        if d < 1:
-            raise ValidationError(f"dimension must be a positive integer, got {dimension}")
+        d = _dimension(int(dimension))
         if field not in ("real", "complex"):
             raise ValidationError(f"field must be 'real' or 'complex', got {field!r}")
         mu: dict[str, float] = {}
@@ -140,7 +193,7 @@ class ConnectionGraph:
 
         adj: dict[str, dict[str, float]] = {v: {} for v in mu}
         stored: list[tuple[str, str, float]] = []
-        sigmas: list[np.ndarray] = []
+        sigmas: list[np.ndarray | None] = []
         for entry in edges:
             u, v, w, sigma = entry
             u, v = str(u), str(v)
@@ -154,26 +207,21 @@ class ConnectionGraph:
             if not (w > 0 and math.isfinite(w)):
                 raise ValidationError(
                     f"edge ({u!r}, {v!r}): weight must be positive and finite, got {w}")
-            if sigma is None:
-                s = np.eye(d, dtype=complex)
-            else:
-                s = np.asarray(sigma, dtype=complex)
-                s = _check_unitary(s, d, f"edge ({u!r}, {v!r})")
-                if field == "real" and float(np.max(np.abs(s.imag))) > UNITARY_TOL:
-                    raise ValidationError(
-                        f"edge ({u!r}, {v!r}): field='real' but sigma has imaginary entries"
-                    )
             adj[u][v] = w
             adj[v][u] = w
             stored.append((u, v, w))
-            sigmas.append(s)
+            sigmas.append(sigma)
 
+        def where(k):
+            return f"edge ({stored[k][0]!r}, {stored[k][1]!r})"
+
+        s = _check_unitary(_stack(sigmas, d, where), where, real=field == "real")
         self.dimension = d
         self.field = field
         self._mu = mu
         self._adj = adj
         self._edges = tuple(stored)
-        self.index, self._row, self._nbrs = _edge_index(mu, stored, sigmas, d)
+        self.index, self._row, self._stored_rows, self._nbrs = _edge_index(mu, stored, s)
 
     # -- accessors ---------------------------------------------------------
 
@@ -209,8 +257,14 @@ class ConnectionGraph:
 
     def edge_list(self) -> list[tuple[str, str, float, np.ndarray]]:
         """Stored-orientation edges as (u, v, weight, sigma)."""
-        sigma, row = self.index.sigma, self._row
-        return [(u, v, w, sigma[row[(u, v)]]) for (u, v, w) in self._edges]
+        return [(u, v, w, s) for (u, v, w), s in zip(self._edges, self._stored_sigma())]
+
+    def _stored_sigma(self) -> np.ndarray:
+        """The (E, d, d) connections of the stored orientations, in edge order
+        (read-only)."""
+        s = self.index.sigma[self._stored_rows]
+        s.setflags(write=False)
+        return s
 
     def to_document(self) -> dict:
         """JSON-serializable document (see the graph schema in the README)."""
@@ -228,22 +282,47 @@ class ConnectionGraph:
         }
 
 
-def _parse_sigma(entry: dict, d: int, where: str) -> np.ndarray | None:
+def _raw_sigma(entry: Mapping, d: int, where: str):
+    """The connection of an edge with a 'sigma' or 'sign', as rows of
+    [re, im] cells, still unconverted."""
     if "sign" in entry:
         if d != 1:
             raise ValidationError(f"{where}: 'sign' shorthand is only valid for dimension 1")
         sign = entry["sign"]
         if sign not in (1, -1):
             raise ValidationError(f"{where}: 'sign' must be 1 or -1, got {sign!r}")
-        return np.array([[float(sign)]], dtype=complex)
-    if "sigma" not in entry:
-        return None
-    raw = entry["sigma"]
+        return [[[sign, 0]]]
+    return entry["sigma"]
+
+
+def _sigma_cells(raw) -> np.ndarray | None:
+    """``raw`` as a numeric array, or None if it is ragged or not numbers."""
     try:
-        mat = np.array([[complex(cell[0], cell[1]) for cell in row] for row in raw])
-    except (TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{where}: malformed sigma, expected d x d rows of [re, im]") from exc
-    return mat
+        a = np.array(raw)
+    except (TypeError, ValueError, OverflowError):  # ragged nesting
+        return None
+    # A string or object array is no sigma, though float() would parse "1".
+    return a if a.dtype.kind in "biuf" else None
+
+
+def sigma_stack(raws: list, d: int, where) -> np.ndarray:
+    """Connections given as JSON rows of [re, im] cells, as one (k, d, d)
+    complex array: converted by a single call and viewed as complex without
+    arithmetic, so entries are exactly the numbers written.  ``where(k)``
+    names connection k in the error for one that is malformed."""
+    a = _sigma_cells(raws) if raws else np.empty((0, d, d, 2))
+    if a is None or a.shape != (len(raws), d, d, 2):
+        # Only after the stacked conversion failed: find the edge to blame.
+        for k, raw in enumerate(raws):
+            cells = _sigma_cells(raw)
+            if cells is None or cells.ndim != 3 or cells.shape[2] != 2:
+                raise ValidationError(
+                    f"{where(k)}: malformed sigma, expected d x d rows of [re, im]")
+            if cells.shape[:2] != (d, d):
+                raise ValidationError(
+                    f"{where(k)}: sigma has shape {cells.shape[:2]}, expected ({d}, {d})")
+        raise ValidationError("malformed sigma, expected d x d rows of [re, im]")
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
 def load_graph(document) -> ConnectionGraph:
@@ -256,9 +335,10 @@ def load_graph(document) -> ConnectionGraph:
           "edges":    [ {"u": "2", "v": "3", "weight": 1.0,
                          "sigma": [[[0,0],[0,1]],[[0,-1],[0,0]]] }, ... ] }
 
-    sigma is row-major with entries [re, im]; an omitted sigma means the
-    identity, and for dimension-1 graphs ``"sign": 1 | -1`` is accepted.
-    Measure and weight default to 1.0 when omitted.
+    sigma is row-major with entries [re, im], exactly two numbers each; an
+    omitted sigma means the identity, and for dimension-1 graphs
+    ``"sign": 1 | -1`` is accepted.  Measure and weight default to 1.0 when
+    omitted.  All sigmas are converted to one stacked array in a single call.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -275,6 +355,7 @@ def load_graph(document) -> ConnectionGraph:
         raise ValidationError(
             f"graph document: 'dimension' must be an integer, got {document['dimension']!r}"
         ) from None
+    _dimension(d)
     field = document.get("field", "complex")
     vertices = []
     for k, v in enumerate(_entries(document, "vertices")):
@@ -282,14 +363,23 @@ def load_graph(document) -> ConnectionGraph:
             vertices.append((str(v["id"]), float(v.get("measure", 1.0))))
         except _BAD_ENTRY:
             raise _malformed(f"vertex #{k}", v, ("id",), "measure") from None
-    edges = []
+    edges, given, raws = [], [], []
     for k, entry in enumerate(_entries(document, "edges")):
         try:
             u, v, w = str(entry["u"]), str(entry["v"]), float(entry.get("weight", 1.0))
         except _BAD_ENTRY:
             raise _malformed(f"edge #{k}", entry, ("u", "v"), "weight") from None
-        sigma = _parse_sigma(entry, d, f"edge ({u!r}, {v!r})")
-        edges.append((u, v, w, sigma))
+        edges.append([u, v, w, None])
+        if "sigma" in entry or "sign" in entry:
+            given.append(k)
+            raws.append(_raw_sigma(entry, d, f"edge ({u!r}, {v!r})"))
+
+    def where(j):
+        u, v = edges[given[j]][:2]
+        return f"edge ({u!r}, {v!r})"
+
+    for k, s in zip(given, sigma_stack(raws, d, where)):
+        edges[k][3] = s
     return ConnectionGraph(d, field, vertices, edges)
 
 
@@ -441,22 +531,25 @@ def switch(g: ConnectionGraph, tau: Mapping[str, np.ndarray]) -> ConnectionGraph
     tau must assign a unitary to every vertex; weights and measures are
     unchanged.  Switching preserves curvature and balance.
     """
-    d = g.dimension
-    taus: dict[str, np.ndarray] = {}
-    for v in g.vertex_ids:
-        if v not in tau:
+    ids = g.vertex_ids
+    for v in ids:
+        if tau.get(v) is None:
             raise ValidationError(f"switching function is missing vertex {v!r}")
-        t = np.asarray(tau[v], dtype=complex)
-        taus[v] = _check_unitary(t, d, f"tau({v!r})")
-    edges = []
-    for u, v, w, s in g.edge_list():
-        edges.append((u, v, w, taus[u].conj().T @ s @ taus[v]))
+
+    def where(k):
+        return f"tau({ids[k]!r})"
+
+    taus = _check_unitary(_stack([tau[v] for v in ids], g.dimension, where), where)
+    ix = g.index
+    rows = g._stored_rows
+    u, v = ix.nbr[ix.rev[rows]], ix.nbr[rows]
+    switched = taus[u].conj().transpose(0, 2, 1) @ ix.sigma[rows] @ taus[v]
     field = g.field
-    if field == "real":
-        # A complex tau may leave the real field even for a real graph.
-        if any(float(np.max(np.abs(t.imag))) > UNITARY_TOL for t in taus.values()):
-            field = "complex"
-    return ConnectionGraph(d, field, [(v, g.measure(v)) for v in g.vertex_ids], edges)
+    # A complex tau may leave the real field even for a real graph.
+    if field == "real" and np.abs(taus.imag).max(initial=0.0) > UNITARY_TOL:
+        field = "complex"
+    edges = [(a, b, w, s) for (a, b, w), s in zip(g._edges, switched)]
+    return ConnectionGraph(g.dimension, field, [(v, g.measure(v)) for v in ids], edges)
 
 
 def is_locally_balanced(local: LocalStructure, tol: float = BALANCE_TOL) -> bool:
@@ -502,8 +595,8 @@ def signature_groups_commute(g: ConnectionGraph, g2: ConnectionGraph,
         raise ValidationError(
             f"dimension mismatch: {g.dimension} vs {g2.dimension}"
         )
-    for _, _, _, s in g.edge_list():
-        for _, _, _, t in g2.edge_list():
-            if float(np.max(np.abs(s @ t - t @ s))) > tol:
-                return False
-    return True
+    t = g2._stored_sigma()
+    if not t.size:
+        return True
+    # One broadcast commutator of each of g's connections with all of g2's.
+    return not any(np.abs(s @ t - t @ s).max() > tol for s in g._stored_sigma())

@@ -6,8 +6,14 @@ from a single seed.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import concurv
 from concurv import ConnectionGraph, switch
 
 
@@ -146,6 +152,16 @@ def random_function(rng, vertices, d: int) -> dict[str, np.ndarray]:
     return {v: rng.normal(size=d) + 1j * rng.normal(size=d) for v in vertices}
 
 
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this checkout's
+    concurv, as a shell would."""
+    src = str(Path(concurv.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def assert_close(actual, expected, tol, label: str = ""):
     resid = float(np.max(np.abs(np.asarray(actual) - np.asarray(expected))))
     assert resid <= tol, f"{label or 'residual'} {resid:.3e} > {tol:.1e}"
@@ -178,4 +194,18 @@ MALFORMED_DOCUMENTS = {
     "dimension_not_numeric": (_doc_text(_AB, "", dimension='"two"'), "'dimension' must be"),
     "ragged_sigma": (_doc_text(_AB, '{"u": "a", "v": "b", "sigma": [[[1, 0], [0, 0]], [[0, 0]]]}',
                                dimension="2"), "malformed sigma"),
+    "sigma_ragged_cells": (_doc_text(_AB, '{"u": "a", "v": "b", '
+                                          '"sigma": [[[1, 0], [0, 0]], [[0, 0], [1]]]}',
+                                     dimension="2"), "malformed sigma"),
+    "sigma_cell_too_long": (_doc_text(_AB, '{"u": "a", "v": "b", "sigma": [[[1, 0, 5]]]}'),
+                            "malformed sigma"),
+    "sigma_cell_too_short": (_doc_text(_AB, '{"u": "a", "v": "b", "sigma": [[[1]]]}'),
+                             "malformed sigma"),
+    "sigma_string_cells": (_doc_text(_AB, '{"u": "a", "v": "b", "sigma": [[["1", "0"]]]}'),
+                           "malformed sigma"),
+    "sigma_null_cell": (_doc_text(_AB, '{"u": "a", "v": "b", "sigma": [[null]]}'),
+                        "malformed sigma"),
+    "sigma_null": (_doc_text(_AB, '{"u": "a", "v": "b", "sigma": null}'), "malformed sigma"),
+    "sigma_wrong_size": (_doc_text(_AB, '{"u": "a", "v": "b", "sigma": [[[1, 0]]]}',
+                                   dimension="2"), "sigma has shape"),
 }

@@ -5,7 +5,7 @@ import pytest
 from concurv.cli import fmt_value, main
 from concurv.fixtures import fixture_document, fixture_names
 
-from helpers import MALFORMED_DOCUMENTS, NON_FINITE_DOCUMENTS
+from helpers import MALFORMED_DOCUMENTS, NON_FINITE_DOCUMENTS, run_python
 
 
 @pytest.fixture()
@@ -113,7 +113,12 @@ class TestBadNumbers:
         ["product", "triangle_signed", "diamond_signed", "--decompose", "A"],
         ["product", "triangle_signed", "diamond_signed", "--alpha", "abc"],
         ["add-edge", "g5_signed", "--vertex", "1", "--yi", "2", "--yj", "3", "--sigma", "[[1"],
-    ], ids=["N", "grid", "product_N", "product_N2", "decompose", "alpha", "sigma"])
+        ["add-edge", "g5_signed", "--vertex", "1", "--yi", "2", "--yj", "3",
+         "--sigma", "[[[1, 0, 5]]]"],
+        ["add-edge", "g5_signed", "--vertex", "1", "--yi", "2", "--yj", "3",
+         "--sigma", '[[["1", "0"]]]'],
+    ], ids=["N", "grid", "product_N", "product_N2", "decompose", "alpha", "sigma",
+            "sigma_cell_too_long", "sigma_string_cells"])
     def test_exits_1(self, argv, fixture_file, capsys):
         argv = [fixture_file(a) if a in fixture_names() else a for a in argv]
         assert main(argv) == 1
@@ -168,6 +173,15 @@ class TestEditCommands:
         doc = json.loads(open(out_path).read())
         assert any(e.get("sigma") or e.get("sign") for e in doc["edges"]) or True
 
+    def test_sigma_argument_matches_sign(self, fixture_file, capsys):
+        path = fixture_file("g5_signed")
+        argv = ["--json", "add-edge", path, "--vertex", "1", "--yi", "2", "--yj", "3"]
+        assert main(argv + ["--sign", "-1"]) == 0
+        by_sign = json.loads(capsys.readouterr().out)["results"]
+        assert main(argv + ["--sigma", "[[[-1, 0]]]"]) == 0
+        by_sigma = json.loads(capsys.readouterr().out)["results"]
+        assert by_sigma == by_sign
+
     def test_merge(self, fixture_file, capsys):
         code = main(["merge", fixture_file("g4_signed"), "--vertex", "1",
                      "--zk", "4", "--zl", "5"])
@@ -210,3 +224,29 @@ class TestToleranceOverride:
         code = main(["curvature", fixture_file("g1_u2"), "--vertex", "1", "--oracle"])
         capsys.readouterr()
         assert code == 0
+
+
+class TestModuleEntryPoint:
+    """``python -m concurv.cli`` in a fresh interpreter, the way a shell (and
+    the benchmark's cli workload) runs it."""
+
+    def test_validate_and_curvature(self, fixture_file):
+        path = fixture_file("g1_u2")
+        proc = run_python("-m", "concurv.cli", "--json", "validate", path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["valid"] is True
+        proc = run_python("-m", "concurv.cli", "--json", "curvature", path, "--vertex", "1",
+                        "--oracle")
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)["results"]
+        assert results["curvature"] == pytest.approx(1.5, abs=1e-9)
+        assert results["oracle_agreement"] is True
+
+    def test_import_loads_only_what_curvature_runs(self):
+        proc = run_python("-c", "import sys, concurv.cli; print(' '.join(sorted(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "concurv.graphs" in loaded and "concurv.curvature" in loaded
+        unused = {f"concurv.{m}" for m in
+                  ("tensor", "product", "local_ops", "examples_registry", "fixtures")}
+        assert not loaded & unused

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -12,15 +14,19 @@ from concurv import (
     signature_groups_commute,
     switch,
 )
-from concurv.fixtures import fixture_document, fixture_graph
+from concurv.fixtures import fixture_document, fixture_graph, fixture_names
+from concurv.graphs import REPROJECT_TOL, UNITARY_TOL
 
 from helpers import (
     MALFORMED_DOCUMENTS,
     NON_FINITE_DOCUMENTS,
     assert_close,
     random_balanced_graph,
+    random_commuting_pair,
+    random_diagonal_graph,
     random_graph,
     random_switching,
+    random_unitary,
 )
 
 
@@ -104,6 +110,32 @@ class TestLoadGraph:
         with pytest.raises(ValidationError, match=message):
             load_graph(text)
 
+    def test_bad_sigma_names_its_edge(self):
+        doc = {"dimension": 2, "vertices": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+               "edges": [{"u": "a", "v": "b"},
+                         {"u": "b", "v": "c", "sigma": [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
+        with pytest.raises(ValidationError, match=re.escape("edge ('b', 'c'): malformed sigma")):
+            load_graph(doc)
+        doc["edges"][1]["sigma"] = [[[1, 0]]]
+        with pytest.raises(ValidationError,
+                           match=re.escape("edge ('b', 'c'): sigma has shape (1, 1)")):
+            load_graph(doc)
+
+    def test_omitted_explicit_and_sign_sigmas_mix(self):
+        """Omitted sigmas are I_d, explicit cells are taken exactly, and the
+        dimension-1 sign shorthand is -1 or 1, side by side in one document."""
+        g = load_graph({"dimension": 1,
+                        "vertices": [{"id": "a"}, {"id": "b"}, {"id": "c"}, {"id": "d"}],
+                        "edges": [{"u": "a", "v": "b"},
+                                  {"u": "b", "v": "c", "sigma": [[[0.6, -0.8]]]},
+                                  {"u": "c", "v": "d", "sign": -1},
+                                  {"u": "d", "v": "a", "sigma": [[[0, 1]]]}]})
+        assert g.sigma("a", "b")[0, 0] == 1.0
+        assert g.sigma("b", "c")[0, 0] == complex(0.6, -0.8)
+        assert g.sigma("c", "d")[0, 0] == -1.0
+        assert g.sigma("d", "a")[0, 0] == 1j
+        assert g.sigma("a", "d")[0, 0] == -1j
+
     def test_document_roundtrip(self):
         g = fixture_graph("g1_u2")
         g2 = load_graph(g.to_document())
@@ -176,6 +208,189 @@ class TestEdgeIndex:
         assert g.neighbors("a") == ()
         assert g.index.sigma.shape == (0, 2, 2)
         assert list(g.index.indptr) == [0, 0, 0]
+
+
+def check_unitary_loops(sigma, d: int, where: str):
+    """One connection matrix checked on its own: shape, distance from unitary
+    (NaN and infinite entries fail), polar re-projection of near-unitary
+    matrices."""
+    if sigma.shape != (d, d):
+        raise ValidationError(f"{where}: sigma has shape {sigma.shape}, expected ({d}, {d})")
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = float(np.max(np.abs(sigma @ sigma.conj().T - np.eye(d))))
+    if not dev <= UNITARY_TOL:
+        raise ValidationError(
+            f"{where}: sigma is not unitary, |sigma sigma^H - I| = {dev:.3e} > {UNITARY_TOL:.1e}"
+        )
+    if dev > REPROJECT_TOL:
+        u, _, vh = np.linalg.svd(sigma)
+        sigma = u @ vh
+    return sigma, dev
+
+
+def connections_loops(d: int, field: str, vertices, edges):
+    """The stored connections of a graph, validated edge by edge in input
+    order: structural checks and the connection checks of each edge before
+    the next.  Returns the connections and their distances from unitary.
+    An oracle for the stacked validation in ConnectionGraph."""
+    mu = {str(v): float(m) for v, m in vertices}
+    adj = {v: set() for v in mu}
+    out, devs = [], []
+    for u, v, w, sigma in edges:
+        u, v = str(u), str(v)
+        if u not in mu or v not in mu:
+            raise ValidationError(f"edge ({u!r}, {v!r}): unknown endpoint")
+        if u == v:
+            raise ValidationError(f"self-loop at vertex {u!r} is not allowed")
+        if v in adj[u]:
+            raise ValidationError(f"duplicate edge ({u!r}, {v!r})")
+        w = float(w)
+        if not (w > 0 and math.isfinite(w)):
+            raise ValidationError(
+                f"edge ({u!r}, {v!r}): weight must be positive and finite, got {w}")
+        if sigma is None:
+            s, dev = np.eye(d, dtype=complex), 0.0
+        else:
+            s, dev = check_unitary_loops(np.asarray(sigma, dtype=complex), d, f"edge ({u!r}, {v!r})")
+            if field == "real" and float(np.max(np.abs(s.imag))) > UNITARY_TOL:
+                raise ValidationError(
+                    f"edge ({u!r}, {v!r}): field='real' but sigma has imaginary entries")
+        adj[u].add(v)
+        adj[v].add(u)
+        out.append(s)
+        devs.append(dev)
+    return out, devs
+
+
+def near_unitary(rng, d: int, field: str):
+    """A unitary scaled so that |S S^H - I| lies in (REPROJECT_TOL, UNITARY_TOL]."""
+    return random_unitary(rng, d, field) * (1 + rng.uniform(1e-12, 4e-10))
+
+
+def random_inputs(rng, d: int, field: str):
+    """Constructor input of a random graph whose connections mix exact
+    unitaries, identities (None) and near-unitary matrices that get
+    re-projected."""
+    g = random_graph(rng, n_max=8, d=d, field=field, extra_edge_p=0.4)
+    edges = []
+    for u, v, w, s in g.edge_list():
+        kind = rng.integers(3)
+        sigma = None if kind == 0 else near_unitary(rng, d, field) if kind == 1 else np.array(s)
+        edges.append((u, v, w, sigma))
+    return [(v, g.measure(v)) for v in g.vertex_ids], edges
+
+
+def fixture_and_random_inputs():
+    cases = []
+    for name in fixture_names():
+        g = fixture_graph(name)
+        cases.append((g.dimension, g.field, [(v, g.measure(v)) for v in g.vertex_ids],
+                      g.edge_list()))
+    rng = np.random.default_rng(29)
+    for t in range(60):
+        d, field = 1 + t % 3, ("complex", "real")[t % 2]
+        cases.append((d, field, *random_inputs(rng, d, field)))
+    return cases
+
+
+def single_faults(rng, d: int, field: str, vertices, edges):
+    """Copies of the edge list with exactly one fault each, of every kind."""
+    k = int(rng.integers(len(edges)))
+    u, v, w, s = edges[k]
+    ok = np.eye(d) if s is None else np.asarray(s)
+    nan = ok.astype(complex)
+    nan[0, -1] = np.nan
+    faults = {
+        "non_unitary": (u, v, w, 1.01 * ok),
+        "nan_sigma": (u, v, w, nan),
+        "inf_sigma": (u, v, w, np.full((d, d), np.inf)),
+        "wrong_shape": (u, v, w, np.eye(d + 1)),
+        "duplicate": (v, u, w, s),
+        "self_loop": (u, u, w, s),
+        "unknown_endpoint": (u, "nowhere", w, s),
+        "bad_weight": (u, v, -w, s),
+    }
+    if field == "real":
+        faults["imaginary"] = (u, v, w, 1j * ok)
+    for name, fault in faults.items():
+        if name == "duplicate":
+            yield name, edges + [fault]
+        else:
+            yield name, edges[:k] + [fault] + edges[k + 1:]
+
+
+def raised(build):
+    with pytest.raises(ValidationError) as info:
+        build()
+    return str(info.value)
+
+
+class TestStackedValidation:
+    """The one-pass validation of a graph's stacked connections against the
+    edge-by-edge loop it replaced."""
+
+    def test_connections_match_loop_oracle(self):
+        reprojected = 0
+        for d, field, vertices, edges in fixture_and_random_inputs():
+            g = ConnectionGraph(d, field, vertices, edges)
+            want, devs = connections_loops(d, field, vertices, edges)
+            for (u, v, _, _), s, dev in zip(edges, want, devs):
+                got = g.sigma(u, v)
+                if dev > REPROJECT_TOL:
+                    reprojected += 1
+                    assert_close(got, s, 1e-15)
+                else:
+                    assert np.array_equal(got, s)
+                assert np.array_equal(g.sigma(v, u), got.conj().T)
+        assert reprojected > 100
+
+    def test_documents_load_exactly(self):
+        """The sigma cells of every fixture document, and of the documents of
+        random graphs, arrive bit for bit, as complex(re, im) of the written
+        numbers."""
+        rng = np.random.default_rng(34)
+        docs = [fixture_document(name) for name in fixture_names()]
+        docs += [random_graph(rng, d=1 + t % 3).to_document() for t in range(12)]
+        for doc in docs:
+            g = load_graph(json.dumps(doc))
+            d = g.dimension
+            for entry in doc["edges"]:
+                if "sigma" in entry:
+                    want = np.array([[complex(c[0], c[1]) for c in row] for row in entry["sigma"]])
+                elif "sign" in entry:
+                    want = np.array([[complex(entry["sign"])]])
+                else:
+                    want = np.eye(d)
+                want, dev = check_unitary_loops(want, d, "")
+                got = g.sigma(str(entry["u"]), str(entry["v"]))
+                assert np.array_equal(got, want) if dev <= REPROJECT_TOL else \
+                    np.max(np.abs(got - want)) <= 1e-15
+
+    def test_single_fault_messages_match_loop_oracle(self):
+        rng = np.random.default_rng(30)
+        seen = set()
+        for d, field, vertices, edges in fixture_and_random_inputs():
+            if not edges:
+                continue
+            for name, faulty in single_faults(rng, d, field, vertices, edges):
+                want = raised(lambda: connections_loops(d, field, vertices, faulty))
+                assert raised(lambda: ConnectionGraph(d, field, vertices, faulty)) == want, name
+                seen.add(name)
+        assert len(seen) == 9
+
+    def test_first_non_unitary_edge_is_named(self):
+        edges = [("a", "b", 1.0, None), ("b", "c", 1.0, [[2.0]]), ("c", "a", 1.0, [[3.0]])]
+        with pytest.raises(ValidationError, match=re.escape("edge ('b', 'c'): sigma is not unitary")):
+            ConnectionGraph(1, "complex", [("a", 1.0), ("b", 1.0), ("c", 1.0)], edges)
+
+    def test_structural_fault_reported_before_bad_connection(self):
+        """The one ordering change against the edge-by-edge loop: structure
+        is checked over the whole edge list before any connection, so a
+        later self-loop is reported ahead of an earlier non-unitary sigma."""
+        vertices = [("a", 1.0), ("b", 1.0)]
+        edges = [("a", "b", 1.0, [[2.0]]), ("b", "b", 1.0, None)]
+        assert "not unitary" in raised(lambda: connections_loops(1, "real", vertices, edges))
+        assert "self-loop" in raised(lambda: ConnectionGraph(1, "real", vertices, edges))
 
 
 class TestLocalStructure:
@@ -280,6 +495,16 @@ class TestSwitch:
         # but the individual edge signs moved
         assert g.sigma("B", "C")[0, 0] != g2.sigma("B", "C")[0, 0]
 
+    def test_matches_edge_by_edge_product(self):
+        rng = np.random.default_rng(31)
+        for t in range(20):
+            g = random_graph(rng, n_max=7, d=1 + t % 3)
+            tau = random_switching(rng, g)
+            g2 = switch(g, tau)
+            for u, v, w, s in g.edge_list():
+                assert g2.weight(u, v) == w
+                assert_close(g2.sigma(u, v), tau[u].conj().T @ s @ tau[v], 1e-15)
+
     def test_missing_vertex_raises(self):
         g = fixture_graph("triangle_signed")
         with pytest.raises(ValidationError, match="missing"):
@@ -332,6 +557,35 @@ class TestSignatureGroupsCommute:
         g = random_graph(rng, d=2)
         g_id = random_graph(rng, d=2, identity_connections=True)
         assert signature_groups_commute(g, g_id)
+
+    def test_matches_pairwise_loop(self):
+        """The broadcast commutators agree with checking every pair of
+        connections on its own, on commuting pairs and on pairs where one
+        edge of g2 is switched to a non-diagonal connection."""
+        def commute_loops(g, g2):
+            return all(float(np.max(np.abs(s @ t - t @ s))) <= UNITARY_TOL
+                       for _, _, _, s in g.edge_list() for _, _, _, t in g2.edge_list())
+
+        rng = np.random.default_rng(32)
+        answers = set()
+        for t in range(30):
+            g, g2 = random_commuting_pair(rng)
+            if t % 2 and g2.dimension == 2:
+                edges = g2.edge_list()
+                k = int(rng.integers(len(edges)))
+                edges[k] = edges[k][:3] + (random_unitary(rng, 2),)
+                g2 = ConnectionGraph(2, "complex", [(v, g2.measure(v)) for v in g2.vertex_ids],
+                                     edges)
+            want = commute_loops(g, g2)
+            assert signature_groups_commute(g, g2) == want == commute_loops(g2, g)
+            answers.add(want)
+        assert answers == {True, False}
+
+    def test_edgeless_graph_commutes(self):
+        rng = np.random.default_rng(33)
+        edgeless = ConnectionGraph(2, "complex", [("a", 1.0)], [])
+        assert signature_groups_commute(random_graph(rng, d=2), edgeless)
+        assert signature_groups_commute(edgeless, random_diagonal_graph(rng))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(28)
