@@ -171,12 +171,9 @@ def curvature(local: LocalStructure, n) -> tuple[float, int]:
 def curvature_function(local: LocalStructure):
     """A fast callable N -> (K, multiplicity) with A_inf precomputed."""
     bundle = curvature_bundle(local)
-    a_inf = bundle.a_inf.mat
-    vv = bundle.v0 @ bundle.v0.conj().T
 
     def evaluate(n) -> tuple[float, int]:
-        n = _check_n(n)
-        lam, _, mult = min_eig_hermitian(HermitianMatrix(a_inf - (2.0 / n) * vv))
+        lam, _, mult = min_eig_hermitian(bundle.a_n(n))
         return lam, mult
 
     return evaluate

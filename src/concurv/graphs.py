@@ -88,13 +88,14 @@ def _check_unitary(s: np.ndarray, where, real: bool = False) -> np.ndarray:
 
 class EdgeIndex(NamedTuple):
     """Integer index of a graph's oriented edges, in CSR (compressed sparse
-    row) form.
+    row) form: the graph's only adjacency.
 
     Vertex k is ``ids[k]``; ids are sorted, so position order is id order.
     The oriented edges leaving vertex k are rows ``indptr[k]:indptr[k + 1]``,
-    sorted by neighbor position; row e goes to ``nbr[e]`` with rate
-    ``rate[e] = w / mu`` of its source and connection ``sigma[e]`` (d x d,
-    read-only), and ``rev[e]`` is the row of the reverse orientation.
+    sorted by neighbor position; row e goes to ``nbr[e]`` with weight
+    ``weight[e]``, rate ``rate[e] = w / mu`` of its source and connection
+    ``sigma[e]`` (d x d, read-only), and ``rev[e]`` is the row of the reverse
+    orientation.
     """
 
     ids: tuple[str, ...]
@@ -102,6 +103,7 @@ class EdgeIndex(NamedTuple):
     pos: dict[str, int]
     indptr: np.ndarray
     nbr: np.ndarray
+    weight: np.ndarray
     rate: np.ndarray
     rev: np.ndarray
     sigma: np.ndarray
@@ -109,8 +111,7 @@ class EdgeIndex(NamedTuple):
 
 def _edge_index(mu: dict[str, float], stored: list[tuple[str, str, float]], s: np.ndarray):
     """The edge index over the stored edges and their (E, d, d) connections
-    ``s``, the row of each oriented edge (u, v), the rows of the stored
-    orientations in input order, and the sorted neighbor tuple of each vertex."""
+    ``s``, and the rows of the stored orientations in input order."""
     ids = tuple(sorted(mu))
     pos = {v: k for k, v in enumerate(ids)}
     n_e = len(stored)
@@ -127,18 +128,15 @@ def _edge_index(mu: dict[str, float], stored: list[tuple[str, str, float]], s: n
     back[order] = np.arange(order.size)
     indptr = np.zeros(len(ids) + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=len(ids)), out=indptr[1:])
-    rate = np.concatenate([w, w])[order] / mu_arr[src]
+    weight = np.concatenate([w, w])[order]
+    rate = weight / mu_arr[src]
     rev = back[(order + n_e) % max(2 * n_e, 1)]
     sigma = np.concatenate([s, s.conj().transpose(0, 2, 1)])[order]
-    for arr in (indptr, dst, rate, rev, sigma):
+    for arr in (indptr, dst, weight, rate, rev, sigma):
         arr.setflags(write=False)
     names = np.array(ids, dtype=object)
-    src_ids, dst_ids = names[src].tolist(), names[dst].tolist()
-    rows = dict(zip(zip(src_ids, dst_ids), range(order.size)))
-    bounds = indptr.tolist()
-    nbrs = {x: tuple(dst_ids[bounds[k]:bounds[k + 1]]) for k, x in enumerate(ids)}
-    index = EdgeIndex(ids, names, pos, indptr, dst, rate, rev, sigma)
-    return index, rows, back[:n_e], nbrs
+    index = EdgeIndex(ids, names, pos, indptr, dst, weight, rate, rev, sigma)
+    return index, back[:n_e]
 
 
 def _dimension(d: int) -> int:
@@ -164,15 +162,15 @@ class ConnectionGraph:
         orientation u -> v.  ``sigma=None`` means the identity.
 
     ``index`` is the graph's :class:`EdgeIndex`, built once here; graphs are
-    immutable, so it never goes stale.
+    immutable, so it never goes stale.  It is the only adjacency: every
+    query below reads it.
 
     The edges are checked one by one for structure (endpoints, self-loops,
     duplicates, weights), then their connections as one stacked array, so a
     structural fault anywhere is reported before a bad connection.
     """
 
-    __slots__ = ("dimension", "field", "index", "_mu", "_adj", "_edges", "_row",
-                 "_stored_rows", "_nbrs")
+    __slots__ = ("dimension", "field", "index", "_mu", "_edges", "_stored_rows")
 
     def __init__(self, dimension: int, field: str,
                  vertices: Iterable[tuple[str, float]],
@@ -191,7 +189,7 @@ class ConnectionGraph:
                     f"vertex {vid!r}: measure must be positive and finite, got {m}")
             mu[vid] = m
 
-        adj: dict[str, dict[str, float]] = {v: {} for v in mu}
+        pairs: set[tuple[str, str]] = set()
         stored: list[tuple[str, str, float]] = []
         sigmas: list[np.ndarray | None] = []
         for entry in edges:
@@ -201,14 +199,14 @@ class ConnectionGraph:
                 raise ValidationError(f"edge ({u!r}, {v!r}): unknown endpoint")
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u!r} is not allowed")
-            if v in adj[u]:
+            pair = (u, v) if u < v else (v, u)
+            if pair in pairs:
                 raise ValidationError(f"duplicate edge ({u!r}, {v!r})")
             w = float(w)
             if not (w > 0 and math.isfinite(w)):
                 raise ValidationError(
                     f"edge ({u!r}, {v!r}): weight must be positive and finite, got {w}")
-            adj[u][v] = w
-            adj[v][u] = w
+            pairs.add(pair)
             stored.append((u, v, w))
             sigmas.append(sigma)
 
@@ -219,9 +217,8 @@ class ConnectionGraph:
         self.dimension = d
         self.field = field
         self._mu = mu
-        self._adj = adj
         self._edges = tuple(stored)
-        self.index, self._row, self._stored_rows, self._nbrs = _edge_index(mu, stored, s)
+        self.index, self._stored_rows = _edge_index(mu, stored, s)
 
     # -- accessors ---------------------------------------------------------
 
@@ -235,25 +232,39 @@ class ConnectionGraph:
     def measure(self, v: str) -> float:
         return self._mu[v]
 
+    def _locate(self, u: str, v: str) -> int:
+        """The CSR row of the oriented edge u -> v, found by bisection in u's
+        sorted row; KeyError for a non-edge or an unknown vertex."""
+        ix = self.index
+        k, j = ix.pos[u], ix.pos[v]
+        lo, hi = ix.indptr[k], ix.indptr[k + 1]
+        e = lo + int(np.searchsorted(ix.nbr[lo:hi], j))
+        if e == hi or ix.nbr[e] != j:
+            raise KeyError((u, v))
+        return e
+
     def neighbors(self, v: str) -> tuple[str, ...]:
         """The neighbors of v, sorted by id."""
-        return self._nbrs[v]
+        ix = self.index
+        k = ix.pos[v]
+        return tuple(ix.names[ix.nbr[ix.indptr[k]:ix.indptr[k + 1]]])
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in self._adj.get(u, ())
+        try:
+            self._locate(u, v)
+        except KeyError:
+            return False
+        return True
 
     def weight(self, u: str, v: str) -> float:
-        return self._adj[u][v]
+        return float(self.index.weight[self._locate(u, v)])
 
     def sigma(self, u: str, v: str) -> np.ndarray:
-        return self.index.sigma[self._row[(u, v)]]
-
-    def degree(self, v: str) -> float:
-        return sum(self._adj[v].values())
+        return self.index.sigma[self._locate(u, v)]
 
     def p(self, u: str, v: str) -> float:
         """Transition rate w_uv / mu_u for the oriented edge u -> v."""
-        return self._adj[u][v] / self._mu[u]
+        return float(self.index.rate[self._locate(u, v)])
 
     def edge_list(self) -> list[tuple[str, str, float, np.ndarray]]:
         """Stored-orientation edges as (u, v, weight, sigma)."""
@@ -422,12 +433,12 @@ class LocalStructure:
     ``edge_p_back`` the rates p_y_iv and p_vy_i, and ``edge_sigma`` the
     connection sigma_y_iv.  The entries are sorted by (col, row), so the
     first m end at the center, one per y_i in order, and each y_i's edges
-    come center first, then 1-sphere, then 2-sphere.  The dictionaries ``p``
-    and ``sigma`` are built from the arrays on first use.
+    come center first, then 1-sphere, then 2-sphere.  The arrays are the
+    ball's only form: there is no per-edge dictionary view.
     """
 
     __slots__ = ("center", "s1", "s2", "d", "m", "n", "dx_over_mux", "p_x", "sigma_x",
-                 "edge_row", "edge_col", "edge_p", "edge_p_back", "edge_sigma", "_dicts")
+                 "edge_row", "edge_col", "edge_p", "edge_p_back", "edge_sigma")
 
     def __init__(self, center: str, s1: tuple[str, ...], s2: tuple[str, ...], d: int,
                  p_x: np.ndarray, sigma_x: np.ndarray, edge_row: np.ndarray,
@@ -448,40 +459,11 @@ class LocalStructure:
         self.edge_sigma = edge_sigma
         # summed left to right, as the rates are listed
         self.dx_over_mux = sum(p_x.tolist())
-        self._dicts = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
         """Center, then 1-sphere, then 2-sphere: the basis order of all matrices."""
         return (self.center,) + self.s1 + self.s2
-
-    @property
-    def p(self) -> dict[tuple[str, str], float]:
-        """p_uv for every oriented edge (u, v) inside the ball."""
-        return self._edge_dicts()[0]
-
-    @property
-    def sigma(self) -> dict[tuple[str, str], np.ndarray]:
-        """sigma_uv for every oriented edge (u, v) inside the ball."""
-        return self._edge_dicts()[1]
-
-    def rate(self, u: str, v: str) -> float:
-        """p_uv inside the ball, 0.0 for an absent edge."""
-        return self.p.get((u, v), 0.0)
-
-    def _edge_dicts(self):
-        if self._dicts is None:
-            x, names = self.center, self.vertices
-            p = dict(zip(((x, y) for y in self.s1), self.p_x.tolist()))
-            sigma = dict(zip(((x, y) for y in self.s1), self.sigma_x))
-            for i, k, r, r_back, s in zip(self.edge_row.tolist(), self.edge_col.tolist(),
-                                          self.edge_p.tolist(), self.edge_p_back.tolist(),
-                                          self.edge_sigma):
-                u, v = self.s1[i], names[k]
-                p[(u, v)], p[(v, u)] = r, r_back
-                sigma[(u, v)], sigma[(v, u)] = s, s.conj().T
-            self._dicts = (p, sigma)
-        return self._dicts
 
 
 def local_structure(g: ConnectionGraph, x: str) -> LocalStructure:
@@ -556,32 +538,21 @@ def is_locally_balanced(local: LocalStructure, tol: float = BALANCE_TOL) -> bool
     """True iff some switching makes every connection in the ball the identity.
 
     Trivializes a spanning tree rooted at the center, then tests every
-    non-tree connection against I_d.
+    connection against I_d.  The tree is the breadth-first one: the center
+    has gauge I, each y_i the gauge sigma_xy_i^H, and each z_k the gauge
+    sigma_z_ky_i sigma_xy_i^H through its in-ball edge with the smallest i.
     """
-    d = local.d
-    eye = np.eye(d, dtype=complex)
-    gauge: dict[str, np.ndarray] = {local.center: eye}
-    # BFS over the ball; the tree edge u -> v fixes gauge[v] = sigma_vu gauge[u],
-    # which makes the switched connection along the tree the identity.
-    queue = [local.center]
-    adj: dict[str, list[str]] = {}
-    for (u, v) in local.p:
-        adj.setdefault(u, []).append(v)
-    for u in adj:
-        adj[u].sort()
-    while queue:
-        u = queue.pop(0)
-        for v in adj.get(u, ()):
-            if v not in gauge:
-                gauge[v] = local.sigma[(v, u)] @ gauge[u]
-                queue.append(v)
-    for (u, v) in local.p:
-        if u > v:
-            continue
-        s = gauge[u].conj().T @ local.sigma[(u, v)] @ gauge[v]
-        if float(np.max(np.abs(s - eye))) > tol:
-            return False
-    return True
+    d, m = local.d, local.m
+    row, col, s = local.edge_row, local.edge_col, local.edge_sigma
+    gauge = np.empty((1 + m + local.n, d, d), dtype=complex)
+    gauge[0] = np.eye(d)
+    gauge[1:1 + m] = local.sigma_x.conj().transpose(0, 2, 1)
+    # Entries are sorted by (col, row): a column's first entry has its smallest row.
+    first = np.flatnonzero((col >= 1 + m) & np.r_[True, col[1:] != col[:-1]])
+    gauge[col[first]] = s[first].conj().transpose(0, 2, 1) @ gauge[1 + row[first]]
+    # gauge(y_i)^H sigma_y_iv gauge(v), with gauge(y_i)^H = sigma_xy_i
+    switched = local.sigma_x[row] @ s @ gauge[col]
+    return bool(np.abs(switched - np.eye(d)).max() <= tol)
 
 
 def signature_groups_commute(g: ConnectionGraph, g2: ConnectionGraph,

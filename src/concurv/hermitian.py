@@ -53,10 +53,6 @@ class HermitianMatrix:
     def __repr__(self):
         return f"HermitianMatrix(n={self.n})"
 
-    def eigvals(self) -> np.ndarray:
-        """Real eigenvalues in ascending order."""
-        return np.linalg.eigvalsh(self.mat)
-
 
 def is_psd(m, slack: float = PSD_SLACK) -> bool:
     """Tolerance-aware PSD test: smallest eigenvalue >= -slack * max(1, |M|)."""

@@ -21,10 +21,9 @@ import numpy as np
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, _check_n, curvature_bundle, curvature_matrix
 from .graphs import ConnectionGraph, local_structure, signature_groups_commute
-from .hermitian import pinv
+from .hermitian import is_psd, pinv
 
 DECOMP_TOL = 1e-9
-PSD_SLACK = 1e-9
 SEPARATOR = "|"
 
 
@@ -210,8 +209,8 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
             f"product decomposition residual {residual:.3e} exceeds tolerance"
         )
     for name, mat in (("R", r), ("J", j)):
-        lam = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0])
-        if lam < -PSD_SLACK * max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0):
+        if not is_psd(mat):
+            lam = float(np.linalg.eigvalsh(mat)[0])
             raise CrossCheckError(f"{name}(x, x') is not PSD: lambda_min = {lam:.3e}")
     return ProductDecomposition(
         r=r, j=j, residual=residual, a_product=a_perm,

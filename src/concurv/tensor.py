@@ -25,14 +25,19 @@ PHI_RESIDUAL_TOL = 1e-9
 
 def tangent_from_function(local: LocalStructure, f) -> np.ndarray:
     """Gradient coordinates of a 1-ball function: stack of sigma_xyi f(yi) - f(x)."""
-    d = local.d
-    x = local.center
-    fx = np.atleast_1d(np.asarray(f[x], dtype=complex))
-    out = np.zeros(local.m * d, dtype=complex)
-    for i, y in enumerate(local.s1):
-        fy = np.atleast_1d(np.asarray(f[y], dtype=complex))
-        out[i * d:(i + 1) * d] = local.sigma[(x, y)] @ fy - fx
-    return out
+    fx = np.atleast_1d(np.asarray(f[local.center], dtype=complex))
+    fy = np.array([np.atleast_1d(np.asarray(f[y], dtype=complex)) for y in local.s1])
+    return ((local.sigma_x @ fy[:, :, None])[:, :, 0] - fx).reshape(local.m * local.d)
+
+
+def _under_block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The (m+1)d x md matrix with the m d x d ``blocks`` on the diagonal
+    below a zero first block row."""
+    m, d, _ = blocks.shape
+    out = np.zeros((m + 1, d, m, d), dtype=complex)
+    ys = np.arange(m)
+    out[ys + 1, :, ys, :] = blocks
+    return out.reshape((m + 1) * d, m * d)
 
 
 def psi_extend(local: LocalStructure, w: np.ndarray) -> np.ndarray:
@@ -67,15 +72,11 @@ def phi_map(local: LocalStructure) -> np.ndarray:
     ``a a^+ omega^T = omega^T``.  For a balanced ball both sides vanish and
     phi is the zero map.
     """
-    d, m = local.d, local.m
-    x = local.center
     two_q = q_matrix(local).mat / 2.0
     p0t = p0_transpose(local)
     a = p0t @ two_q @ p0t.conj().T
     # T maps conj(v) to the padded stack (0; sigma_xyi^T conj(v_i)).
-    t = np.zeros(((m + 1) * d, m * d), dtype=complex)
-    for i, y in enumerate(local.s1):
-        t[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = local.sigma[(x, y)].T
+    t = _under_block_diagonal(local.sigma_x.transpose(0, 2, 1))
     w = p0t @ two_q @ t
     scale = max(1.0, float(np.max(np.abs(two_q))))
     if float(np.linalg.norm(a, 2)) <= 1e-10 * scale:
@@ -95,15 +96,10 @@ def phi_map(local: LocalStructure) -> np.ndarray:
 
 def phi_matrix(local: LocalStructure, f: np.ndarray | None = None) -> np.ndarray:
     """The (m+1)d x md matrix of Phi: v -> (phi(v); sigma^{-1}(v_i + phi(v)))."""
-    d, m = local.d, local.m
-    x = local.center
     if f is None:
         f = phi_map(local)
     p0 = p0_transpose(local).T  # blocks I_d, sigma^{-1} stacked
-    u = np.zeros(((m + 1) * d, m * d), dtype=complex)
-    for i, y in enumerate(local.s1):
-        u[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = local.sigma[(x, y)].conj().T
-    return p0 @ f + u
+    return p0 @ f + _under_block_diagonal(local.sigma_x.conj().transpose(0, 2, 1))
 
 
 def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray,
@@ -117,7 +113,6 @@ def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray,
     """
     n = _check_n(n)
     d, m = local.d, local.m
-    x = local.center
     v1 = np.asarray(v1, dtype=complex)
     v2 = np.asarray(v2, dtype=complex)
     if v1.shape != (m * d,) or v2.shape != (m * d,):
@@ -134,9 +129,7 @@ def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray,
         delta = delta_matrix(local)
         ric -= (2.0 / n) * (w1 @ delta) @ np.conj(w2 @ delta)
 
-    g = 0.0 + 0.0j
-    for i, y in enumerate(local.s1):
-        g += local.p[(x, y)] * (v1[i * d:(i + 1) * d] @ np.conj(v2[i * d:(i + 1) * d]))
+    g = local.p_x @ (v1 * np.conj(v2)).reshape(m, d).sum(axis=1)
     return complex(ric), complex(g)
 
 

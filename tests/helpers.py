@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -160,6 +161,28 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=120)
+
+
+def ball_from_graph_loops(g: ConnectionGraph, x: str) -> SimpleNamespace:
+    """The incomplete 2-ball of x read from the graph's accessors alone: the
+    sorted spheres, and the rate ``p`` and connection ``sigma`` of every
+    oriented in-ball edge (none between two 2-sphere vertices) as
+    dictionaries keyed by (u, v); ``rate(u, v)`` is 0.0 for an absent edge.
+    The loop oracles of the array code read the ball from here."""
+    s1 = g.neighbors(x)
+    s2 = tuple(sorted({u for y in s1 for u in g.neighbors(y)} - set(s1) - {x}))
+    pairs = [(x, y) for y in s1]
+    pairs += [(y, v) for y in s1 for v in g.neighbors(y) if v != x]
+    p, sigma = {}, {}
+    for u, v in pairs:
+        for a, b in ((u, v), (v, u)):
+            p[(a, b)] = g.p(a, b)
+            sigma[(a, b)] = g.sigma(a, b)
+    return SimpleNamespace(
+        center=x, d=g.dimension, s1=s1, s2=s2, m=len(s1), n=len(s2),
+        vertices=(x,) + s1 + s2, p=p, sigma=sigma,
+        dx_over_mux=sum(p[(x, y)] for y in s1),
+        rate=lambda u, v: p.get((u, v), 0.0))
 
 
 def assert_close(actual, expected, tol, label: str = ""):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -150,7 +151,7 @@ class TestProductCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "residual" in out and "lambda_min_R" in out
-        doc = json.loads(open(out_path).read())
+        doc = json.loads(Path(out_path).read_text())
         assert doc["dimension"] == 1
         assert len(doc["vertices"]) == 12
 
@@ -170,7 +171,7 @@ class TestEditCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "curvature_before" in out and "curvature_after" in out
-        doc = json.loads(open(out_path).read())
+        doc = json.loads(Path(out_path).read_text())
         assert any(e.get("sigma") or e.get("sign") for e in doc["edges"]) or True
 
     def test_sigma_argument_matches_sign(self, fixture_file, capsys):

@@ -15,12 +15,13 @@ from concurv import (
     switch,
 )
 from concurv.fixtures import fixture_document, fixture_graph, fixture_names
-from concurv.graphs import REPROJECT_TOL, UNITARY_TOL
+from concurv.graphs import BALANCE_TOL, REPROJECT_TOL, UNITARY_TOL
 
 from helpers import (
     MALFORMED_DOCUMENTS,
     NON_FINITE_DOCUMENTS,
     assert_close,
+    ball_from_graph_loops,
     random_balanced_graph,
     random_commuting_pair,
     random_diagonal_graph,
@@ -153,30 +154,19 @@ class TestReverseConnections:
                 assert_close(g.sigma(v, u) @ g.sigma(u, v), np.eye(2), 1e-12)
 
 
-def ball_from_graph_loops(g, x):
-    """The 2-ball of x from the graph's accessors alone: the sorted spheres
-    and the rate and connection of every oriented in-ball edge (none between
-    two 2-sphere vertices).  An oracle for local_structure."""
-    s1 = g.neighbors(x)
-    s2 = tuple(sorted({u for y in s1 for u in g.neighbors(y)} - set(s1) - {x}))
-    pairs = [(x, y) for y in s1]
-    pairs += [(y, v) for y in s1 for v in g.neighbors(y) if v != x]
-    p, sigma = {}, {}
-    for u, v in pairs:
-        for a, b in ((u, v), (v, u)):
-            p[(a, b)] = g.p(a, b)
-            sigma[(a, b)] = g.sigma(a, b)
-    return s1, s2, p, sigma
-
-
 class TestEdgeIndex:
     def test_rows_reproduce_the_edges(self):
-        """Every CSR row gives the neighbor, rate p_uv = w/mu_u and connection
-        of one oriented edge, against the constructor's input."""
+        """Every CSR row gives the neighbor, weight, rate p_uv = w/mu_u and
+        connection of one oriented edge, and the graph's queries give them
+        back exactly, against the constructor's input, for the fixtures and
+        40 random graphs.  On a non-edge has_edge is False and weight, p and
+        sigma raise KeyError."""
         rng = np.random.default_rng(23)
-        for trial in range(40):
-            d = 1 + trial % 3
-            ref = random_graph(rng, n_max=8, d=d, extra_edge_p=0.4)
+        refs = [fixture_graph(name) for name in fixture_names()]
+        refs += [random_graph(rng, n_max=8, d=1 + t % 3, extra_edge_p=0.4) for t in range(40)]
+        non_edges = 0
+        for ref in refs:
+            d = ref.dimension
             mu = {v: ref.measure(v) for v in ref.vertex_ids}
             given = {}
             for u, v, w, s in ref.edge_list():
@@ -195,12 +185,31 @@ class TestEdgeIndex:
                 assert nbrs == g.neighbors(u) == tuple(sorted(v for (a, v) in given if a == u))
                 for e, v in zip(range(lo, hi), nbrs):
                     w, s = given[(u, v)]
+                    assert ix.weight[e] == w == g.weight(u, v)
                     assert ix.rate[e] == w / mu[u] == g.p(u, v)
-                    assert_close(ix.sigma[e], s, 0.0)
-                    assert_close(g.sigma(u, v), s, 0.0)
+                    assert np.array_equal(ix.sigma[e], s)
+                    assert np.array_equal(g.sigma(u, v), s)
                     assert ix.nbr[ix.rev[e]] == k and ix.rev[ix.rev[e]] == e
+                for v in ix.ids:
+                    assert g.has_edge(u, v) == ((u, v) in given)
+                    if (u, v) not in given:
+                        non_edges += 1
+                        for query in (g.weight, g.p, g.sigma):
+                            with pytest.raises(KeyError):
+                                query(u, v)
             with pytest.raises(ValueError):
                 ix.sigma[0][0, 0] = 0.0
+        assert non_edges > 500
+
+    def test_unknown_vertex_queries(self):
+        g = fixture_graph("g1_u2")
+        assert not g.has_edge("1", "nowhere") and not g.has_edge("nowhere", "1")
+        with pytest.raises(KeyError):
+            g.neighbors("nowhere")
+        for query in (g.weight, g.p, g.sigma):
+            for u, v in (("1", "nowhere"), ("nowhere", "1")):
+                with pytest.raises(KeyError):
+                    query(u, v)
 
     def test_edgeless_graph(self):
         g = ConnectionGraph(2, "complex", [("b", 1.0), ("a", 2.0)], [])
@@ -393,6 +402,12 @@ class TestStackedValidation:
         assert "self-loop" in raised(lambda: ConnectionGraph(1, "real", vertices, edges))
 
 
+def ball_entries(loc):
+    """The oriented edges of a ball's edge arrays, as (u, v) id pairs."""
+    names = loc.vertices
+    return [(loc.s1[i], names[k]) for i, k in zip(loc.edge_row.tolist(), loc.edge_col.tolist())]
+
+
 class TestLocalStructure:
     def test_u2_fixture(self):
         loc = local_structure(fixture_graph("g1_u2"), "1")
@@ -400,7 +415,8 @@ class TestLocalStructure:
         assert loc.s2 == ("4",)
         assert loc.m == 2 and loc.n == 1
         assert loc.dx_over_mux == pytest.approx(2.0)
-        assert all(p == pytest.approx(1.0) for p in loc.p.values())
+        for rates in (loc.p_x, loc.edge_p, loc.edge_p_back):
+            assert rates.tolist() == pytest.approx([1.0] * rates.size)
 
     def test_single_edge(self):
         g = load_graph({"dimension": 1, "vertices": [{"id": "x"}, {"id": "y"}],
@@ -432,12 +448,12 @@ class TestLocalStructure:
                              ("y", "z2", 1.0, None), ("z1", "z2", 1.0, None)])
         loc = local_structure(g, "x")
         assert loc.s2 == ("z1", "z2")
-        assert ("z1", "z2") not in loc.p and ("z2", "z1") not in loc.p
+        assert ball_entries(loc) == [("y", "x"), ("y", "z1"), ("y", "z2")]
 
     def test_matches_graph_loops(self):
-        """Spheres, rates and connections of every ball against the loop
-        extraction from the graph, at every vertex of fixtures and 80 random
-        graphs, including 2-sphere edges that must be dropped."""
+        """Spheres, rates and connections of every ball's arrays against the
+        loop extraction from the graph, at every vertex of fixtures and 80
+        random graphs, including 2-sphere edges that must be dropped."""
         rng = np.random.default_rng(24)
         graphs = [fixture_graph("g1_u2"), fixture_graph("positive_strip")]
         graphs += [random_graph(rng, n_max=8, d=1 + t % 3, extra_edge_p=0.45) for t in range(80)]
@@ -446,13 +462,21 @@ class TestLocalStructure:
                 if not g.neighbors(x):
                     continue
                 loc = local_structure(g, x)
-                s1, s2, p, sigma = ball_from_graph_loops(g, x)
-                assert (loc.s1, loc.s2) == (s1, s2)
-                assert loc.p == p
-                assert sorted(loc.sigma) == sorted(sigma)
-                for key, s in sigma.items():
-                    assert_close(loc.sigma[key], s, 0.0)
-                assert loc.dx_over_mux == sum(p[(x, y)] for y in s1)
+                ball = ball_from_graph_loops(g, x)
+                assert (loc.s1, loc.s2) == (ball.s1, ball.s2)
+                assert loc.p_x.tolist() == [ball.p[(x, y)] for y in ball.s1]
+                for y, s in zip(loc.s1, loc.sigma_x):
+                    assert np.array_equal(s, ball.sigma[(x, y)])
+                entries = ball_entries(loc)
+                # every in-ball edge leaving the 1-sphere once, sorted by (col, row)
+                assert sorted(entries) == sorted((u, v) for (u, v) in ball.p if u in ball.s1)
+                keys = list(zip(loc.edge_col.tolist(), loc.edge_row.tolist()))
+                assert keys == sorted(keys)
+                for (u, v), r, r_back, s in zip(entries, loc.edge_p.tolist(),
+                                                loc.edge_p_back.tolist(), loc.edge_sigma):
+                    assert (r, r_back) == (ball.p[(u, v)], ball.p[(v, u)])
+                    assert np.array_equal(s, ball.sigma[(u, v)])
+                assert loc.dx_over_mux == ball.dx_over_mux
 
     def test_deterministic(self):
         rng = np.random.default_rng(22)
@@ -460,10 +484,9 @@ class TestLocalStructure:
         a = local_structure(g, "1")
         b = local_structure(g, "1")
         assert a.s1 == b.s1 and a.s2 == b.s2
-        assert sorted(a.p) == sorted(b.p)
-        for key in a.p:
-            assert a.p[key] == b.p[key]
-            assert_close(a.sigma[key], b.sigma[key], 0.0)
+        for name in ("p_x", "sigma_x", "edge_row", "edge_col", "edge_p", "edge_p_back",
+                     "edge_sigma"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestSwitch:
@@ -539,6 +562,56 @@ class TestLocallyBalanced:
         for _ in range(5):
             g = random_balanced_graph(rng, d=2)
             assert is_locally_balanced(local_structure(g, "1"))
+
+
+    def test_matches_breadth_first_oracle(self):
+        """The array check against the breadth-first gauge fixing it
+        replaced, at every fixture vertex and every vertex of random
+        balanced, switched-balanced and unbalanced graphs with d = 1, 2, 3."""
+        rng = np.random.default_rng(42)
+        graphs = [fixture_graph(name) for name in fixture_names()]
+        for t in range(90):
+            d = 1 + t % 3
+            kind = t // 3 % 3
+            if kind == 0:
+                graphs.append(random_graph(rng, n_max=7, d=d, identity_connections=True))
+            elif kind == 1:
+                graphs.append(random_balanced_graph(rng, n_max=7, d=d))
+            else:
+                graphs.append(random_graph(rng, n_max=7, d=d, extra_edge_p=0.45))
+        answers = {True: 0, False: 0}
+        for g in graphs:
+            for x in g.vertex_ids:
+                if not g.neighbors(x):
+                    continue
+                want = balanced_bfs(ball_from_graph_loops(g, x))
+                assert is_locally_balanced(local_structure(g, x)) == want, (g.dimension, x)
+                answers[want] += 1
+        assert min(answers.values()) >= 100, answers
+
+
+def balanced_bfs(ball, tol: float = BALANCE_TOL) -> bool:
+    """Local balance by breadth-first gauge fixing over the loop ball: the
+    tree edge u -> v sets gauge[v] = sigma_vu gauge[u], then every in-ball
+    connection is tested against I_d.  An oracle for is_locally_balanced."""
+    eye = np.eye(ball.d, dtype=complex)
+    gauge = {ball.center: eye}
+    adj: dict[str, list[str]] = {}
+    for (u, v) in ball.p:
+        adj.setdefault(u, []).append(v)
+    queue = [ball.center]
+    while queue:
+        u = queue.pop(0)
+        for v in sorted(adj.get(u, ())):
+            if v not in gauge:
+                gauge[v] = ball.sigma[(v, u)] @ gauge[u]
+                queue.append(v)
+    for (u, v) in ball.p:
+        if u < v:
+            s = gauge[u].conj().T @ ball.sigma[(u, v)] @ gauge[v]
+            if float(np.max(np.abs(s - eye))) > tol:
+                return False
+    return True
 
 
 class TestSignatureGroupsCommute:

@@ -16,12 +16,19 @@ from concurv import (
 from concurv.fixtures import fixture_graph, fixture_names
 from concurv.curvature import canonical_basis, p0_transpose
 
-from helpers import assert_close, random_function, random_graph, random_switching
+from helpers import (
+    assert_close,
+    ball_from_graph_loops,
+    random_function,
+    random_graph,
+    random_switching,
+)
 
 
 def q_closed_form_loops(local, g2: np.ndarray) -> np.ndarray:
     """4*Q(x) from the explicit correction sums over 2-sphere vertices, built
-    from the rates and connections of the ball: an oracle for q_matrix."""
+    from the rates and connections of the loop ball (``ball_from_graph_loops``):
+    an oracle for q_matrix."""
     d, m = local.d, local.m
     x = local.center
     s1, s2 = local.s1, local.s2
@@ -70,7 +77,7 @@ def degree_ratio_loops(local, v):
 
 def gamma2_matrix_loops(local) -> np.ndarray:
     """4*Gamma_2(x) assembled block by block from the rate and connection
-    dictionaries of the ball: an oracle for the array assembly."""
+    dictionaries of the loop ball: an oracle for the array assembly."""
     d, m, n = local.d, local.m, local.n
     x = local.center
     s1, s2 = local.s1, local.s2
@@ -121,7 +128,7 @@ def gamma2_matrix_loops(local) -> np.ndarray:
 
 
 def delta_matrix_loops(local) -> np.ndarray:
-    """Delta(x) block by block: an oracle for delta_matrix."""
+    """Delta(x) block by block from the loop ball: an oracle for delta_matrix."""
     d, m = local.d, local.m
     x = local.center
     out = np.zeros(((m + 1) * d, d), dtype=complex)
@@ -132,7 +139,7 @@ def delta_matrix_loops(local) -> np.ndarray:
 
 
 def canonical_basis_loops(local) -> np.ndarray:
-    """B0 block by block: an oracle for canonical_basis."""
+    """B0 block by block from the loop ball: an oracle for canonical_basis."""
     d, m = local.d, local.m
     x = local.center
     out = np.zeros(((m + 1) * d, (m + 1) * d), dtype=complex)
@@ -189,7 +196,7 @@ class TestGammaMatrix:
         for _ in range(10):
             d = int(rng.integers(1, 3))
             loc = local_structure(random_graph(rng, d=d), "1")
-            w = gamma_matrix(loc).eigvals()
+            w = np.linalg.eigvalsh(gamma_matrix(loc).mat)
             assert np.all(np.abs(w[:d]) <= 1e-9)
             assert np.all(w[d:] > 1e-9)
 
@@ -275,7 +282,8 @@ class TestQMatrix:
                 q = q_matrix(loc).mat
                 b1 = (loc.m + 1) * loc.d
                 assert_close(q, schur_complement(g2, range(b1)).mat, 1e-9, "generic Schur")
-                assert_close(q, q_closed_form_loops(loc, g2.mat), 1e-9, "loop closed form")
+                assert_close(q, q_closed_form_loops(ball_from_graph_loops(g, x), g2.mat), 1e-9,
+                             "loop closed form")
                 no_2_sphere += loc.n == 0
         assert no_2_sphere >= 10
 
@@ -310,9 +318,10 @@ class TestArrayAssemblyAgainstLoops:
                 if not g.neighbors(x):
                     continue
                 loc = local_structure(g, x)
-                assert_close(gamma2_matrix(loc).mat, gamma2_matrix_loops(loc), 1e-12, "Gamma_2")
-                assert_close(delta_matrix(loc), delta_matrix_loops(loc), 1e-12, "Delta")
-                assert_close(canonical_basis(loc), canonical_basis_loops(loc), 1e-12, "B0")
+                ball = ball_from_graph_loops(g, x)
+                assert_close(gamma2_matrix(loc).mat, gamma2_matrix_loops(ball), 1e-12, "Gamma_2")
+                assert_close(delta_matrix(loc), delta_matrix_loops(ball), 1e-12, "Delta")
+                assert_close(canonical_basis(loc), canonical_basis_loops(ball), 1e-12, "B0")
                 seen["balls"] += 1
                 seen["n = 0"] += loc.n == 0
                 seen["1-sphere triangle"] += any(

@@ -133,8 +133,8 @@ class TestProductGamma2Blocks:
         posp = {v: i for i, v in enumerate(locp.vertices)}
         dx1 = loc1.dx_over_mux
         dx2 = loc2.dx_over_mux
-        p1 = {y: loc1.p[(x, y)] for y in loc1.s1}
-        p2 = {y: loc2.p[(x2, y)] for y in loc2.s1}
+        p1 = {y: g.p(x, y) for y in loc1.s1}
+        p2 = {y: g2.p(x2, y) for y in loc2.s1}
         s1_1, s2_1 = set(loc1.s1), set(loc1.s2)
         s1_2, s2_2 = set(loc2.s1), set(loc2.s2)
 

@@ -15,10 +15,18 @@ from concurv import (
     tensor_matrix_check,
 )
 from concurv.curvature import general_basis, p0_transpose
-from concurv.fixtures import fixture_graph
-from concurv.tensor import coordinate_map, phi_matrix
+from concurv.fixtures import fixture_graph, fixture_names
+from concurv.hermitian import pinv
+from concurv.operators import q_matrix
+from concurv.tensor import PHI_RESIDUAL_TOL, coordinate_map, phi_matrix
 
-from helpers import assert_close, random_balanced_graph, random_graph, random_function
+from helpers import (
+    assert_close,
+    ball_from_graph_loops,
+    random_balanced_graph,
+    random_function,
+    random_graph,
+)
 
 
 def rand_tangent(rng, loc):
@@ -109,11 +117,12 @@ class TestRicAndMetric:
 
     def test_metric_formula_and_positivity(self):
         rng = np.random.default_rng(66)
-        loc = local_structure(fixture_graph("g1_u2"), "1")
+        graph = fixture_graph("g1_u2")
+        loc = local_structure(graph, "1")
         for _ in range(5):
             v = rand_tangent(rng, loc)
             _, g = ric_and_metric(loc, INF, v, v)
-            expected = sum(loc.p[("1", y)]
+            expected = sum(graph.p("1", y)
                            * np.vdot(v[i * 2:(i + 1) * 2], v[i * 2:(i + 1) * 2]).real
                            for i, y in enumerate(loc.s1))
             assert np.real(g) == pytest.approx(expected, abs=1e-12)
@@ -133,7 +142,8 @@ class TestRicAndMetric:
         # min over 10^4 random unit tangent vectors stays above the curvature
         # and the mapped eigenvector attains it
         rng = np.random.default_rng(167)
-        loc = local_structure(fixture_graph("g1_u2"), "1")
+        graph = fixture_graph("g1_u2")
+        loc = local_structure(graph, "1")
         md = loc.m * loc.d
         f = phi_map(loc)
         phim = phi_matrix(loc, f)
@@ -144,7 +154,7 @@ class TestRicAndMetric:
         g_form = np.zeros((md, md))
         for i, y in enumerate(loc.s1):
             g_form[i * loc.d:(i + 1) * loc.d, i * loc.d:(i + 1) * loc.d] = (
-                loc.p[("1", y)] * np.eye(loc.d))
+                graph.p("1", y) * np.eye(loc.d))
         vs = rng.normal(size=(10_000, md)) + 1j * rng.normal(size=(10_000, md))
         rics = np.real(np.einsum("ti,ij,tj->t", vs, ric_form, np.conj(vs)))
         gs = np.real(np.einsum("ti,ij,tj->t", vs, g_form, np.conj(vs)))
@@ -250,3 +260,76 @@ def test_tangent_from_function_identifies_gradient():
     for y in loc.s1:
         f2[y] = f[y] + g.sigma(y, "1") @ shift
     assert_close(tangent_from_function(loc, f2), v, 1e-12)
+
+
+def tangent_loops(ball, f) -> np.ndarray:
+    """sigma_xyi f(yi) - f(x), one 1-sphere neighbor at a time."""
+    d, x = ball.d, ball.center
+    fx = np.atleast_1d(np.asarray(f[x], dtype=complex))
+    out = np.zeros(ball.m * d, dtype=complex)
+    for i, y in enumerate(ball.s1):
+        fy = np.atleast_1d(np.asarray(f[y], dtype=complex))
+        out[i * d:(i + 1) * d] = ball.sigma[(x, y)] @ fy - fx
+    return out
+
+
+def under_blocks_loops(ball, block) -> np.ndarray:
+    """The (m+1)d x md matrix with block(sigma_xyi) at block (i + 1, i)."""
+    d, m, x = ball.d, ball.m, ball.center
+    out = np.zeros(((m + 1) * d, m * d), dtype=complex)
+    for i, y in enumerate(ball.s1):
+        out[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = block(ball.sigma[(x, y)])
+    return out
+
+
+def phi_map_loops(loc, ball) -> np.ndarray:
+    """phi_map with its T matrix built block by block from the loop ball."""
+    two_q = q_matrix(loc).mat / 2.0
+    p0t = p0_transpose(loc)
+    a = p0t @ two_q @ p0t.conj().T
+    w = p0t @ two_q @ under_blocks_loops(ball, np.transpose)
+    scale = max(1.0, float(np.max(np.abs(two_q))))
+    if float(np.linalg.norm(a, 2)) <= 1e-10 * scale:
+        return np.zeros_like(w)
+    m_conj = -pinv(a) @ w
+    assert float(np.max(np.abs(w + a @ m_conj))) <= PHI_RESIDUAL_TOL * scale
+    return np.conj(m_conj)
+
+
+def metric_loops(ball, v1, v2) -> complex:
+    d, x = ball.d, ball.center
+    g = 0.0 + 0.0j
+    for i, y in enumerate(ball.s1):
+        g += ball.p[(x, y)] * (v1[i * d:(i + 1) * d] @ np.conj(v2[i * d:(i + 1) * d]))
+    return complex(g)
+
+
+def test_array_forms_match_loops():
+    """tangent_from_function, phi_map, phi_matrix and the metric of
+    ric_and_metric against their loop forms over the loop ball, at every
+    fixture vertex and every vertex of random, balanced and switched-balanced
+    graphs with d = 1, 2, 3."""
+    rng = np.random.default_rng(75)
+    graphs = [fixture_graph(name) for name in fixture_names()]
+    for t in range(45):
+        d = 1 + t % 3
+        graphs.append(random_balanced_graph(rng, d=d) if t % 5 == 0 else
+                      random_graph(rng, d=d, identity_connections=t % 5 == 1))
+    balls = 0
+    for g in graphs:
+        for x in g.vertex_ids:
+            if not g.neighbors(x):
+                continue
+            loc = local_structure(g, x)
+            ball = ball_from_graph_loops(g, x)
+            f = random_function(rng, g.vertex_ids, g.dimension)
+            assert_close(tangent_from_function(loc, f), tangent_loops(ball, f), 1e-15, "tangent")
+            phi = phi_map(loc)
+            assert_close(phi, phi_map_loops(loc, ball), 1e-15, "phi_map")
+            want = p0_transpose(loc).T @ phi + under_blocks_loops(ball, lambda s: s.conj().T)
+            assert_close(phi_matrix(loc, phi), want, 1e-15, "phi_matrix")
+            v1, v2 = rand_tangent(rng, loc), rand_tangent(rng, loc)
+            _, metric = ric_and_metric(loc, INF, v1, v2, phi=phi)
+            assert abs(metric - metric_loops(ball, v1, v2)) <= 1e-15
+            balls += 1
+    assert balls >= 200
