@@ -21,14 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import (
-    INF,
-    curvature,
-    curvature_bundle,
-    curvature_oracle,
-    curvature_profile,
-)
+from .curvature import INF, curvature_bundle, curvature_oracle, curvature_profile
 from .graphs import is_locally_balanced, load_graph, local_structure, sigma_stack
+from .hermitian import min_eig_hermitian
 
 FRACTION_MAX_DEN = 16
 FRACTION_TOL = 1e-9
@@ -166,7 +161,8 @@ def cmd_curvature(args) -> tuple[int, Report]:
     g = _load(args.graph)
     n = parse_n(args.N)
     loc = local_structure(g, args.vertex)
-    k, mult = curvature(loc, n)
+    a_n = curvature_bundle(loc).a_n(n)
+    k, _, mult = min_eig_hermitian(a_n)
     report.add("vertex", args.vertex)
     report.add("N", "inf" if n == INF else n)
     report.add_number("curvature", k)
@@ -185,7 +181,7 @@ def cmd_curvature(args) -> tuple[int, Report]:
         else:
             report.add("oracle_agreement", True)
     if args.matrix:
-        report.add_matrix("a_n", curvature_bundle(loc).a_n(n).mat)
+        report.add_matrix("a_n", a_n.mat)
     return code, report
 
 

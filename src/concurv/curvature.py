@@ -31,6 +31,7 @@ from .operators import delta_matrix, gamma_matrix, gamma2_matrix, q_matrix
 INF = float("inf")
 BASIS_TOL = 1e-9         # allowed residual of B (2 Gamma) B^H - diag(0, I)
 ORACLE_PSD_SLACK = 1e-9  # feasibility slack of the bisection oracle
+ORACLE_BRACKET = 1e-10   # the oracle bisects K to a bracket this wide
 PROFILE_TOL = 1e-9       # constancy assertions on curvature profiles
 PROFILE_SHAPE_SLACK = 1e-7  # monotonicity/concavity slack on sampled profiles
 
@@ -179,12 +180,13 @@ def curvature_function(local: LocalStructure):
     return evaluate
 
 
-def curvature_oracle(local: LocalStructure, n, eps: float = 1e-10) -> float:
+def curvature_oracle(local: LocalStructure, n) -> float:
     """Bisection on the original semidefinite feasibility problem.
 
     Tests ``lambda_min(Gamma_2(x) - (1/N) Delta Delta^H - K Gamma(x)) >= -1e-9``
     on the full 2-ball matrix (the Gamma and Laplacian terms are zero-padded
-    over the 2-sphere block) and bisects K to a bracket of width <= eps.
+    over the 2-sphere block) and bisects K to a bracket of width <=
+    ORACLE_BRACKET.
     Deliberately independent of the Schur-complement/basis route.
 
     The PSD-slack bisection alone cannot resolve K on nearly balanced
@@ -199,8 +201,6 @@ def curvature_oracle(local: LocalStructure, n, eps: float = 1e-10) -> float:
     double-precision route.
     """
     n = _check_n(n)
-    if eps <= 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
     d, m, n2 = local.d, local.m, local.n
     size = (m + n2 + 1) * d
     b1 = (m + 1) * d
@@ -244,7 +244,7 @@ def curvature_oracle(local: LocalStructure, n, eps: float = 1e-10) -> float:
         raise CrossCheckError("curvature_oracle could not bracket K from above")
 
     floor = lo
-    while hi - lo > eps:
+    while hi - lo > ORACLE_BRACKET:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
@@ -304,12 +304,6 @@ class CurvatureProfile:
     samples: tuple[tuple[float, float, int], ...]
     constant_from: float | None
     equality_from: float | None
-
-    def value(self, n) -> float:
-        for grid_n, k, _ in self.samples:
-            if grid_n == n:
-                return k
-        raise KeyError(f"N={n} was not sampled")
 
 
 def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:

@@ -20,6 +20,7 @@ from .errors import ValidationError
 UNITARY_TOL = 1e-9      # reject connections further than this from unitary
 REPROJECT_TOL = 1e-12   # deviations in (REPROJECT_TOL, UNITARY_TOL] get polar-projected
 BALANCE_TOL = 1e-9      # non-tree connections must match I_d this closely
+COMMUTE_TOL = 1e-9      # max |S T - T S| entry for two connections to commute
 
 
 def _polar_unitary(a: np.ndarray) -> np.ndarray:
@@ -282,7 +283,8 @@ class ConnectionGraph:
         edges = []
         for u, v, w, s in self.edge_list():
             entry: dict = {"u": u, "v": v, "weight": w}
-            if not np.allclose(s, np.eye(self.dimension), atol=0.0):
+            # an omitted sigma reloads as exactly I, so only I itself is omitted
+            if not np.array_equal(s, np.eye(self.dimension)):
                 entry["sigma"] = [[[e.real, e.imag] for e in row] for row in np.asarray(s)]
             edges.append(entry)
         return {
@@ -534,13 +536,14 @@ def switch(g: ConnectionGraph, tau: Mapping[str, np.ndarray]) -> ConnectionGraph
     return ConnectionGraph(g.dimension, field, [(v, g.measure(v)) for v in ids], edges)
 
 
-def is_locally_balanced(local: LocalStructure, tol: float = BALANCE_TOL) -> bool:
+def is_locally_balanced(local: LocalStructure) -> bool:
     """True iff some switching makes every connection in the ball the identity.
 
     Trivializes a spanning tree rooted at the center, then tests every
-    connection against I_d.  The tree is the breadth-first one: the center
-    has gauge I, each y_i the gauge sigma_xy_i^H, and each z_k the gauge
-    sigma_z_ky_i sigma_xy_i^H through its in-ball edge with the smallest i.
+    connection against I_d to BALANCE_TOL.  The tree is the breadth-first
+    one: the center has gauge I, each y_i the gauge sigma_xy_i^H, and each
+    z_k the gauge sigma_z_ky_i sigma_xy_i^H through its in-ball edge with
+    the smallest i.
     """
     d, m = local.d, local.m
     row, col, s = local.edge_row, local.edge_col, local.edge_sigma
@@ -552,12 +555,12 @@ def is_locally_balanced(local: LocalStructure, tol: float = BALANCE_TOL) -> bool
     gauge[col[first]] = s[first].conj().transpose(0, 2, 1) @ gauge[1 + row[first]]
     # gauge(y_i)^H sigma_y_iv gauge(v), with gauge(y_i)^H = sigma_xy_i
     switched = local.sigma_x[row] @ s @ gauge[col]
-    return bool(np.abs(switched - np.eye(d)).max() <= tol)
+    return bool(np.abs(switched - np.eye(d)).max() <= BALANCE_TOL)
 
 
-def signature_groups_commute(g: ConnectionGraph, g2: ConnectionGraph,
-                             tol: float = UNITARY_TOL) -> bool:
-    """True iff every pair of edge connections from the two graphs commutes.
+def signature_groups_commute(g: ConnectionGraph, g2: ConnectionGraph) -> bool:
+    """True iff every pair of edge connections from the two graphs commutes
+    (to COMMUTE_TOL).
 
     Checking the generators suffices: products and inverses of pairwise
     commuting unitaries still commute.
@@ -570,4 +573,4 @@ def signature_groups_commute(g: ConnectionGraph, g2: ConnectionGraph,
     if not t.size:
         return True
     # One broadcast commutator of each of g's connections with all of g2's.
-    return not any(np.abs(s @ t - t @ s).max() > tol for s in g._stored_sigma())
+    return not any(np.abs(s @ t - t @ s).max() > COMMUTE_TOL for s in g._stored_sigma())

@@ -15,7 +15,7 @@ from .errors import ValidationError
 
 HERMITIAN_TOL = 1e-9        # max allowed |M - M^H| entry on construction
 PSD_SLACK = 1e-9            # lambda_min >= -PSD_SLACK * max(1, |M|) counts as PSD
-PINV_RTOL_SCALE = 1e-10     # default pinv cutoff is PINV_RTOL_SCALE * n
+PINV_RTOL_SCALE = 1e-10     # pinv cutoff is PINV_RTOL_SCALE * n
 MULTIPLICITY_GAP = 1e-8     # relative gap grouping eigenvalues with lambda_min
 
 
@@ -32,9 +32,9 @@ class HermitianMatrix:
     conjugate transpose and symmetrizes the rest to ``(M + M^H) / 2``.
     """
 
-    __slots__ = ("mat", "n", "tol")
+    __slots__ = ("mat",)
 
-    def __init__(self, mat, tol: float | None = None):
+    def __init__(self, mat):
         m = np.asarray(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {m.shape}")
@@ -47,34 +47,31 @@ class HermitianMatrix:
         m = (m + mh) / 2.0
         m.setflags(write=False)
         self.mat = m
-        self.n = m.shape[0]
-        self.tol = float(tol) if tol is not None else PINV_RTOL_SCALE * max(self.n, 1)
 
     def __repr__(self):
-        return f"HermitianMatrix(n={self.n})"
+        return f"HermitianMatrix(n={self.mat.shape[0]})"
 
 
-def is_psd(m, slack: float = PSD_SLACK) -> bool:
-    """Tolerance-aware PSD test: smallest eigenvalue >= -slack * max(1, |M|)."""
+def is_psd(m) -> bool:
+    """Tolerance-aware PSD test: smallest eigenvalue >= -PSD_SLACK * max(1, |M|)."""
     a = _as_array(m)
     if a.size == 0:
         return True
     scale = max(1.0, float(np.max(np.abs(a))))
-    return float(np.linalg.eigvalsh(a)[0]) >= -slack * scale
+    return float(np.linalg.eigvalsh(a)[0]) >= -PSD_SLACK * scale
 
 
-def pinv(m, rtol: float | None = None) -> np.ndarray:
+def pinv(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values at or below ``rtol * sigma_max`` are zeroed; ``rtol``
-    defaults to ``PINV_RTOL_SCALE * n`` for an n-column input.  A zero matrix
-    maps to a zero matrix.
+    Singular values at or below ``PINV_RTOL_SCALE * n * sigma_max`` are
+    zeroed, n being the larger dimension of the input.  A zero matrix maps
+    to a zero matrix.
     """
     a = _as_array(m)
     if a.size == 0:
         return a.conj().T.copy()
-    if rtol is None:
-        rtol = PINV_RTOL_SCALE * max(a.shape)
+    rtol = PINV_RTOL_SCALE * max(a.shape)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0.0:
         return np.zeros_like(a.conj().T)

@@ -21,6 +21,8 @@ from .hermitian import is_psd
 from .operators import gamma2_matrix
 
 MONOTONE_SLACK = 1e-9
+S1_IN_TOL = 1e-12               # relative spread of inward rates counted as equal
+MERGE_CHECK_GRID = (1.0, INF)   # N at which merge_s2 checks monotonicity
 
 
 @dataclass(frozen=True)
@@ -36,10 +38,13 @@ class EditReport:
     delta_psd: bool | None
 
 
-def s1_in_regular(g: ConnectionGraph, x: str, tol: float = 1e-12) -> bool:
-    """True iff the inward rate p_yx is the same for every neighbor y of x."""
-    rates = [g.p(y, x) for y in g.neighbors(x)]
-    return max(rates) - min(rates) <= tol * max(1.0, max(rates))
+def s1_in_regular(g: ConnectionGraph, x: str) -> bool:
+    """True iff the inward rate p_yx is the same for every neighbor y of x,
+    to S1_IN_TOL relative.  Raises as local_structure does for an unknown or
+    isolated x."""
+    loc = local_structure(g, x)
+    rates = loc.edge_p[:loc.m]  # the first m ball edges are y_i -> x
+    return bool(rates.max() - rates.min() <= S1_IN_TOL * max(1.0, rates.max()))
 
 
 def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
@@ -96,8 +101,7 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     return g_new, EditReport(before=before, after=after, delta_psd=delta_psd)
 
 
-def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str,
-             check_grid=(1.0, INF)):
+def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
     """Merge two 2-sphere vertices of x that share no neighbor.
 
     The merged vertex is named "zk+zl" and inherits the summed measure, the
@@ -106,7 +110,7 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str,
     whichever original edge each neighbor had.  Any edge between the two
     merged vertices is dropped; it lies outside the incomplete 2-ball.
     Curvature at x cannot decrease, for any N; this is checked on
-    ``check_grid`` and a violation raises :class:`CrossCheckError`.
+    ``MERGE_CHECK_GRID`` and a violation raises :class:`CrossCheckError`.
     """
     x, zk, zl = str(x), str(zk), str(zl)
     loc = local_structure(g, x)
@@ -138,7 +142,7 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str,
 
     f_before = curvature_function(local_structure(g, x))
     f_after = curvature_function(local_structure(g_new, x))
-    for n in check_grid:
+    for n in MERGE_CHECK_GRID:
         kb, _ = f_before(n)
         ka, _ = f_after(n)
         if ka < kb - MONOTONE_SLACK:

@@ -24,6 +24,8 @@ from .graphs import ConnectionGraph, local_structure, signature_groups_commute
 from .hermitian import is_psd, pinv
 
 DECOMP_TOL = 1e-9
+STAR_TOL = 1e-12        # star product bisection stops at a bracket of STAR_TOL * t,
+STAR_MAX_ITER = 200     # or after this many steps
 SEPARATOR = "|"
 
 
@@ -218,14 +220,14 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
     )
 
 
-def star_product(f1, f2, t, tol: float = 1e-12, max_iter: int = 200) -> float:
+def star_product(f1, f2, t) -> float:
     """The star product of two curvature-like functions at t.
 
     ``f1`` and ``f2`` must be continuous, monotone non-decreasing callables on
     (0, inf] diverging to -inf at 0.  For finite t the defining balance
     ``f1(t1) = f2(t - t1)`` is solved by bisection on t1 (the difference is
-    monotone in t1); ``t = inf`` returns ``min(f1(inf), f2(inf))``, matching
-    the common limit.
+    monotone in t1) to a bracket of STAR_TOL * t; ``t = inf`` returns
+    ``min(f1(inf), f2(inf))``, matching the common limit.
     """
     t = _check_n(t)
     if t == INF:
@@ -242,12 +244,12 @@ def star_product(f1, f2, t, tol: float = 1e-12, max_iter: int = 200) -> float:
             "star_product: inputs do not bracket a balance point; "
             "the profiles are not monotone with the required limits"
         )
-    for _ in range(max_iter):
+    for _ in range(STAR_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if gap(mid) <= 0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * t:
+        if hi - lo <= STAR_TOL * t:
             break
     return float(f1(0.5 * (lo + hi)))

@@ -21,6 +21,7 @@ from .hermitian import min_eig_hermitian, pinv
 from .operators import delta_matrix, gamma2_matrix, q_matrix
 
 PHI_RESIDUAL_TOL = 1e-9
+MATRIX_CHECK_TRIALS = 8  # random tangent vectors per tensor_matrix_check
 
 
 def tangent_from_function(local: LocalStructure, f) -> np.ndarray:
@@ -142,13 +143,14 @@ def coordinate_map(local: LocalStructure, b: np.ndarray,
 
 
 def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
-                        seed: int = 0, trials: int = 8) -> float:
+                        seed: int = 0) -> float:
     """Numeric consistency of the tensor and its matrix representation.
 
-    For random tangent vectors v, checks ``Ric_N(v, v) = v_B^T A_N conj(v_B)``
-    and ``g(v, v) = |v_B|^2`` with ``v_B`` the B-induced coordinates, and that
-    the smallest eigenvector of A_N pulled back through the coordinate map
-    attains ``Ric/g = lambda_min``.  Returns the largest residual seen.
+    For MATRIX_CHECK_TRIALS random tangent vectors v, checks
+    ``Ric_N(v, v) = v_B^T A_N conj(v_B)`` and ``g(v, v) = |v_B|^2`` with
+    ``v_B`` the B-induced coordinates, and that the smallest eigenvector of
+    A_N pulled back through the coordinate map attains
+    ``Ric/g = lambda_min``.  Returns the largest residual seen.
     """
     n = _check_n(n)
     d, m = local.d, local.m
@@ -159,7 +161,7 @@ def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(MATRIX_CHECK_TRIALS):
         v = rng.normal(size=m * d) + 1j * rng.normal(size=m * d)
         v /= np.linalg.norm(v)
         ric, g = ric_and_metric(local, n, v, v, phi=f)

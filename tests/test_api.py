@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,18 @@ import concurv
 from helpers import run_python
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+# Every default-valued parameter of the exported callables, with its default.
+# A new option has a caller; add it here when you add it.
+PUBLIC_OPTIONS = {
+    "ProductSpec": {"alpha": 1.0, "beta": 1.0, "lift": "same-dimension"},
+    "add_spherical_edge": {"w_new": 1.0, "sigma_new": None},
+    "cartesian_product": {"spec": concurv.ProductSpec()},
+    "curvature_bundle": {"b": None},
+    "curvature_matrix": {"b": None},
+    "ric_and_metric": {"phi": None},
+    "tensor_matrix_check": {"b": None, "seed": 0},
+}
 
 
 def test_every_exported_name_resolves():
@@ -62,3 +75,20 @@ def test_star_import():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         concurv.no_such_name
+
+
+def test_public_options_are_pinned():
+    options = {}
+    for name in concurv.__all__:
+        obj = getattr(concurv, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except ValueError:  # the exception classes have no Python signature
+            assert issubclass(obj, Exception), name
+            continue
+        defaults = {p.name: p.default for p in params if p.default is not p.empty}
+        if defaults:
+            options[name] = defaults
+    assert options == PUBLIC_OPTIONS

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from concurv import (
+    INF,
     ConnectionGraph,
     ValidationError,
+    curvature,
     is_locally_balanced,
     load_graph,
     local_structure,
@@ -29,6 +31,14 @@ from helpers import (
     random_switching,
     random_unitary,
 )
+
+
+def near_identity(rng, d: int) -> np.ndarray:
+    """The unitary V diag(exp(i t w)) V^H with V random, w in [-1, 1] and the
+    phase scale t drawn log-uniformly from 1e-12 to 1e-5."""
+    v = random_unitary(rng, d)
+    t = 10.0 ** rng.uniform(-12, -5)
+    return (v * np.exp(1j * t * rng.uniform(-1, 1, size=d))) @ v.conj().T
 
 
 class TestLoadGraph:
@@ -138,11 +148,34 @@ class TestLoadGraph:
         assert g.sigma("a", "d")[0, 0] == -1j
 
     def test_document_roundtrip(self):
-        g = fixture_graph("g1_u2")
-        g2 = load_graph(g.to_document())
-        for u, v, w, s in g.edge_list():
-            assert g2.weight(u, v) == w
-            assert_close(g2.sigma(u, v), s, 0.0)
+        """A graph written as JSON and reloaded keeps every weight and
+        connection bit for bit, and so every K(inf).  The inputs include
+        connections within 1e-12 to 1e-5 of the identity, which a tolerant
+        identity test would leave out of the document: the d = 1 triangle
+        with one phase of 3e-6 has K(inf) = 2.2018e-05 at a, and 2.5 once
+        that phase is dropped."""
+        rng = np.random.default_rng(25)
+        triangle = ConnectionGraph(1, "complex", [(v, 1.0) for v in "abc"],
+                                   [("a", "b", 1.0, None), ("b", "c", 1.0, None),
+                                    ("a", "c", 1.0, np.array([[np.exp(3e-6j)]]))])
+        graphs = [fixture_graph("g1_u2"), triangle]
+        for t in range(30):
+            d = 1 + t % 3
+            g = random_graph(rng, d=d, identity_connections=True)
+            edges = [(u, v, w, None if rng.uniform() < 0.2 else near_identity(rng, d))
+                     for u, v, w, _ in g.edge_list()]
+            graphs.append(ConnectionGraph(d, "complex",
+                                          [(v, g.measure(v)) for v in g.vertex_ids], edges))
+        for g in graphs:
+            g2 = load_graph(json.dumps(g.to_document()))
+            for u, v, w, s in g.edge_list():
+                assert g2.weight(u, v) == w
+                assert np.array_equal(g2.sigma(u, v), s), (u, v)
+            for x in g.vertex_ids:
+                assert curvature(local_structure(g2, x), INF) == \
+                    curvature(local_structure(g, x), INF)
+        k, _ = curvature(local_structure(load_graph(json.dumps(triangle.to_document())), "a"), INF)
+        assert k == pytest.approx(2.2018e-05, rel=1e-4)
 
 
 class TestReverseConnections:

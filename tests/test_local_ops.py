@@ -189,3 +189,13 @@ def test_s1_in_regular_detection():
                                  {"id": "b", "measure": 2.0}],
                     "edges": [{"u": "x", "v": "a"}, {"u": "x", "v": "b"}]})
     assert not s1_in_regular(g, "x")  # p_ax = 1 but p_bx = 1/2
+
+
+def test_s1_in_regular_rejects_unknown_and_isolated_vertices():
+    g = load_graph({"dimension": 1,
+                    "vertices": [{"id": "x"}, {"id": "a"}, {"id": "lone"}],
+                    "edges": [{"u": "x", "v": "a"}]})
+    with pytest.raises(ValidationError, match="not in the graph"):
+        s1_in_regular(g, "nowhere")
+    with pytest.raises(ValidationError, match="isolated"):
+        s1_in_regular(g, "lone")
