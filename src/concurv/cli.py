@@ -4,8 +4,9 @@ Subcommands: validate, curvature, profile, product, balance, add-edge,
 merge, examples.  Every command builds a deterministic report that renders
 either as aligned text (default) or JSON (--json); exit code 0 on success,
 1 on validation failure (including a malformed argument), 2 on a numerical
-cross-check failure.  The env var
-CURV_TOL overrides the default comparison tolerance.
+cross-check failure.  Every report records the comparison tolerance, the one
+that ``curvature --oracle`` applies: COMPARISON_TOL, or the env var CURV_TOL
+when it is set.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from .hermitian import min_eig_hermitian
 
 FRACTION_MAX_DEN = 16
 FRACTION_TOL = 1e-9
+COMPARISON_TOL = 1e-8   # largest accepted |K - K_oracle| unless CURV_TOL is set
 
 
-def comparison_tol(default: float = 1e-9) -> float:
+def comparison_tol() -> float:
     raw = os.environ.get("CURV_TOL")
     if not raw:
-        return default
+        return COMPARISON_TOL
     try:
         tol = float(raw)
     except ValueError:
@@ -110,7 +112,6 @@ class Report:
         self.doc = {
             "command": command,
             "inputs": {p: _digest(p) for p in inputs},
-            "seed": getattr(args, "seed", 0),
             "tolerance": comparison_tol(),
             "results": {},
         }
@@ -173,7 +174,7 @@ def cmd_curvature(args) -> tuple[int, Report]:
         report.add_number("oracle", k_oracle)
         gap = abs(k_oracle - k)
         report.add_number("oracle_gap", gap)
-        tol = comparison_tol(1e-8)
+        tol = report.doc["tolerance"]
         if gap > tol:
             report.add("oracle_agreement", False,
                        f"FAIL (gap {gap:.3e} > {tol:.1e})")
@@ -332,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="concurv",
         description="Bakry-Emery curvature of connection graphs.",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized computation (default 0)")
     parser.add_argument("--json", action="store_true", help="print the report as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 

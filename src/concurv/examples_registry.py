@@ -25,12 +25,11 @@ from .fixtures import (
     PRODUCT_G2_TRIANGLE,
     PRODUCT_NONCOMMUTING,
     fixture_graph,
-    reorder_blocks,
 )
 from .graphs import is_locally_balanced, local_structure, signature_groups_commute
 from .local_ops import add_spherical_edge
 from .operators import gamma2_matrix, gamma_matrix, q_matrix
-from .product import ProductSpec, cartesian_product, product_vertex
+from .product import ProductSpec, cartesian_product, product_vertex, reorder_blocks
 
 ENTRY_TOL = 1e-12
 VALUE_TOL = 1e-9

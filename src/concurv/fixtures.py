@@ -287,11 +287,3 @@ PRODUCT_NONCOMMUTING = {
             "k_inf": -1.334981, "k_tol": 1e-6, "k_factor2": -0.461072},
 }
 
-
-def reorder_blocks(mat: np.ndarray, labels_from, labels_to, d: int) -> np.ndarray:
-    """Permute a block matrix from one basis-label order to another."""
-    pos = {label: i for i, label in enumerate(labels_from)}
-    idx = np.concatenate([
-        np.arange(pos[label] * d, pos[label] * d + d) for label in labels_to
-    ])
-    return mat[np.ix_(idx, idx)]

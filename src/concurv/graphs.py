@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -140,10 +141,19 @@ def _edge_index(mu: dict[str, float], stored: list[tuple[str, str, float]], s: n
     return index, back[:n_e]
 
 
-def _dimension(d: int) -> int:
-    if d < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {d}")
-    return d
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _dimension(d) -> int:
+    """d as a connection dimension: an integer (not a bool), positive and
+    small enough for numpy to shape a d x d complex array."""
+    if not _is_integer(d):
+        raise ValidationError(f"'dimension' must be an integer, got {d!r}")
+    limit = math.isqrt(np.iinfo(np.intp).max // 16)
+    if not 1 <= d <= limit:
+        raise ValidationError(f"'dimension' must be a positive integer up to {limit}, got {d}")
+    return int(d)
 
 
 class ConnectionGraph:
@@ -171,12 +181,12 @@ class ConnectionGraph:
     structural fault anywhere is reported before a bad connection.
     """
 
-    __slots__ = ("dimension", "field", "index", "_mu", "_edges", "_stored_rows")
+    __slots__ = ("dimension", "field", "index", "_mu", "_stored_rows")
 
     def __init__(self, dimension: int, field: str,
                  vertices: Iterable[tuple[str, float]],
                  edges: Iterable[tuple[str, str, float, np.ndarray | None]]):
-        d = _dimension(int(dimension))
+        d = _dimension(dimension)
         if field not in ("real", "complex"):
             raise ValidationError(f"field must be 'real' or 'complex', got {field!r}")
         mu: dict[str, float] = {}
@@ -218,7 +228,6 @@ class ConnectionGraph:
         self.dimension = d
         self.field = field
         self._mu = mu
-        self._edges = tuple(stored)
         self.index, self._stored_rows = _edge_index(mu, stored, s)
 
     # -- accessors ---------------------------------------------------------
@@ -268,8 +277,10 @@ class ConnectionGraph:
         return float(self.index.rate[self._locate(u, v)])
 
     def edge_list(self) -> list[tuple[str, str, float, np.ndarray]]:
-        """Stored-orientation edges as (u, v, weight, sigma)."""
-        return [(u, v, w, s) for (u, v, w), s in zip(self._edges, self._stored_sigma())]
+        """Stored-orientation edges as (u, v, weight, sigma), in input order."""
+        ix, rows = self.index, self._stored_rows
+        ends = ix.names[ix.nbr[np.stack([ix.rev[rows], rows])]].tolist()
+        return list(zip(*ends, ix.weight[rows].tolist(), self._stored_sigma()))
 
     def _stored_sigma(self) -> np.ndarray:
         """The (E, d, d) connections of the stored orientations, in edge order
@@ -302,7 +313,7 @@ def _raw_sigma(entry: Mapping, d: int, where: str):
         if d != 1:
             raise ValidationError(f"{where}: 'sign' shorthand is only valid for dimension 1")
         sign = entry["sign"]
-        if sign not in (1, -1):
+        if not _is_integer(sign) or sign not in (1, -1):
             raise ValidationError(f"{where}: 'sign' must be 1 or -1, got {sign!r}")
         return [[[sign, 0]]]
     return entry["sigma"]
@@ -360,26 +371,20 @@ def load_graph(document) -> ConnectionGraph:
             raise ValidationError(f"invalid JSON: {exc}") from exc
     if not isinstance(document, Mapping):
         raise ValidationError("graph document must be a JSON object")
-    try:
-        d = int(document["dimension"])
-    except KeyError:
-        raise ValidationError("graph document is missing 'dimension'") from None
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"graph document: 'dimension' must be an integer, got {document['dimension']!r}"
-        ) from None
-    _dimension(d)
+    if "dimension" not in document:
+        raise ValidationError("graph document is missing 'dimension'")
+    d = _dimension(document["dimension"])
     field = document.get("field", "complex")
     vertices = []
     for k, v in enumerate(_entries(document, "vertices")):
         try:
-            vertices.append((str(v["id"]), float(v.get("measure", 1.0))))
+            vertices.append((str(v["id"]), _number(v.get("measure", 1.0))))
         except _BAD_ENTRY:
             raise _malformed(f"vertex #{k}", v, ("id",), "measure") from None
     edges, given, raws = [], [], []
     for k, entry in enumerate(_entries(document, "edges")):
         try:
-            u, v, w = str(entry["u"]), str(entry["v"]), float(entry.get("weight", 1.0))
+            u, v, w = str(entry["u"]), str(entry["v"]), _number(entry.get("weight", 1.0))
         except _BAD_ENTRY:
             raise _malformed(f"edge #{k}", entry, ("u", "v"), "weight") from None
         edges.append([u, v, w, None])
@@ -397,8 +402,15 @@ def load_graph(document) -> ConnectionGraph:
 
 
 # What converting a malformed entry raises: a missing key, a non-object entry,
-# or a value float() rejects.
+# or a value _number rejects.
 _BAD_ENTRY = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _number(value) -> float:
+    """A JSON number as a float; float() would also take a string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
 
 
 def _entries(document: Mapping, key: str) -> list:
@@ -431,21 +443,20 @@ class LocalStructure:
     p_xy_i and connections sigma_xy_i, in 1-sphere order.  Every oriented
     edge y_i -> v leaving the 1-sphere inside the ball is one entry of the
     ``edge_*`` arrays: ``edge_row`` is i, ``edge_col`` the ball position of v
-    (0 for the center, 1 + j for y_j, 1 + m + k for z_k), ``edge_p`` and
-    ``edge_p_back`` the rates p_y_iv and p_vy_i, and ``edge_sigma`` the
-    connection sigma_y_iv.  The entries are sorted by (col, row), so the
-    first m end at the center, one per y_i in order, and each y_i's edges
-    come center first, then 1-sphere, then 2-sphere.  The arrays are the
-    ball's only form: there is no per-edge dictionary view.
+    (0 for the center, 1 + j for y_j, 1 + m + k for z_k), ``edge_p`` the
+    rate p_y_iv and ``edge_sigma`` the connection sigma_y_iv.  The entries
+    are sorted by (col, row), so the first m end at the center, one per y_i
+    in order, and each y_i's edges come center first, then 1-sphere, then
+    2-sphere.  The arrays are the ball's only form: there is no per-edge
+    dictionary view.
     """
 
     __slots__ = ("center", "s1", "s2", "d", "m", "n", "dx_over_mux", "p_x", "sigma_x",
-                 "edge_row", "edge_col", "edge_p", "edge_p_back", "edge_sigma")
+                 "edge_row", "edge_col", "edge_p", "edge_sigma")
 
     def __init__(self, center: str, s1: tuple[str, ...], s2: tuple[str, ...], d: int,
                  p_x: np.ndarray, sigma_x: np.ndarray, edge_row: np.ndarray,
-                 edge_col: np.ndarray, edge_p: np.ndarray, edge_p_back: np.ndarray,
-                 edge_sigma: np.ndarray):
+                 edge_col: np.ndarray, edge_p: np.ndarray, edge_sigma: np.ndarray):
         self.center = center
         self.s1 = s1
         self.s2 = s2
@@ -457,7 +468,6 @@ class LocalStructure:
         self.edge_row = edge_row
         self.edge_col = edge_col
         self.edge_p = edge_p
-        self.edge_p_back = edge_p_back
         self.edge_sigma = edge_sigma
         # summed left to right, as the rates are listed
         self.dx_over_mux = sum(p_x.tolist())
@@ -504,8 +514,7 @@ def local_structure(g: ConnectionGraph, x: str) -> LocalStructure:
     return LocalStructure(
         x, tuple(ix.names[s1]), tuple(ix.names[s2]), g.dimension,
         p_x=ix.rate[lo:hi], sigma_x=ix.sigma[lo:hi],
-        edge_row=row, edge_col=col, edge_p=ix.rate[e], edge_p_back=ix.rate[ix.rev[e]],
-        edge_sigma=ix.sigma[e],
+        edge_row=row, edge_col=col, edge_p=ix.rate[e], edge_sigma=ix.sigma[e],
     )
 
 
@@ -532,7 +541,7 @@ def switch(g: ConnectionGraph, tau: Mapping[str, np.ndarray]) -> ConnectionGraph
     # A complex tau may leave the real field even for a real graph.
     if field == "real" and np.abs(taus.imag).max(initial=0.0) > UNITARY_TOL:
         field = "complex"
-    edges = [(a, b, w, s) for (a, b, w), s in zip(g._edges, switched)]
+    edges = zip(ix.names[u], ix.names[v], ix.weight[rows].tolist(), switched)
     return ConnectionGraph(g.dimension, field, [(v, g.measure(v)) for v in ids], edges)
 
 

@@ -62,21 +62,14 @@ def is_psd(m) -> bool:
 
 
 def pinv(m) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
+    """Moore-Penrose pseudoinverse (numpy's, by SVD).
 
     Singular values at or below ``PINV_RTOL_SCALE * n * sigma_max`` are
     zeroed, n being the larger dimension of the input.  A zero matrix maps
     to a zero matrix.
     """
     a = _as_array(m)
-    if a.size == 0:
-        return a.conj().T.copy()
-    rtol = PINV_RTOL_SCALE * max(a.shape)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s[0] == 0.0:
-        return np.zeros_like(a.conj().T)
-    inv = np.where(s > rtol * s[0], 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
-    return (vh.conj().T * inv) @ u.conj().T
+    return np.linalg.pinv(a, rtol=PINV_RTOL_SCALE * max(a.shape))
 
 
 def schur_complement(s, keep) -> HermitianMatrix:

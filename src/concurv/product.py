@@ -80,13 +80,18 @@ def _lifted_factors(g: ConnectionGraph, g2: ConnectionGraph, spec: ProductSpec):
 def cartesian_product(g: ConnectionGraph, g2: ConnectionGraph,
                       spec: ProductSpec = ProductSpec()) -> ConnectionGraph:
     """The Cartesian product graph with vertex ids joined as "x|x'"."""
-    for graph in (g, g2):
+    return _product_of_lifted(*_lifted_factors(g, g2, spec), spec)
+
+
+def _product_of_lifted(gl: ConnectionGraph, g2l: ConnectionGraph,
+                       spec: ProductSpec) -> ConnectionGraph:
+    """The product of two factors already lifted to a common dimension."""
+    for graph in (gl, g2l):
         for v in graph.vertex_ids:
             if SEPARATOR in v:
                 raise ValidationError(
                     f"vertex id {v!r} contains {SEPARATOR!r}; product ids would be ambiguous"
                 )
-    gl, g2l = _lifted_factors(g, g2, spec)
     alpha, beta = spec.alpha, spec.beta
     vertices = [
         (product_vertex(x, x2), gl.measure(x) * g2l.measure(x2))
@@ -118,7 +123,6 @@ class ProductDecomposition:
     j: np.ndarray
     residual: float
     a_product: np.ndarray
-    a_blockdiag: np.ndarray
     block_order: tuple[str, ...]
 
 
@@ -190,19 +194,13 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
 
     # Product curvature matrix in the product's own (sorted) basis, permuted
     # into factor-block order for the comparison.
-    prod = cartesian_product(g, g2, spec)
-    locp = local_structure(prod, product_vertex(x, x2))
-    a_prod = curvature_matrix(locp, n + n2).mat
+    locp = local_structure(_product_of_lifted(gl, g2l, spec), product_vertex(x, x2))
     order = tuple(product_vertex(y, x2) for y in loc1.s1) + tuple(
         product_vertex(x, y2) for y2 in loc2.s1
     )
     if set(order) != set(locp.s1):
         raise CrossCheckError("product 1-sphere does not match the factor 1-spheres")
-    idx = np.concatenate([
-        np.arange(locp.s1.index(label) * d, locp.s1.index(label) * d + d)
-        for label in order
-    ])
-    a_perm = a_prod[np.ix_(idx, idx)]
+    a_perm = reorder_blocks(curvature_matrix(locp, n + n2).mat, locp.s1, order, d)
 
     residual = float(np.max(np.abs(a_perm - (blockdiag + r + j))))
     scale = max(1.0, float(np.max(np.abs(a_perm))))
@@ -214,10 +212,17 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
         if not is_psd(mat):
             lam = float(np.linalg.eigvalsh(mat)[0])
             raise CrossCheckError(f"{name}(x, x') is not PSD: lambda_min = {lam:.3e}")
-    return ProductDecomposition(
-        r=r, j=j, residual=residual, a_product=a_perm,
-        a_blockdiag=blockdiag, block_order=order,
-    )
+    return ProductDecomposition(r=r, j=j, residual=residual, a_product=a_perm,
+                                block_order=order)
+
+
+def reorder_blocks(mat: np.ndarray, labels_from, labels_to, d: int) -> np.ndarray:
+    """Permute a block matrix from one basis-label order to another."""
+    pos = {label: i for i, label in enumerate(labels_from)}
+    idx = np.concatenate([
+        np.arange(pos[label] * d, pos[label] * d + d) for label in labels_to
+    ])
+    return mat[np.ix_(idx, idx)]
 
 
 def star_product(f1, f2, t) -> float:

@@ -47,19 +47,15 @@ def psi_extend(local: LocalStructure, w: np.ndarray) -> np.ndarray:
     Appends ``f2 = -D^{-1} conj(Gamma_2[S2, B1]) w`` where D is the (real,
     diagonal, positive) 2-sphere block of Gamma_2.  The completion zeroes the
     norm-square remainder term of the Schur identity, so the Gamma_2 form of
-    the output equals the Q form of the input.  With n = 0 the input is
-    returned unchanged.
+    the output equals the Q form of the input.  ``w`` may also be an
+    (m+1)d x k matrix, whose columns are extended together.
     """
-    d, m, n = local.d, local.m, local.n
+    b1 = (local.m + 1) * local.d
     w = np.asarray(w, dtype=complex)
-    if w.shape != ((m + 1) * d,):
-        raise ValidationError(f"psi_extend: expected shape ({(m + 1) * d},), got {w.shape}")
-    if n == 0:
-        return w.copy()
+    if w.shape[:1] != (b1,) or w.ndim > 2:
+        raise ValidationError(f"psi_extend: expected shape ({b1},) or ({b1}, k), got {w.shape}")
     g2 = gamma2_matrix(local).mat
-    b1 = (m + 1) * d
-    dinv = 1.0 / np.real(np.diag(g2)[b1:])
-    f2 = -dinv * (np.conj(g2[b1:, :b1]) @ w)
+    f2 = -(np.conj(g2[b1:, :b1]) / np.real(np.diag(g2)[b1:, None])) @ w
     return np.concatenate([w, f2])
 
 
@@ -95,12 +91,28 @@ def phi_map(local: LocalStructure) -> np.ndarray:
     return np.conj(m_conj)
 
 
-def phi_matrix(local: LocalStructure, f: np.ndarray | None = None) -> np.ndarray:
-    """The (m+1)d x md matrix of Phi: v -> (phi(v); sigma^{-1}(v_i + phi(v)))."""
-    if f is None:
-        f = phi_map(local)
+def phi_matrix(local: LocalStructure, f: np.ndarray) -> np.ndarray:
+    """The (m+1)d x md matrix of Phi: v -> (phi(v); sigma^{-1}(v_i + phi(v))),
+    for the phi matrix ``f`` of :func:`phi_map`."""
     p0 = p0_transpose(local).T  # blocks I_d, sigma^{-1} stacked
     return p0 @ f + _under_block_diagonal(local.sigma_x.conj().transpose(0, 2, 1))
+
+
+def _tensor_matrices(local: LocalStructure, n: float, phi: np.ndarray):
+    """The md x md matrices R and G of the Ricci tensor and the metric:
+    ``Ric_N(v1, v2) = v1^T R conj(v2)`` and ``g(v1, v2) = v1^T G conj(v2)``.
+
+    R is 2*Gamma_2 on the Psi-extended columns of Phi, minus (2/N) times the
+    Laplacian-square term on the columns of Phi; G is diagonal with each
+    rate p_xy_i repeated d times.
+    """
+    phim = phi_matrix(local, phi)
+    ext = psi_extend(local, phim)
+    r = ext.T @ (gamma2_matrix(local).mat / 2.0) @ np.conj(ext)
+    if n != np.inf:
+        lap = phim.T @ delta_matrix(local)
+        r -= (2.0 / n) * lap @ lap.conj().T
+    return r, np.diag(np.repeat(local.p_x, local.d))
 
 
 def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray,
@@ -110,36 +122,23 @@ def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray,
     Both are sesquilinear (conjugate-linear in the second argument).  The
     metric is ``sum_i p_xyi v1_i . conj(v2_i)``, independent of the phi
     choice; Ric evaluates 2*Gamma_2 on the Psi-extended Phi lifts minus the
-    (2/N) Laplacian-square term on the Phi lifts.
+    (2/N) Laplacian-square term on the Phi lifts.  Both are read off the
+    tensor matrices R and G, built once per call.
     """
     n = _check_n(n)
-    d, m = local.d, local.m
+    md = local.m * local.d
     v1 = np.asarray(v1, dtype=complex)
     v2 = np.asarray(v2, dtype=complex)
-    if v1.shape != (m * d,) or v2.shape != (m * d,):
-        raise ValidationError(f"tangent vectors must have shape ({m * d},)")
-
-    phim = phi_matrix(local, phi)
-    w1 = phim @ v1
-    w2 = phim @ v2
-    e1 = psi_extend(local, w1)
-    e2 = psi_extend(local, w2)
-    two_g2 = gamma2_matrix(local).mat / 2.0
-    ric = e1 @ two_g2 @ np.conj(e2)
-    if n != np.inf:
-        delta = delta_matrix(local)
-        ric -= (2.0 / n) * (w1 @ delta) @ np.conj(w2 @ delta)
-
-    g = local.p_x @ (v1 * np.conj(v2)).reshape(m, d).sum(axis=1)
-    return complex(ric), complex(g)
+    if v1.shape != (md,) or v2.shape != (md,):
+        raise ValidationError(f"tangent vectors must have shape ({md},)")
+    r, g = _tensor_matrices(local, n, phi_map(local) if phi is None else phi)
+    return complex(v1 @ r @ np.conj(v2)), complex(v1 @ g @ np.conj(v2))
 
 
-def coordinate_map(local: LocalStructure, b: np.ndarray,
-                   phi: np.ndarray | None = None) -> np.ndarray:
+def coordinate_map(local: LocalStructure, b: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The md x md matrix of v -> v_B, the g-orthonormal coordinates induced by B."""
-    d = local.d
     binv_t = np.linalg.inv(np.asarray(b, dtype=complex)).T
-    return (binv_t @ phi_matrix(local, phi))[d:, :]
+    return (binv_t @ phi_matrix(local, phi))[local.d:, :]
 
 
 def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
@@ -153,26 +152,25 @@ def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
     ``Ric/g = lambda_min``.  Returns the largest residual seen.
     """
     n = _check_n(n)
-    d, m = local.d, local.m
+    md = local.m * local.d
     bundle = curvature_bundle(local, b)
-    a_n = bundle.a_n(n).mat
+    a_n = bundle.a_n(n)
     f = phi_map(local)
+    r, g = _tensor_matrices(local, n, f)
     xi = coordinate_map(local, bundle.b, f)
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(MATRIX_CHECK_TRIALS):
-        v = rng.normal(size=m * d) + 1j * rng.normal(size=m * d)
+        v = rng.normal(size=md) + 1j * rng.normal(size=md)
         v /= np.linalg.norm(v)
-        ric, g = ric_and_metric(local, n, v, v, phi=f)
         vb = xi @ v
-        worst = max(worst, abs(ric - vb @ a_n @ np.conj(vb)))
-        worst = max(worst, abs(g - np.vdot(vb, vb)))
+        worst = max(worst, abs(v @ r @ np.conj(v) - vb @ a_n.mat @ np.conj(vb)))
+        worst = max(worst, abs(v @ g @ np.conj(v) - np.vdot(vb, vb)))
 
     # The form here is v -> v^T A conj(v), whose minimizer is the conjugate
     # of the usual eigenvector.
-    lam, vec, _ = min_eig_hermitian(bundle.a_n(n))
+    lam, vec, _ = min_eig_hermitian(a_n)
     v_star = np.linalg.solve(xi, np.conj(vec))
-    ric, g = ric_and_metric(local, n, v_star, v_star, phi=f)
-    worst = max(worst, abs(ric / g - lam))
+    ric = v_star @ r @ np.conj(v_star)
+    worst = max(worst, abs(ric / (v_star @ g @ np.conj(v_star)) - lam))
     return float(worst)

@@ -231,4 +231,20 @@ MALFORMED_DOCUMENTS = {
     "sigma_null": (_doc_text(_AB, '{"u": "a", "v": "b", "sigma": null}'), "malformed sigma"),
     "sigma_wrong_size": (_doc_text(_AB, '{"u": "a", "v": "b", "sigma": [[[1, 0]]]}',
                                    dimension="2"), "sigma has shape"),
+    "dimension_fractional": (_doc_text(_AB, "", dimension="2.7"), "'dimension' must be"),
+    "dimension_string": (_doc_text(_AB, "", dimension='"2"'), "'dimension' must be"),
+    "dimension_bool": (_doc_text(_AB, "", dimension="true"), "'dimension' must be"),
+    "dimension_huge": (_doc_text(_AB, "", dimension="1e300"), "'dimension' must be"),
+    "dimension_huge_integer": (_doc_text(_AB, "", dimension="1" + "0" * 30),
+                               "'dimension' must be"),
+    "weight_string": (_doc_text(_AB, '{"u": "a", "v": "b", "weight": "2"}'),
+                      "'weight' must be a number"),
+    "weight_bool": (_doc_text(_AB, '{"u": "a", "v": "b", "weight": true}'),
+                    "'weight' must be a number"),
+    "measure_string": (_doc_text('{"id": "a", "measure": "2"}, {"id": "b"}', ""),
+                       "'measure' must be a number"),
+    "measure_bool": (_doc_text('{"id": "a", "measure": true}, {"id": "b"}', ""),
+                     "'measure' must be a number"),
+    "sign_bool": (_doc_text(_AB, '{"u": "a", "v": "b", "sign": true}'), "'sign' must be 1 or -1"),
+    "sign_float": (_doc_text(_AB, '{"u": "a", "v": "b", "sign": 1.0}'), "'sign' must be 1 or -1"),
 }

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from concurv import cli
 from concurv.cli import fmt_value, main
 from concurv.fixtures import fixture_document, fixture_names
 
@@ -225,6 +226,25 @@ class TestToleranceOverride:
         code = main(["curvature", fixture_file("g1_u2"), "--vertex", "1", "--oracle"])
         capsys.readouterr()
         assert code == 0
+
+    @pytest.mark.parametrize("env", [None, "1e-6"])
+    def test_reported_tolerance_is_applied(self, env, fixture_file, capsys, monkeypatch):
+        """The oracle check passes a gap just inside the tolerance the report
+        records and fails one just outside it."""
+        if env is not None:
+            monkeypatch.setenv("CURV_TOL", env)
+        argv = ["--json", "curvature", fixture_file("g1_u2"), "--vertex", "1", "--oracle"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(report) == ["command", "inputs", "results", "tolerance"]
+        tol = report["tolerance"]
+        assert tol == (1e-8 if env is None else float(env))
+        k = report["results"]["curvature"]
+        for factor, code in ((0.5, 0), (2.0, 2)):
+            monkeypatch.setattr(cli, "curvature_oracle", lambda loc, n: k + factor * tol)
+            assert main(argv) == code
+            results = json.loads(capsys.readouterr().out)["results"]
+            assert results["oracle_agreement"] is (code == 0)
 
 
 class TestModuleEntryPoint:

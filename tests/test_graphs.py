@@ -448,7 +448,7 @@ class TestLocalStructure:
         assert loc.s2 == ("4",)
         assert loc.m == 2 and loc.n == 1
         assert loc.dx_over_mux == pytest.approx(2.0)
-        for rates in (loc.p_x, loc.edge_p, loc.edge_p_back):
+        for rates in (loc.p_x, loc.edge_p):
             assert rates.tolist() == pytest.approx([1.0] * rates.size)
 
     def test_single_edge(self):
@@ -505,9 +505,8 @@ class TestLocalStructure:
                 assert sorted(entries) == sorted((u, v) for (u, v) in ball.p if u in ball.s1)
                 keys = list(zip(loc.edge_col.tolist(), loc.edge_row.tolist()))
                 assert keys == sorted(keys)
-                for (u, v), r, r_back, s in zip(entries, loc.edge_p.tolist(),
-                                                loc.edge_p_back.tolist(), loc.edge_sigma):
-                    assert (r, r_back) == (ball.p[(u, v)], ball.p[(v, u)])
+                for (u, v), r, s in zip(entries, loc.edge_p.tolist(), loc.edge_sigma):
+                    assert r == ball.p[(u, v)]
                     assert np.array_equal(s, ball.sigma[(u, v)])
                 assert loc.dx_over_mux == ball.dx_over_mux
 
@@ -517,8 +516,7 @@ class TestLocalStructure:
         a = local_structure(g, "1")
         b = local_structure(g, "1")
         assert a.s1 == b.s1 and a.s2 == b.s2
-        for name in ("p_x", "sigma_x", "edge_row", "edge_col", "edge_p", "edge_p_back",
-                     "edge_sigma"):
+        for name in ("p_x", "sigma_x", "edge_row", "edge_col", "edge_p", "edge_sigma"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -77,8 +79,17 @@ class TestPsiExtend:
 
     def test_shape_validation(self):
         loc = local_structure(fixture_graph("g1_u2"), "1")
-        with pytest.raises(ValidationError):
-            psi_extend(loc, np.zeros(3))
+        for bad in (np.zeros(3), np.zeros((3, 2)), np.zeros((3 * loc.d, 2, 2))):
+            with pytest.raises(ValidationError):
+                psi_extend(loc, bad)
+
+    def test_matrix_extends_each_column(self):
+        rng = np.random.default_rng(64)
+        loc = local_structure(fixture_graph("g1_u2"), "1")
+        shape = ((loc.m + 1) * loc.d, 5)
+        w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = np.column_stack([psi_extend(loc, w[:, j]) for j in range(5)])
+        assert_close(psi_extend(loc, w), want, 1e-14)
 
 
 class TestPhiMap:
@@ -212,6 +223,40 @@ class TestRicAndMetric:
                 assert abs(ric0 - ric1) <= 1e-9
 
 
+class TestAssemblyCount:
+    """Each call builds Ric_N and g as matrices once, so 4*Gamma_2 is assembled
+    a fixed number of times whatever the number of vectors."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(local):
+            calls.append(local.center)
+            return gamma2_matrix(local)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "concurv" and \
+                    vars(module).get("gamma2_matrix") is gamma2_matrix:
+                monkeypatch.setattr(module, "gamma2_matrix", counted)
+        return calls
+
+    def test_gamma2_assemblies_per_call(self, calls):
+        loc = local_structure(fixture_graph("g1_u2"), "1")
+        v = np.arange(loc.m * loc.d) + 1j
+        f = phi_map(loc)
+        for n in (INF, 2.5):
+            del calls[:]
+            tensor_matrix_check(loc, n)
+            assert len(calls) == 4
+            del calls[:]
+            ric_and_metric(loc, n, v, v)
+            assert len(calls) == 3
+            del calls[:]
+            ric_and_metric(loc, n, v, v, phi=f)
+            assert len(calls) == 2
+
+
 class TestMatrixRepresentation:
     def test_residuals_on_reference_fixture(self):
         loc = local_structure(fixture_graph("g1_u2"), "1")
@@ -238,7 +283,7 @@ class TestMatrixRepresentation:
         bundle = curvature_bundle(loc)
         from concurv.hermitian import min_eig_hermitian
         lam, vec, _ = min_eig_hermitian(bundle.a_n(INF))
-        xi = coordinate_map(loc, bundle.b)
+        xi = coordinate_map(loc, bundle.b, phi_map(loc))
         # the form is v^T A conj(v): its minimizer is the conjugate eigenvector
         v = np.linalg.solve(xi, np.conj(vec))
         ric, g = ric_and_metric(loc, INF, v, v)
