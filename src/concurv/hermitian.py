@@ -69,7 +69,9 @@ def pinv(m) -> np.ndarray:
     to a zero matrix.
     """
     a = _as_array(m)
-    return np.linalg.pinv(a, rtol=PINV_RTOL_SCALE * max(a.shape))
+    # positional: the relative cutoff is ``rcond`` on numpy 1.x, which has
+    # no ``rtol`` keyword, and numpy 2 reads it the same way
+    return np.linalg.pinv(a, PINV_RTOL_SCALE * max(a.shape))
 
 
 def schur_complement(s, keep) -> HermitianMatrix:

@@ -3,6 +3,7 @@ import pytest
 
 from concurv import ValidationError
 from concurv.hermitian import (
+    PINV_RTOL_SCALE,
     HermitianMatrix,
     is_psd,
     min_eig_hermitian,
@@ -58,6 +59,19 @@ class TestPinv:
             assert_close(ap @ a @ ap, ap, 1e-10)
             assert_close((a @ ap).conj().T, a @ ap, 1e-10)
             assert_close((ap @ a).conj().T, ap @ a, 1e-10)
+
+    def test_cutoff_without_rtol_keyword(self, monkeypatch):
+        # numpy 1.x's signature: the cutoff is the positional rcond
+        numpy_pinv = np.linalg.pinv
+
+        def pinv_1x(a, rcond=1e-15, hermitian=False):
+            return numpy_pinv(a, rcond, hermitian)
+
+        monkeypatch.setattr(np.linalg, "pinv", pinv_1x)
+        # a 2 x 2 input zeroes singular values at or below 2 * PINV_RTOL_SCALE
+        small = PINV_RTOL_SCALE
+        assert_close(pinv(np.diag([1.0, small])), np.diag([1.0, 0.0]), 0.0)
+        assert_close(pinv(np.diag([1.0, 4 * small])), np.diag([1.0, 0.25 / small]), 1e-6)
 
 
 class TestSchurComplement:
