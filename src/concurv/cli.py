@@ -88,30 +88,26 @@ def matrix_to_json(mat: np.ndarray):
              for c in range(mat.shape[1])] for r in range(mat.shape[0])]
 
 
-def _digest(path: str) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
-def _load(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    return load_graph(text)
+def _open(command: str, *paths: str):
+    """A command's report and input graphs; the report digests the bytes loaded."""
+    data = {}
+    for path in paths:
+        try:
+            with open(path, "rb") as fh:
+                data[path] = fh.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {path}: {exc}") from exc
+    return Report(command, data), [load_graph(data[p]) for p in paths]
 
 
 class Report:
     """Accumulates result rows and renders them as text or JSON."""
 
-    def __init__(self, command: str, args: argparse.Namespace, inputs: list[str]):
+    def __init__(self, command: str, inputs: dict[str, bytes]):
         self.doc = {
             "command": command,
-            "inputs": {p: _digest(p) for p in inputs},
+            "inputs": {p: "sha256:" + hashlib.sha256(data).hexdigest()
+                       for p, data in inputs.items()},
             "tolerance": comparison_tol(),
             "results": {},
         }
@@ -147,8 +143,7 @@ class Report:
 
 
 def cmd_validate(args) -> tuple[int, Report]:
-    report = Report("validate", args, [args.graph])
-    g = _load(args.graph)
+    report, (g,) = _open("validate", args.graph)
     report.add("dimension", g.dimension)
     report.add("field", g.field)
     report.add("vertices", len(g.vertex_ids))
@@ -158,8 +153,7 @@ def cmd_validate(args) -> tuple[int, Report]:
 
 
 def cmd_curvature(args) -> tuple[int, Report]:
-    report = Report("curvature", args, [args.graph])
-    g = _load(args.graph)
+    report, (g,) = _open("curvature", args.graph)
     n = parse_n(args.N)
     loc = local_structure(g, args.vertex)
     a_n = curvature_bundle(loc).a_n(n)
@@ -187,8 +181,7 @@ def cmd_curvature(args) -> tuple[int, Report]:
 
 
 def cmd_profile(args) -> tuple[int, Report]:
-    report = Report("profile", args, [args.graph])
-    g = _load(args.graph)
+    report, (g,) = _open("profile", args.graph)
     grid = [parse_n(tok) for tok in args.grid.split(",") if tok.strip()]
     loc = local_structure(g, args.vertex)
     profile = curvature_profile(loc, grid)
@@ -211,9 +204,7 @@ def cmd_profile(args) -> tuple[int, Report]:
 
 def cmd_product(args) -> tuple[int, Report]:
     from .product import ProductSpec, cartesian_product, product_decomposition
-    report = Report("product", args, [args.graph, args.graph2])
-    g = _load(args.graph)
-    g2 = _load(args.graph2)
+    report, (g, g2) = _open("product", args.graph, args.graph2)
     spec = ProductSpec(alpha=args.alpha, beta=args.beta, lift=args.lift)
     prod = cartesian_product(g, g2, spec)
     report.add("vertices", len(prod.vertex_ids))
@@ -241,8 +232,7 @@ def cmd_product(args) -> tuple[int, Report]:
 
 
 def cmd_balance(args) -> tuple[int, Report]:
-    report = Report("balance", args, [args.graph])
-    g = _load(args.graph)
+    report, (g,) = _open("balance", args.graph)
     loc = local_structure(g, args.vertex)
     report.add("vertex", args.vertex)
     report.add("locally_balanced", is_locally_balanced(loc))
@@ -264,8 +254,7 @@ def _parse_sigma_arg(text: str | None, sign: int | None, d: int):
 
 def cmd_add_edge(args) -> tuple[int, Report]:
     from .local_ops import add_spherical_edge
-    report = Report("add-edge", args, [args.graph])
-    g = _load(args.graph)
+    report, (g,) = _open("add-edge", args.graph)
     sigma = _parse_sigma_arg(args.sigma, args.sign, g.dimension)
     g_new, edit = add_spherical_edge(g, args.vertex, args.yi, args.yj,
                                      w_new=args.weight, sigma_new=sigma)
@@ -283,8 +272,7 @@ def cmd_add_edge(args) -> tuple[int, Report]:
 
 def cmd_merge(args) -> tuple[int, Report]:
     from .local_ops import merge_s2
-    report = Report("merge", args, [args.graph])
-    g = _load(args.graph)
+    report, (g,) = _open("merge", args.graph)
     g_new, edit = merge_s2(g, args.vertex, args.zk, args.zl)
     report.add("vertex", args.vertex)
     report.add("merged", f"{args.zk}+{args.zl}")
@@ -299,7 +287,7 @@ def cmd_merge(args) -> tuple[int, Report]:
 
 def cmd_examples(args) -> tuple[int, Report]:
     from . import examples_registry
-    report = Report("examples", args, [])
+    report = Report("examples", {})
     failures = 0
     for criterion, name, ok, detail in examples_registry.run():
         status = "PASS" if ok else "FAIL"

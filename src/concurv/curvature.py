@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .graphs import LocalStructure
-from .hermitian import HermitianMatrix, min_eig_hermitian, schur_complement
-from .operators import delta_matrix, gamma_matrix, gamma2_matrix, q_matrix
+from .hermitian import HermitianMatrix, min_eig_hermitian, pinv
+from .operators import _gamma2_array, _q_array, delta_matrix, gamma_matrix
 
 INF = float("inf")
 BASIS_TOL = 1e-9         # allowed residual of B (2 Gamma) B^H - diag(0, I)
@@ -141,17 +141,14 @@ def curvature_bundle(local: LocalStructure, b: np.ndarray | None = None) -> Curv
             raise ValidationError(
                 f"basis does not normalize 2 Gamma(x): residual {resid:.3e} > {BASIS_TOL:.1e}"
             )
-    two_q = q_matrix(local).mat / 2.0
-    s = b @ two_q @ b.conj().T
-    a_inf = schur_complement(s, range(d, s.shape[0]))
+    s = b @ (_q_array(local) / 2.0) @ b.conj().T
+    a, omega_t = s[:d, :d], s[:d, d:]
+    # exactly Hermitian in exact arithmetic; a nearly singular a leaves
+    # floating-point asymmetry that the explicit average removes
+    corr = s[d:, :d] @ pinv(a) @ omega_t
+    a_inf = HermitianMatrix(s[d:, d:] - (corr + corr.conj().T) / 2.0)
     v0 = (b @ delta_matrix(local))[d:, :]
-    return CurvatureBundle(
-        b=b,
-        a=np.array(s[:d, :d]),
-        omega_t=np.array(s[:d, d:]),
-        v0=v0,
-        a_inf=a_inf,
-    )
+    return CurvatureBundle(b=b, a=a, omega_t=omega_t, v0=v0, a_inf=a_inf)
 
 
 def curvature_matrix(local: LocalStructure, n, b: np.ndarray | None = None) -> HermitianMatrix:
@@ -205,21 +202,18 @@ def curvature_oracle(local: LocalStructure, n) -> float:
     size = (m + n2 + 1) * d
     b1 = (m + 1) * d
 
-    four_gamma2 = gamma2_matrix(local).mat
+    four_gamma2 = _gamma2_array(local)
     two_gamma = gamma_matrix(local).mat
-    gamma2 = four_gamma2 / 4.0
     gamma_pad = np.zeros((size, size), dtype=complex)
     gamma_pad[:b1, :b1] = two_gamma / 2.0
     delta = delta_matrix(local)
-    dd_pad = np.zeros((size, size), dtype=complex)
-    dd_pad[:b1, :b1] = delta @ delta.conj().T
-
-    base = gamma2 - (1.0 / n) * dd_pad
+    base = four_gamma2 / 4.0
+    base[:b1, :b1] -= (1.0 / n) * (delta @ delta.conj().T)
+    # symmetrized once: base - k * gamma_pad is then exactly Hermitian for every real k
+    base = (base + base.conj().T) / 2.0
 
     def smallest(k: float) -> float:
-        mat = base - k * gamma_pad
-        mat = (mat + mat.conj().T) / 2.0
-        return float(np.linalg.eigvalsh(mat)[0])
+        return float(np.linalg.eigvalsh(base - k * gamma_pad)[0])
 
     def feasible(k: float) -> bool:
         return smallest(k) >= -ORACLE_PSD_SLACK
@@ -264,7 +258,6 @@ def curvature_oracle(local: LocalStructure, n) -> float:
     width = 1e-7 * scale_m
     for _ in range(8):
         mat = base - k * gamma_pad
-        mat = (mat + mat.conj().T) / 2.0
         w, vecs = np.linalg.eigh(mat)
         v = vecs[:, w <= w[0] + width]
         v128 = v.astype(np.clongdouble)

@@ -156,6 +156,17 @@ def _dimension(d) -> int:
     return int(d)
 
 
+def _positive(value, where) -> float:
+    """A positive, finite number (by :func:`_number`'s rule) as a float."""
+    try:
+        v = _number(value)
+    except TypeError:
+        raise ValidationError(f"{where()} must be a number, got {value!r}") from None
+    if not (v > 0 and math.isfinite(v)):
+        raise ValidationError(f"{where()} must be positive and finite, got {v}")
+    return v
+
+
 class ConnectionGraph:
     """Finite weighted graph with vertex measures and unitary edge connections.
 
@@ -167,7 +178,7 @@ class ConnectionGraph:
         "real" restricts connections to real orthogonal matrices; computations
         still run in complex arithmetic either way.
     vertices : iterable of (id, measure)
-        Vertex ids are strings; measures are strictly positive and finite.
+        Vertex ids are strings; measures are positive, finite numbers.
     edges : iterable of (u, v, weight, sigma)
         One entry per undirected edge, giving the connection for the stored
         orientation u -> v.  ``sigma=None`` means the identity.
@@ -194,11 +205,7 @@ class ConnectionGraph:
             vid = str(vid)
             if vid in mu:
                 raise ValidationError(f"duplicate vertex id {vid!r}")
-            m = float(m)
-            if not (m > 0 and math.isfinite(m)):
-                raise ValidationError(
-                    f"vertex {vid!r}: measure must be positive and finite, got {m}")
-            mu[vid] = m
+            mu[vid] = _positive(m, lambda: f"vertex {vid!r}: measure")
 
         pairs: set[tuple[str, str]] = set()
         stored: list[tuple[str, str, float]] = []
@@ -213,12 +220,8 @@ class ConnectionGraph:
             pair = (u, v) if u < v else (v, u)
             if pair in pairs:
                 raise ValidationError(f"duplicate edge ({u!r}, {v!r})")
-            w = float(w)
-            if not (w > 0 and math.isfinite(w)):
-                raise ValidationError(
-                    f"edge ({u!r}, {v!r}): weight must be positive and finite, got {w}")
             pairs.add(pair)
-            stored.append((u, v, w))
+            stored.append((u, v, _positive(w, lambda: f"edge ({u!r}, {v!r}): weight")))
             sigmas.append(sigma)
 
         def where(k):
@@ -350,7 +353,8 @@ def sigma_stack(raws: list, d: int, where) -> np.ndarray:
 
 
 def load_graph(document) -> ConnectionGraph:
-    """Parse and validate a graph document (JSON text or an already-parsed dict).
+    """Parse and validate a graph document (JSON text, UTF-8 bytes or an
+    already-parsed dict).
 
     Schema::
 
@@ -364,7 +368,12 @@ def load_graph(document) -> ConnectionGraph:
     ``"sign": 1 | -1`` is accepted.  Measure and weight default to 1.0 when
     omitted.  All sigmas are converted to one stacked array in a single call.
     """
-    if isinstance(document, (str, bytes)):
+    if isinstance(document, bytes):
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"document is not UTF-8 text: {exc}") from None
+    if isinstance(document, str):
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
@@ -408,7 +417,8 @@ _BAD_ENTRY = (KeyError, TypeError, ValueError, OverflowError)
 
 def _number(value) -> float:
     """A JSON number as a float; float() would also take a string or a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if type(value) is not float and (  # a float skips the slower ABC check
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise TypeError(f"not a number: {value!r}")
     return float(value)
 

@@ -3,8 +3,8 @@ pseudoinverses, Schur complements and PSD tests.
 
 Everything operates on small dense matrices (desk scale, a few hundred rows
 at most).  Inputs are plain numpy arrays; :class:`HermitianMatrix` is a thin
-validated wrapper used at module boundaries so downstream code can rely on
-exact Hermitianity.
+validated wrapper for public results, so callers can rely on exact
+Hermitianity.  :func:`schur_complement` is the generic reference form.
 """
 
 from __future__ import annotations
@@ -112,9 +112,7 @@ def min_eig_hermitian(m):
     counts eigenvalues within ``MULTIPLICITY_GAP * max(1, |lambda_min|)`` of
     the smallest one.
     """
-    a = _as_array(m)
-    if not isinstance(m, HermitianMatrix):
-        a = HermitianMatrix(a).mat
+    a = m.mat if isinstance(m, HermitianMatrix) else HermitianMatrix(m).mat
     w, v = np.linalg.eigh(a)
     lam = float(w[0])
     gap = MULTIPLICITY_GAP * max(1.0, abs(lam))

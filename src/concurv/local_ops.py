@@ -18,7 +18,7 @@ from .errors import CrossCheckError, ValidationError
 from .curvature import INF, curvature, curvature_function
 from .graphs import ConnectionGraph, local_structure
 from .hermitian import is_psd
-from .operators import gamma2_matrix
+from .operators import _gamma2_array
 
 MONOTONE_SLACK = 1e-9
 S1_IN_TOL = 1e-12               # relative spread of inward rates counted as equal
@@ -60,8 +60,8 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     raises :class:`CrossCheckError`).
     """
     x, yi, yj = str(x), str(yi), str(yj)
-    s1 = set(g.neighbors(x))
-    if yi not in s1 or yj not in s1 or yi == yj:
+    before_loc = local_structure(g, x)   # rejects an unknown or isolated x
+    if yi not in before_loc.s1 or yj not in before_loc.s1 or yi == yj:
         raise ValidationError(f"{yi!r} and {yj!r} must be two distinct neighbors of {x!r}")
     if g.has_edge(yi, yj):
         raise ValidationError(f"{yi!r} and {yj!r} are already adjacent")
@@ -79,14 +79,13 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     g_new = ConnectionGraph(g.dimension, field,
                             [(v, g.measure(v)) for v in g.vertex_ids], edges)
 
-    before_loc = local_structure(g, x)
     after_loc = local_structure(g_new, x)
     before, _ = curvature(before_loc, INF)
     after, _ = curvature(after_loc, INF)
 
     # Same 2-ball vertex set before and after, so the difference is congruent
     # to its switched-gauge form and PSD-ness is basis independent.
-    diff = gamma2_matrix(after_loc).mat - gamma2_matrix(before_loc).mat
+    diff = _gamma2_array(after_loc) - _gamma2_array(before_loc)
     delta_psd = is_psd(diff)
 
     if balanced_default and s1_in_regular(g, x):
@@ -140,15 +139,13 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
             edges.append((u, v, w, s))
     g_new = ConnectionGraph(g.dimension, g.field, vertices, edges)
 
-    f_before = curvature_function(local_structure(g, x))
+    f_before = curvature_function(loc)
     f_after = curvature_function(local_structure(g_new, x))
-    for n in MERGE_CHECK_GRID:
-        kb, _ = f_before(n)
-        ka, _ = f_after(n)
+    ks = {n: (f_before(n)[0], f_after(n)[0]) for n in MERGE_CHECK_GRID}
+    for n, (kb, ka) in ks.items():
         if ka < kb - MONOTONE_SLACK:
             raise CrossCheckError(
                 f"merging decreased curvature at N={n}: {kb:.12g} -> {ka:.12g}"
             )
-    before, _ = f_before(INF)
-    after, _ = f_after(INF)
+    before, after = ks[INF]   # MERGE_CHECK_GRID includes N = inf
     return g_new, EditReport(before=before, after=after, delta_psd=None)

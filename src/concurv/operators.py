@@ -49,7 +49,12 @@ def gamma_matrix(local: LocalStructure) -> HermitianMatrix:
 
 
 def gamma2_matrix(local: LocalStructure) -> HermitianMatrix:
-    """4*Gamma_2(x): the (m+n+1)d iterated form matrix, assembled blockwise.
+    """4*Gamma_2(x): the (m+n+1)d iterated form matrix (see :func:`_gamma2_array`)."""
+    return HermitianMatrix(_gamma2_array(local))
+
+
+def _gamma2_array(local: LocalStructure) -> np.ndarray:
+    """4*Gamma_2(x) as a plain array, assembled blockwise.
 
     The 2-sphere diagonal block is real, diagonal and positive, with entries
     sum_i p_xyi p_yizk; blocks between two 2-sphere vertices vanish.
@@ -93,24 +98,32 @@ def gamma2_matrix(local: LocalStructure) -> HermitianMatrix:
 
     out[b1:, d:b1] = out[d:b1, b1:].conj().T
     out.reshape(-1)[b1 * (size + 1)::size + 1] = np.repeat(into[m + 1:], d)
-    return HermitianMatrix(out)
+    return out
 
 
 def q_matrix(local: LocalStructure) -> HermitianMatrix:
-    """4*Q(x): the Schur complement of the 2-sphere block in 4*Gamma_2(x).
+    """4*Q(x): the 2-sphere block of 4*Gamma_2(x) eliminated (see :func:`_q_array`)."""
+    return HermitianMatrix(_q_array(local))
+
+
+def _q_array(local: LocalStructure) -> np.ndarray:
+    """4*Q(x) as an exactly Hermitian array: the Schur complement of the
+    2-sphere block in the unwrapped 4*Gamma_2(x).
 
     With ``G11`` the 1-ball block of 4*Gamma_2, ``C`` its 1-ball x 2-sphere
     block and ``w`` the diagonal of its 2-sphere block,
     ``4*Q = G11 - C diag(1/w) C^H``.  The elimination is exact and needs no
     pseudoinverse because the 2-sphere block is, by construction, real,
-    diagonal and positive (see :func:`gamma2_matrix`).  For n = 0, ``C`` is
+    diagonal and positive (see :func:`_gamma2_array`).  For n = 0, ``C`` is
     empty and Q is Gamma_2 restricted to the 1-ball.
     """
-    g2 = gamma2_matrix(local).mat
+    g2 = _gamma2_array(local)
     b1 = (local.m + 1) * local.d
     c = g2[:b1, b1:]
     w = np.real(np.diag(g2)[b1:])
-    return HermitianMatrix(g2[:b1, :b1] - (c / w) @ c.conj().T)
+    q = g2[:b1, :b1] - (c / w) @ c.conj().T
+    # averaged once here: the pseudoinverses downstream amplify asymmetry
+    return (q + q.conj().T) / 2.0
 
 
 # -- direct (recursive) evaluation of the forms ---------------------------

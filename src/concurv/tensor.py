@@ -18,7 +18,7 @@ from .errors import CrossCheckError, ValidationError
 from .curvature import curvature_bundle, p0_transpose, _check_n
 from .graphs import LocalStructure
 from .hermitian import min_eig_hermitian, pinv
-from .operators import delta_matrix, gamma2_matrix, q_matrix
+from .operators import _gamma2_array, _q_array, delta_matrix
 
 PHI_RESIDUAL_TOL = 1e-9
 MATRIX_CHECK_TRIALS = 8  # random tangent vectors per tensor_matrix_check
@@ -54,7 +54,7 @@ def psi_extend(local: LocalStructure, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
     if w.shape[:1] != (b1,) or w.ndim > 2:
         raise ValidationError(f"psi_extend: expected shape ({b1},) or ({b1}, k), got {w.shape}")
-    g2 = gamma2_matrix(local).mat
+    g2 = _gamma2_array(local)
     f2 = -(np.conj(g2[b1:, :b1]) / np.real(np.diag(g2)[b1:, None])) @ w
     return np.concatenate([w, f2])
 
@@ -69,7 +69,7 @@ def phi_map(local: LocalStructure) -> np.ndarray:
     ``a a^+ omega^T = omega^T``.  For a balanced ball both sides vanish and
     phi is the zero map.
     """
-    two_q = q_matrix(local).mat / 2.0
+    two_q = _q_array(local) / 2.0
     p0t = p0_transpose(local)
     a = p0t @ two_q @ p0t.conj().T
     # T maps conj(v) to the padded stack (0; sigma_xyi^T conj(v_i)).
@@ -108,7 +108,7 @@ def _tensor_matrices(local: LocalStructure, n: float, phi: np.ndarray):
     """
     phim = phi_matrix(local, phi)
     ext = psi_extend(local, phim)
-    r = ext.T @ (gamma2_matrix(local).mat / 2.0) @ np.conj(ext)
+    r = ext.T @ (_gamma2_array(local) / 2.0) @ np.conj(ext)
     if n != np.inf:
         lap = phim.T @ delta_matrix(local)
         r -= (2.0 / n) * lap @ lap.conj().T

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -105,6 +106,21 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and message in err
 
+    def test_non_utf8_document_exits_1(self, tmp_path, capsys):
+        # a Latin-1 e-acute in a vertex id
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(fixture_document("single_edge")).replace(
+            '"x"', '"x\u00e9"').encode("latin-1"))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "UTF-8" in err
+
+    def test_inputs_digest_the_file_bytes(self, fixture_file, capsys):
+        path = fixture_file("g1_u2")
+        assert main(["--json", "validate", path]) == 0
+        digest = "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert json.loads(capsys.readouterr().out)["inputs"] == {path: digest}
+
 
 class TestBadNumbers:
     @pytest.mark.parametrize("argv", [
@@ -195,6 +211,12 @@ class TestEditCommands:
         code = main(["add-edge", fixture_file("diamond_signed"), "--vertex", "1",
                      "--yi", "2", "--yj", "3"])
         assert code == 1
+
+    def test_unknown_vertex_exits_1(self, fixture_file, capsys):
+        code = main(["add-edge", fixture_file("g1_u2"), "--vertex", "nope",
+                     "--yi", "2", "--yj", "3"])
+        assert code == 1
+        assert "validation error: vertex 'nope' is not in the graph" in capsys.readouterr().err
 
 
 class TestExamplesCommand:

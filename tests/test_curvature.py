@@ -20,8 +20,9 @@ from concurv import (
     switch,
 )
 from concurv.curvature import basis_residual
-from concurv.fixtures import fixture_graph
-from concurv.hermitian import pinv
+from concurv.fixtures import fixture_graph, fixture_names
+from concurv.hermitian import HermitianMatrix, pinv, schur_complement
+from concurv.operators import q_matrix
 
 from helpers import (
     assert_close,
@@ -217,6 +218,47 @@ class TestKernelBlockProperties:
             assert_close(w[-d:], total * np.ones(d), 1e-9)
             if m > 1:
                 assert_close(w[:(m - 1) * d], np.zeros((m - 1) * d), 1e-9)
+
+
+class TestKernelElimination:
+    """curvature_bundle eliminates the kernel block a itself; the generic
+    schur_complement is its reference."""
+
+    def test_a_inf_matches_schur_complement(self):
+        rng = np.random.default_rng(56)
+        graphs = [fixture_graph(name) for name in fixture_names()]
+        for t in range(36):
+            d = 1 + t % 3
+            graphs.append(random_balanced_graph(rng, d=d) if t % 4 == 0 else random_graph(rng, d=d))
+        balanced = no_s2 = 0
+        for g in graphs:
+            for x in g.vertex_ids:
+                if not g.neighbors(x):
+                    continue
+                loc = local_structure(g, x)
+                bundle = curvature_bundle(loc)
+                s = bundle.b @ (q_matrix(loc).mat / 2.0) @ bundle.b.conj().T
+                want = schur_complement(s, range(loc.d, s.shape[0])).mat
+                assert_close(bundle.a_inf.mat, want, 1e-13, f"a_inf at {x}")
+                balanced += is_locally_balanced(loc)
+                no_s2 += loc.n == 0
+        assert balanced >= 10 and no_s2 >= 10
+
+    def test_hermitian_matrix_built_at_public_results_only(self, monkeypatch):
+        built = []
+        init = HermitianMatrix.__init__
+
+        def counted(self, mat):
+            built.append(np.shape(mat))
+            init(self, mat)
+
+        monkeypatch.setattr(HermitianMatrix, "__init__", counted)
+        loc = local_structure(fixture_graph("g1_u2"), "1")
+        curvature(loc, INF)
+        assert len(built) == 2   # A_inf, then A_N
+        del built[:]
+        curvature_bundle(loc)
+        assert len(built) == 1   # A_inf
 
 
 class TestGammaNullFunctions:

@@ -81,6 +81,26 @@ class TestLoadGraph:
                         "vertices": [{"id": "a", "measure": 0.0}, {"id": "b"}],
                         "edges": [{"u": "a", "v": "b"}]})
 
+    def test_invalid_utf8_bytes_rejected(self):
+        text = json.dumps(fixture_document("single_edge"))
+        assert load_graph(text.encode("utf-8")).vertex_ids == load_graph(text).vertex_ids
+        with pytest.raises(ValidationError, match="UTF-8"):
+            load_graph(text.replace('"x"', '"x\u00e9"').encode("latin-1"))
+
+    def test_constructor_takes_numbers_only(self):
+        """The constructor applies load_graph's rule for numbers: strings and
+        booleans are rejected, numpy scalars accepted."""
+        for vertices, edges in (([("a", "2"), ("b", True)], [("a", "b", "3", None)]),
+                                ([("a", "2"), ("b", 1.0)], [("a", "b", 1.0, None)]),
+                                ([("a", True), ("b", 1.0)], [("a", "b", 1.0, None)]),
+                                ([("a", 1.0), ("b", 1.0)], [("a", "b", "3", None)]),
+                                ([("a", 1.0), ("b", 1.0)], [("a", "b", False, None)])):
+            with pytest.raises(ValidationError, match="must be a number"):
+                ConnectionGraph(1, "real", vertices, edges)
+        g = ConnectionGraph(1, "real", [("a", np.float32(2.0)), ("b", np.int64(1))],
+                            [("a", "b", np.float64(3.0), None)])
+        assert (g.measure("a"), g.measure("b"), g.weight("a", "b")) == (2.0, 1.0, 3.0)
+
     def test_duplicate_edge_and_self_loop(self):
         with pytest.raises(ValidationError, match="duplicate"):
             load_graph({"dimension": 1, "vertices": [{"id": "a"}, {"id": "b"}],

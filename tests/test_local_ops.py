@@ -34,6 +34,15 @@ class TestAddSphericalEdge:
         with pytest.raises(ValidationError, match="adjacent"):
             add_spherical_edge(g_adj, "1", "2", "3")
 
+    def test_unknown_or_isolated_center_rejected(self):
+        g = load_graph({"dimension": 1,
+                        "vertices": [{"id": "x"}, {"id": "a"}, {"id": "lone"}],
+                        "edges": [{"u": "x", "v": "a"}]})
+        with pytest.raises(ValidationError, match="not in the graph"):
+            add_spherical_edge(fixture_graph("g1_u2"), "nope", "2", "3")
+        with pytest.raises(ValidationError, match="isolated"):
+            add_spherical_edge(g, "lone", "x", "a")
+
     def test_balanced_default_never_decreases(self):
         rng = np.random.default_rng(101)
         for trial in range(20):

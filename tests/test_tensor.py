@@ -19,7 +19,7 @@ from concurv import (
 from concurv.curvature import general_basis, p0_transpose
 from concurv.fixtures import fixture_graph, fixture_names
 from concurv.hermitian import pinv
-from concurv.operators import q_matrix
+from concurv.operators import _gamma2_array, q_matrix
 from concurv.tensor import PHI_RESIDUAL_TOL, coordinate_map, phi_matrix
 
 from helpers import (
@@ -233,12 +233,12 @@ class TestAssemblyCount:
 
         def counted(local):
             calls.append(local.center)
-            return gamma2_matrix(local)
+            return _gamma2_array(local)
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "concurv" and \
-                    vars(module).get("gamma2_matrix") is gamma2_matrix:
-                monkeypatch.setattr(module, "gamma2_matrix", counted)
+                    vars(module).get("_gamma2_array") is _gamma2_array:
+                monkeypatch.setattr(module, "_gamma2_array", counted)
         return calls
 
     def test_gamma2_assemblies_per_call(self, calls):
