@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .graphs import LocalStructure
-from .hermitian import HermitianMatrix, min_eig_hermitian, pinv
-from .operators import _gamma2_array, _q_array, delta_matrix, gamma_matrix
+from .hermitian import HermitianMatrix, _lambda_min, pinv
+from .operators import _gamma2_array, _gamma_array, _q_array, delta_matrix
 
 INF = float("inf")
 BASIS_TOL = 1e-9         # allowed residual of B (2 Gamma) B^H - diag(0, I)
@@ -73,7 +73,7 @@ def basis_residual(local: LocalStructure, b: np.ndarray) -> float:
     d, m = local.d, local.m
     target = np.zeros(((m + 1) * d, (m + 1) * d))
     target[d:, d:] = np.eye(m * d)
-    lhs = b @ gamma_matrix(local).mat @ b.conj().T
+    lhs = b @ _gamma_array(local) @ b.conj().T
     return float(np.max(np.abs(lhs - target)))
 
 
@@ -89,7 +89,7 @@ def general_basis(local: LocalStructure, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     d, m = local.d, local.m
     md = m * d
-    w, u = np.linalg.eigh(gamma_matrix(local).mat)
+    w, u = np.linalg.eigh(_gamma_array(local))
     # Exactly d zero eigenvalues; the positive part starts at index d.
     rows = (u[:, d:] / np.sqrt(w[d:])).conj().T
 
@@ -129,9 +129,25 @@ class CurvatureBundle:
         return HermitianMatrix(self.a_inf.mat - (2.0 / n) * (self.v0 @ self.v0.conj().T))
 
 
+def _eliminate(local: LocalStructure, b: np.ndarray):
+    """a, omega^T and A_inf as plain arrays for the basis B: the kernel block
+    a of ``B (Q/2) B^H`` eliminated by its pseudoinverse."""
+    d = local.d
+    s = b @ (_q_array(local) / 2.0) @ b.conj().T
+    a, omega_t = s[:d, :d], s[:d, d:]
+    # exactly Hermitian in exact arithmetic; a nearly singular a leaves
+    # floating-point asymmetry that the explicit average removes
+    corr = s[d:, :d] @ pinv(a) @ omega_t
+    return a, omega_t, s[d:, d:] - (corr + corr.conj().T) / 2.0
+
+
+def _v0(local: LocalStructure, b: np.ndarray) -> np.ndarray:
+    """The md x d block v0 with ``B Delta(x) = (0; v0)``."""
+    return (b @ delta_matrix(local))[local.d:, :]
+
+
 def curvature_bundle(local: LocalStructure, b: np.ndarray | None = None) -> CurvatureBundle:
     """Assemble a, omega, v0 and A_inf for a basis B (canonical by default)."""
-    d = local.d
     if b is None:
         b = canonical_basis(local)
     else:
@@ -141,14 +157,9 @@ def curvature_bundle(local: LocalStructure, b: np.ndarray | None = None) -> Curv
             raise ValidationError(
                 f"basis does not normalize 2 Gamma(x): residual {resid:.3e} > {BASIS_TOL:.1e}"
             )
-    s = b @ (_q_array(local) / 2.0) @ b.conj().T
-    a, omega_t = s[:d, :d], s[:d, d:]
-    # exactly Hermitian in exact arithmetic; a nearly singular a leaves
-    # floating-point asymmetry that the explicit average removes
-    corr = s[d:, :d] @ pinv(a) @ omega_t
-    a_inf = HermitianMatrix(s[d:, d:] - (corr + corr.conj().T) / 2.0)
-    v0 = (b @ delta_matrix(local))[d:, :]
-    return CurvatureBundle(b=b, a=a, omega_t=omega_t, v0=v0, a_inf=a_inf)
+    a, omega_t, a_inf = _eliminate(local, b)
+    return CurvatureBundle(b=b, a=a, omega_t=omega_t, v0=_v0(local, b),
+                           a_inf=HermitianMatrix(a_inf))
 
 
 def curvature_matrix(local: LocalStructure, n, b: np.ndarray | None = None) -> HermitianMatrix:
@@ -160,19 +171,29 @@ def curvature(local: LocalStructure, n) -> tuple[float, int]:
     """The N-curvature of the center and the eigenvalue multiplicity.
 
     Equals the smallest eigenvalue of A_N in the canonical basis; the
-    multiplicity counts eigenvalues within a relative gap of 1e-8.
+    multiplicity counts eigenvalues within a relative gap of 1e-8.  Only
+    eigenvalues are computed, and at N = inf the Laplacian term, which is
+    exactly zero there, is not formed.
     """
-    lam, _, mult = min_eig_hermitian(curvature_matrix(local, n))
-    return lam, mult
+    n = _check_n(n)
+    if n != INF:
+        return curvature_function(local)(n)
+    a_inf = _eliminate(local, canonical_basis(local))[2]
+    return _lambda_min(np.linalg.eigvalsh(a_inf))
 
 
 def curvature_function(local: LocalStructure):
-    """A fast callable N -> (K, multiplicity) with A_inf precomputed."""
-    bundle = curvature_bundle(local)
+    """A fast callable N -> (K, multiplicity) with A_inf precomputed; each
+    evaluation equals ``curvature(local, N)``."""
+    b = canonical_basis(local)
+    a_inf = _eliminate(local, b)[2]
+    v0 = _v0(local, b)
+    lap = v0 @ v0.conj().T
 
     def evaluate(n) -> tuple[float, int]:
-        lam, _, mult = min_eig_hermitian(bundle.a_n(n))
-        return lam, mult
+        n = _check_n(n)
+        a_n = a_inf if n == INF else a_inf - (2.0 / n) * lap
+        return _lambda_min(np.linalg.eigvalsh(a_n))
 
     return evaluate
 
@@ -203,7 +224,7 @@ def curvature_oracle(local: LocalStructure, n) -> float:
     b1 = (m + 1) * d
 
     four_gamma2 = _gamma2_array(local)
-    two_gamma = gamma_matrix(local).mat
+    two_gamma = _gamma_array(local)
     gamma_pad = np.zeros((size, size), dtype=complex)
     gamma_pad[:b1, :b1] = two_gamma / 2.0
     delta = delta_matrix(local)

@@ -114,7 +114,14 @@ def min_eig_hermitian(m):
     """
     a = m.mat if isinstance(m, HermitianMatrix) else HermitianMatrix(m).mat
     w, v = np.linalg.eigh(a)
+    lam, mult = _lambda_min(w)
+    return lam, v[:, 0].copy(), mult
+
+
+def _lambda_min(w: np.ndarray) -> tuple[float, int]:
+    """The smallest of the ascending eigenvalues ``w`` and its multiplicity:
+    the count of eigenvalues within ``MULTIPLICITY_GAP * max(1, |lambda_min|)``
+    of it."""
     lam = float(w[0])
     gap = MULTIPLICITY_GAP * max(1.0, abs(lam))
-    mult = int(np.sum(w <= lam + gap))
-    return lam, v[:, 0].copy(), mult
+    return lam, int(np.sum(w <= lam + gap))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, curvature, curvature_function
-from .graphs import ConnectionGraph, local_structure
+from .graphs import ConnectionGraph, LocalStructure, local_structure
 from .hermitian import is_psd
 from .operators import _gamma2_array
 
@@ -42,7 +42,11 @@ def s1_in_regular(g: ConnectionGraph, x: str) -> bool:
     """True iff the inward rate p_yx is the same for every neighbor y of x,
     to S1_IN_TOL relative.  Raises as local_structure does for an unknown or
     isolated x."""
-    loc = local_structure(g, x)
+    return _s1_in_regular(local_structure(g, x))
+
+
+def _s1_in_regular(loc: LocalStructure) -> bool:
+    """s1_in_regular on the 2-ball of x."""
     rates = loc.edge_p[:loc.m]  # the first m ball edges are y_i -> x
     return bool(rates.max() - rates.min() <= S1_IN_TOL * max(1.0, rates.max()))
 
@@ -88,7 +92,7 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     diff = _gamma2_array(after_loc) - _gamma2_array(before_loc)
     delta_psd = is_psd(diff)
 
-    if balanced_default and s1_in_regular(g, x):
+    if balanced_default and _s1_in_regular(before_loc):
         if after < before - MONOTONE_SLACK:
             raise CrossCheckError(
                 f"balanced spherical edge decreased curvature: {before:.12g} -> {after:.12g}"

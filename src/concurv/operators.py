@@ -37,6 +37,11 @@ def delta_matrix(local: LocalStructure) -> np.ndarray:
 
 def gamma_matrix(local: LocalStructure) -> HermitianMatrix:
     """2*Gamma(x): the (m+1)d form matrix of the squared gradient at x."""
+    return HermitianMatrix(_gamma_array(local))
+
+
+def _gamma_array(local: LocalStructure) -> np.ndarray:
+    """2*Gamma(x) as a plain array, exactly Hermitian by construction."""
     d, m = local.d, local.m
     p = local.p_x[:, None, None]
     ys = np.arange(1, m + 1)
@@ -45,7 +50,7 @@ def gamma_matrix(local: LocalStructure) -> HermitianMatrix:
     out[0, :, ys, :] = -p * local.sigma_x.conj()
     out[ys, :, 0, :] = -p * local.sigma_x.transpose(0, 2, 1)
     out[ys, :, ys, :] = p * np.eye(d)
-    return HermitianMatrix(out.reshape((m + 1) * d, (m + 1) * d))
+    return out.reshape((m + 1) * d, (m + 1) * d)
 
 
 def gamma2_matrix(local: LocalStructure) -> HermitianMatrix:

@@ -21,7 +21,7 @@ from concurv import (
 )
 from concurv.curvature import basis_residual
 from concurv.fixtures import fixture_graph, fixture_names
-from concurv.hermitian import HermitianMatrix, pinv, schur_complement
+from concurv.hermitian import HermitianMatrix, min_eig_hermitian, pinv, schur_complement
 from concurv.operators import q_matrix
 
 from helpers import (
@@ -101,6 +101,25 @@ class TestCurvatureValues:
         n = 3.0
         expected = bundle.a_inf.mat - (2.0 / n) * bundle.v0 @ bundle.v0.conj().T
         assert_close(curvature_matrix(loc, n).mat, expected, 1e-12)
+
+    def test_values_only_path_matches_min_eig_of_curvature_matrix(self):
+        rng = np.random.default_rng(57)
+        graphs = [fixture_graph(name) for name in fixture_names()]
+        for t in range(24):
+            d = 1 + t % 3
+            graphs.append(random_balanced_graph(rng, d=d) if t % 4 == 0 else random_graph(rng, d=d))
+        for g in graphs:
+            for x in g.vertex_ids:
+                if not g.neighbors(x):
+                    continue
+                loc = local_structure(g, x)
+                evaluate = curvature_function(loc)
+                for n in (INF, 4.0, 1.0):
+                    k, mult = curvature(loc, n)
+                    lam, _, want_mult = min_eig_hermitian(curvature_matrix(loc, n))
+                    assert abs(k - lam) <= 1e-12, (x, n, k, lam)
+                    assert mult == want_mult, (x, n)
+                    assert evaluate(n) == (k, mult)
 
     def test_curvature_function_matches_pointwise(self):
         rng = np.random.default_rng(45)
@@ -255,8 +274,12 @@ class TestKernelElimination:
         monkeypatch.setattr(HermitianMatrix, "__init__", counted)
         loc = local_structure(fixture_graph("g1_u2"), "1")
         curvature(loc, INF)
-        assert len(built) == 2   # A_inf, then A_N
-        del built[:]
+        curvature(loc, 2.0)
+        assert len(built) == 0   # K comes from eigenvalues of a plain A_N
+        evaluate = curvature_function(loc)
+        evaluate(INF)
+        evaluate(2.0)
+        assert len(built) == 0
         curvature_bundle(loc)
         assert len(built) == 1   # A_inf
 

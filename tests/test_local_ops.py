@@ -61,6 +61,19 @@ class TestAddSphericalEdge:
                 ka, _ = curvature(loc_a, n)
                 assert ka >= kb - 1e-9
 
+    def test_each_2_ball_built_once(self, monkeypatch):
+        import concurv.local_ops as local_ops
+        calls = []
+
+        def counted(g, x):
+            calls.append(x)
+            return local_structure(g, x)
+
+        monkeypatch.setattr(local_ops, "local_structure", counted)
+        g, x, yi, yj = random_s1_in_regular_graph(np.random.default_rng(104), d=2)
+        add_spherical_edge(g, x, yi, yj)   # balanced default: the S1-in check runs
+        assert calls == [x, x]             # before and after the edit
+
     def test_difference_matrix_structure(self):
         # in the gauge where every base-incident connection is the identity,
         # the balanced-edge difference matrix is the constant block pattern
