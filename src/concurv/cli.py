@@ -206,7 +206,7 @@ def cmd_product(args) -> tuple[int, Report]:
     spec = ProductSpec(alpha=args.alpha, beta=args.beta, lift=args.lift)
     prod = cartesian_product(g, g2, spec)
     report.add("vertices", len(prod.vertex_ids))
-    report.add("edges", len(prod.edge_list()))
+    report.add("edges", prod.index.nbr.size // 2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(prod.to_document(), fh, sort_keys=True, indent=2)

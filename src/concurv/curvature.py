@@ -30,8 +30,8 @@ from .operators import _gamma2_array, _gamma_array, _q_array, delta_matrix
 
 INF = float("inf")
 BASIS_TOL = 1e-9         # allowed residual of B (2 Gamma) B^H - diag(0, I)
-ORACLE_PSD_SLACK = 1e-9  # feasibility slack of the bisection oracle
-ORACLE_BRACKET = 1e-10   # the oracle bisects K to a bracket this wide
+ORACLE_PSD_SLACK = 1e-9  # feasibility slack of the bisection oracle, relative to its matrices
+ORACLE_BRACKET = 1e-10   # the oracle bisects K to a bracket this wide, relative to max(1, |K|)
 PROFILE_TOL = 1e-9       # constancy assertions on curvature profiles
 PROFILE_SHAPE_SLACK = 1e-7  # monotonicity/concavity slack on sampled profiles
 
@@ -201,10 +201,11 @@ def curvature_function(local: LocalStructure):
 def curvature_oracle(local: LocalStructure, n) -> float:
     """Bisection on the original semidefinite feasibility problem.
 
-    Tests ``lambda_min(Gamma_2(x) - (1/N) Delta Delta^H - K Gamma(x)) >= -1e-9``
-    on the full 2-ball matrix (the Gamma and Laplacian terms are zero-padded
-    over the 2-sphere block) and bisects K to a bracket of width <=
-    ORACLE_BRACKET.
+    Tests ``lambda_min(Gamma_2(x) - (1/N) Delta Delta^H - K Gamma(x)) >=
+    -ORACLE_PSD_SLACK * s`` on the full 2-ball matrix (the Gamma and Laplacian
+    terms are zero-padded over the 2-sphere block; s is the largest entry of
+    either term, at least 1) and bisects K to a bracket of width <=
+    ``ORACLE_BRACKET * max(1, |lo|, |hi|)``.
     Deliberately independent of the Schur-complement/basis route.
 
     The PSD-slack bisection alone cannot resolve K on nearly balanced
@@ -233,11 +234,16 @@ def curvature_oracle(local: LocalStructure, n) -> float:
     # symmetrized once: base - k * gamma_pad is then exactly Hermitian for every real k
     base = (base + base.conj().T) / 2.0
 
+    # The slack, the bracket and the refinement's zero test are relative, so
+    # the oracle ends, and agrees with K, at any scale of the rates.
+    scale_g = max(1.0, float(np.max(np.abs(gamma_pad))))
+    scale_m = max(scale_g, float(np.max(np.abs(base))))
+
     def smallest(k: float) -> float:
         return float(np.linalg.eigvalsh(base - k * gamma_pad)[0])
 
     def feasible(k: float) -> bool:
-        return smallest(k) >= -ORACLE_PSD_SLACK
+        return smallest(k) >= -ORACLE_PSD_SLACK * scale_m
 
     # Bracket from the Rayleigh-quotient bound |K| <= |4 Gamma_2| / lambda_+,
     # expanded defensively if the feasibility pattern disagrees.
@@ -259,7 +265,7 @@ def curvature_oracle(local: LocalStructure, n) -> float:
         raise CrossCheckError("curvature_oracle could not bracket K from above")
 
     floor = lo
-    while hi - lo > ORACLE_BRACKET:
+    while hi - lo > ORACLE_BRACKET * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
@@ -275,7 +281,6 @@ def curvature_oracle(local: LocalStructure, n) -> float:
     # where dense-solver noise is negligible.  Extended-precision Rayleigh
     # quotients transport the cluster block below the outer noise floor.
     k = hi
-    scale_m = max(1.0, float(np.max(np.abs(base))), float(np.max(np.abs(gamma_pad))))
     width = 1e-7 * scale_m
     for _ in range(8):
         mat = base - k * gamma_pad
@@ -289,7 +294,7 @@ def curvature_oracle(local: LocalStructure, n) -> float:
         # Exact structural zeros of the Gamma form never cross; deflating
         # them leaves the pencil on the crossing directions, which whitens
         # to an ordinary eigenvalue problem.
-        keep = s > 1e-12
+        keep = s > 1e-12 * scale_g
         if not np.any(keep):
             break
         white = u[:, keep] / np.sqrt(s[keep])

@@ -22,6 +22,13 @@ UNITARY_TOL = 1e-9      # reject connections further than this from unitary
 REPROJECT_TOL = 1e-12   # deviations in (REPROJECT_TOL, UNITARY_TOL] get polar-projected
 BALANCE_TOL = 1e-9      # non-tree connections must match I_d this closely
 COMMUTE_TOL = 1e-9      # max |S T - T S| entry for two connections to commute
+# Every rate w/mu must lie in [RATE_MIN, RATE_MAX]: the 2-ball matrices hold
+# products of up to four rates, which then stay normal doubles.
+RATE_MIN = 1e-60
+RATE_MAX = 1e60
+# A graph's stacked connections hold at most this many entries (E * d^2), so
+# d is at most its square root, 2048.
+MAX_CONNECTION_ENTRIES = 2**22
 
 
 def _polar_unitary(a: np.ndarray) -> np.ndarray:
@@ -92,17 +99,18 @@ class EdgeIndex(NamedTuple):
     """Integer index of a graph's oriented edges, in CSR (compressed sparse
     row) form: the graph's only adjacency.
 
-    Vertex k is ``ids[k]``; ids are sorted, so position order is id order.
-    The oriented edges leaving vertex k are rows ``indptr[k]:indptr[k + 1]``,
-    sorted by neighbor position; row e goes to ``nbr[e]`` with weight
-    ``weight[e]``, rate ``rate[e] = w / mu`` of its source and connection
-    ``sigma[e]`` (d x d, read-only), and ``rev[e]`` is the row of the reverse
-    orientation.
+    Vertex k is ``ids[k]`` with measure ``measure[k]``; ids are sorted, so
+    position order is id order.  The oriented edges leaving vertex k are rows
+    ``indptr[k]:indptr[k + 1]``, sorted by neighbor position; row e goes to
+    ``nbr[e]`` with weight ``weight[e]``, rate ``rate[e] = w / mu`` of its
+    source and connection ``sigma[e]`` (d x d, read-only), and ``rev[e]`` is
+    the row of the reverse orientation.
     """
 
     ids: tuple[str, ...]
     names: np.ndarray      # ids as an object array, for gathering by position
     pos: dict[str, int]
+    measure: np.ndarray
     indptr: np.ndarray
     nbr: np.ndarray
     weight: np.ndarray
@@ -111,19 +119,31 @@ class EdgeIndex(NamedTuple):
     sigma: np.ndarray
 
 
-def _edge_index(mu: dict[str, float], stored: list[tuple[str, str, float]], s: np.ndarray):
-    """The edge index over the stored edges and their (E, d, d) connections
-    ``s``, and the rows of the stored orientations in input order."""
-    ids = tuple(sorted(mu))
-    pos = {v: k for k, v in enumerate(ids)}
-    n_e = len(stored)
-    u = np.fromiter((pos[a] for a, _, _ in stored), dtype=np.intp, count=n_e)
-    v = np.fromiter((pos[b] for _, b, _ in stored), dtype=np.intp, count=n_e)
-    w = np.fromiter((c for _, _, c in stored), dtype=float, count=n_e)
-    mu_arr = np.fromiter((mu[k] for k in ids), dtype=float, count=len(ids))
+def _edge_name(ids, u, v):
+    """``where`` for stored edge k, given the endpoint positions u, v in ids."""
+    return lambda k: f"edge ({ids[u[k]]!r}, {ids[v[k]]!r})"
+
+
+def _edge_index(ids, mu, u, v, w, s):
+    """The edge index of a graph in :meth:`ConnectionGraph._arrays`'s form
+    (``ids`` in any order), and the rows of its stored orientations.  Every
+    graph is indexed here, so here w/mu_u and w/mu_v are checked to lie in
+    [RATE_MIN, RATE_MAX]."""
+    n_e = u.size
+    with np.errstate(over="ignore"):  # an infinite rate fails below
+        rates = np.concatenate([w / mu[u], w / mu[v]])
+    bad = ~((rates >= RATE_MIN) & (rates <= RATE_MAX))
+    if bad.any():
+        k = int(np.argmax(bad.reshape(2, n_e).any(axis=0)))
+        raise ValidationError(
+            f"{_edge_name(ids, u, v)(k)}: rate w/mu = {rates[k if bad[k] else k + n_e]:.3e} "
+            f"is outside [{RATE_MIN:.0e}, {RATE_MAX:.0e}]")
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    rank = np.argsort(order)   # a position's rank by id, its position from here on
+    ids, mu = tuple(ids[k] for k in order), mu[order]
     # Oriented edge k < n_e is stored edge k, k + n_e its reverse.
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
+    src = rank[np.concatenate([u, v])]
+    dst = rank[np.concatenate([v, u])]
     order = np.argsort(src * len(ids) + dst)    # by source, then by neighbor
     src, dst = src[order], dst[order]
     back = np.empty_like(order)
@@ -131,13 +151,14 @@ def _edge_index(mu: dict[str, float], stored: list[tuple[str, str, float]], s: n
     indptr = np.zeros(len(ids) + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=len(ids)), out=indptr[1:])
     weight = np.concatenate([w, w])[order]
-    rate = weight / mu_arr[src]
+    rate = rates[order]
     rev = back[(order + n_e) % max(2 * n_e, 1)]
     sigma = np.concatenate([s, s.conj().transpose(0, 2, 1)])[order]
-    for arr in (indptr, dst, weight, rate, rev, sigma):
+    for arr in (mu, indptr, dst, weight, rate, rev, sigma):
         arr.setflags(write=False)
     names = np.array(ids, dtype=object)
-    index = EdgeIndex(ids, names, pos, indptr, dst, weight, rate, rev, sigma)
+    pos = {vid: k for k, vid in enumerate(ids)}
+    index = EdgeIndex(ids, names, pos, mu, indptr, dst, weight, rate, rev, sigma)
     return index, back[:n_e]
 
 
@@ -147,10 +168,10 @@ def _is_integer(x) -> bool:
 
 def _dimension(d) -> int:
     """d as a connection dimension: an integer (not a bool), positive and
-    small enough for numpy to shape a d x d complex array."""
+    small enough for one d x d connection to fit MAX_CONNECTION_ENTRIES."""
     if not _is_integer(d):
         raise ValidationError(f"'dimension' must be an integer, got {d!r}")
-    limit = math.isqrt(np.iinfo(np.intp).max // 16)
+    limit = math.isqrt(MAX_CONNECTION_ENTRIES)
     if not 1 <= d <= limit:
         raise ValidationError(f"'dimension' must be a positive integer up to {limit}, got {d}")
     return int(d)
@@ -165,6 +186,24 @@ def _positive(value, where) -> float:
     if not (v > 0 and math.isfinite(v)):
         raise ValidationError(f"{where()} must be positive and finite, got {v}")
     return v
+
+
+def _check_positive(values: np.ndarray, where) -> None:
+    """Raise :func:`_positive`'s error for the first of ``values`` that is
+    not positive and finite, named by ``where(k)``."""
+    bad = ~((values > 0) & (values < math.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValidationError(f"{where(k)} must be positive and finite, got {float(values[k])}")
+
+
+def _check_size(n_edges: int, d: int) -> None:
+    """Refuse, before anything is allocated, a graph whose stacked
+    connections would exceed MAX_CONNECTION_ENTRIES."""
+    if n_edges * d * d > MAX_CONNECTION_ENTRIES:
+        raise ValidationError(
+            f"{n_edges} edges of dimension {d} exceed the limit of "
+            f"{MAX_CONNECTION_ENTRIES} stacked connection entries (E * d^2)")
 
 
 class ConnectionGraph:
@@ -189,10 +228,12 @@ class ConnectionGraph:
 
     The edges are checked one by one for structure (endpoints, self-loops,
     duplicates, weights), then their connections as one stacked array, so a
-    structural fault anywhere is reported before a bad connection.
+    structural fault anywhere is reported before a bad connection.  Graphs
+    derived from a validated one are built from its arrays by
+    :meth:`_from_arrays` and check only the values they compute.
     """
 
-    __slots__ = ("dimension", "field", "index", "_mu", "_stored_rows")
+    __slots__ = ("dimension", "field", "index", "_stored_rows")
 
     def __init__(self, dimension: int, field: str,
                  vertices: Iterable[tuple[str, float]],
@@ -200,20 +241,21 @@ class ConnectionGraph:
         d = _dimension(dimension)
         if field not in ("real", "complex"):
             raise ValidationError(f"field must be 'real' or 'complex', got {field!r}")
-        mu: dict[str, float] = {}
+        pos: dict[str, int] = {}
+        mu: list[float] = []
         for vid, m in vertices:
             vid = str(vid)
-            if vid in mu:
+            if vid in pos:
                 raise ValidationError(f"duplicate vertex id {vid!r}")
-            mu[vid] = _positive(m, lambda: f"vertex {vid!r}: measure")
+            mu.append(_positive(m, lambda: f"vertex {vid!r}: measure"))
+            pos[vid] = len(pos)
 
         pairs: set[tuple[str, str]] = set()
-        stored: list[tuple[str, str, float]] = []
-        sigmas: list[np.ndarray | None] = []
+        ends, weights, sigmas = [], [], []
         for entry in edges:
             u, v, w, sigma = entry
             u, v = str(u), str(v)
-            if u not in mu or v not in mu:
+            if u not in pos or v not in pos:
                 raise ValidationError(f"edge ({u!r}, {v!r}): unknown endpoint")
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u!r} is not allowed")
@@ -221,17 +263,35 @@ class ConnectionGraph:
             if pair in pairs:
                 raise ValidationError(f"duplicate edge ({u!r}, {v!r})")
             pairs.add(pair)
-            stored.append((u, v, _positive(w, lambda: f"edge ({u!r}, {v!r}): weight")))
+            ends += pos[u], pos[v]
+            weights.append(_positive(w, lambda: f"edge ({u!r}, {v!r}): weight"))
             sigmas.append(sigma)
 
-        def where(k):
-            return f"edge ({stored[k][0]!r}, {stored[k][1]!r})"
-
+        _check_size(len(weights), d)
+        ids = tuple(pos)
+        u, v = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+        where = _edge_name(ids, u, v)
         s = _check_unitary(_stack(sigmas, d, where), where, real=field == "real")
-        self.dimension = d
-        self.field = field
-        self._mu = mu
-        self.index, self._stored_rows = _edge_index(mu, stored, s)
+        self.dimension, self.field = d, field
+        self.index, self._stored_rows = _edge_index(ids, np.array(mu), u, v, np.array(weights), s)
+
+    @classmethod
+    def _from_arrays(cls, dimension, field, ids, mu, u, v, w, s) -> ConnectionGraph:
+        """A graph from parts already checked, in :meth:`_arrays`'s form with
+        ``ids`` in any order; only the rates are checked, by _edge_index."""
+        g = cls.__new__(cls)
+        g.dimension, g.field = dimension, field
+        g.index, g._stored_rows = _edge_index(ids, mu, u, v, w, s)
+        return g
+
+    def _arrays(self):
+        """``(ids, mu, u, v, w, s)``: vertex k is ``ids[k]`` with measure
+        ``mu[k]``; stored edge k, in input order, joins positions ``u[k]`` ->
+        ``v[k]`` with weight ``w[k]`` and connection ``s[k]`` (read-only)."""
+        ix, rows = self.index, self._stored_rows
+        s = ix.sigma[rows]
+        s.setflags(write=False)
+        return ix.ids, ix.measure, ix.nbr[ix.rev[rows]], ix.nbr[rows], ix.weight[rows], s
 
     # -- accessors ---------------------------------------------------------
 
@@ -240,10 +300,10 @@ class ConnectionGraph:
         return self.index.ids
 
     def __contains__(self, v: str) -> bool:
-        return v in self._mu
+        return v in self.index.pos
 
     def measure(self, v: str) -> float:
-        return self._mu[v]
+        return float(self.index.measure[self.index.pos[v]])
 
     def _locate(self, u: str, v: str) -> int:
         """The CSR row of the oriented edge u -> v, found by bisection in u's
@@ -281,16 +341,9 @@ class ConnectionGraph:
 
     def edge_list(self) -> list[tuple[str, str, float, np.ndarray]]:
         """Stored-orientation edges as (u, v, weight, sigma), in input order."""
-        ix, rows = self.index, self._stored_rows
-        ends = ix.names[ix.nbr[np.stack([ix.rev[rows], rows])]].tolist()
-        return list(zip(*ends, ix.weight[rows].tolist(), self._stored_sigma()))
-
-    def _stored_sigma(self) -> np.ndarray:
-        """The (E, d, d) connections of the stored orientations, in edge order
-        (read-only)."""
-        s = self.index.sigma[self._stored_rows]
-        s.setflags(write=False)
-        return s
+        _, _, u, v, w, s = self._arrays()
+        names = self.index.names
+        return list(zip(names[u].tolist(), names[v].tolist(), w.tolist(), s))
 
     def to_document(self) -> dict:
         """JSON-serializable document (see the graph schema in the README)."""
@@ -304,7 +357,8 @@ class ConnectionGraph:
         return {
             "dimension": self.dimension,
             "field": self.field,
-            "vertices": [{"id": v, "measure": self._mu[v]} for v in self.vertex_ids],
+            "vertices": [{"id": v, "measure": m}
+                         for v, m in zip(self.vertex_ids, self.index.measure.tolist())],
             "edges": edges,
         }
 
@@ -543,16 +597,14 @@ def switch(g: ConnectionGraph, tau: Mapping[str, np.ndarray]) -> ConnectionGraph
         return f"tau({ids[k]!r})"
 
     taus = _check_unitary(_stack([tau[v] for v in ids], g.dimension, where), where)
-    ix = g.index
-    rows = g._stored_rows
-    u, v = ix.nbr[ix.rev[rows]], ix.nbr[rows]
-    switched = taus[u].conj().transpose(0, 2, 1) @ ix.sigma[rows] @ taus[v]
+    ids, mu, u, v, w, s = g._arrays()
+    switched = taus[u].conj().transpose(0, 2, 1) @ s @ taus[v]
     field = g.field
     # A complex tau may leave the real field even for a real graph.
     if field == "real" and np.abs(taus.imag).max(initial=0.0) > UNITARY_TOL:
         field = "complex"
-    edges = zip(ix.names[u], ix.names[v], ix.weight[rows].tolist(), switched)
-    return ConnectionGraph(g.dimension, field, [(v, g.measure(v)) for v in ids], edges)
+    switched = _check_unitary(switched, _edge_name(ids, u, v), real=field == "real")
+    return ConnectionGraph._from_arrays(g.dimension, field, ids, mu, u, v, w, switched)
 
 
 def is_locally_balanced(local: LocalStructure) -> bool:
@@ -588,8 +640,8 @@ def signature_groups_commute(g: ConnectionGraph, g2: ConnectionGraph) -> bool:
         raise ValidationError(
             f"dimension mismatch: {g.dimension} vs {g2.dimension}"
         )
-    t = g2._stored_sigma()
+    t = g2._arrays()[-1]
     if not t.size:
         return True
     # One broadcast commutator of each of g's connections with all of g2's.
-    return not any(np.abs(s @ t - t @ s).max() > COMMUTE_TOL for s in g._stored_sigma())
+    return not any(np.abs(s @ t - t @ s).max() > COMMUTE_TOL for s in g._arrays()[-1])

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, curvature, curvature_function
-from .graphs import ConnectionGraph, LocalStructure, local_structure
+from .graphs import (ConnectionGraph, LocalStructure, _check_positive, _check_unitary,
+                     _edge_name, _positive, _stack, local_structure)
 from .hermitian import is_psd
 from .operators import _gamma2_array
 
@@ -69,19 +70,20 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
         raise ValidationError(f"{yi!r} and {yj!r} must be two distinct neighbors of {x!r}")
     if g.has_edge(yi, yj):
         raise ValidationError(f"{yi!r} and {yj!r} are already adjacent")
-    if not w_new > 0:
-        raise ValidationError(f"new edge weight must be positive, got {w_new}")
+    w_new = _positive(w_new, lambda: f"new edge ({yi!r}, {yj!r}): weight")
 
     balanced_default = sigma_new is None
     if balanced_default:
         sigma_new = g.sigma(yi, x) @ g.sigma(x, yj)
 
-    edges = g.edge_list() + [(yi, yj, float(w_new), sigma_new)]
-    field = g.field
-    if field == "real" and float(np.max(np.abs(np.asarray(sigma_new).imag))) > 1e-12:
-        field = "complex"
-    g_new = ConnectionGraph(g.dimension, field,
-                            [(v, g.measure(v)) for v in g.vertex_ids], edges)
+    # The parent's arrays plus the new edge, whose connection alone is checked.
+    ids, mu, u, v, w, s = g._arrays()
+    u, v, w = np.append(u, g.index.pos[yi]), np.append(v, g.index.pos[yj]), np.append(w, w_new)
+    where = _edge_name(ids, u[-1:], v[-1:])
+    s_new = _check_unitary(_stack([sigma_new], g.dimension, where), where)
+    field = "real" if g.field == "real" and np.abs(s_new.imag).max() <= 1e-12 else "complex"
+    g_new = ConnectionGraph._from_arrays(g.dimension, field, ids, mu, u, v, w,
+                                         np.concatenate([s, s_new]))
 
     after_loc = local_structure(g_new, x)
     before, _ = curvature(before_loc, INF)
@@ -129,19 +131,20 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
     if merged in g:
         raise ValidationError(f"merged vertex id {merged!r} already exists")
 
-    vertices = [(v, g.measure(v)) for v in g.vertex_ids if v not in (zk, zl)]
-    vertices.append((merged, g.measure(zk) + g.measure(zl)))
-    edges = []
-    for u, v, w, s in g.edge_list():
-        if {u, v} == {zk, zl}:
-            continue
-        if u in (zk, zl):
-            edges.append((merged, v, w, s))
-        elif v in (zk, zl):
-            edges.append((u, merged, w, s))
-        else:
-            edges.append((u, v, w, s))
-    g_new = ConnectionGraph(g.dimension, g.field, vertices, edges)
+    # zk and zl become one vertex, listed last; the edge between them, now a
+    # loop, is dropped.
+    ids, mu, u, v, w, s = g._arrays()
+    pair = [g.index.pos[zk], g.index.pos[zl]]
+    rest = np.ones(len(ids), dtype=bool)
+    rest[pair] = False
+    to_new = np.cumsum(rest) - 1
+    to_new[pair] = len(ids) - 2
+    u, v = to_new[u], to_new[v]
+    mu_new = np.append(mu[rest], g.measure(zk) + g.measure(zl))
+    _check_positive(mu_new[-1:], lambda k: f"vertex {merged!r}: measure")
+    e = u != v
+    g_new = ConnectionGraph._from_arrays(g.dimension, g.field, (*g.index.names[rest], merged),
+                                         mu_new, u[e], v[e], w[e], s[e])
 
     f_before = curvature_function(loc)
     f_after = curvature_function(local_structure(g_new, x))

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, _check_n, curvature_bundle, curvature_matrix
-from .graphs import ConnectionGraph, local_structure, signature_groups_commute
+from .graphs import (ConnectionGraph, _check_positive, _check_size, _edge_name, local_structure,
+                     signature_groups_commute)
 from .hermitian import is_psd, pinv
 
 DECOMP_TOL = 1e-9
@@ -55,14 +56,15 @@ def product_vertex(x: str, x2: str) -> str:
 
 def _tensor_lift(g: ConnectionGraph, d_left: int, d_right: int, side: str) -> ConnectionGraph:
     """Lift a factor to dimension d_left * d_right by a Kronecker identity."""
-    edges = []
-    for u, v, w, s in g.edge_list():
-        lifted = np.kron(s, np.eye(d_right)) if side == "left" else np.kron(np.eye(d_left), s)
-        edges.append((u, v, w, lifted))
-    return ConnectionGraph(
-        d_left * d_right, g.field,
-        [(v, g.measure(v)) for v in g.vertex_ids], edges,
-    )
+    ids, mu, u, v, w, s = g._arrays()
+    d = d_left * d_right
+    _check_size(u.size, d)
+    # np.kron(s, I) or np.kron(I, s) for every connection s at once
+    if side == "left":
+        lifted = s[:, :, None, :, None] * np.eye(d_right)[:, None, :]
+    else:
+        lifted = np.eye(d_left)[:, None, :, None] * s[:, None, :, None, :]
+    return ConnectionGraph._from_arrays(d, g.field, ids, mu, u, v, w, lifted.reshape(-1, d, d))
 
 
 def _lifted_factors(g: ConnectionGraph, g2: ConnectionGraph, spec: ProductSpec):
@@ -86,28 +88,30 @@ def cartesian_product(g: ConnectionGraph, g2: ConnectionGraph,
 def _product_of_lifted(gl: ConnectionGraph, g2l: ConnectionGraph,
                        spec: ProductSpec) -> ConnectionGraph:
     """The product of two factors already lifted to a common dimension."""
-    for graph in (gl, g2l):
-        for v in graph.vertex_ids:
-            if SEPARATOR in v:
-                raise ValidationError(
-                    f"vertex id {v!r} contains {SEPARATOR!r}; product ids would be ambiguous"
-                )
-    alpha, beta = spec.alpha, spec.beta
-    vertices = [
-        (product_vertex(x, x2), gl.measure(x) * g2l.measure(x2))
-        for x in gl.vertex_ids for x2 in g2l.vertex_ids
-    ]
-    edges = []
-    for u, v, w, s in gl.edge_list():
-        for x2 in g2l.vertex_ids:
-            edges.append((product_vertex(u, x2), product_vertex(v, x2),
-                          alpha * w * g2l.measure(x2), s))
-    for u2, v2, w, s in g2l.edge_list():
-        for x in gl.vertex_ids:
-            edges.append((product_vertex(x, u2), product_vertex(x, v2),
-                          beta * w * gl.measure(x), s))
+    for v in gl.vertex_ids + g2l.vertex_ids:
+        if SEPARATOR in v:
+            raise ValidationError(
+                f"vertex id {v!r} contains {SEPARATOR!r}; product ids would be ambiguous")
+    ids1, mu1, u1, v1, w1, s1 = gl._arrays()
+    ids2, mu2, u2, v2, w2, s2 = g2l._arrays()
+    n1, n2 = len(ids1), len(ids2)
+    _check_size(u1.size * n2 + u2.size * n1, gl.dimension)
+    # Vertex (ids1[i], ids2[j]) is i * n2 + j; each of gl's edges at every x2, then g2l's
+    ids = tuple(product_vertex(x, x2) for x in ids1 for x2 in ids2)
+    u, v = np.concatenate([(np.stack([u1, v1])[..., None] * n2 + np.arange(n2)).reshape(2, -1),
+                           (np.arange(n1) * n2 + np.stack([u2, v2])[..., None]).reshape(2, -1)],
+                          axis=1)
+    with np.errstate(over="ignore"):  # an infinite measure or weight fails below
+        mu = np.multiply.outer(mu1, mu2).ravel()
+        w = np.concatenate([np.multiply.outer(spec.alpha * w1, mu2).ravel(),
+                            np.multiply.outer(spec.beta * w2, mu1).ravel()])
+    _check_positive(mu, lambda k: f"vertex {ids[k]!r}: measure")
+    edge = _edge_name(ids, u, v)
+    _check_positive(w, lambda k: f"{edge(k)}: weight")
     field = "real" if gl.field == "real" and g2l.field == "real" else "complex"
-    return ConnectionGraph(gl.dimension, field, vertices, edges)
+    return ConnectionGraph._from_arrays(
+        gl.dimension, field, ids, mu, u, v, w,
+        np.concatenate([np.repeat(s1, n2, axis=0), np.repeat(s2, n1, axis=0)]))
 
 
 @dataclass(frozen=True)

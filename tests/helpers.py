@@ -15,7 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 
 import concurv
-from concurv import ConnectionGraph, switch
+from concurv import ConnectionGraph, product_vertex, switch
+from concurv.graphs import UNITARY_TOL, EdgeIndex, _check_unitary, _stack
 
 
 def random_unitary(rng, d: int, field: str = "complex") -> np.ndarray:
@@ -185,6 +186,127 @@ def ball_from_graph_loops(g: ConnectionGraph, x: str) -> SimpleNamespace:
         rate=lambda u, v: p.get((u, v), 0.0))
 
 
+# -- tuple rebuilds: the reference for graphs derived from a parent ---------
+# Each derived graph used to be built by turning its parent into edge tuples
+# and running the public constructor again; these are those rebuilds.  The
+# derivations build from the parent's arrays and must match them bit for bit.
+
+def switch_rebuild(g: ConnectionGraph, tau) -> ConnectionGraph:
+    """switch(g, tau) through the constructor."""
+    ids = g.vertex_ids
+
+    def where(k):
+        return f"tau({ids[k]!r})"
+
+    taus = _check_unitary(_stack([tau[v] for v in ids], g.dimension, where), where)
+    ix = g.index
+    rows = g._stored_rows
+    u, v = ix.nbr[ix.rev[rows]], ix.nbr[rows]
+    switched = taus[u].conj().transpose(0, 2, 1) @ ix.sigma[rows] @ taus[v]
+    field = g.field
+    if field == "real" and np.abs(taus.imag).max(initial=0.0) > UNITARY_TOL:
+        field = "complex"
+    edges = zip(ix.names[u], ix.names[v], ix.weight[rows].tolist(), switched)
+    return ConnectionGraph(g.dimension, field, [(v, g.measure(v)) for v in ids], edges)
+
+
+def add_edge_rebuild(g: ConnectionGraph, x: str, yi: str, yj: str, w_new: float = 1.0,
+                     sigma_new=None) -> ConnectionGraph:
+    """The graph of add_spherical_edge(g, x, yi, yj, w_new, sigma_new), through
+    the constructor."""
+    if sigma_new is None:
+        sigma_new = g.sigma(yi, x) @ g.sigma(x, yj)
+    edges = g.edge_list() + [(yi, yj, float(w_new), sigma_new)]
+    field = g.field
+    if field == "real" and float(np.max(np.abs(np.asarray(sigma_new).imag))) > 1e-12:
+        field = "complex"
+    return ConnectionGraph(g.dimension, field, [(v, g.measure(v)) for v in g.vertex_ids], edges)
+
+
+def merge_rebuild(g: ConnectionGraph, zk: str, zl: str) -> ConnectionGraph:
+    """The graph of merge_s2(g, x, zk, zl), through the constructor."""
+    merged = f"{zk}+{zl}"
+    vertices = [(v, g.measure(v)) for v in g.vertex_ids if v not in (zk, zl)]
+    vertices.append((merged, g.measure(zk) + g.measure(zl)))
+    edges = []
+    for u, v, w, s in g.edge_list():
+        if {u, v} == {zk, zl}:
+            continue
+        if u in (zk, zl):
+            edges.append((merged, v, w, s))
+        elif v in (zk, zl):
+            edges.append((u, merged, w, s))
+        else:
+            edges.append((u, v, w, s))
+    return ConnectionGraph(g.dimension, g.field, vertices, edges)
+
+
+def tensor_lift_rebuild(g: ConnectionGraph, d_left: int, d_right: int,
+                        side: str) -> ConnectionGraph:
+    """A factor lifted by a Kronecker identity, through the constructor."""
+    edges = []
+    for u, v, w, s in g.edge_list():
+        lifted = np.kron(s, np.eye(d_right)) if side == "left" else np.kron(np.eye(d_left), s)
+        edges.append((u, v, w, lifted))
+    return ConnectionGraph(d_left * d_right, g.field,
+                           [(v, g.measure(v)) for v in g.vertex_ids], edges)
+
+
+def product_rebuild(g: ConnectionGraph, g2: ConnectionGraph, spec) -> ConnectionGraph:
+    """cartesian_product(g, g2, spec), through the constructor."""
+    if spec.lift == "tensor":
+        d1, d2 = g.dimension, g2.dimension
+        g, g2 = tensor_lift_rebuild(g, d1, d2, "left"), tensor_lift_rebuild(g2, d1, d2, "right")
+    alpha, beta = spec.alpha, spec.beta
+    vertices = [(product_vertex(x, x2), g.measure(x) * g2.measure(x2))
+                for x in g.vertex_ids for x2 in g2.vertex_ids]
+    edges = []
+    for u, v, w, s in g.edge_list():
+        for x2 in g2.vertex_ids:
+            edges.append((product_vertex(u, x2), product_vertex(v, x2),
+                          alpha * w * g2.measure(x2), s))
+    for u2, v2, w, s in g2.edge_list():
+        for x in g.vertex_ids:
+            edges.append((product_vertex(x, u2), product_vertex(x, v2),
+                          beta * w * g.measure(x), s))
+    field = "real" if g.field == "real" and g2.field == "real" else "complex"
+    return ConnectionGraph(g.dimension, field, vertices, edges)
+
+
+def assert_same_graph(a: ConnectionGraph, b: ConnectionGraph):
+    """a and b are the same graph bit for bit: every edge-index array (values,
+    dtype, shape, read-only flag), the stored rows, the edge list in order,
+    the document and the field."""
+    assert (a.dimension, a.field) == (b.dimension, b.field)
+    for name in EdgeIndex._fields:
+        x, y = getattr(a.index, name), getattr(b.index, name)
+        if not isinstance(x, np.ndarray):
+            assert x == y, name
+        elif x.dtype == object:
+            assert x.tolist() == y.tolist(), name
+        else:
+            assert (x.dtype, x.shape, x.flags.writeable) == (y.dtype, y.shape, y.flags.writeable), name
+            assert x.tobytes() == y.tobytes(), name
+    assert a._stored_rows.tobytes() == b._stored_rows.tobytes()
+    ea, eb = a.edge_list(), b.edge_list()
+    assert [e[:3] for e in ea] == [e[:3] for e in eb]
+    assert all(sa.tobytes() == sb.tobytes() for (*_, sa), (*_, sb) in zip(ea, eb))
+    assert a.to_document() == b.to_document()
+
+
+def relabel(g: ConnectionGraph, rng) -> tuple[ConnectionGraph, dict[str, str]]:
+    """g with its vertices renamed to random distinct ids, so that id order
+    differs from g's; returns the new graph and the renaming."""
+    letters = list("abcdefgh")
+    names = set()
+    while len(names) < len(g.vertex_ids):
+        names.add("".join(rng.choice(letters, size=int(rng.integers(1, 4)))))
+    new = dict(zip(g.vertex_ids, rng.permutation(sorted(names)).tolist()))
+    edges = [(new[u], new[v], w, s) for u, v, w, s in g.edge_list()]
+    return ConnectionGraph(g.dimension, g.field,
+                           [(new[v], g.measure(v)) for v in g.vertex_ids], edges), new
+
+
 def assert_close(actual, expected, tol, label: str = ""):
     resid = float(np.max(np.abs(np.asarray(actual) - np.asarray(expected))))
     assert resid <= tol, f"{label or 'residual'} {resid:.3e} > {tol:.1e}"
@@ -203,7 +325,20 @@ NON_FINITE_DOCUMENTS = {
     "inf_weight": (_doc_text(_AB, '{"u": "a", "v": "b", "weight": 1e400}'), "finite"),
     "inf_measure": (_doc_text('{"id": "a", "measure": 1e400}, {"id": "b"}',
                               '{"u": "a", "v": "b"}'), "finite"),
+    "huge_weight": (_doc_text(_AB, '{"u": "a", "v": "b", "weight": 1e200}'), "rate w/mu"),
+    "tiny_weight": (_doc_text(_AB, '{"u": "a", "v": "b", "weight": 1e-200}'), "rate w/mu"),
+    "tiny_measure": (_doc_text('{"id": "a", "measure": 1e-300}, {"id": "b"}',
+                               '{"u": "a", "v": "b"}'), "rate w/mu"),
 }
+# Graph documents whose connections would not fit MAX_CONNECTION_ENTRIES,
+# with the expected message: to be rejected before anything is allocated, so
+# only ever loaded with the connection stacking patched out.
+OVERSIZED_DOCUMENTS = [
+    ({"dimension": 100000, "vertices": [{"id": "a"}, {"id": "b"}],
+      "edges": [{"u": "a", "v": "b"}]}, "'dimension' must be a positive integer up to 2048"),
+    ({"dimension": 2048, "vertices": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+      "edges": [{"u": "a", "v": "b"}, {"u": "b", "v": "c"}]}, "2 edges of dimension 2048 exceed"),
+]
 MALFORMED_DOCUMENTS = {
     "vertex_without_id": (_doc_text('{"measure": 1.0}', ""), "missing 'id'"),
     "vertex_not_object": (_doc_text('"a"', ""), "JSON object"),

@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
+import concurv.graphs as graphs
 from concurv import cli
 from concurv.cli import fmt_value, main
 from concurv.fixtures import fixture_document, fixture_names
 
-from helpers import MALFORMED_DOCUMENTS, NON_FINITE_DOCUMENTS, run_python
+from helpers import MALFORMED_DOCUMENTS, NON_FINITE_DOCUMENTS, OVERSIZED_DOCUMENTS, run_python
 
 
 @pytest.fixture()
@@ -50,6 +51,17 @@ class TestCurvatureCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "oracle" in out
+
+    def test_oracle_agrees_at_large_rates(self, tmp_path, capsys):
+        # the unit-measure triangle with weights 1e4: K(inf) = 25000
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "vertices": [{"id": v} for v in "abc"],
+            "edges": [{"u": u, "v": v, "weight": 1e4} for u, v in ("ab", "bc", "ac")]}))
+        code = main(["--json", "curvature", str(path), "--vertex", "a", "--oracle"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0 and results["oracle_agreement"] is True
+        assert results["curvature"] == pytest.approx(25000.0, rel=1e-12)
 
     def test_json_rendering_agrees(self, fixture_file, capsys):
         path = fixture_file("g1_u2")
@@ -105,6 +117,19 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and message in err
+
+    def test_oversized_document_exits_1(self, tmp_path, capsys, monkeypatch):
+        # in process, with stacking patched to fail: a real run must not allocate
+        def no_stack(*args):
+            raise AssertionError("connections stacked")
+
+        monkeypatch.setattr(graphs, "_stack", no_stack)
+        for doc, message in OVERSIZED_DOCUMENTS:
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps(doc))
+            assert main(["validate", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("validation error:") and message in err
 
     def test_non_utf8_document_exits_1(self, tmp_path, capsys):
         # a Latin-1 e-acute in a vertex id

@@ -3,6 +3,7 @@ import pytest
 
 from concurv import (
     INF,
+    ConnectionGraph,
     CrossCheckError,
     ValidationError,
     canonical_basis,
@@ -148,6 +149,35 @@ class TestOracleEquivalence:
             n = (1.0, 2.0, 5.0, INF)[trial % 4]
             k, _ = curvature(loc, n)
             assert abs(curvature_oracle(loc, n) - k) <= 1e-8
+
+
+    def test_any_scale_of_the_rates(self):
+        """The oracle's PSD slack and its bracket are relative, so it ends and
+        agrees with K at any scale of the rates: the unit-measure triangle
+        with every weight w (K(inf) = 5w/2), the unit-weight triangle with
+        measures 1e-4, and random graphs with every weight scaled by s, where
+        K(N) scales by s too."""
+        def triangle(w, mu):
+            return load_graph({"dimension": 1,
+                               "vertices": [{"id": v, "measure": mu} for v in "abc"],
+                               "edges": [{"u": u, "v": v, "weight": w}
+                                         for u, v in ("ab", "bc", "ac")]})
+
+        for w, mu in ((1e-3, 1.0), (1e4, 1.0), (1e6, 1.0), (1e8, 1.0), (1.0, 1e-4)):
+            loc = local_structure(triangle(w, mu), "a")
+            k, _ = curvature(loc, INF)
+            assert k == pytest.approx(2.5 * w / mu, rel=1e-12)
+            assert abs(curvature_oracle(loc, INF) - k) <= 1e-8 * abs(k)
+        rng = np.random.default_rng(49)
+        for trial in range(12):
+            g = random_graph(rng, d=1 + trial % 2)
+            s = 10.0 ** rng.uniform(-3, 8)
+            g = ConnectionGraph(g.dimension, g.field, [(v, g.measure(v)) for v in g.vertex_ids],
+                                [(u, v, w * s, sigma) for u, v, w, sigma in g.edge_list()])
+            loc = local_structure(g, "1")
+            n = (2.0, INF)[trial % 2]
+            k, _ = curvature(loc, n)
+            assert abs(curvature_oracle(loc, n) - k) <= 1e-8 * max(s, abs(k))
 
 
 class TestSwitchingInvariance:

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import concurv.graphs as graphs
 from concurv import (
     INF,
     ConnectionGraph,
@@ -22,6 +23,7 @@ from concurv.graphs import BALANCE_TOL, REPROJECT_TOL, UNITARY_TOL
 from helpers import (
     MALFORMED_DOCUMENTS,
     NON_FINITE_DOCUMENTS,
+    OVERSIZED_DOCUMENTS,
     assert_close,
     ball_from_graph_loops,
     random_balanced_graph,
@@ -100,6 +102,22 @@ class TestLoadGraph:
         g = ConnectionGraph(1, "real", [("a", np.float32(2.0)), ("b", np.int64(1))],
                             [("a", "b", np.float64(3.0), None)])
         assert (g.measure("a"), g.measure("b"), g.weight("a", "b")) == (2.0, 1.0, 3.0)
+
+    def test_oversized_connections_rejected_before_stacking(self, monkeypatch):
+        """A dimension above sqrt(MAX_CONNECTION_ENTRIES), or more stacked
+        connection entries E * d^2 than MAX_CONNECTION_ENTRIES, is refused
+        before any connection is stacked or an identity allocated."""
+        def no_stack(*args):
+            raise AssertionError("connections stacked")
+
+        monkeypatch.setattr(graphs, "_stack", no_stack)
+        limit = math.isqrt(graphs.MAX_CONNECTION_ENTRIES)
+        for doc, message in OVERSIZED_DOCUMENTS:
+            with pytest.raises(ValidationError, match=message):
+                load_graph(doc)
+        with pytest.raises(ValidationError, match="exceed the limit"):
+            ConnectionGraph(limit, "complex", [("a", 1.0), ("b", 1.0), ("c", 1.0)],
+                            [("a", "b", 1.0, None), ("b", "c", 1.0, None)])
 
     def test_duplicate_edge_and_self_loop(self):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -196,6 +214,25 @@ class TestLoadGraph:
                     curvature(local_structure(g, x), INF)
         k, _ = curvature(local_structure(load_graph(json.dumps(triangle.to_document())), "a"), INF)
         assert k == pytest.approx(2.2018e-05, rel=1e-4)
+
+
+class TestRateLimits:
+    @pytest.mark.parametrize("weight, ok", [
+        (graphs.RATE_MAX, True), (graphs.RATE_MIN, True),
+        (graphs.RATE_MAX * 1.5, False), (graphs.RATE_MIN / 1.5, False)])
+    def test_bounds_are_inclusive(self, weight, ok):
+        doc = {"dimension": 1, "vertices": [{"id": "a"}, {"id": "b"}],
+               "edges": [{"u": "a", "v": "b", "weight": weight}]}
+        if ok:
+            assert load_graph(doc).p("a", "b") == weight
+        else:
+            with pytest.raises(ValidationError, match="edge \\('a', 'b'\\): rate w/mu"):
+                load_graph(doc)
+
+    def test_either_orientation_is_checked(self):
+        # w/mu_a = 1e-10 is fine, w/mu_b = 1e70 is not
+        with pytest.raises(ValidationError, match="rate w/mu = 1.000e\\+70"):
+            ConnectionGraph(1, "real", [("a", 1e10), ("b", 1e-70)], [("a", "b", 1.0, None)])
 
 
 class TestReverseConnections:

@@ -34,6 +34,11 @@ class TestAddSphericalEdge:
         with pytest.raises(ValidationError, match="adjacent"):
             add_spherical_edge(g_adj, "1", "2", "3")
 
+    @pytest.mark.parametrize("w_new", [True, "2", float("nan"), float("inf"), 0.0])
+    def test_weight_takes_the_constructor_rule(self, w_new):
+        with pytest.raises(ValidationError, match="weight"):
+            add_spherical_edge(fixture_graph("g5_signed"), "1", "2", "3", w_new=w_new)
+
     def test_unknown_or_isolated_center_rejected(self):
         g = load_graph({"dimension": 1,
                         "vertices": [{"id": "x"}, {"id": "a"}, {"id": "lone"}],
