@@ -27,7 +27,6 @@ from .hermitian import (
 from .operators import (
     delta_matrix,
     gamma2_matrix,
-    gamma_forms,
     gamma_matrix,
     q_matrix,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "curvature_profile",
     "delta_matrix",
     "gamma2_matrix",
-    "gamma_forms",
     "gamma_matrix",
     "general_basis",
     "is_locally_balanced",

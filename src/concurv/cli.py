@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import INF, curvature, curvature_matrix, curvature_oracle, curvature_profile
+from .curvature import (INF, _kernel_eigh, curvature, curvature_bundle, curvature_matrix,
+                        curvature_oracle, curvature_profile)
 from .graphs import is_locally_balanced, load_graph, local_structure, sigma_stack
 
 FRACTION_MAX_DEN = 16
@@ -160,6 +161,12 @@ def cmd_curvature(args) -> tuple[int, Report]:
     report.add("N", "inf" if n == INF else n)
     report.add_number("curvature", k)
     report.add("multiplicity", mult)
+    lam, _, cutoff = _kernel_eigh(curvature_bundle(loc).a)
+    lam = sorted(lam.tolist(), key=abs, reverse=True)
+    rank = sum(abs(v) > cutoff for v in lam)
+    report.add("kernel_block", {"eigenvalues": lam, "rank": rank, "cutoff": cutoff},
+               f"rank {rank} of {len(lam)}, cutoff {cutoff:.3e}, eigenvalues "
+               + ", ".join(f"{v:.3e}" for v in lam))
     code = 0
     if args.oracle:
         k_oracle = curvature_oracle(loc, n)

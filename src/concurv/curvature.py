@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .graphs import LocalStructure
-from .hermitian import HermitianMatrix, _lambda_min, pinv
+from .hermitian import PINV_RTOL_SCALE, HermitianMatrix, _lambda_min
 from .operators import _gamma2_array, _gamma_array, _q_array, delta_matrix
 
 INF = float("inf")
@@ -129,28 +129,58 @@ class CurvatureBundle:
         return HermitianMatrix(self.a_inf.mat - (2.0 / n) * (self.v0 @ self.v0.conj().T))
 
 
-def _eliminate(local: LocalStructure, b: np.ndarray):
+def _kernel_eigh(a: np.ndarray):
+    """eigh of the kernel block a and the cutoff of its pseudoinverse:
+    eigenvalues with ``|lam| <= PINV_RTOL_SCALE * d * max|lam|`` are zeroed.
+    For a Hermitian a this is numpy's SVD-pinv rule."""
+    lam, u = np.linalg.eigh(a)
+    return lam, u, PINV_RTOL_SCALE * lam.size * float(abs(lam).max())
+
+
+def _kernel_schur(a: np.ndarray, s10: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """``core - s10 a^+ s10^H``, with a^+ from :func:`_kernel_eigh`."""
+    lam, u, cutoff = _kernel_eigh(a)
+    keep = np.abs(lam) > cutoff
+    y = s10 @ u[:, keep]
+    return core - (y / lam[keep]) @ y.conj().T
+
+
+def _eliminate(local: LocalStructure, b: np.ndarray | None = None):
     """a, omega^T and A_inf as plain arrays for the basis B: the kernel block
-    a of ``B (Q/2) B^H`` eliminated by its pseudoinverse."""
+    a of ``S = B (Q/2) B^H`` eliminated.
+
+    An explicit B takes the dense product.  The canonical basis (b None),
+    ``B0 = [[I, X], [0, D]]`` with ``D = diag(p_xyi^{-1/2}) (x) I_d``, is
+    applied without forming it: with ``Z = (Q/2) conj(p0)``, ``a = p0^T Z``,
+    ``S10 = D Z[d:]`` and ``core = D (Q/2)[d:, d:] D``.
+    """
     d = local.d
-    s = b @ (_q_array(local) / 2.0) @ b.conj().T
-    a, omega_t = s[:d, :d], s[:d, d:]
-    # exactly Hermitian in exact arithmetic; a nearly singular a leaves
-    # floating-point asymmetry that the explicit average removes
-    corr = s[d:, :d] @ pinv(a) @ omega_t
-    return a, omega_t, s[d:, d:] - (corr + corr.conj().T) / 2.0
+    q = _q_array(local) / 2.0
+    if b is None:
+        # conj(p0) = [I; sigma_xy1^T; ...; sigma_xym^T]
+        p0c = np.concatenate([np.eye(d)[None], local.sigma_x.transpose(0, 2, 1)]).reshape(-1, d)
+        z = q @ p0c
+        dd = np.repeat(1.0 / np.sqrt(local.p_x), d)[:, None]
+        a, s10, core = p0c.conj().T @ z, dd * z[d:], dd * q[d:, d:] * dd.T
+        omega_t = s10.conj().T
+    else:
+        s = b @ q @ b.conj().T
+        a, omega_t, s10, core = s[:d, :d], s[:d, d:], s[d:, :d], s[d:, d:]
+    return a, omega_t, _kernel_schur(a, s10, core)
 
 
-def _v0(local: LocalStructure, b: np.ndarray) -> np.ndarray:
-    """The md x d block v0 with ``B Delta(x) = (0; v0)``."""
+def _v0(local: LocalStructure, b: np.ndarray | None = None) -> np.ndarray:
+    """The md x d block v0 with ``B Delta(x) = (0; v0)``; for the canonical
+    basis (b None) its blocks are ``sqrt(p_xyi) sigma_xyi^T``."""
+    if b is None:
+        p = np.sqrt(local.p_x)[:, None, None]
+        return (p * local.sigma_x.transpose(0, 2, 1)).reshape(local.m * local.d, local.d)
     return (b @ delta_matrix(local))[local.d:, :]
 
 
 def curvature_bundle(local: LocalStructure, b: np.ndarray | None = None) -> CurvatureBundle:
     """Assemble a, omega, v0 and A_inf for a basis B (canonical by default)."""
-    if b is None:
-        b = canonical_basis(local)
-    else:
+    if b is not None:
         b = np.asarray(b, dtype=complex)
         resid = basis_residual(local, b)
         if resid > BASIS_TOL:
@@ -158,8 +188,8 @@ def curvature_bundle(local: LocalStructure, b: np.ndarray | None = None) -> Curv
                 f"basis does not normalize 2 Gamma(x): residual {resid:.3e} > {BASIS_TOL:.1e}"
             )
     a, omega_t, a_inf = _eliminate(local, b)
-    return CurvatureBundle(b=b, a=a, omega_t=omega_t, v0=_v0(local, b),
-                           a_inf=HermitianMatrix(a_inf))
+    return CurvatureBundle(b=canonical_basis(local) if b is None else b, a=a, omega_t=omega_t,
+                           v0=_v0(local, b), a_inf=HermitianMatrix(a_inf))
 
 
 def curvature_matrix(local: LocalStructure, n, b: np.ndarray | None = None) -> HermitianMatrix:
@@ -178,16 +208,14 @@ def curvature(local: LocalStructure, n) -> tuple[float, int]:
     n = _check_n(n)
     if n != INF:
         return curvature_function(local)(n)
-    a_inf = _eliminate(local, canonical_basis(local))[2]
-    return _lambda_min(np.linalg.eigvalsh(a_inf))
+    return _lambda_min(np.linalg.eigvalsh(_eliminate(local)[2]))
 
 
 def curvature_function(local: LocalStructure):
     """A fast callable N -> (K, multiplicity) with A_inf precomputed; each
     evaluation equals ``curvature(local, N)``."""
-    b = canonical_basis(local)
-    a_inf = _eliminate(local, b)[2]
-    v0 = _v0(local, b)
+    a_inf = _eliminate(local)[2]
+    v0 = _v0(local)
     lap = v0 @ v0.conj().T
 
     def evaluate(n) -> tuple[float, int]:

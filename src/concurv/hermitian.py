@@ -124,4 +124,4 @@ def _lambda_min(w: np.ndarray) -> tuple[float, int]:
     of it."""
     lam = float(w[0])
     gap = MULTIPLICITY_GAP * max(1.0, abs(lam))
-    return lam, int(np.sum(w <= lam + gap))
+    return lam, int(np.count_nonzero(w <= lam + gap))

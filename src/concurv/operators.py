@@ -13,12 +13,9 @@ per vertex.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
-from .errors import ValidationError
-from .graphs import ConnectionGraph, LocalStructure
+from .graphs import LocalStructure
 from .hermitian import HermitianMatrix
 
 
@@ -58,51 +55,60 @@ def gamma2_matrix(local: LocalStructure) -> HermitianMatrix:
     return HermitianMatrix(_gamma2_array(local))
 
 
-def _gamma2_array(local: LocalStructure) -> np.ndarray:
-    """4*Gamma_2(x) as a plain array, assembled blockwise.
+def _ball_blocks(local: LocalStructure):
+    """The blocks of 4*Gamma_2(x) that 4*Q needs, from the ball's edge
+    arrays: the (m+1)d 1-ball block G11, the 1-ball x 2-sphere block C and
+    the diagonal w of the 2-sphere block.  No (m+n+1)d matrix is formed.
 
-    The 2-sphere diagonal block is real, diagonal and positive, with entries
-    sum_i p_xyi p_yizk; blocks between two 2-sphere vertices vanish.
-
-    Every block comes from the edge arrays of the ball through the md x (m+n)d
-    matrix W, whose block (i, v) is ``p_xyi p_yiv conj(sigma_yiv)`` for each
-    edge from y_i into the 1- or 2-sphere: the 1-sphere x 2-sphere block is
-    ``-2 W12``, the 1-sphere block is ``2 V V^H - 2 (W11 + W11^H)`` with
-    ``V = stack(p_xyi sigma_xyi^T)`` off its diagonal, and the center row
-    gets ``(conj sigma_xy1, ..., conj sigma_xym) W``.
+    All come from the md x (m+n)d matrix W, whose block (i, v) is
+    ``p_xyi p_yiv conj(sigma_yiv)`` for each edge from y_i into the 1- or
+    2-sphere.  With ``X = (conj sigma_xy1, ..., conj sigma_xym)``, the center
+    row of G11 is ``X W11`` plus the diagonal terms, which ride in W's
+    otherwise empty diagonal blocks; its 1-sphere block is
+    ``2 V V^H - 2 (W11 + W11^H)`` with ``V = stack(p_xyi sigma_xyi^T)`` off
+    its diagonal; ``C = [X; -2I] W12``; and w_k = sum_i p_xyi p_yizk > 0.
+    Blocks between two 2-sphere vertices vanish.
     """
     d, m, n = local.d, local.m, local.n
-    nb, md = 1 + m + n, m * d
-    size, b1 = nb * d, d + md
+    md, b1 = m * d, (m + 1) * d
     P, sx = local.p_x, local.sigma_x
     row, col, r = local.edge_row, local.edge_col, local.edge_p
     dx = local.dx_over_mux
     pin = r[:m]                                     # p_yix: the first m edges end at x
     dy = np.bincount(row, weights=r, minlength=m)   # d_yi / mu_yi
     c = P[row[m:]] * r[m:]                          # p_xyi p_yiv, edges off the center
-    into = np.bincount(col[m:], weights=c, minlength=nb)
+    into = np.bincount(col[m:], weights=c, minlength=1 + m + n)
+    ys, eye = np.arange(m), np.eye(d)
 
-    out = np.zeros((size, size), dtype=complex)
-    blocks = out.reshape(nb, d, nb, d)
-    blocks[row[m:] + 1, :, col[m:], :] = (-2.0 * c)[:, None, None] * local.edge_sigma[m:].conj()
-    minus_2w = out[d:b1, d:]
-    sxc = sx.conj().transpose(1, 0, 2)              # conj(sigma_xyi), side by side
-    xrow = -0.5 * (sxc.reshape(d, md) @ minus_2w)
-    xrow[:, :md] += (sxc * (-(2.0 * pin + dy + dx) * P)[:, None]).reshape(d, md)
-    out[:d, :d] = (3.0 * sum((P * pin).tolist()) + dx * dx) * np.eye(d)
-    out[:d, d:] = xrow
-    out[d:, :d] = xrow.conj().T
+    w = np.zeros((m, d, m + n, d), dtype=complex)
+    w[row[m:], :, col[m:] - 1, :] = c[:, None, None] * local.edge_sigma[m:].conj()
+    w[ys, :, ys, :] = (-(2.0 * pin + dy + dx) * P)[:, None, None] * eye
+    w = w.reshape(md, (m + n) * d)
+    xw = sx.conj().transpose(1, 0, 2).reshape(d, md) @ w   # X W
 
-    yy = out[d:b1, d:b1]
-    yy += yy.conj().T
+    g11 = np.empty((b1, b1), dtype=complex)
+    g11[:d, :d] = (3.0 * sum((P * pin).tolist()) + dx * dx) * eye
+    g11[:d, d:] = xw[:, :md]
+    g11[d:, :d] = xw[:, :md].conj().T
     v = (P[:, None, None] * sx.transpose(0, 2, 1)).reshape(md, d)
-    yy += 2.0 * (v @ v.conj().T)
-    ys = np.arange(1, m + 1)
+    w11 = w[:, :md]
+    g11[d:, d:] = 2.0 * (v @ v.conj().T - w11 - w11.conj().T)
     diag = (2.0 * P + 3.0 * dy - dx) * P + into[1:m + 1]
-    blocks[ys, :, ys, :] = diag[:, None, None] * np.eye(d)
+    g11[d:, d:].reshape(m, d, m, d)[ys, :, ys, :] = diag[:, None, None] * eye
+    return g11, np.concatenate([xw[:, md:], -2.0 * w[:, md:]]), np.repeat(into[m + 1:], d)
 
-    out[b1:, d:b1] = out[d:b1, b1:].conj().T
-    out.reshape(-1)[b1 * (size + 1)::size + 1] = np.repeat(into[m + 1:], d)
+
+def _gamma2_array(local: LocalStructure) -> np.ndarray:
+    """4*Gamma_2(x) as a plain array: the blocks of :func:`_ball_blocks`
+    placed into the (m+n+1)d matrix."""
+    g11, c12, w = _ball_blocks(local)
+    b1 = g11.shape[0]
+    size = b1 + w.size
+    out = np.zeros((size, size), dtype=complex)
+    out[:b1, :b1] = g11
+    out[:b1, b1:] = c12
+    out[b1:, :b1] = c12.conj().T
+    out.reshape(-1)[b1 * (size + 1)::size + 1] = w
     return out
 
 
@@ -113,81 +119,16 @@ def q_matrix(local: LocalStructure) -> HermitianMatrix:
 
 def _q_array(local: LocalStructure) -> np.ndarray:
     """4*Q(x) as an exactly Hermitian array: the Schur complement of the
-    2-sphere block in the unwrapped 4*Gamma_2(x).
+    2-sphere block in 4*Gamma_2(x), formed from the blocks of
+    :func:`_ball_blocks` alone.
 
-    With ``G11`` the 1-ball block of 4*Gamma_2, ``C`` its 1-ball x 2-sphere
-    block and ``w`` the diagonal of its 2-sphere block,
-    ``4*Q = G11 - C diag(1/w) C^H``.  The elimination is exact and needs no
-    pseudoinverse because the 2-sphere block is, by construction, real,
-    diagonal and positive (see :func:`_gamma2_array`).  For n = 0, ``C`` is
-    empty and Q is Gamma_2 restricted to the 1-ball.
+    ``4*Q = G11 - C diag(1/w) C^H``; since ``C = [X; -2I] W12``, this is
+    ``G11 - [X; -2I] M [X; -2I]^H`` with the md x md ``M = (W12 / w) W12^H``.
+    The elimination is exact and needs no pseudoinverse because w is
+    positive.  For n = 0, C is empty and Q is Gamma_2 restricted to the
+    1-ball.
     """
-    g2 = _gamma2_array(local)
-    b1 = (local.m + 1) * local.d
-    c = g2[:b1, b1:]
-    w = np.real(np.diag(g2)[b1:])
-    q = g2[:b1, :b1] - (c / w) @ c.conj().T
-    # averaged once here: the pseudoinverses downstream amplify asymmetry
+    g11, c12, w = _ball_blocks(local)
+    q = g11 - (c12 / w) @ c12.conj().T
+    # averaged once here, so that every consumer reads the same Hermitian form
     return (q + q.conj().T) / 2.0
-
-
-# -- direct (recursive) evaluation of the forms ---------------------------
-
-def _vec(f: Mapping[str, np.ndarray], v: str, d: int) -> np.ndarray:
-    try:
-        val = f[v]
-    except KeyError:
-        raise ValidationError(f"function is undefined at vertex {v!r}") from None
-    arr = np.atleast_1d(np.asarray(val, dtype=complex))
-    if arr.shape != (d,):
-        raise ValidationError(f"value at {v!r} has shape {arr.shape}, expected ({d},)")
-    return arr
-
-
-def _laplacian_sigma(g: ConnectionGraph, f: Mapping, x: str) -> np.ndarray:
-    d = g.dimension
-    fx = _vec(f, x, d)
-    acc = np.zeros(d, dtype=complex)
-    for y in g.neighbors(x):
-        acc += g.p(x, y) * (g.sigma(x, y) @ _vec(f, y, d) - fx)
-    return acc
-
-
-def _gamma_at(g: ConnectionGraph, f: Mapping, h: Mapping, x: str) -> complex:
-    d = g.dimension
-    fx, hx = _vec(f, x, d), _vec(h, x, d)
-    acc = 0.0 + 0.0j
-    for y in g.neighbors(x):
-        s = g.sigma(x, y)
-        acc += g.p(x, y) * ((s @ _vec(f, y, d) - fx) @ np.conj(s @ _vec(h, y, d) - hx))
-    return acc / 2.0
-
-
-def gamma_forms(g: ConnectionGraph, f: Mapping, h: Mapping, x: str):
-    """Gamma(f,h)(x), Gamma_2(f,h)(x) and Delta f(x), straight from the
-    recursive definitions.
-
-    This is the matrix-free oracle for the assembled operators: the values
-    must match ``f^T M conj(h)`` for each form matrix.  f and h map vertex
-    ids to K^d values and must be defined on the whole 2-ball of x.
-    """
-    x = str(x)
-    if x not in g:
-        raise ValidationError(f"vertex {x!r} is not in the graph")
-    gamma_fh = _gamma_at(g, f, h, x)
-    delta_f = _laplacian_sigma(g, f, x)
-    delta_h = _laplacian_sigma(g, h, x)
-
-    # Delta applied to the scalar function Gamma(f,h), then the two
-    # correction terms Gamma(f, Delta h) and Gamma(Delta f, h).
-    lap_gamma = 0.0 + 0.0j
-    for y in g.neighbors(x):
-        lap_gamma += g.p(x, y) * (_gamma_at(g, f, h, y) - gamma_fh)
-
-    df_map = {v: _laplacian_sigma(g, f, v) for v in (x,) + g.neighbors(x)}
-    dh_map = {v: _laplacian_sigma(g, h, v) for v in (x,) + g.neighbors(x)}
-    gamma_f_dh = _gamma_at(g, f, dh_map, x)
-    gamma_df_h = _gamma_at(g, df_map, h, x)
-
-    gamma2_fh = (lap_gamma - gamma_f_dh - gamma_df_h) / 2.0
-    return gamma_fh, gamma2_fh, delta_f

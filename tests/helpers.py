@@ -15,8 +15,11 @@ from types import SimpleNamespace
 import numpy as np
 
 import concurv
-from concurv import ConnectionGraph, product_vertex, switch
-from concurv.graphs import UNITARY_TOL, EdgeIndex, _check_unitary, _stack
+from concurv import INF, ConnectionGraph, ValidationError, product_vertex, switch
+from concurv.curvature import _v0, canonical_basis
+from concurv.graphs import UNITARY_TOL, EdgeIndex, _check_unitary, _stack, local_structure
+from concurv.hermitian import _lambda_min, pinv
+from concurv.operators import _gamma2_array
 
 
 def random_unitary(rng, d: int, field: str = "complex") -> np.ndarray:
@@ -61,6 +64,15 @@ def random_balanced_graph(rng, n_max: int = 6, d: int = 1,
     g = random_graph(rng, n_max=n_max, d=d, field=field, identity_connections=True)
     tau = {v: random_unitary(rng, d, field) for v in g.vertex_ids}
     return switch(g, tau)
+
+
+def phase_triangle(theta: float) -> ConnectionGraph:
+    """The d = 1 triangle a, b, c with unit weights and measures whose one
+    connection sigma_ac = exp(i theta) is the only imbalance: near balance
+    for small theta, where K(inf) at a is about theta^2 / 10."""
+    return ConnectionGraph(1, "complex", [(v, 1.0) for v in "abc"],
+                           [("a", "b", 1.0, None), ("b", "c", 1.0, None),
+                            ("a", "c", 1.0, np.array([[np.exp(1j * theta)]]))])
 
 
 def random_switching(rng, g: ConnectionGraph) -> dict[str, np.ndarray]:
@@ -164,6 +176,23 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
                           timeout=120)
 
 
+def count_gamma2_assemblies(monkeypatch) -> list[str]:
+    """Count the full 4*Gamma_2 assemblies: ``_gamma2_array`` is wrapped in
+    every loaded concurv module that imported it, and each call appends the
+    ball's center to the returned list."""
+    calls = []
+
+    def counted(local):
+        calls.append(local.center)
+        return _gamma2_array(local)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "concurv" and \
+                vars(module).get("_gamma2_array") is _gamma2_array:
+            monkeypatch.setattr(module, "_gamma2_array", counted)
+    return calls
+
+
 def ball_from_graph_loops(g: ConnectionGraph, x: str) -> SimpleNamespace:
     """The incomplete 2-ball of x read from the graph's accessors alone: the
     sorted spheres, and the rate ``p`` and connection ``sigma`` of every
@@ -184,6 +213,137 @@ def ball_from_graph_loops(g: ConnectionGraph, x: str) -> SimpleNamespace:
         vertices=(x,) + s1 + s2, p=p, sigma=sigma,
         dx_over_mux=sum(p[(x, y)] for y in s1),
         rate=lambda u, v: p.get((u, v), 0.0))
+
+
+# -- reference evaluations of the forms and of K ------------------------------
+
+def _vec(f, v: str, d: int) -> np.ndarray:
+    try:
+        val = f[v]
+    except KeyError:
+        raise ValidationError(f"function is undefined at vertex {v!r}") from None
+    arr = np.atleast_1d(np.asarray(val))
+    if arr.dtype != object:   # object arrays carry extended-precision scalars through
+        arr = arr.astype(complex)
+    if arr.shape != (d,):
+        raise ValidationError(f"value at {v!r} has shape {arr.shape}, expected ({d},)")
+    return arr
+
+
+def _laplacian_sigma(g: ConnectionGraph, f, x: str) -> np.ndarray:
+    d = g.dimension
+    fx = _vec(f, x, d)
+    acc = 0 * fx
+    for y in g.neighbors(x):
+        acc = acc + g.p(x, y) * (g.sigma(x, y) @ _vec(f, y, d) - fx)
+    return acc
+
+
+def _gamma_at(g: ConnectionGraph, f, h, x: str):
+    d = g.dimension
+    fx, hx = _vec(f, x, d), _vec(h, x, d)
+    acc = 0.0 + 0.0j
+    for y in g.neighbors(x):
+        s = g.sigma(x, y)
+        acc += g.p(x, y) * ((s @ _vec(f, y, d) - fx) @ np.conj(s @ _vec(h, y, d) - hx))
+    return acc / 2.0
+
+
+def gamma_forms(g: ConnectionGraph, f, h, x: str):
+    """Gamma(f,h)(x), Gamma_2(f,h)(x) and Delta f(x), straight from the
+    recursive definitions.
+
+    This is the matrix-free oracle for the assembled operators: the values
+    must match ``f^T M conj(h)`` for each form matrix.  f and h map vertex
+    ids to K^d values and must be defined on the whole 2-ball of x.  Values
+    given as object arrays of mpmath numbers are evaluated in mpmath, with
+    the graph's double rates and connections taken as exact.
+    """
+    x = str(x)
+    if x not in g:
+        raise ValidationError(f"vertex {x!r} is not in the graph")
+    gamma_fh = _gamma_at(g, f, h, x)
+    delta_f = _laplacian_sigma(g, f, x)
+
+    # Delta applied to the scalar function Gamma(f,h), then the two
+    # correction terms Gamma(f, Delta h) and Gamma(Delta f, h).
+    lap_gamma = 0.0 + 0.0j
+    for y in g.neighbors(x):
+        lap_gamma += g.p(x, y) * (_gamma_at(g, f, h, y) - gamma_fh)
+
+    df_map = {v: _laplacian_sigma(g, f, v) for v in (x,) + g.neighbors(x)}
+    dh_map = {v: _laplacian_sigma(g, h, v) for v in (x,) + g.neighbors(x)}
+    gamma_f_dh = _gamma_at(g, f, dh_map, x)
+    gamma_df_h = _gamma_at(g, df_map, h, x)
+
+    gamma2_fh = (lap_gamma - gamma_f_dh - gamma_df_h) / 2.0
+    return gamma_fh, gamma2_fh, delta_f
+
+
+def curvature_reference(g: ConnectionGraph, x: str, dps: int = 50) -> float:
+    """K(inf) at x to ``dps`` digits, from the graph's double inputs taken as
+    exact.
+
+    4*Gamma_2 comes entry by entry from :func:`gamma_forms` on unit
+    functions, evaluated in mpmath; the 2-sphere block and the kernel block
+    a are eliminated with exact inverses in the canonical basis, and K is
+    the smallest eigenvalue from ``mpmath.eighe``.  Independent of every
+    float64 assembly; the kernel block must be nonsingular (an unbalanced
+    ball).
+    """
+    import mpmath
+
+    loc = local_structure(g, x)
+    d, verts = loc.d, loc.vertices
+    size, b1 = len(verts) * d, (loc.m + 1) * d
+    with mpmath.workdps(dps):
+        units = []
+        for k in range(size):
+            f = {v: np.array([mpmath.mpf(0)] * d, dtype=object) for v in verts}
+            f[verts[k // d]][k % d] = mpmath.mpf(1)
+            units.append(f)
+        g2 = mpmath.matrix(size, size)
+        for i, fi in enumerate(units):
+            for j, fj in enumerate(units):
+                g2[i, j] = 4 * gamma_forms(g, fi, fj, x)[1]
+        q = g2[:b1, :b1]
+        if size > b1:
+            c = g2[:b1, b1:]
+            q = q - c * g2[b1:, b1:] ** -1 * c.H
+        b = mpmath.eye(b1)
+        for i, y in enumerate(loc.s1):
+            blk = (i + 1) * d
+            for k in range(d):
+                for col in range(d):
+                    b[k, blk + col] = mpmath.mpc(complex(g.sigma(x, y)[k, col])).conjugate()
+                b[blk + k, blk + k] = 1 / mpmath.sqrt(g.p(x, y))
+        s = b * (q / 2) * b.H
+        a_inf = s[d:, d:] - s[d:, :d] * s[:d, :d] ** -1 * s[:d, d:]
+        return float(min(mpmath.eighe(a_inf, eigvals_only=True)))
+
+
+def q_full_schur(local) -> np.ndarray:
+    """4*Q(x) as the Schur complement of the 2-sphere block taken in the full
+    (m+n+1)d matrix 4*Gamma_2: a reference for the md-size ``_q_array``."""
+    g2 = _gamma2_array(local)
+    b1 = (local.m + 1) * local.d
+    c = g2[:b1, b1:]
+    w = np.real(np.diag(g2)[b1:])
+    q = g2[:b1, :b1] - (c / w) @ c.conj().T
+    return (q + q.conj().T) / 2.0
+
+
+def curvature_dense(local, n=INF) -> tuple[float, int]:
+    """K(N) and its multiplicity through the dense canonical basis B0 and the
+    SVD pseudoinverse of the kernel block, from :func:`q_full_schur`: a
+    reference for the implicit B0 and the eigh elimination of ``curvature``."""
+    d = local.d
+    b = canonical_basis(local)
+    s = b @ (q_full_schur(local) / 2.0) @ b.conj().T
+    corr = s[d:, :d] @ pinv(s[:d, :d]) @ s[:d, d:]
+    v0 = _v0(local, b)
+    a_n = s[d:, d:] - (corr + corr.conj().T) / 2.0 - (2.0 / float(n)) * (v0 @ v0.conj().T)
+    return _lambda_min(np.linalg.eigvalsh(a_n))
 
 
 # -- tuple rebuilds: the reference for graphs derived from a parent ---------

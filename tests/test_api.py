@@ -27,6 +27,21 @@ PUBLIC_OPTIONS = {
 }
 
 
+# Reference evaluations that live in tests/helpers.py: the library has no
+# caller for them, so the package does not export them.
+TEST_REFERENCES = ("gamma_forms",)
+
+
+def test_reference_evaluations_live_in_the_tests():
+    import helpers
+    from concurv import operators
+
+    for name in TEST_REFERENCES:
+        assert name not in concurv.__all__
+        assert not hasattr(concurv, name) and not hasattr(operators, name)
+        assert callable(getattr(helpers, name))
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in concurv.__all__ if not hasattr(concurv, name)]
     assert not missing

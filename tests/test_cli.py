@@ -8,6 +8,7 @@ import concurv.graphs as graphs
 from concurv import cli
 from concurv.cli import fmt_value, main
 from concurv.fixtures import fixture_document, fixture_names
+from concurv.hermitian import PINV_RTOL_SCALE
 
 from helpers import MALFORMED_DOCUMENTS, NON_FINITE_DOCUMENTS, OVERSIZED_DOCUMENTS, run_python
 
@@ -262,9 +263,35 @@ class TestExamplesCommand:
         assert (tmp_path / "graphs" / "g1_u2.json").exists()
 
 
+class TestKernelBlockReport:
+    """``curvature --json`` reports the kernel block a: its eigenvalues by
+    decreasing magnitude, the rank its pseudoinverse keeps and the cutoff."""
+
+    @pytest.mark.parametrize("name, vertex, rank, size", [
+        ("g4_signed", "1", 0, 1),         # balanced: a = 0
+        ("triangle_signed", "A", 1, 1),   # unbalanced, d = 1: rank d
+        ("g1_u2", "1", 1, 2),             # unbalanced in one of d = 2 directions
+    ])
+    def test_rank_and_cutoff(self, name, vertex, rank, size, fixture_file, capsys):
+        argv = ["--json", "curvature", fixture_file(name), "--vertex", vertex]
+        assert main(argv) == 0
+        block = json.loads(capsys.readouterr().out)["results"]["kernel_block"]
+        assert sorted(block) == ["cutoff", "eigenvalues", "rank"]
+        lam = block["eigenvalues"]
+        assert len(lam) == size and block["rank"] == rank
+        assert [abs(v) for v in lam] == sorted((abs(v) for v in lam), reverse=True)
+        assert block["cutoff"] == PINV_RTOL_SCALE * size * abs(lam[0])
+        assert sum(abs(v) > block["cutoff"] for v in lam) == rank
+        assert main(argv[1:]) == 0
+        assert f"rank {rank} of {size}" in capsys.readouterr().out
+
+
 class TestToleranceOverride:
     def test_curv_tol_env(self, fixture_file, capsys, monkeypatch):
-        # an absurdly tight tolerance makes the oracle cross-check fail
+        # an absurdly tight tolerance makes the oracle cross-check fail; the
+        # oracle is stubbed 1e-12 off K, so the gap does not hang on rounding
+        monkeypatch.setattr(cli, "curvature_oracle",
+                            lambda loc, n: cli.curvature(loc, n)[0] + 1e-12)
         monkeypatch.setenv("CURV_TOL", "1e-15")
         code = main(["curvature", fixture_file("g1_u2"), "--vertex", "1", "--oracle"])
         capsys.readouterr()

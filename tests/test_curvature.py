@@ -14,19 +14,24 @@ from concurv import (
     curvature_oracle,
     curvature_profile,
     general_basis,
-    gamma_forms,
     is_locally_balanced,
     load_graph,
     local_structure,
     switch,
 )
-from concurv.curvature import basis_residual
+from concurv.curvature import _kernel_eigh, _kernel_schur, basis_residual
 from concurv.fixtures import fixture_graph, fixture_names
-from concurv.hermitian import HermitianMatrix, min_eig_hermitian, pinv, schur_complement
+from concurv.hermitian import (PINV_RTOL_SCALE, HermitianMatrix, min_eig_hermitian, pinv,
+                               schur_complement)
 from concurv.operators import q_matrix
 
 from helpers import (
     assert_close,
+    count_gamma2_assemblies,
+    curvature_dense,
+    curvature_reference,
+    gamma_forms,
+    phase_triangle,
     random_balanced_graph,
     random_function,
     random_graph,
@@ -312,6 +317,84 @@ class TestKernelElimination:
         assert len(built) == 0
         curvature_bundle(loc)
         assert len(built) == 1   # A_inf
+
+
+class TestMdSizePipeline:
+    """curvature() builds A_N from the md-size blocks of the ball: Q without
+    the (m+n+1)d matrix, the canonical basis applied without forming it, and
+    the kernel block eliminated by eigh.  The full-matrix Schur, the dense
+    B0 and numpy's SVD pseudoinverse are its reference
+    (``tests/helpers.py::curvature_dense``)."""
+
+    def test_no_full_gamma2_assembly(self, monkeypatch):
+        calls = count_gamma2_assemblies(monkeypatch)
+        loc = local_structure(fixture_graph("g1_u2"), "1")
+        for n in (INF, 4.0, 1.0):
+            curvature(loc, n)
+        evaluate = curvature_function(loc)
+        for n in (INF, 4.0, 1.0):
+            evaluate(n)
+        assert calls == []
+
+    def test_matches_dense_basis_and_svd_pinv(self):
+        rng = np.random.default_rng(58)
+        graphs = [fixture_graph(name) for name in fixture_names()]
+        for t in range(210):
+            complete = t % 15 == 0   # every ball without a 2-sphere
+            graphs.append(random_graph(rng, d=1 + t % 3, field=("real", "complex")[t // 3 % 2],
+                                       extra_edge_p=1.0 if complete else 0.35))
+        no_s2 = fields = ill = total = 0
+        for g in graphs:
+            balls = [local_structure(g, x) for x in g.vertex_ids if g.neighbors(x)]
+            for loc in balls:
+                # Both paths divide float64 noise by the eigenvalues of a that
+                # they invert: past a condition of 100 they agree only to
+                # about 1e-14 times it (both stay as close to a 50-digit K).
+                bundle = curvature_bundle(loc)
+                lam, _, cutoff = _kernel_eigh(bundle.a)
+                inverted = np.abs(lam)[np.abs(lam) > cutoff]
+                scale = max(1.0, *(float(np.abs(m).max())
+                                   for m in (bundle.a, bundle.omega_t, bundle.a_inf.mat)))
+                cond = scale / inverted.min() if inverted.size else 1.0
+                ill += cond > 100
+                total += 1
+                for n in (INF, 4.0):
+                    k, _ = curvature(loc, n)
+                    want, _ = curvature_dense(loc, n)
+                    tol = 1e-12 * max(1.0, abs(want)) * max(1.0, cond / 100)
+                    assert abs(k - want) <= tol, (loc.center, n, k, want, cond)
+            no_s2 += all(loc.n == 0 for loc in balls)
+            fields += g.field == "real"
+        assert no_s2 >= 10 and fields >= 70 and 2 * ill < total
+
+    @pytest.mark.parametrize("lam", [1.0, -1.0, 2.0, 3.0, 4.0])
+    def test_cutoff_is_the_svd_pinv_cutoff(self, lam):
+        """The eigenvalues of a 2 x 2 kernel block are zeroed at or below
+        ``2 * PINV_RTOL_SCALE * max|lam|``, exactly where ``pinv`` zeroes
+        singular values (``test_hermitian.py::test_cutoff_without_rtol_keyword``)."""
+        a = np.diag([1.0, lam * PINV_RTOL_SCALE])
+        got = -_kernel_schur(a, np.eye(2), np.zeros((2, 2)))
+        assert_close(got, pinv(a), 1e-6)
+        kept = abs(lam) > 2.0
+        assert got[1, 1] == (1.0 / (lam * PINV_RTOL_SCALE) if kept else 0.0)
+
+
+class TestNearBalancedReference:
+    """K(inf) at a of the phase triangle (``tests/helpers.py::phase_triangle``)
+    against a 50-digit reference built from the recursive form definitions
+    with the graph's double inputs taken as exact.  The kernel block a and K
+    shrink like theta^2; float64 assembly noise, divided by a, bounds the
+    accuracy of any double-precision route (README, "Numerical notes")."""
+
+    @pytest.mark.parametrize("theta", [1e-1, 1e-2, 1e-3, 1e-4, 3e-6])
+    def test_phase_triangle(self, theta):
+        pytest.importorskip("mpmath")
+        g = phase_triangle(theta)
+        ref = curvature_reference(g, "a")
+        assert ref == pytest.approx(theta ** 2 / 10, rel=1e-3)
+        k, _ = curvature(local_structure(g, "a"), INF)
+        # measured: 3e-13 to 4e-11 down to theta = 1e-3, then 1.9e-7 and 7.8e-5
+        assert abs(k - ref) <= (1e-9 if theta >= 1e-3 else 1e-3)
 
 
 class TestGammaNullFunctions:

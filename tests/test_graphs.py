@@ -26,6 +26,7 @@ from helpers import (
     OVERSIZED_DOCUMENTS,
     assert_close,
     ball_from_graph_loops,
+    phase_triangle,
     random_balanced_graph,
     random_commuting_pair,
     random_diagonal_graph,
@@ -190,12 +191,12 @@ class TestLoadGraph:
         connection bit for bit, and so every K(inf).  The inputs include
         connections within 1e-12 to 1e-5 of the identity, which a tolerant
         identity test would leave out of the document: the d = 1 triangle
-        with one phase of 3e-6 has K(inf) = 2.2018e-05 at a, and 2.5 once
-        that phase is dropped."""
+        with one phase of 3e-6 has K(inf) of about 9e-13 at a (a 50-digit
+        value; the float64 paths read it within 1e-3, see
+        ``test_curvature.py::TestNearBalancedReference``), and 2.5 once that
+        phase is dropped."""
         rng = np.random.default_rng(25)
-        triangle = ConnectionGraph(1, "complex", [(v, 1.0) for v in "abc"],
-                                   [("a", "b", 1.0, None), ("b", "c", 1.0, None),
-                                    ("a", "c", 1.0, np.array([[np.exp(3e-6j)]]))])
+        triangle = phase_triangle(3e-6)
         graphs = [fixture_graph("g1_u2"), triangle]
         for t in range(30):
             d = 1 + t % 3
@@ -213,7 +214,8 @@ class TestLoadGraph:
                 assert curvature(local_structure(g2, x), INF) == \
                     curvature(local_structure(g, x), INF)
         k, _ = curvature(local_structure(load_graph(json.dumps(triangle.to_document())), "a"), INF)
-        assert k == pytest.approx(2.2018e-05, rel=1e-4)
+        assert curvature(local_structure(phase_triangle(0.0), "a"), INF)[0] == pytest.approx(2.5)
+        assert abs(k) < 1e-2   # the phase survived: K stays far below the balanced 2.5
 
 
 class TestRateLimits:

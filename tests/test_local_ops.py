@@ -17,6 +17,7 @@ from concurv.fixtures import fixture_graph
 
 from helpers import (
     assert_close,
+    count_gamma2_assemblies,
     random_merge_instance,
     random_s1_in_regular_graph,
     random_unitary,
@@ -78,6 +79,14 @@ class TestAddSphericalEdge:
         g, x, yi, yj = random_s1_in_regular_graph(np.random.default_rng(104), d=2)
         add_spherical_edge(g, x, yi, yj)   # balanced default: the S1-in check runs
         assert calls == [x, x]             # before and after the edit
+
+    def test_gamma2_assembled_once_per_ball(self, monkeypatch):
+        """The two curvature values take Q from the md-size blocks, so only
+        the PSD difference assembles 4*Gamma_2: once before and once after."""
+        calls = count_gamma2_assemblies(monkeypatch)
+        g, x, yi, yj = random_s1_in_regular_graph(np.random.default_rng(104), d=2)
+        add_spherical_edge(g, x, yi, yj)
+        assert calls == [x, x]
 
     def test_difference_matrix_structure(self):
         # in the gauge where every base-incident connection is the identity,

@@ -5,7 +5,6 @@ from concurv import (
     ValidationError,
     delta_matrix,
     gamma2_matrix,
-    gamma_forms,
     gamma_matrix,
     load_graph,
     local_structure,
@@ -19,6 +18,7 @@ from concurv.curvature import canonical_basis, p0_transpose
 from helpers import (
     assert_close,
     ball_from_graph_loops,
+    gamma_forms,
     random_function,
     random_graph,
     random_switching,

@@ -9,7 +9,6 @@ from concurv import (
     curvature,
     curvature_function,
     gamma2_matrix,
-    gamma_forms,
     load_graph,
     local_structure,
     product_decomposition,
@@ -22,6 +21,7 @@ from concurv.fixtures import PRODUCT_NONCOMMUTING, fixture_graph
 
 from helpers import (
     assert_close,
+    gamma_forms,
     random_balanced_graph,
     random_commuting_pair,
     random_graph,

@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -19,12 +17,13 @@ from concurv import (
 from concurv.curvature import general_basis, p0_transpose
 from concurv.fixtures import fixture_graph, fixture_names
 from concurv.hermitian import pinv
-from concurv.operators import _gamma2_array, q_matrix
+from concurv.operators import q_matrix
 from concurv.tensor import PHI_RESIDUAL_TOL, coordinate_map, phi_matrix
 
 from helpers import (
     assert_close,
     ball_from_graph_loops,
+    count_gamma2_assemblies,
     random_balanced_graph,
     random_function,
     random_graph,
@@ -225,21 +224,13 @@ class TestRicAndMetric:
 
 class TestAssemblyCount:
     """Each call builds Ric_N and g as matrices once, so 4*Gamma_2 is assembled
-    a fixed number of times whatever the number of vectors."""
+    a fixed number of times whatever the number of vectors: twice, for the
+    Psi extension and the Ricci matrix.  The curvature bundle and phi_map
+    take Q from the md-size blocks and assemble none."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        calls = []
-
-        def counted(local):
-            calls.append(local.center)
-            return _gamma2_array(local)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "concurv" and \
-                    vars(module).get("_gamma2_array") is _gamma2_array:
-                monkeypatch.setattr(module, "_gamma2_array", counted)
-        return calls
+        return count_gamma2_assemblies(monkeypatch)
 
     def test_gamma2_assemblies_per_call(self, calls):
         loc = local_structure(fixture_graph("g1_u2"), "1")
@@ -248,10 +239,10 @@ class TestAssemblyCount:
         for n in (INF, 2.5):
             del calls[:]
             tensor_matrix_check(loc, n)
-            assert len(calls) == 4
+            assert len(calls) == 2
             del calls[:]
             ric_and_metric(loc, n, v, v)
-            assert len(calls) == 3
+            assert len(calls) == 2
             del calls[:]
             ric_and_metric(loc, n, v, v, phi=f)
             assert len(calls) == 2
