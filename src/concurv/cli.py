@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import (INF, _kernel_eigh, curvature, curvature_bundle, curvature_matrix,
+from .curvature import (INF, _eliminate, _kernel_eigh, curvature, curvature_matrix,
                         curvature_oracle, curvature_profile)
 from .graphs import is_locally_balanced, load_graph, local_structure, sigma_stack
 
@@ -161,9 +161,8 @@ def cmd_curvature(args) -> tuple[int, Report]:
     report.add("N", "inf" if n == INF else n)
     report.add_number("curvature", k)
     report.add("multiplicity", mult)
-    lam, _, cutoff = _kernel_eigh(curvature_bundle(loc).a)
-    lam = sorted(lam.tolist(), key=abs, reverse=True)
-    rank = sum(abs(v) > cutoff for v in lam)
+    lam, _, cutoff, keep = _kernel_eigh(_eliminate(loc)[0])
+    lam, rank = sorted(lam.tolist(), key=abs, reverse=True), int(np.count_nonzero(keep))
     report.add("kernel_block", {"eigenvalues": lam, "rank": rank, "cutoff": cutoff},
                f"rank {rank} of {len(lam)}, cutoff {cutoff:.3e}, eigenvalues "
                + ", ".join(f"{v:.3e}" for v in lam))

@@ -126,23 +126,26 @@ class CurvatureBundle:
 
     def a_n(self, n) -> HermitianMatrix:
         n = _check_n(n)
-        return HermitianMatrix(self.a_inf.mat - (2.0 / n) * (self.v0 @ self.v0.conj().T))
+        lap = self.v0 @ self.v0.conj().T
+        return HermitianMatrix(self.a_inf.mat - (1.0 / n) * (lap + lap.conj().T))
 
 
 def _kernel_eigh(a: np.ndarray):
-    """eigh of the kernel block a and the cutoff of its pseudoinverse:
-    eigenvalues with ``|lam| <= PINV_RTOL_SCALE * d * max|lam|`` are zeroed.
-    For a Hermitian a this is numpy's SVD-pinv rule."""
+    """eigh of the kernel block a, the cutoff of its pseudoinverse and the
+    mask of the eigenvalues kept: those with ``|lam| <= PINV_RTOL_SCALE * d *
+    max|lam|`` are zeroed.  For a Hermitian a this is numpy's SVD-pinv rule."""
     lam, u = np.linalg.eigh(a)
-    return lam, u, PINV_RTOL_SCALE * lam.size * float(abs(lam).max())
+    cutoff = PINV_RTOL_SCALE * lam.size * float(abs(lam).max())
+    return lam, u, cutoff, np.abs(lam) > cutoff
 
 
 def _kernel_schur(a: np.ndarray, s10: np.ndarray, core: np.ndarray) -> np.ndarray:
     """``core - s10 a^+ s10^H``, with a^+ from :func:`_kernel_eigh`."""
-    lam, u, cutoff = _kernel_eigh(a)
-    keep = np.abs(lam) > cutoff
+    lam, u, _, keep = _kernel_eigh(a)
     y = s10 @ u[:, keep]
-    return core - (y / lam[keep]) @ y.conj().T
+    corr = (y / lam[keep]) @ y.conj().T
+    # averaged so that A_inf, like Q and core, is exactly Hermitian at any scale
+    return core - (corr + corr.conj().T) / 2.0
 
 
 def _eliminate(local: LocalStructure, b: np.ndarray | None = None):
@@ -161,7 +164,7 @@ def _eliminate(local: LocalStructure, b: np.ndarray | None = None):
         p0c = np.concatenate([np.eye(d)[None], local.sigma_x.transpose(0, 2, 1)]).reshape(-1, d)
         z = q @ p0c
         dd = np.repeat(1.0 / np.sqrt(local.p_x), d)[:, None]
-        a, s10, core = p0c.conj().T @ z, dd * z[d:], dd * q[d:, d:] * dd.T
+        a, s10, core = p0c.conj().T @ z, dd * z[d:], q[d:, d:] * (dd * dd.T)
         omega_t = s10.conj().T
     else:
         s = b @ q @ b.conj().T

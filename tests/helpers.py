@@ -18,7 +18,7 @@ import concurv
 from concurv import INF, ConnectionGraph, ValidationError, product_vertex, switch
 from concurv.curvature import _v0, canonical_basis
 from concurv.graphs import UNITARY_TOL, EdgeIndex, _check_unitary, _stack, local_structure
-from concurv.hermitian import _lambda_min, pinv
+from concurv.hermitian import PINV_RTOL_SCALE, _lambda_min, pinv
 from concurv.operators import _gamma2_array
 
 
@@ -73,6 +73,12 @@ def phase_triangle(theta: float) -> ConnectionGraph:
     return ConnectionGraph(1, "complex", [(v, 1.0) for v in "abc"],
                            [("a", "b", 1.0, None), ("b", "c", 1.0, None),
                             ("a", "c", 1.0, np.array([[np.exp(1j * theta)]]))])
+
+
+def scaled_rates(g: ConnectionGraph, s: float) -> ConnectionGraph:
+    """g with every edge weight multiplied by s: every rate, and K(N), scale by s."""
+    return ConnectionGraph(g.dimension, g.field, [(v, g.measure(v)) for v in g.vertex_ids],
+                           [(u, v, w * s, sigma) for u, v, w, sigma in g.edge_list()])
 
 
 def random_switching(rng, g: ConnectionGraph) -> dict[str, np.ndarray]:
@@ -333,13 +339,29 @@ def q_full_schur(local) -> np.ndarray:
     return (q + q.conj().T) / 2.0
 
 
+def _dense_s(local) -> np.ndarray:
+    """``B0 (Q/2) B0^H`` with the dense canonical basis and :func:`q_full_schur`."""
+    b = canonical_basis(local)
+    return b @ (q_full_schur(local) / 2.0) @ b.conj().T
+
+
+def dense_kernel_condition(local) -> float:
+    """How far eliminating the kernel block a can amplify float64 noise on
+    the dense reference path: ``max(1, max|S|)`` over the smallest singular
+    value of a that the SVD pseudoinverse inverts (1 if it inverts none)."""
+    s = _dense_s(local)
+    sv = np.linalg.svd(s[:local.d, :local.d], compute_uv=False)
+    inverted = sv[sv > PINV_RTOL_SCALE * local.d * sv[0]]
+    return max(1.0, float(np.abs(s).max())) / inverted.min() if inverted.size else 1.0
+
+
 def curvature_dense(local, n=INF) -> tuple[float, int]:
     """K(N) and its multiplicity through the dense canonical basis B0 and the
     SVD pseudoinverse of the kernel block, from :func:`q_full_schur`: a
     reference for the implicit B0 and the eigh elimination of ``curvature``."""
     d = local.d
     b = canonical_basis(local)
-    s = b @ (q_full_schur(local) / 2.0) @ b.conj().T
+    s = _dense_s(local)
     corr = s[d:, :d] @ pinv(s[:d, :d]) @ s[:d, d:]
     v0 = _v0(local, b)
     a_n = s[d:, d:] - (corr + corr.conj().T) / 2.0 - (2.0 / float(n)) * (v0 @ v0.conj().T)

@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import concurv.graphs as graphs
@@ -10,7 +11,8 @@ from concurv.cli import fmt_value, main
 from concurv.fixtures import fixture_document, fixture_names
 from concurv.hermitian import PINV_RTOL_SCALE
 
-from helpers import MALFORMED_DOCUMENTS, NON_FINITE_DOCUMENTS, OVERSIZED_DOCUMENTS, run_python
+from helpers import (MALFORMED_DOCUMENTS, NON_FINITE_DOCUMENTS, OVERSIZED_DOCUMENTS, random_graph,
+                     run_python, scaled_rates)
 
 
 @pytest.fixture()
@@ -63,6 +65,26 @@ class TestCurvatureCommand:
         results = json.loads(capsys.readouterr().out)["results"]
         assert code == 0 and results["oracle_agreement"] is True
         assert results["curvature"] == pytest.approx(25000.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", ["inf", "4"])
+    def test_random_graphs_at_large_rates(self, n, tmp_path, capsys, monkeypatch):
+        """Random graphs with unequal weights scaled by 1e8 (K near 1e7): the
+        report, its kernel block and the matrix dump build, and the oracle
+        agrees to 1e-8 of the rates' scale; CURV_TOL is absolute, so it is
+        scaled with them."""
+        rng = np.random.default_rng(49)
+        path = tmp_path / "scaled.json"
+        for trial in range(6):
+            g = scaled_rates(random_graph(rng, d=1 + trial % 3), 1e8)
+            path.write_text(json.dumps(g.to_document()))
+            argv = ["--json", "curvature", str(path), "--vertex", "1", "--N", n]
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["results"]["kernel_block"]["rank"] \
+                == g.dimension
+            monkeypatch.setenv("CURV_TOL", "1.0")
+            assert main(argv + ["--oracle", "--matrix"]) == 0
+            assert json.loads(capsys.readouterr().out)["results"]["oracle_agreement"] is True
+            monkeypatch.delenv("CURV_TOL")
 
     def test_json_rendering_agrees(self, fixture_file, capsys):
         path = fixture_file("g1_u2")
