@@ -4,9 +4,9 @@ Subcommands: validate, curvature, profile, product, balance, add-edge,
 merge, examples.  Every command builds a deterministic report that renders
 either as aligned text (default) or JSON (--json); exit code 0 on success,
 1 on validation failure (including a malformed argument), 2 on a numerical
-cross-check failure.  Every report records the comparison tolerance, the one
-that ``curvature --oracle`` applies: COMPARISON_TOL, or the env var CURV_TOL
-when it is set.
+cross-check failure.  Every report records the comparison tolerance tol,
+COMPARISON_TOL or the env var CURV_TOL when it is set; ``curvature --oracle``
+accepts a gap up to ``tol * max(1, |K|)``.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import (INF, _eliminate, _kernel_eigh, curvature, curvature_matrix,
-                        curvature_oracle, curvature_profile)
+from .curvature import (INF, _a_n, _eliminate, _kernel_eigh, _v0, curvature_oracle,
+                        curvature_profile)
 from .graphs import is_locally_balanced, load_graph, local_structure, sigma_stack
+from .hermitian import HermitianMatrix, _lambda_min
 
 FRACTION_MAX_DEN = 16
 FRACTION_TOL = 1e-9
-COMPARISON_TOL = 1e-8   # largest accepted |K - K_oracle| unless CURV_TOL is set
+COMPARISON_TOL = 1e-8   # accepted |K - K_oracle| over max(1, |K|) unless CURV_TOL is set
 
 
 def comparison_tol() -> float:
@@ -42,6 +43,11 @@ def comparison_tol() -> float:
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValidationError(f"CURV_TOL must be a finite nonnegative number, got {raw!r}")
     return tol
+
+
+def _n_value(n: float | None):
+    """N for a report: "inf" for infinity, otherwise n itself (None included)."""
+    return "inf" if n == INF else n
 
 
 def parse_n(text: str) -> float:
@@ -142,6 +148,17 @@ class Report:
         return "\n".join(out)
 
 
+def _write_out(report: Report, path: str | None, g) -> None:
+    """The --out option: write the graph's JSON document to path, if given."""
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(g.to_document(), fh, sort_keys=True, indent=2)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
+        report.add("written", path)
+
+
 def cmd_validate(args) -> tuple[int, Report]:
     report, (g,) = _open("validate", args.graph)
     report.add("dimension", g.dimension)
@@ -156,32 +173,32 @@ def cmd_curvature(args) -> tuple[int, Report]:
     report, (g,) = _open("curvature", args.graph)
     n = parse_n(args.N)
     loc = local_structure(g, args.vertex)
-    k, mult = curvature(loc, n)
+    # one elimination feeds K (computed as curvature() does), the kernel block and A_N
+    a, _, a_inf = _eliminate(loc)
+    a_n = _a_n(a_inf, _v0(loc), n)
+    k, mult = _lambda_min(np.linalg.eigvalsh(a_n))
     report.add("vertex", args.vertex)
-    report.add("N", "inf" if n == INF else n)
+    report.add("N", _n_value(n))
     report.add_number("curvature", k)
     report.add("multiplicity", mult)
-    lam, _, cutoff, keep = _kernel_eigh(_eliminate(loc)[0])
+    lam, _, cutoff, keep = _kernel_eigh(a)
     lam, rank = sorted(lam.tolist(), key=abs, reverse=True), int(np.count_nonzero(keep))
     report.add("kernel_block", {"eigenvalues": lam, "rank": rank, "cutoff": cutoff},
                f"rank {rank} of {len(lam)}, cutoff {cutoff:.3e}, eigenvalues "
                + ", ".join(f"{v:.3e}" for v in lam))
-    code = 0
+    agree = True
     if args.oracle:
         k_oracle = curvature_oracle(loc, n)
         report.add_number("oracle", k_oracle)
         gap = abs(k_oracle - k)
         report.add_number("oracle_gap", gap)
-        tol = report.doc["tolerance"]
-        if gap > tol:
-            report.add("oracle_agreement", False,
-                       f"FAIL (gap {gap:.3e} > {tol:.1e})")
-            code = 2
-        else:
-            report.add("oracle_agreement", True)
+        bound = report.doc["tolerance"] * max(1.0, abs(k))
+        agree = gap <= bound
+        report.add("oracle_agreement", agree, None if agree else
+                   f"FAIL (gap {gap:.3e} > tolerance * max(1, |K|) = {bound:.1e})")
     if args.matrix:
-        report.add_matrix("a_n", curvature_matrix(loc, n).mat)
-    return code, report
+        report.add_matrix("a_n", HermitianMatrix(a_n).mat)
+    return (0 if agree else 2), report
 
 
 def cmd_profile(args) -> tuple[int, Report]:
@@ -191,18 +208,14 @@ def cmd_profile(args) -> tuple[int, Report]:
     profile = curvature_profile(loc, grid)
     rows = []
     for n, k, mult in profile.samples:
-        rows.append({"N": "inf" if n == INF else n, "K": k, "multiplicity": mult})
+        rows.append({"N": _n_value(n), "K": k, "multiplicity": mult})
         report.add_line(
             f"  N={('inf' if n == INF else fmt_value(n)):>12s}  "
             f"K={fmt_value(k):>14s}  mult={mult}"
         )
     report.doc["results"]["profile"] = rows
-    report.add("constant_from",
-               None if profile.constant_from is None
-               else ("inf" if profile.constant_from == INF else profile.constant_from))
-    report.add("equality_from",
-               None if profile.equality_from is None
-               else ("inf" if profile.equality_from == INF else profile.equality_from))
+    report.add("constant_from", _n_value(profile.constant_from))
+    report.add("equality_from", _n_value(profile.equality_from))
     return 0, report
 
 
@@ -213,18 +226,13 @@ def cmd_product(args) -> tuple[int, Report]:
     prod = cartesian_product(g, g2, spec)
     report.add("vertices", len(prod.vertex_ids))
     report.add("edges", prod.index.nbr.size // 2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(prod.to_document(), fh, sort_keys=True, indent=2)
-        report.add("written", args.out)
+    _write_out(report, args.out, prod)
     if args.decompose:
         toks = [tok.strip() for tok in args.decompose.split(",")]
         if len(toks) != 2:
             raise ValidationError(f"--decompose: expected X,X2, got {args.decompose!r}")
         x, x2 = toks
-        n = parse_n(args.N)
-        n2 = parse_n(args.N2)
-        dec = product_decomposition(g, g2, spec, x, x2, n, n2)
+        dec = product_decomposition(g, g2, spec, x, x2, parse_n(args.N), parse_n(args.N2))
         report.add("decompose_at", f"({x}, {x2})")
         report.add_number("residual", dec.residual)
         report.add_number("lambda_min_R", float(np.linalg.eigvalsh(dec.r)[0]) if dec.r.size else 0.0)
@@ -267,10 +275,7 @@ def cmd_add_edge(args) -> tuple[int, Report]:
     report.add_number("curvature_before", edit.before)
     report.add_number("curvature_after", edit.after)
     report.add("gamma2_difference_psd", edit.delta_psd)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(g_new.to_document(), fh, sort_keys=True, indent=2)
-        report.add("written", args.out)
+    _write_out(report, args.out, g_new)
     return 0, report
 
 
@@ -282,10 +287,7 @@ def cmd_merge(args) -> tuple[int, Report]:
     report.add("merged", f"{args.zk}+{args.zl}")
     report.add_number("curvature_before", edit.before)
     report.add_number("curvature_after", edit.after)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(g_new.to_document(), fh, sort_keys=True, indent=2)
-        report.add("written", args.out)
+    _write_out(report, args.out, g_new)
     return 0, report
 
 
@@ -295,8 +297,7 @@ def cmd_examples(args) -> tuple[int, Report]:
     failures = 0
     for criterion, name, ok, detail in examples_registry.run():
         status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
+        failures += not ok
         report.doc["results"][name] = {"criterion": criterion, "ok": ok, "detail": detail}
         report.add_line(f"[{status}] {criterion:>3s} {name}{(': ' + detail) if detail else ''}")
     report.add("failures", failures)

@@ -29,7 +29,7 @@ from .hermitian import PINV_RTOL_SCALE, HermitianMatrix, _lambda_min
 from .operators import _gamma2_array, _gamma_array, _q_array, delta_matrix
 
 INF = float("inf")
-BASIS_TOL = 1e-9         # allowed residual of B (2 Gamma) B^H - diag(0, I)
+BASIS_TOL = 1e-9         # allowed relative residual of B (2 Gamma) B^H = diag(0, I)
 ORACLE_PSD_SLACK = 1e-9  # feasibility slack of the bisection oracle, relative to its matrices
 ORACLE_BRACKET = 1e-10   # the oracle bisects K to a bracket this wide, relative to max(1, |K|)
 PROFILE_TOL = 1e-9       # constancy assertions on curvature profiles
@@ -69,12 +69,14 @@ def canonical_basis(local: LocalStructure) -> np.ndarray:
 
 
 def basis_residual(local: LocalStructure, b: np.ndarray) -> float:
-    """Max-norm residual of the normalization condition for a candidate B."""
-    d, m = local.d, local.m
-    target = np.zeros(((m + 1) * d, (m + 1) * d))
-    target[d:, d:] = np.eye(m * d)
-    lhs = b @ _gamma_array(local) @ b.conj().T
-    return float(np.max(np.abs(lhs - target)))
+    """Max-norm residual of the normalization condition for a candidate B,
+    relative to ``max(1, max|B|^2 max|2 Gamma|)``, the scale at which the
+    product ``B (2 Gamma) B^H`` rounds."""
+    d, two_gamma = local.d, _gamma_array(local)
+    resid = b @ two_gamma @ b.conj().T
+    resid[d:, d:] -= np.eye(local.m * d)   # the target diag(0_d, I_md)
+    scale = max(1.0, float(np.max(np.abs(b))) ** 2 * float(np.max(np.abs(two_gamma))))
+    return float(np.max(np.abs(resid))) / scale
 
 
 def general_basis(local: LocalStructure, seed: int) -> np.ndarray:
@@ -106,7 +108,7 @@ def general_basis(local: LocalStructure, seed: int) -> np.ndarray:
     b = np.vstack([e @ p0_transpose(local), v @ rows + c @ p0_transpose(local)])
     resid = basis_residual(local, b)
     if resid > BASIS_TOL:
-        raise CrossCheckError(f"general_basis produced residual {resid:.3e}")
+        raise CrossCheckError(f"general_basis produced relative residual {resid:.3e}")
     return b
 
 
@@ -125,9 +127,13 @@ class CurvatureBundle:
     a_inf: HermitianMatrix
 
     def a_n(self, n) -> HermitianMatrix:
-        n = _check_n(n)
-        lap = self.v0 @ self.v0.conj().T
-        return HermitianMatrix(self.a_inf.mat - (1.0 / n) * (lap + lap.conj().T))
+        return HermitianMatrix(_a_n(self.a_inf.mat, self.v0, _check_n(n)))
+
+
+def _a_n(a_inf: np.ndarray, v0: np.ndarray, n: float) -> np.ndarray:
+    """``A_N = A_inf - (2/N) v0 v0^H``, the one A_N formula.  At N = inf the
+    term is exactly zero and is not formed."""
+    return a_inf if n == INF else a_inf - (2.0 / n) * (v0 @ v0.conj().T)
 
 
 def _kernel_eigh(a: np.ndarray):
@@ -168,6 +174,7 @@ def _eliminate(local: LocalStructure, b: np.ndarray | None = None):
         omega_t = s10.conj().T
     else:
         s = b @ q @ b.conj().T
+        s = (s + s.conj().T) / 2.0   # like the canonical A_inf, exactly Hermitian at any scale
         a, omega_t, s10, core = s[:d, :d], s[:d, d:], s[d:, :d], s[d:, d:]
     return a, omega_t, _kernel_schur(a, s10, core)
 
@@ -187,9 +194,8 @@ def curvature_bundle(local: LocalStructure, b: np.ndarray | None = None) -> Curv
         b = np.asarray(b, dtype=complex)
         resid = basis_residual(local, b)
         if resid > BASIS_TOL:
-            raise ValidationError(
-                f"basis does not normalize 2 Gamma(x): residual {resid:.3e} > {BASIS_TOL:.1e}"
-            )
+            raise ValidationError(f"basis does not normalize 2 Gamma(x): "
+                                  f"relative residual {resid:.3e} > {BASIS_TOL:.1e}")
     a, omega_t, a_inf = _eliminate(local, b)
     return CurvatureBundle(b=canonical_basis(local) if b is None else b, a=a, omega_t=omega_t,
                            v0=_v0(local, b), a_inf=HermitianMatrix(a_inf))
@@ -205,8 +211,7 @@ def curvature(local: LocalStructure, n) -> tuple[float, int]:
 
     Equals the smallest eigenvalue of A_N in the canonical basis; the
     multiplicity counts eigenvalues within a relative gap of 1e-8.  Only
-    eigenvalues are computed, and at N = inf the Laplacian term, which is
-    exactly zero there, is not formed.
+    eigenvalues are computed.
     """
     n = _check_n(n)
     if n != INF:
@@ -217,16 +222,8 @@ def curvature(local: LocalStructure, n) -> tuple[float, int]:
 def curvature_function(local: LocalStructure):
     """A fast callable N -> (K, multiplicity) with A_inf precomputed; each
     evaluation equals ``curvature(local, N)``."""
-    a_inf = _eliminate(local)[2]
-    v0 = _v0(local)
-    lap = v0 @ v0.conj().T
-
-    def evaluate(n) -> tuple[float, int]:
-        n = _check_n(n)
-        a_n = a_inf if n == INF else a_inf - (2.0 / n) * lap
-        return _lambda_min(np.linalg.eigvalsh(a_n))
-
-    return evaluate
+    a_inf, v0 = _eliminate(local)[2], _v0(local)
+    return lambda n: _lambda_min(np.linalg.eigvalsh(_a_n(a_inf, v0, _check_n(n))))
 
 
 def curvature_oracle(local: LocalStructure, n) -> float:
@@ -405,10 +402,7 @@ def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:
                     )
             break
 
-    equality_from = None
-    for i in range(len(samples) - 1):
-        if abs(ks[i + 1] - ks[i]) <= PROFILE_TOL:
-            equality_from = samples[i][0]
-            break
+    equality_from = next((grid[i] for i in range(len(ks) - 1)
+                          if abs(ks[i + 1] - ks[i]) <= PROFILE_TOL), None)
 
     return CurvatureProfile(tuple(samples), constant_from, equality_from)

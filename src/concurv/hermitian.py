@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-HERMITIAN_TOL = 1e-9        # max allowed |M - M^H| entry on construction
+HERMITIAN_TOL = 1e-9        # max allowed |M - M^H| entry, relative to max(1, max|M|)
 PSD_SLACK = 1e-9            # lambda_min >= -PSD_SLACK * max(1, |M|) counts as PSD
 PINV_RTOL_SCALE = 1e-10     # pinv cutoff is PINV_RTOL_SCALE * n
 MULTIPLICITY_GAP = 1e-8     # relative gap grouping eigenvalues with lambda_min
@@ -28,8 +28,9 @@ def _as_array(m) -> np.ndarray:
 class HermitianMatrix:
     """A dense complex matrix kept exactly Hermitian.
 
-    The constructor rejects inputs further than ``HERMITIAN_TOL`` from their
-    conjugate transpose and symmetrizes the rest to ``(M + M^H) / 2``.
+    The constructor rejects inputs further than ``HERMITIAN_TOL * max(1,
+    max|M|)`` from their conjugate transpose, so rounding at large entries
+    passes, and symmetrizes the rest to ``(M + M^H) / 2``.
     """
 
     __slots__ = ("mat",)
@@ -39,11 +40,11 @@ class HermitianMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {m.shape}")
         mh = m.conj().T
-        dev = float(np.max(np.abs(m - mh))) if m.size else 0.0
-        if dev > HERMITIAN_TOL:
-            raise ValidationError(
-                f"matrix is not Hermitian: max |M - M^H| = {dev:.3e} > {HERMITIAN_TOL:.1e}"
-            )
+        dev = float(np.max(np.abs(m - mh), initial=0.0))
+        bound = HERMITIAN_TOL * max(1.0, float(np.max(np.abs(m), initial=0.0)))
+        if dev > bound:
+            raise ValidationError(f"matrix is not Hermitian: max |M - M^H| = {dev:.3e} "
+                                  f"> {bound:.1e}")
         m = (m + mh) / 2.0
         m.setflags(write=False)
         self.mat = m
@@ -55,10 +56,13 @@ class HermitianMatrix:
 def is_psd(m) -> bool:
     """Tolerance-aware PSD test: smallest eigenvalue >= -PSD_SLACK * max(1, |M|)."""
     a = _as_array(m)
-    if a.size == 0:
-        return True
-    scale = max(1.0, float(np.max(np.abs(a))))
-    return float(np.linalg.eigvalsh(a)[0]) >= -PSD_SLACK * scale
+    return a.size == 0 or _psd_within(a, float(np.max(np.abs(a))))
+
+
+def _psd_within(a: np.ndarray, scale: float) -> bool:
+    """``lambda_min(a) >= -PSD_SLACK * max(1, scale)``, for a difference ``a``
+    whose rounding follows the size ``scale`` of its operands."""
+    return float(np.linalg.eigvalsh(a)[0]) >= -PSD_SLACK * max(1.0, scale)
 
 
 def pinv(m) -> np.ndarray:

@@ -18,10 +18,10 @@ from .errors import CrossCheckError, ValidationError
 from .curvature import INF, curvature, curvature_function
 from .graphs import (ConnectionGraph, LocalStructure, _check_positive, _check_unitary,
                      _edge_name, _positive, _stack, local_structure)
-from .hermitian import is_psd
+from .hermitian import _psd_within
 from .operators import _gamma2_array
 
-MONOTONE_SLACK = 1e-9
+MONOTONE_SLACK = 1e-9           # allowed decrease of K, relative to max(1, |K before|)
 S1_IN_TOL = 1e-12               # relative spread of inward rates counted as equal
 MERGE_CHECK_GRID = (1.0, INF)   # N at which merge_s2 checks monotonicity
 
@@ -90,12 +90,14 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     after, _ = curvature(after_loc, INF)
 
     # Same 2-ball vertex set before and after, so the difference is congruent
-    # to its switched-gauge form and PSD-ness is basis independent.
-    diff = _gamma2_array(after_loc) - _gamma2_array(before_loc)
-    delta_psd = is_psd(diff)
+    # to its switched-gauge form and PSD-ness is basis independent.  It
+    # rounds at the size of the two matrices, which sets the PSD slack.
+    g2_after, g2_before = _gamma2_array(after_loc), _gamma2_array(before_loc)
+    delta_psd = _psd_within(g2_after - g2_before,
+                            max(float(np.max(np.abs(g))) for g in (g2_after, g2_before)))
 
     if balanced_default and _s1_in_regular(before_loc):
-        if after < before - MONOTONE_SLACK:
+        if after < before - MONOTONE_SLACK * max(1.0, abs(before)):
             raise CrossCheckError(
                 f"balanced spherical edge decreased curvature: {before:.12g} -> {after:.12g}"
             )
@@ -150,7 +152,7 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
     f_after = curvature_function(local_structure(g_new, x))
     ks = {n: (f_before(n)[0], f_after(n)[0]) for n in MERGE_CHECK_GRID}
     for n, (kb, ka) in ks.items():
-        if ka < kb - MONOTONE_SLACK:
+        if ka < kb - MONOTONE_SLACK * max(1.0, abs(kb)):
             raise CrossCheckError(
                 f"merging decreased curvature at N={n}: {kb:.12g} -> {ka:.12g}"
             )

@@ -18,7 +18,7 @@ from .errors import CrossCheckError, ValidationError
 from .curvature import curvature_bundle, p0_transpose, _check_n
 from .graphs import LocalStructure
 from .hermitian import min_eig_hermitian, pinv
-from .operators import _gamma2_array, _q_array, delta_matrix
+from .operators import _ball_blocks, _q_array, delta_matrix
 
 PHI_RESIDUAL_TOL = 1e-9
 MATRIX_CHECK_TRIALS = 8  # random tangent vectors per tensor_matrix_check
@@ -44,19 +44,19 @@ def _under_block_diagonal(blocks: np.ndarray) -> np.ndarray:
 def psi_extend(local: LocalStructure, w: np.ndarray) -> np.ndarray:
     """Extend a 1-ball vector to the 2-ball by the minimizing completion.
 
-    Appends ``f2 = -D^{-1} conj(Gamma_2[S2, B1]) w`` where D is the (real,
-    diagonal, positive) 2-sphere block of Gamma_2.  The completion zeroes the
-    norm-square remainder term of the Schur identity, so the Gamma_2 form of
-    the output equals the Q form of the input.  ``w`` may also be an
-    (m+1)d x k matrix, whose columns are extended together.
+    Appends ``f2 = -(C^T / w2) w`` with the 1-ball x 2-sphere block C and
+    the positive diagonal 2-sphere block w2 of 4*Gamma_2 (the ball blocks).
+    The completion zeroes the norm-square remainder term of the Schur
+    identity, so the Gamma_2 form of the output equals the Q form of the
+    input.  ``w`` may also be an (m+1)d x k matrix, whose columns are
+    extended together.
     """
     b1 = (local.m + 1) * local.d
     w = np.asarray(w, dtype=complex)
     if w.shape[:1] != (b1,) or w.ndim > 2:
         raise ValidationError(f"psi_extend: expected shape ({b1},) or ({b1}, k), got {w.shape}")
-    g2 = _gamma2_array(local)
-    f2 = -(np.conj(g2[b1:, :b1]) / np.real(np.diag(g2)[b1:, None])) @ w
-    return np.concatenate([w, f2])
+    _, c12, w2 = _ball_blocks(local)
+    return np.concatenate([w, -(c12.T / w2[:, None]) @ w])
 
 
 def phi_map(local: LocalStructure) -> np.ndarray:
@@ -85,9 +85,7 @@ def phi_map(local: LocalStructure) -> np.ndarray:
         m_conj = -pinv(a) @ w
     resid = np.max(np.abs(w + a @ m_conj)) if w.size else 0.0
     if float(resid) > PHI_RESIDUAL_TOL * scale:
-        raise CrossCheckError(
-            f"phi_map solvability residual {float(resid):.3e} exceeds tolerance"
-        )
+        raise CrossCheckError(f"phi_map solvability residual {float(resid):.3e} exceeds tolerance")
     return np.conj(m_conj)
 
 
@@ -102,13 +100,14 @@ def _tensor_matrices(local: LocalStructure, n: float, phi: np.ndarray):
     """The md x md matrices R and G of the Ricci tensor and the metric:
     ``Ric_N(v1, v2) = v1^T R conj(v2)`` and ``g(v1, v2) = v1^T G conj(v2)``.
 
-    R is 2*Gamma_2 on the Psi-extended columns of Phi, minus (2/N) times the
-    Laplacian-square term on the columns of Phi; G is diagonal with each
-    rate p_xy_i repeated d times.
+    Ric_N is 2*Gamma_2 on the Psi-extended columns of Phi, minus (2/N) times
+    the Laplacian-square term on the columns of Phi.  The Psi completion
+    attains the Schur complement, so the first term is 2*Q on Phi itself,
+    taken from the md-size 4*Q.  G is diagonal with each rate p_xy_i
+    repeated d times.
     """
     phim = phi_matrix(local, phi)
-    ext = psi_extend(local, phim)
-    r = ext.T @ (_gamma2_array(local) / 2.0) @ np.conj(ext)
+    r = phim.T @ (_q_array(local) / 2.0) @ np.conj(phim)
     if n != np.inf:
         lap = phim.T @ delta_matrix(local)
         r -= (2.0 / n) * lap @ lap.conj().T
@@ -127,8 +126,7 @@ def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray,
     """
     n = _check_n(n)
     md = local.m * local.d
-    v1 = np.asarray(v1, dtype=complex)
-    v2 = np.asarray(v2, dtype=complex)
+    v1, v2 = np.asarray(v1, dtype=complex), np.asarray(v2, dtype=complex)
     if v1.shape != (md,) or v2.shape != (md,):
         raise ValidationError(f"tangent vectors must have shape ({md},)")
     r, g = _tensor_matrices(local, n, phi_map(local) if phi is None else phi)

@@ -182,21 +182,25 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
                           timeout=120)
 
 
-def count_gamma2_assemblies(monkeypatch) -> list[str]:
-    """Count the full 4*Gamma_2 assemblies: ``_gamma2_array`` is wrapped in
-    every loaded concurv module that imported it, and each call appends the
-    ball's center to the returned list."""
+def count_calls(monkeypatch, fn) -> list[str]:
+    """Count the calls of a concurv function that takes a ball first: ``fn``
+    is wrapped in every loaded concurv module that holds it, and each call
+    appends the ball's center to the returned list."""
     calls = []
 
-    def counted(local):
+    def counted(local, *args, **kwargs):
         calls.append(local.center)
-        return _gamma2_array(local)
+        return fn(local, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "concurv" and \
-                vars(module).get("_gamma2_array") is _gamma2_array:
-            monkeypatch.setattr(module, "_gamma2_array", counted)
+        if name.split(".")[0] == "concurv" and vars(module).get(fn.__name__) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
     return calls
+
+
+def count_gamma2_assemblies(monkeypatch) -> list[str]:
+    """Count the full 4*Gamma_2 assemblies, the calls of ``_gamma2_array``."""
+    return count_calls(monkeypatch, _gamma2_array)
 
 
 def ball_from_graph_loops(g: ConnectionGraph, x: str) -> SimpleNamespace:

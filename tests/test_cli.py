@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import concurv.graphs as graphs
-from concurv import cli
+from concurv import cli, curvature, curvature_matrix, local_structure
 from concurv.cli import fmt_value, main
 from concurv.fixtures import fixture_document, fixture_names
 from concurv.hermitian import PINV_RTOL_SCALE
 
-from helpers import (MALFORMED_DOCUMENTS, NON_FINITE_DOCUMENTS, OVERSIZED_DOCUMENTS, random_graph,
-                     run_python, scaled_rates)
+from helpers import (MALFORMED_DOCUMENTS, NON_FINITE_DOCUMENTS, OVERSIZED_DOCUMENTS, count_calls,
+                     random_graph, run_python, scaled_rates)
 
 
 @pytest.fixture()
@@ -67,11 +67,10 @@ class TestCurvatureCommand:
         assert results["curvature"] == pytest.approx(25000.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", ["inf", "4"])
-    def test_random_graphs_at_large_rates(self, n, tmp_path, capsys, monkeypatch):
+    def test_random_graphs_at_large_rates(self, n, tmp_path, capsys):
         """Random graphs with unequal weights scaled by 1e8 (K near 1e7): the
         report, its kernel block and the matrix dump build, and the oracle
-        agrees to 1e-8 of the rates' scale; CURV_TOL is absolute, so it is
-        scaled with them."""
+        agrees within the default tolerance times max(1, |K|)."""
         rng = np.random.default_rng(49)
         path = tmp_path / "scaled.json"
         for trial in range(6):
@@ -81,10 +80,27 @@ class TestCurvatureCommand:
             assert main(argv) == 0
             assert json.loads(capsys.readouterr().out)["results"]["kernel_block"]["rank"] \
                 == g.dimension
-            monkeypatch.setenv("CURV_TOL", "1.0")
             assert main(argv + ["--oracle", "--matrix"]) == 0
             assert json.loads(capsys.readouterr().out)["results"]["oracle_agreement"] is True
-            monkeypatch.delenv("CURV_TOL")
+
+    def test_one_elimination_feeds_the_report(self, fixture_file, capsys, monkeypatch):
+        """``curvature --oracle --matrix`` eliminates the kernel block once;
+        its K is curvature(loc, N) bit for bit and its matrix is
+        curvature_matrix(loc, N), at N = inf and at finite N."""
+        from concurv.curvature import _eliminate
+        path = fixture_file("g1_u2")
+        loc = local_structure(graphs.load_graph(Path(path).read_bytes()), "1")
+        for n in ("inf", "2.5"):
+            want_k, want_mult = curvature(loc, float(n))
+            want_a = curvature_matrix(loc, float(n)).mat
+            calls = count_calls(monkeypatch, _eliminate)
+            argv = ["--json", "curvature", path, "--vertex", "1", "--N", n, "--oracle", "--matrix"]
+            assert main(argv) == 0
+            assert calls == ["1"]
+            results = json.loads(capsys.readouterr().out)["results"]
+            assert results["curvature"] == want_k and results["multiplicity"] == want_mult
+            assert results["a_n"] == cli.matrix_to_json(want_a)
+            monkeypatch.undo()
 
     def test_json_rendering_agrees(self, fixture_file, capsys):
         path = fixture_file("g1_u2")
@@ -255,6 +271,23 @@ class TestEditCommands:
         assert code == 0
         assert "4+5" in out
 
+    @pytest.mark.parametrize("command, fixtures, options", [
+        ("product", ["triangle_signed", "diamond_signed"], []),
+        ("add-edge", ["g5_signed"], ["--vertex", "1", "--yi", "2", "--yj", "3", "--sign", "-1"]),
+        ("merge", ["g4_signed"], ["--vertex", "1", "--zk", "4", "--zl", "5"]),
+    ])
+    def test_out_writes_the_graph(self, command, fixtures, options, fixture_file, tmp_path,
+                                  capsys):
+        """--out writes a document that loads; a path that cannot be written
+        exits 1 with a message, not a traceback."""
+        argv = [command, *map(fixture_file, fixtures), *options, "--out"]
+        out_path = tmp_path / "out.json"
+        assert main(argv + [str(out_path)]) == 0
+        assert "written" in capsys.readouterr().out
+        assert graphs.load_graph(out_path.read_bytes()).dimension == 1
+        assert main(argv + [str(tmp_path / "missing" / "out.json")]) == 1
+        assert "validation error: cannot write" in capsys.readouterr().err
+
     def test_invalid_edit_exits_1(self, fixture_file, capsys):
         code = main(["add-edge", fixture_file("diamond_signed"), "--vertex", "1",
                      "--yi", "2", "--yj", "3"])
@@ -313,7 +346,7 @@ class TestToleranceOverride:
         # an absurdly tight tolerance makes the oracle cross-check fail; the
         # oracle is stubbed 1e-12 off K, so the gap does not hang on rounding
         monkeypatch.setattr(cli, "curvature_oracle",
-                            lambda loc, n: cli.curvature(loc, n)[0] + 1e-12)
+                            lambda loc, n: curvature(loc, n)[0] + 1e-12)
         monkeypatch.setenv("CURV_TOL", "1e-15")
         code = main(["curvature", fixture_file("g1_u2"), "--vertex", "1", "--oracle"])
         capsys.readouterr()

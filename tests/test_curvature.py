@@ -15,6 +15,7 @@ from concurv import (
     curvature_matrix,
     curvature_oracle,
     curvature_profile,
+    gamma2_matrix,
     general_basis,
     is_locally_balanced,
     load_graph,
@@ -82,6 +83,25 @@ class TestBases:
         rows = (u[:, loc.d:] / np.sqrt(w[loc.d:])).conj().T
         b = np.vstack([p0_transpose(loc), rows])
         assert basis_residual(loc, b) <= 1e-9
+
+    def test_explicit_bases_at_large_rates(self):
+        """At rates scaled by 1e8 the basis residual is checked relative to
+        max|B|^2 max|2 Gamma|: general_basis builds, 4*Gamma_2 and the
+        explicit-basis curvature matrices build, and the canonical basis
+        passed explicitly gives K within 1e-12 * max(1, |K|).  With absolute
+        tolerances all 40 general bases and 23 of the 40 4*Gamma_2 raised."""
+        rng = np.random.default_rng(7)
+        for trial in range(40):
+            loc = local_structure(scaled_rates(random_graph(rng, d=1 + trial % 3), 1e8), "1")
+            gamma2_matrix(loc)
+            b = general_basis(loc, seed=trial)
+            assert basis_residual(loc, b) <= 1e-9
+            curvature_bundle(loc, b).a_n(4.0)
+            b0 = canonical_basis(loc)
+            for n in (INF, 4.0):
+                k = curvature(loc, n)[0]
+                got = float(np.linalg.eigvalsh(curvature_matrix(loc, n, b0).mat)[0])
+                assert abs(got - k) <= 1e-12 * max(1.0, abs(k)), (trial, n, got, k)
 
     def test_invalid_basis_rejected(self):
         loc = single_edge_local()

@@ -135,3 +135,13 @@ class TestMinEig:
 def test_is_psd_slack():
     assert is_psd(np.diag([0.0, -5e-10]))
     assert not is_psd(np.diag([1.0, -1e-3]))
+
+
+def test_hermitian_tolerance_is_relative():
+    """HERMITIAN_TOL scales with max(1, max|M|): a few ulps of asymmetry in
+    entries near 1e8 pass, an asymmetry above 1e-9 of the largest entry
+    does not."""
+    big = np.array([[3e8, 1e8 + 1e-7], [1e8, 2e8]], dtype=complex)
+    assert HermitianMatrix(big).mat[0, 1] == pytest.approx(1e8, rel=1e-15)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        HermitianMatrix(big + np.array([[0.0, 1.0], [0.0, 0.0]]))

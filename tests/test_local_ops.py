@@ -21,6 +21,7 @@ from helpers import (
     random_merge_instance,
     random_s1_in_regular_graph,
     random_unitary,
+    scaled_rates,
 )
 
 
@@ -235,3 +236,21 @@ def test_s1_in_regular_rejects_unknown_and_isolated_vertices():
         s1_in_regular(g, "nowhere")
     with pytest.raises(ValidationError, match="isolated"):
         s1_in_regular(g, "lone")
+
+
+@pytest.mark.parametrize("s", [1e6, 1e8])
+def test_edits_at_large_rates(s):
+    """Edits of graphs whose weights are scaled by s raise no cross-check:
+    the monotonicity slack is relative to max(1, |K|) and the PSD slack of
+    the Gamma_2 difference to the size of the two matrices it subtracts.
+    With absolute slacks, 2 to 30 of these 30 balanced additions and 4 to 6
+    of these 30 merges raised on correct values."""
+    rng = np.random.default_rng(105)
+    for trial in range(30):
+        g, x, yi, yj = random_s1_in_regular_graph(rng, d=1 + trial % 3)
+        _, edit = add_spherical_edge(scaled_rates(g, s), x, yi, yj)
+        assert edit.delta_psd
+        assert edit.after >= edit.before - 1e-9 * abs(edit.before)
+        g, x, za, zb = random_merge_instance(rng, d=1 + trial % 3)
+        _, edit = merge_s2(scaled_rates(g, s), x, za, zb)
+        assert edit.after >= edit.before - 1e-9 * abs(edit.before)
