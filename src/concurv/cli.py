@@ -22,10 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import (INF, _a_n, _eliminate, _kernel_eigh, _v0, curvature_oracle,
-                        curvature_profile)
+from .curvature import INF, _kernel_eigh, _solve, curvature_oracle, curvature_profile
 from .graphs import is_locally_balanced, load_graph, local_structure, sigma_stack
-from .hermitian import HermitianMatrix, _lambda_min
+from .hermitian import HermitianMatrix
 
 FRACTION_MAX_DEN = 16
 FRACTION_TOL = 1e-9
@@ -173,10 +172,7 @@ def cmd_curvature(args) -> tuple[int, Report]:
     report, (g,) = _open("curvature", args.graph)
     n = parse_n(args.N)
     loc = local_structure(g, args.vertex)
-    # one elimination feeds K (computed as curvature() does), the kernel block and A_N
-    a, _, a_inf = _eliminate(loc)
-    a_n = _a_n(a_inf, _v0(loc), n)
-    k, mult = _lambda_min(np.linalg.eigvalsh(a_n))
+    k, mult, a, a_n = _solve(loc, n)   # one elimination, as curvature() runs it
     report.add("vertex", args.vertex)
     report.add("N", _n_value(n))
     report.add_number("curvature", k)
@@ -232,7 +228,9 @@ def cmd_product(args) -> tuple[int, Report]:
         if len(toks) != 2:
             raise ValidationError(f"--decompose: expected X,X2, got {args.decompose!r}")
         x, x2 = toks
-        dec = product_decomposition(g, g2, spec, x, x2, parse_n(args.N), parse_n(args.N2))
+        n = parse_n(args.N)
+        n2 = parse_n(args.N2)
+        dec = product_decomposition(g, g2, spec, x, x2, n, n2)
         report.add("decompose_at", f"({x}, {x2})")
         report.add_number("residual", dec.residual)
         report.add_number("lambda_min_R", float(np.linalg.eigvalsh(dec.r)[0]) if dec.r.size else 0.0)
@@ -297,7 +295,8 @@ def cmd_examples(args) -> tuple[int, Report]:
     failures = 0
     for criterion, name, ok, detail in examples_registry.run():
         status = "PASS" if ok else "FAIL"
-        failures += not ok
+        if not ok:
+            failures += 1
         report.doc["results"][name] = {"criterion": criterion, "ok": ok, "detail": detail}
         report.add_line(f"[{status}] {criterion:>3s} {name}{(': ' + detail) if detail else ''}")
     report.add("failures", failures)

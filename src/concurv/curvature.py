@@ -29,7 +29,7 @@ from .hermitian import PINV_RTOL_SCALE, HermitianMatrix, _lambda_min
 from .operators import _gamma2_array, _gamma_array, _q_array, delta_matrix
 
 INF = float("inf")
-BASIS_TOL = 1e-9         # allowed relative residual of B (2 Gamma) B^H = diag(0, I)
+BASIS_TOL = 1e-9         # allowed residual of B (2 Gamma) B^H = diag(0, I), entrywise relative
 ORACLE_PSD_SLACK = 1e-9  # feasibility slack of the bisection oracle, relative to its matrices
 ORACLE_BRACKET = 1e-10   # the oracle bisects K to a bracket this wide, relative to max(1, |K|)
 PROFILE_TOL = 1e-9       # constancy assertions on curvature profiles
@@ -69,14 +69,16 @@ def canonical_basis(local: LocalStructure) -> np.ndarray:
 
 
 def basis_residual(local: LocalStructure, b: np.ndarray) -> float:
-    """Max-norm residual of the normalization condition for a candidate B,
-    relative to ``max(1, max|B|^2 max|2 Gamma|)``, the scale at which the
-    product ``B (2 Gamma) B^H`` rounds."""
+    """Largest residual of the normalization condition for a candidate B,
+    each entry of ``B (2 Gamma) B^H - diag(0, I)`` over
+    ``max(1, (|B| |2 Gamma| |B|^H)_ij)``, the scale at which it rounds.  The
+    scale is 1 on the normalized rows of the canonical basis."""
     d, two_gamma = local.d, _gamma_array(local)
     resid = b @ two_gamma @ b.conj().T
     resid[d:, d:] -= np.eye(local.m * d)   # the target diag(0_d, I_md)
-    scale = max(1.0, float(np.max(np.abs(b))) ** 2 * float(np.max(np.abs(two_gamma))))
-    return float(np.max(np.abs(resid))) / scale
+    abs_b = np.abs(b)
+    scale = np.maximum(1.0, abs_b @ np.abs(two_gamma) @ abs_b.T)
+    return float(np.max(np.abs(resid) / scale))
 
 
 def general_basis(local: LocalStructure, seed: int) -> np.ndarray:
@@ -85,8 +87,10 @@ def general_basis(local: LocalStructure, seed: int) -> np.ndarray:
     Rows 1..d are E p0^T for a random nonsingular E; the rest mix the
     orthonormalized positive-eigenspace rows of 2*Gamma(x) by a random
     unitary, plus a random kernel-row component (which the normalization
-    condition cannot see).  Used to exercise basis-independence; all default
-    computations use ``canonical_basis``.
+    condition cannot see).  E and the kernel component are drawn at the
+    scale ``median(p_xy)^{-1/2}`` of the positive rows, so that neither
+    swamps them at any scale of the rates.  Used to exercise
+    basis-independence; all default computations use ``canonical_basis``.
     """
     rng = np.random.default_rng(seed)
     d, m = local.d, local.m
@@ -95,8 +99,10 @@ def general_basis(local: LocalStructure, seed: int) -> np.ndarray:
     # Exactly d zero eigenvalues; the positive part starts at index d.
     rows = (u[:, d:] / np.sqrt(w[d:])).conj().T
 
+    scale = 1.0 / np.sqrt(np.median(local.p_x))
+
     def rand_complex(shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
     while True:
         e = rand_complex((d, d))
@@ -194,8 +200,9 @@ def curvature_bundle(local: LocalStructure, b: np.ndarray | None = None) -> Curv
         b = np.asarray(b, dtype=complex)
         resid = basis_residual(local, b)
         if resid > BASIS_TOL:
-            raise ValidationError(f"basis does not normalize 2 Gamma(x): "
-                                  f"relative residual {resid:.3e} > {BASIS_TOL:.1e}")
+            raise ValidationError(
+                f"basis does not normalize 2 Gamma(x): residual {resid:.3e} > {BASIS_TOL:.1e}"
+            )
     a, omega_t, a_inf = _eliminate(local, b)
     return CurvatureBundle(b=canonical_basis(local) if b is None else b, a=a, omega_t=omega_t,
                            v0=_v0(local, b), a_inf=HermitianMatrix(a_inf))
@@ -213,10 +220,15 @@ def curvature(local: LocalStructure, n) -> tuple[float, int]:
     multiplicity counts eigenvalues within a relative gap of 1e-8.  Only
     eigenvalues are computed.
     """
-    n = _check_n(n)
-    if n != INF:
-        return curvature_function(local)(n)
-    return _lambda_min(np.linalg.eigvalsh(_eliminate(local)[2]))
+    return _solve(local, _check_n(n))[:2]
+
+
+def _solve(local: LocalStructure, n: float):
+    """K, its multiplicity, the kernel block a and A_N in the canonical
+    basis, all from one elimination; v0 is formed only at finite N."""
+    a, _, a_inf = _eliminate(local)
+    a_n = a_inf if n == INF else _a_n(a_inf, _v0(local), n)
+    return (*_lambda_min(np.linalg.eigvalsh(a_n)), a, a_n)
 
 
 def curvature_function(local: LocalStructure):
@@ -402,7 +414,10 @@ def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:
                     )
             break
 
-    equality_from = next((grid[i] for i in range(len(ks) - 1)
-                          if abs(ks[i + 1] - ks[i]) <= PROFILE_TOL), None)
+    equality_from = None
+    for i in range(len(samples) - 1):
+        if abs(ks[i + 1] - ks[i]) <= PROFILE_TOL:
+            equality_from = samples[i][0]
+            break
 
     return CurvatureProfile(tuple(samples), constant_from, equality_from)

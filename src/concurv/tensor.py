@@ -85,7 +85,9 @@ def phi_map(local: LocalStructure) -> np.ndarray:
         m_conj = -pinv(a) @ w
     resid = np.max(np.abs(w + a @ m_conj)) if w.size else 0.0
     if float(resid) > PHI_RESIDUAL_TOL * scale:
-        raise CrossCheckError(f"phi_map solvability residual {float(resid):.3e} exceeds tolerance")
+        raise CrossCheckError(
+            f"phi_map solvability residual {float(resid):.3e} exceeds tolerance"
+        )
     return np.conj(m_conj)
 
 
@@ -126,7 +128,8 @@ def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray,
     """
     n = _check_n(n)
     md = local.m * local.d
-    v1, v2 = np.asarray(v1, dtype=complex), np.asarray(v2, dtype=complex)
+    v1 = np.asarray(v1, dtype=complex)
+    v2 = np.asarray(v2, dtype=complex)
     if v1.shape != (md,) or v2.shape != (md,):
         raise ValidationError(f"tangent vectors must have shape ({md},)")
     r, g = _tensor_matrices(local, n, phi_map(local) if phi is None else phi)

@@ -81,6 +81,14 @@ def scaled_rates(g: ConnectionGraph, s: float) -> ConnectionGraph:
                            [(u, v, w * s, sigma) for u, v, w, sigma in g.edge_list()])
 
 
+def mixed_rates(g: ConnectionGraph, low: float, high: float) -> ConnectionGraph:
+    """g with its edge weights multiplied by high and low in turn, in
+    ``edge_list`` order."""
+    return ConnectionGraph(g.dimension, g.field, [(v, g.measure(v)) for v in g.vertex_ids],
+                           [(u, v, w * (low if k % 2 else high), sigma)
+                            for k, (u, v, w, sigma) in enumerate(g.edge_list())])
+
+
 def random_switching(rng, g: ConnectionGraph) -> dict[str, np.ndarray]:
     return {v: random_unitary(rng, g.dimension, "complex") for v in g.vertex_ids}
 
@@ -290,36 +298,48 @@ def gamma_forms(g: ConnectionGraph, f, h, x: str):
     return gamma_fh, gamma2_fh, delta_f
 
 
-def curvature_reference(g: ConnectionGraph, x: str, dps: int = 50) -> float:
-    """K(inf) at x to ``dps`` digits, from the graph's double inputs taken as
-    exact.
-
-    4*Gamma_2 comes entry by entry from :func:`gamma_forms` on unit
-    functions, evaluated in mpmath; the 2-sphere block and the kernel block
-    a are eliminated with exact inverses in the canonical basis, and K is
-    the smallest eigenvalue from ``mpmath.eighe``.  Independent of every
-    float64 assembly; the kernel block must be nonsingular (an unbalanced
-    ball).
-    """
+def q_reference(g: ConnectionGraph, x: str):
+    """4*Q(x) as an mpmath matrix at the working precision, from the graph's
+    double inputs taken as exact: 4*Gamma_2 comes entry by entry from
+    :func:`gamma_forms` on unit functions, and the 2-sphere block is
+    eliminated with an exact inverse.  Independent of every float64
+    assembly."""
     import mpmath
 
     loc = local_structure(g, x)
     d, verts = loc.d, loc.vertices
     size, b1 = len(verts) * d, (loc.m + 1) * d
+    units = []
+    for k in range(size):
+        f = {v: np.array([mpmath.mpf(0)] * d, dtype=object) for v in verts}
+        f[verts[k // d]][k % d] = mpmath.mpf(1)
+        units.append(f)
+    g2 = mpmath.matrix(size, size)
+    for i, fi in enumerate(units):
+        for j, fj in enumerate(units):
+            g2[i, j] = 4 * gamma_forms(g, fi, fj, x)[1]
+    q = g2[:b1, :b1]
+    if size > b1:
+        c = g2[:b1, b1:]
+        q = q - c * g2[b1:, b1:] ** -1 * c.H
+    return q
+
+
+def curvature_reference(g: ConnectionGraph, x: str, dps: int = 50) -> float:
+    """K(inf) at x to ``dps`` digits, from the graph's double inputs taken as
+    exact.
+
+    4*Q comes from :func:`q_reference`; the kernel block a is eliminated
+    with an exact inverse in the canonical basis, and K is the smallest
+    eigenvalue from ``mpmath.eighe``.  The kernel block must be nonsingular
+    (an unbalanced ball).
+    """
+    import mpmath
+
+    loc = local_structure(g, x)
+    d, b1 = loc.d, (loc.m + 1) * loc.d
     with mpmath.workdps(dps):
-        units = []
-        for k in range(size):
-            f = {v: np.array([mpmath.mpf(0)] * d, dtype=object) for v in verts}
-            f[verts[k // d]][k % d] = mpmath.mpf(1)
-            units.append(f)
-        g2 = mpmath.matrix(size, size)
-        for i, fi in enumerate(units):
-            for j, fj in enumerate(units):
-                g2[i, j] = 4 * gamma_forms(g, fi, fj, x)[1]
-        q = g2[:b1, :b1]
-        if size > b1:
-            c = g2[:b1, b1:]
-            q = q - c * g2[b1:, b1:] ** -1 * c.H
+        q = q_reference(g, x)
         b = mpmath.eye(b1)
         for i, y in enumerate(loc.s1):
             blk = (i + 1) * d

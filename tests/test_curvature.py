@@ -35,6 +35,7 @@ from helpers import (
     curvature_reference,
     dense_kernel_condition,
     gamma_forms,
+    mixed_rates,
     phase_triangle,
     random_balanced_graph,
     random_function,
@@ -85,23 +86,40 @@ class TestBases:
         assert basis_residual(loc, b) <= 1e-9
 
     def test_explicit_bases_at_large_rates(self):
-        """At rates scaled by 1e8 the basis residual is checked relative to
-        max|B|^2 max|2 Gamma|: general_basis builds, 4*Gamma_2 and the
-        explicit-basis curvature matrices build, and the canonical basis
-        passed explicitly gives K within 1e-12 * max(1, |K|).  With absolute
-        tolerances all 40 general bases and 23 of the 40 4*Gamma_2 raised."""
+        """At rates scaled by 1e8 each entry of the basis residual is checked
+        at its own rounding scale: general_basis builds, 4*Gamma_2 and the
+        explicit-basis curvature matrices build, the canonical basis passed
+        explicitly gives K within 1e-12 * max(1, |K|) and a general basis
+        within 1e-10 * max(1, |K|).  With absolute tolerances all 40 general
+        bases and 23 of the 40 4*Gamma_2 raised; with E and the kernel-row
+        component drawn at unit scale a general basis was off by 1.6e-4."""
         rng = np.random.default_rng(7)
         for trial in range(40):
             loc = local_structure(scaled_rates(random_graph(rng, d=1 + trial % 3), 1e8), "1")
             gamma2_matrix(loc)
             b = general_basis(loc, seed=trial)
             assert basis_residual(loc, b) <= 1e-9
-            curvature_bundle(loc, b).a_n(4.0)
-            b0 = canonical_basis(loc)
             for n in (INF, 4.0):
                 k = curvature(loc, n)[0]
-                got = float(np.linalg.eigvalsh(curvature_matrix(loc, n, b0).mat)[0])
-                assert abs(got - k) <= 1e-12 * max(1.0, abs(k)), (trial, n, got, k)
+                for basis, tol in ((canonical_basis(loc), 1e-12), (b, 1e-10)):
+                    got = float(np.linalg.eigvalsh(curvature_matrix(loc, n, basis).mat)[0])
+                    assert abs(got - k) <= tol * max(1.0, abs(k)), (trial, n, got, k)
+
+    @pytest.mark.parametrize("rates, factor", [("scaled", 1.01), ("mixed", 1.0 + 1e-6)])
+    def test_denormalized_basis_rejected_at_any_scale(self, rates, factor):
+        """The canonical basis with its normalized rows stretched by factor
+        must be rejected at rates scaled by 1e8 and at rates mixing 1e-2 and
+        1e2.  A residual taken relative to max|B|^2 max|2 Gamma| accepted
+        both: a 2% normalization error there is 2e-10 of that scale."""
+        rng = np.random.default_rng(8)
+        for trial in range(12):
+            g = random_graph(rng, d=1 + trial % 3)
+            g = scaled_rates(g, 1e8) if rates == "scaled" else mixed_rates(g, 1e-2, 1e2)
+            loc = local_structure(g, "1")
+            b = canonical_basis(loc)
+            b[loc.d:] *= factor
+            with pytest.raises(ValidationError, match="normalize"):
+                curvature_bundle(loc, b)
 
     def test_invalid_basis_rejected(self):
         loc = single_edge_local()
