@@ -21,7 +21,6 @@ from .graphs import (
 from .hermitian import (
     HermitianMatrix,
     min_eig_hermitian,
-    pinv,
     schur_complement,
 )
 from .operators import (
@@ -102,7 +101,6 @@ __all__ = [
     "merge_s2",
     "min_eig_hermitian",
     "phi_map",
-    "pinv",
     "product_decomposition",
     "product_vertex",
     "psi_extend",

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import INF, _kernel_eigh, _solve, curvature_oracle, curvature_profile
+from .curvature import INF, _solve, curvature_oracle, curvature_profile
 from .graphs import is_locally_balanced, load_graph, local_structure, sigma_stack
 from .hermitian import HermitianMatrix
 
@@ -172,15 +172,14 @@ def cmd_curvature(args) -> tuple[int, Report]:
     report, (g,) = _open("curvature", args.graph)
     n = parse_n(args.N)
     loc = local_structure(g, args.vertex)
-    k, mult, a, a_n = _solve(loc, n)   # one elimination, as curvature() runs it
+    k, mult, eig, a_n = _solve(loc, n)   # one elimination, as curvature() runs it
     report.add("vertex", args.vertex)
     report.add("N", _n_value(n))
     report.add_number("curvature", k)
     report.add("multiplicity", mult)
-    lam, _, cutoff, keep = _kernel_eigh(a)
-    lam, rank = sorted(lam.tolist(), key=abs, reverse=True), int(np.count_nonzero(keep))
-    report.add("kernel_block", {"eigenvalues": lam, "rank": rank, "cutoff": cutoff},
-               f"rank {rank} of {len(lam)}, cutoff {cutoff:.3e}, eigenvalues "
+    lam, rank = sorted(eig.lam.tolist(), key=abs, reverse=True), int(np.count_nonzero(eig.keep))
+    report.add("kernel_block", {"eigenvalues": lam, "rank": rank, "cutoff": eig.cutoff},
+               f"rank {rank} of {len(lam)}, cutoff {eig.cutoff:.3e}, eigenvalues "
                + ", ".join(f"{v:.3e}" for v in lam))
     agree = True
     if args.oracle:

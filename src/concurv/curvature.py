@@ -20,12 +20,13 @@ N = infinity is the plain ``float("inf")``; ``2 / inf`` is exactly 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .graphs import LocalStructure
-from .hermitian import PINV_RTOL_SCALE, HermitianMatrix, _lambda_min
+from .hermitian import HermitianMatrix, _Eigh, _eigh_rank, _lambda_min
 from .operators import _gamma2_array, _gamma_array, _q_array, delta_matrix
 
 INF = float("inf")
@@ -142,47 +143,47 @@ def _a_n(a_inf: np.ndarray, v0: np.ndarray, n: float) -> np.ndarray:
     return a_inf if n == INF else a_inf - (2.0 / n) * (v0 @ v0.conj().T)
 
 
-def _kernel_eigh(a: np.ndarray):
-    """eigh of the kernel block a, the cutoff of its pseudoinverse and the
-    mask of the eigenvalues kept: those with ``|lam| <= PINV_RTOL_SCALE * d *
-    max|lam|`` are zeroed.  For a Hermitian a this is numpy's SVD-pinv rule."""
-    lam, u = np.linalg.eigh(a)
-    cutoff = PINV_RTOL_SCALE * lam.size * float(abs(lam).max())
-    return lam, u, cutoff, np.abs(lam) > cutoff
+class _Elimination(NamedTuple):
+    """What one elimination yields and its consumers read: ``q2 = 4*Q / 2``,
+    the kernel block a, its eigh and rank, omega^T and A_inf."""
+
+    q2: np.ndarray
+    a: np.ndarray
+    eig: _Eigh
+    omega_t: np.ndarray
+    a_inf: np.ndarray
 
 
-def _kernel_schur(a: np.ndarray, s10: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """``core - s10 a^+ s10^H``, with a^+ from :func:`_kernel_eigh`."""
-    lam, u, _, keep = _kernel_eigh(a)
-    y = s10 @ u[:, keep]
-    corr = (y / lam[keep]) @ y.conj().T
-    # averaged so that A_inf, like Q and core, is exactly Hermitian at any scale
-    return core - (corr + corr.conj().T) / 2.0
+def _eliminate(local: LocalStructure, b: np.ndarray | None = None,
+               q2: np.ndarray | None = None) -> _Elimination:
+    """The kernel block a of ``S = B q2 B^H`` eliminated, for the basis B;
+    ``q2`` is ``4*Q / 2``, formed here unless a caller already holds it.
 
-
-def _eliminate(local: LocalStructure, b: np.ndarray | None = None):
-    """a, omega^T and A_inf as plain arrays for the basis B: the kernel block
-    a of ``S = B (Q/2) B^H`` eliminated.
-
-    An explicit B takes the dense product.  The canonical basis (b None),
+    An explicit B, rejected unless it normalizes 2 Gamma(x) within
+    BASIS_TOL, takes the dense product.  The canonical basis (b None),
     ``B0 = [[I, X], [0, D]]`` with ``D = diag(p_xyi^{-1/2}) (x) I_d``, is
-    applied without forming it: with ``Z = (Q/2) conj(p0)``, ``a = p0^T Z``,
-    ``S10 = D Z[d:]`` and ``core = D (Q/2)[d:, d:] D``.
+    applied without forming it: with ``Z = q2 conj(p0)``, ``a = p0^T Z``,
+    ``S10 = D Z[d:]`` and ``core = D q2[d:, d:] D``.
     """
     d = local.d
-    q = _q_array(local) / 2.0
+    q2 = _q_array(local) / 2.0 if q2 is None else q2
     if b is None:
         # conj(p0) = [I; sigma_xy1^T; ...; sigma_xym^T]
         p0c = np.concatenate([np.eye(d)[None], local.sigma_x.transpose(0, 2, 1)]).reshape(-1, d)
-        z = q @ p0c
+        z = q2 @ p0c
         dd = np.repeat(1.0 / np.sqrt(local.p_x), d)[:, None]
-        a, s10, core = p0c.conj().T @ z, dd * z[d:], q[d:, d:] * (dd * dd.T)
+        a, s10, core = p0c.conj().T @ z, dd * z[d:], q2[d:, d:] * (dd * dd.T)
         omega_t = s10.conj().T
     else:
-        s = b @ q @ b.conj().T
+        resid = basis_residual(local, b)
+        if resid > BASIS_TOL:
+            raise ValidationError(
+                f"basis does not normalize 2 Gamma(x): residual {resid:.3e} > {BASIS_TOL:.1e}")
+        s = b @ q2 @ b.conj().T
         s = (s + s.conj().T) / 2.0   # like the canonical A_inf, exactly Hermitian at any scale
         a, omega_t, s10, core = s[:d, :d], s[:d, d:], s[d:, :d], s[d:, d:]
-    return a, omega_t, _kernel_schur(a, s10, core)
+    eig = _eigh_rank(a)
+    return _Elimination(q2, a, eig, omega_t, eig.schur(s10, core))
 
 
 def _v0(local: LocalStructure, b: np.ndarray | None = None) -> np.ndarray:
@@ -196,16 +197,10 @@ def _v0(local: LocalStructure, b: np.ndarray | None = None) -> np.ndarray:
 
 def curvature_bundle(local: LocalStructure, b: np.ndarray | None = None) -> CurvatureBundle:
     """Assemble a, omega, v0 and A_inf for a basis B (canonical by default)."""
-    if b is not None:
-        b = np.asarray(b, dtype=complex)
-        resid = basis_residual(local, b)
-        if resid > BASIS_TOL:
-            raise ValidationError(
-                f"basis does not normalize 2 Gamma(x): residual {resid:.3e} > {BASIS_TOL:.1e}"
-            )
-    a, omega_t, a_inf = _eliminate(local, b)
-    return CurvatureBundle(b=canonical_basis(local) if b is None else b, a=a, omega_t=omega_t,
-                           v0=_v0(local, b), a_inf=HermitianMatrix(a_inf))
+    b = None if b is None else np.asarray(b, dtype=complex)
+    e = _eliminate(local, b)
+    return CurvatureBundle(b=canonical_basis(local) if b is None else b, a=e.a, omega_t=e.omega_t,
+                           v0=_v0(local, b), a_inf=HermitianMatrix(e.a_inf))
 
 
 def curvature_matrix(local: LocalStructure, n, b: np.ndarray | None = None) -> HermitianMatrix:
@@ -224,17 +219,17 @@ def curvature(local: LocalStructure, n) -> tuple[float, int]:
 
 
 def _solve(local: LocalStructure, n: float):
-    """K, its multiplicity, the kernel block a and A_N in the canonical
-    basis, all from one elimination; v0 is formed only at finite N."""
-    a, _, a_inf = _eliminate(local)
-    a_n = a_inf if n == INF else _a_n(a_inf, _v0(local), n)
-    return (*_lambda_min(np.linalg.eigvalsh(a_n)), a, a_n)
+    """K, its multiplicity, the eigh of the kernel block a and A_N in the
+    canonical basis, all from one elimination; v0 is formed only at finite N."""
+    e = _eliminate(local)
+    a_n = e.a_inf if n == INF else _a_n(e.a_inf, _v0(local), n)
+    return (*_lambda_min(np.linalg.eigvalsh(a_n)), e.eig, a_n)
 
 
 def curvature_function(local: LocalStructure):
     """A fast callable N -> (K, multiplicity) with A_inf precomputed; each
     evaluation equals ``curvature(local, N)``."""
-    a_inf, v0 = _eliminate(local)[2], _v0(local)
+    a_inf, v0 = _eliminate(local).a_inf, _v0(local)
     return lambda n: _lambda_min(np.linalg.eigvalsh(_a_n(a_inf, v0, _check_n(n))))
 
 

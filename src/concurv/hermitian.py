@@ -1,5 +1,5 @@
-"""Dense complex Hermitian linear algebra: eigensolvers, Moore-Penrose
-pseudoinverses, Schur complements and PSD tests.
+"""Dense complex Hermitian linear algebra: eigensolvers, the one
+pseudoinverse rule (by ``eigh``), Schur complements and PSD tests.
 
 Everything operates on small dense matrices (desk scale, a few hundred rows
 at most).  Inputs are plain numpy arrays; :class:`HermitianMatrix` is a thin
@@ -9,13 +9,15 @@ Hermitianity.  :func:`schur_complement` is the generic reference form.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ValidationError
 
 HERMITIAN_TOL = 1e-9        # max allowed |M - M^H| entry, relative to max(1, max|M|)
 PSD_SLACK = 1e-9            # lambda_min >= -PSD_SLACK * max(1, |M|) counts as PSD
-PINV_RTOL_SCALE = 1e-10     # pinv cutoff is PINV_RTOL_SCALE * n
+PINV_RTOL_SCALE = 1e-10     # pseudoinverse cutoff is PINV_RTOL_SCALE * n * max abs(eigenvalue)
 MULTIPLICITY_GAP = 1e-8     # relative gap grouping eigenvalues with lambda_min
 
 
@@ -65,17 +67,33 @@ def _psd_within(a: np.ndarray, scale: float) -> bool:
     return float(np.linalg.eigvalsh(a)[0]) >= -PSD_SLACK * max(1.0, scale)
 
 
-def pinv(m) -> np.ndarray:
-    """Moore-Penrose pseudoinverse (numpy's, by SVD).
+class _Eigh(NamedTuple):
+    """eigh of a Hermitian a (ascending ``lam``, vectors ``u``), the cutoff
+    of its pseudoinverse and the mask ``keep`` of the eigenvalues inverted."""
 
-    Singular values at or below ``PINV_RTOL_SCALE * n * sigma_max`` are
-    zeroed, n being the larger dimension of the input.  A zero matrix maps
-    to a zero matrix.
-    """
-    a = _as_array(m)
-    # positional: the relative cutoff is ``rcond`` on numpy 1.x, which has
-    # no ``rtol`` keyword, and numpy 2 reads it the same way
-    return np.linalg.pinv(a, PINV_RTOL_SCALE * max(a.shape))
+    lam: np.ndarray
+    u: np.ndarray
+    cutoff: float
+    keep: np.ndarray
+
+    def pinv(self) -> np.ndarray:
+        uk = self.u[:, self.keep]
+        return (uk / self.lam[self.keep]) @ uk.conj().T
+
+    def schur(self, s10: np.ndarray, core: np.ndarray) -> np.ndarray:
+        """``core - s10 a^+ s10^H``, averaged to be exactly Hermitian at any scale."""
+        y = s10 @ self.u[:, self.keep]
+        corr = (y / self.lam[self.keep]) @ y.conj().T
+        return core - (corr + corr.conj().T) / 2.0
+
+
+def _eigh_rank(a: np.ndarray) -> _Eigh:
+    """The library's one rank decision: eigenvalues of the Hermitian n x n a
+    with ``|lam| <= PINV_RTOL_SCALE * n * max|lam|`` are zeroed (numpy's
+    SVD-pinv rule, since they are a's singular values)."""
+    lam, u = np.linalg.eigh(a)
+    cutoff = PINV_RTOL_SCALE * lam.size * float(abs(lam).max())
+    return _Eigh(lam, u, cutoff, np.abs(lam) > cutoff)
 
 
 def schur_complement(s, keep) -> HermitianMatrix:
@@ -83,7 +101,7 @@ def schur_complement(s, keep) -> HermitianMatrix:
 
     For the Hermitian matrix ``S`` partitioned by the index sets
     ``drop = {0..n-1} - keep`` and ``keep``, returns
-    ``S[keep,keep] - S[keep,drop] @ pinv(S[drop,drop]) @ S[drop,keep]``.
+    ``S[keep,keep] - S[keep,drop] pinv(S[drop,drop]) S[keep,drop]^H`` (pinv by ``_eigh_rank``).
     An empty ``drop`` set returns ``S[keep,keep]`` unchanged.
     """
     a = _as_array(s)
@@ -93,20 +111,11 @@ def schur_complement(s, keep) -> HermitianMatrix:
         raise ValidationError("schur_complement: the keep index set is empty")
     if keep.min() < 0 or keep.max() >= n or len(set(keep.tolist())) != keep.size:
         raise ValidationError("schur_complement: keep indices out of range or repeated")
-    dropped = np.ones(n, dtype=bool)
-    dropped[keep] = False
-    drop = np.flatnonzero(dropped)
+    drop = np.setdiff1d(np.arange(n), keep)
     s22 = a[keep[:, None], keep]
     if drop.size == 0:
         return HermitianMatrix(s22)
-    s11 = a[drop[:, None], drop]
-    s12 = a[drop[:, None], keep]
-    s21 = a[keep[:, None], drop]
-    corr = s21 @ pinv(s11) @ s12
-    # exactly Hermitian in exact arithmetic; a nearly singular block leaves
-    # floating-point asymmetry that the explicit average removes
-    corr = (corr + corr.conj().T) / 2.0
-    return HermitianMatrix(s22 - corr)
+    return HermitianMatrix(_eigh_rank(a[drop[:, None], drop]).schur(a[keep[:, None], drop], s22))
 
 
 def min_eig_hermitian(m):

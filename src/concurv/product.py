@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import INF, _check_n, curvature_bundle, curvature_matrix
+from .curvature import INF, _a_n, _check_n, _eliminate, _v0, curvature_matrix
 from .graphs import (ConnectionGraph, _check_positive, _check_size, _edge_name, local_structure,
                      signature_groups_commute)
-from .hermitian import is_psd, pinv
+from .hermitian import _eigh_rank, is_psd
 
 DECOMP_TOL = 1e-9
 STAR_TOL = 1e-12        # star product bisection stops at a bracket of STAR_TOL * t,
@@ -131,23 +131,17 @@ class ProductDecomposition:
 
 
 def _j_matrix(v0, v02, alpha, beta, n, n2) -> np.ndarray:
-    """The dimension-coupling PSD term J for finite or infinite N, N'."""
-    ntot = n + n2
+    """The dimension-coupling PSD term J for finite or infinite N, N' (``2 / inf``
+    is exactly 0)."""
+    c12 = 2.0 / (n + n2)
+    c11, c22 = 2.0 / n - c12, 2.0 / n2 - c12
+    return _blocks(alpha * c11 * (v0 @ v0.conj().T), beta * c22 * (v02 @ v02.conj().T),
+                   -np.sqrt(alpha * beta) * c12 * (v0 @ v02.conj().T))
 
-    def inv(t: float) -> float:
-        return 0.0 if t == INF else 1.0 / t
 
-    c11 = 2.0 * inv(n) - 2.0 * inv(ntot)
-    c22 = 2.0 * inv(n2) - 2.0 * inv(ntot)
-    c12 = 2.0 * inv(ntot)
-    md1, md2 = v0.shape[0], v02.shape[0]
-    out = np.zeros((md1 + md2, md1 + md2), dtype=complex)
-    out[:md1, :md1] = alpha * c11 * (v0 @ v0.conj().T)
-    out[md1:, md1:] = beta * c22 * (v02 @ v02.conj().T)
-    cross = -np.sqrt(alpha * beta) * c12 * (v0 @ v02.conj().T)
-    out[:md1, md1:] = cross
-    out[md1:, :md1] = cross.conj().T
-    return out
+def _blocks(top: np.ndarray, bottom: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """The block matrix ``[[top, cross], [cross^H, bottom]]``."""
+    return np.block([[top, cross], [cross.conj().T, bottom]])
 
 
 def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: ProductSpec,
@@ -173,28 +167,20 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
 
     loc1 = local_structure(gl, x)
     loc2 = local_structure(g2l, x2)
-    bun1 = curvature_bundle(loc1)
-    bun2 = curvature_bundle(loc2)
-    a1n = bun1.a_n(n).mat
-    a2n = bun2.a_n(n2).mat
+    e1, e2 = _eliminate(loc1), _eliminate(loc2)
+    v01, v02 = _v0(loc1), _v0(loc2)
 
-    # R couples the kernel-block corrections of the two factors.
-    a_sum_pinv = pinv(alpha**2 * bun1.a + beta**2 * bun2.a)
-    w1c = bun1.omega_t.conj().T   # this is conj(omega) of the first factor
-    w2c = bun2.omega_t.conj().T
-    md1, md2 = loc1.m * d, loc2.m * d
-    r = np.zeros((md1 + md2, md1 + md2), dtype=complex)
-    r[:md1, :md1] = alpha**3 * w1c @ (pinv(alpha**2 * bun1.a) - a_sum_pinv) @ bun1.omega_t
-    r[md1:, md1:] = beta**3 * w2c @ (pinv(beta**2 * bun2.a) - a_sum_pinv) @ bun2.omega_t
-    cross = -(alpha * beta) ** 1.5 * w1c @ a_sum_pinv @ bun2.omega_t
-    r[:md1, md1:] = cross
-    r[md1:, :md1] = cross.conj().T
-
-    j = _j_matrix(bun1.v0, bun2.v0, alpha, beta, n, n2)
-
-    blockdiag = np.zeros_like(r)
-    blockdiag[:md1, :md1] = alpha * a1n
-    blockdiag[md1:, md1:] = beta * a2n
+    # R couples the kernel-block corrections of the two factors; the relative
+    # cutoff of the one rank decision gives (s a)^+ = a^+ / s for s > 0.
+    a_sum_pinv = _eigh_rank(alpha**2 * e1.a + beta**2 * e2.a).pinv()
+    w1c = e1.omega_t.conj().T   # this is conj(omega) of the first factor
+    w2c = e2.omega_t.conj().T
+    r = _blocks(alpha**3 * w1c @ (e1.eig.pinv() / alpha**2 - a_sum_pinv) @ e1.omega_t,
+                beta**3 * w2c @ (e2.eig.pinv() / beta**2 - a_sum_pinv) @ e2.omega_t,
+                -(alpha * beta) ** 1.5 * w1c @ a_sum_pinv @ e2.omega_t)
+    j = _j_matrix(v01, v02, alpha, beta, n, n2)
+    blockdiag = _blocks(alpha * _a_n(e1.a_inf, v01, n), beta * _a_n(e2.a_inf, v02, n2),
+                        np.zeros((v01.shape[0], v02.shape[0])))
 
     # Product curvature matrix in the product's own (sorted) basis, permuted
     # into factor-block order for the comparison.

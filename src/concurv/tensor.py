@@ -15,10 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import curvature_bundle, p0_transpose, _check_n
+from .curvature import _a_n, _check_n, _eliminate, _Elimination, _v0, canonical_basis, p0_transpose
 from .graphs import LocalStructure
-from .hermitian import min_eig_hermitian, pinv
-from .operators import _ball_blocks, _q_array, delta_matrix
+from .operators import _ball_blocks, delta_matrix
 
 PHI_RESIDUAL_TOL = 1e-9
 MATRIX_CHECK_TRIALS = 8  # random tangent vectors per tensor_matrix_check
@@ -63,31 +62,30 @@ def phi_map(local: LocalStructure) -> np.ndarray:
     """The d x md matrix F of the compensation map phi: v -> F v.
 
     phi solves ``a conj(phi(v)) = -p0^T 2Q(x) (0; sigma^T conj(v)-stack)``
-    through the pseudoinverse of a (minimum-norm choice; any solution gives
-    the same curvature matrices).  Solvability is checked and a residual
-    beyond tolerance raises, since it would contradict the range condition
-    ``a a^+ omega^T = omega^T``.  For a balanced ball both sides vanish and
-    phi is the zero map.
+    through the pseudoinverse of a (minimum-norm; any solution gives the
+    same curvature matrices), or is the zero map when that already solves
+    it, as on a balanced ball.  A solvability residual beyond tolerance
+    raises: it would contradict the range condition ``a a^+ omega^T = omega^T``.
     """
-    two_q = _q_array(local) / 2.0
-    p0t = p0_transpose(local)
-    a = p0t @ two_q @ p0t.conj().T
-    # T maps conj(v) to the padded stack (0; sigma_xyi^T conj(v_i)).
-    t = _under_block_diagonal(local.sigma_x.transpose(0, 2, 1))
-    w = p0t @ two_q @ t
-    scale = max(1.0, float(np.max(np.abs(two_q))))
-    if float(np.linalg.norm(a, 2)) <= 1e-10 * scale:
-        # numerically zero kernel block (balanced ball): any map works and
-        # zero is the canonical choice; a raw pseudoinverse of pure noise
-        # would produce a huge spurious map instead
-        m_conj = np.zeros_like(w)
-    else:
-        m_conj = -pinv(a) @ w
-    resid = np.max(np.abs(w + a @ m_conj)) if w.size else 0.0
-    if float(resid) > PHI_RESIDUAL_TOL * scale:
-        raise CrossCheckError(
-            f"phi_map solvability residual {float(resid):.3e} exceeds tolerance"
-        )
+    return _phi(local, _eliminate(local))
+
+
+def _phi(local: LocalStructure, e: _Elimination) -> np.ndarray:
+    """phi from the canonical elimination e: ``-conj(a^+ omega^T) D^{-1}
+    blockdiag(sigma_xyi^H)``, ``D^{-1} = diag(sqrt p_xyi)``.  The equation's
+    right side, as a matrix of conj(v), is ``omega^T D^{-1} blockdiag(sigma_xyi^T)``."""
+    d_inv_sigma_t = _under_block_diagonal(
+        np.sqrt(local.p_x)[:, None, None] * local.sigma_x.transpose(0, 2, 1))[local.d:]
+    w = e.omega_t @ d_inv_sigma_t
+    scale = max(1.0, float(np.max(np.abs(e.q2))))
+    if float(np.max(np.abs(w))) <= PHI_RESIDUAL_TOL * scale:
+        # the zero map solves the equation and is the canonical choice; the
+        # pseudoinverse of a noise-level a would give a huge spurious map
+        return np.zeros_like(w)
+    m_conj = -(e.eig.pinv() @ e.omega_t) @ d_inv_sigma_t
+    resid = float(np.max(np.abs(w + e.a @ m_conj)))
+    if resid > PHI_RESIDUAL_TOL * scale:
+        raise CrossCheckError(f"phi_map solvability residual {resid:.3e} exceeds tolerance")
     return np.conj(m_conj)
 
 
@@ -98,18 +96,18 @@ def phi_matrix(local: LocalStructure, f: np.ndarray) -> np.ndarray:
     return p0 @ f + _under_block_diagonal(local.sigma_x.conj().transpose(0, 2, 1))
 
 
-def _tensor_matrices(local: LocalStructure, n: float, phi: np.ndarray):
+def _tensor_matrices(local: LocalStructure, n: float, phi: np.ndarray, q2: np.ndarray):
     """The md x md matrices R and G of the Ricci tensor and the metric:
     ``Ric_N(v1, v2) = v1^T R conj(v2)`` and ``g(v1, v2) = v1^T G conj(v2)``.
 
     Ric_N is 2*Gamma_2 on the Psi-extended columns of Phi, minus (2/N) times
     the Laplacian-square term on the columns of Phi.  The Psi completion
-    attains the Schur complement, so the first term is 2*Q on Phi itself,
-    taken from the md-size 4*Q.  G is diagonal with each rate p_xy_i
-    repeated d times.
+    attains the Schur complement, so the first term is 2*Q on Phi itself:
+    ``q2 = 4*Q / 2``, taken from the caller's elimination.  G is diagonal
+    with each rate p_xy_i repeated d times.
     """
     phim = phi_matrix(local, phi)
-    r = phim.T @ (_q_array(local) / 2.0) @ np.conj(phim)
+    r = phim.T @ q2 @ np.conj(phim)
     if n != np.inf:
         lap = phim.T @ delta_matrix(local)
         r -= (2.0 / n) * lap @ lap.conj().T
@@ -124,15 +122,19 @@ def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray,
     metric is ``sum_i p_xyi v1_i . conj(v2_i)``, independent of the phi
     choice; Ric evaluates 2*Gamma_2 on the Psi-extended Phi lifts minus the
     (2/N) Laplacian-square term on the Phi lifts.  Both are read off the
-    tensor matrices R and G, built once per call.
+    tensor matrices R and G, built once per call.  A given ``phi`` must be
+    a d x md matrix.
     """
     n = _check_n(n)
-    md = local.m * local.d
+    d, md = local.d, local.m * local.d
     v1 = np.asarray(v1, dtype=complex)
     v2 = np.asarray(v2, dtype=complex)
     if v1.shape != (md,) or v2.shape != (md,):
         raise ValidationError(f"tangent vectors must have shape ({md},)")
-    r, g = _tensor_matrices(local, n, phi_map(local) if phi is None else phi)
+    if phi is not None and np.shape(phi) != (d, md):
+        raise ValidationError(f"phi must have shape ({d}, {md}), got {np.shape(phi)}")
+    e = _eliminate(local)
+    r, g = _tensor_matrices(local, n, _phi(local, e) if phi is None else phi, e.q2)
     return complex(v1 @ r @ np.conj(v2)), complex(v1 @ g @ np.conj(v2))
 
 
@@ -150,28 +152,36 @@ def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
     ``Ric_N(v, v) = v_B^T A_N conj(v_B)`` and ``g(v, v) = |v_B|^2`` with
     ``v_B`` the B-induced coordinates, and that the smallest eigenvector of
     A_N pulled back through the coordinate map attains
-    ``Ric/g = lambda_min``.  Returns the largest residual seen.
+    ``Ric/g = lambda_min``.  Returns the largest residual seen, each over
+    ``max(1, max|M|)`` for the matrix M it reads (R, G or A_N), so it holds
+    at any scale of the rates.  One 4*Q serves phi, R and an explicit B.
     """
     n = _check_n(n)
     md = local.m * local.d
-    bundle = curvature_bundle(local, b)
-    a_n = bundle.a_n(n)
-    f = phi_map(local)
-    r, g = _tensor_matrices(local, n, f)
-    xi = coordinate_map(local, bundle.b, f)
+    e = _eliminate(local)
+    if b is None:
+        b, a_inf, v0 = canonical_basis(local), e.a_inf, _v0(local)
+    else:
+        b = np.asarray(b, dtype=complex)
+        a_inf, v0 = _eliminate(local, b, e.q2).a_inf, _v0(local, b)
+    a_n = _a_n(a_inf, v0, n)
+    f = _phi(local, e)
+    r, g = _tensor_matrices(local, n, f, e.q2)
+    xi = coordinate_map(local, b, f)
+    scale_r, scale_g, scale_a = (max(1.0, float(np.max(np.abs(x)))) for x in (r, g, a_n))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(MATRIX_CHECK_TRIALS):
         v = rng.normal(size=md) + 1j * rng.normal(size=md)
         v /= np.linalg.norm(v)
         vb = xi @ v
-        worst = max(worst, abs(v @ r @ np.conj(v) - vb @ a_n.mat @ np.conj(vb)))
-        worst = max(worst, abs(v @ g @ np.conj(v) - np.vdot(vb, vb)))
+        worst = max(worst, abs(v @ r @ np.conj(v) - vb @ a_n @ np.conj(vb)) / scale_r)
+        worst = max(worst, abs(v @ g @ np.conj(v) - np.vdot(vb, vb)) / scale_g)
 
     # The form here is v -> v^T A conj(v), whose minimizer is the conjugate
     # of the usual eigenvector.
-    lam, vec, _ = min_eig_hermitian(a_n)
-    v_star = np.linalg.solve(xi, np.conj(vec))
+    lam, vec = np.linalg.eigh(a_n)
+    v_star = np.linalg.solve(xi, np.conj(vec[:, 0]))
     ric = v_star @ r @ np.conj(v_star)
-    worst = max(worst, abs(ric / (v_star @ g @ np.conj(v_star)) - lam))
+    worst = max(worst, abs(ric / (v_star @ g @ np.conj(v_star)) - lam[0]) / scale_a)
     return float(worst)

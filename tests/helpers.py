@@ -18,8 +18,19 @@ import concurv
 from concurv import INF, ConnectionGraph, ValidationError, product_vertex, switch
 from concurv.curvature import _v0, canonical_basis
 from concurv.graphs import UNITARY_TOL, EdgeIndex, _check_unitary, _stack, local_structure
-from concurv.hermitian import PINV_RTOL_SCALE, _lambda_min, pinv
+from concurv.hermitian import PINV_RTOL_SCALE, _lambda_min
 from concurv.operators import _gamma2_array
+
+
+def pinv(m) -> np.ndarray:
+    """numpy's SVD pseudoinverse with the library's cutoff: singular values
+    at or below ``PINV_RTOL_SCALE * n * sigma_max`` are zeroed, n being the
+    larger dimension of the input.  The reference for the library's eigh
+    pseudoinverse (``hermitian._eigh_rank``)."""
+    a = np.asarray(m, dtype=complex)
+    # positional: the relative cutoff is ``rcond`` on numpy 1.x, which has
+    # no ``rtol`` keyword, and numpy 2 reads it the same way
+    return np.linalg.pinv(a, PINV_RTOL_SCALE * max(a.shape))
 
 
 def random_unitary(rng, d: int, field: str = "complex") -> np.ndarray:
@@ -190,15 +201,16 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
                           timeout=120)
 
 
-def count_calls(monkeypatch, fn) -> list[str]:
-    """Count the calls of a concurv function that takes a ball first: ``fn``
-    is wrapped in every loaded concurv module that holds it, and each call
-    appends the ball's center to the returned list."""
+def count_calls(monkeypatch, fn) -> list:
+    """Count the calls of a concurv function: ``fn`` is wrapped in every
+    loaded concurv module that holds it, and each call appends to the
+    returned list the center of its first argument, a ball (None for a
+    function that does not take a ball first)."""
     calls = []
 
-    def counted(local, *args, **kwargs):
-        calls.append(local.center)
-        return fn(local, *args, **kwargs)
+    def counted(first, *args, **kwargs):
+        calls.append(getattr(first, "center", None))
+        return fn(first, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "concurv" and vars(module).get(fn.__name__) is fn:

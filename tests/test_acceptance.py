@@ -31,10 +31,10 @@ from concurv import (
     tensor_matrix_check,
 )
 from concurv import examples_registry
-from concurv.hermitian import pinv
 
 from helpers import (
     assert_close,
+    pinv,
     random_balanced_graph,
     random_commuting_pair,
     random_graph,

@@ -84,19 +84,22 @@ class TestCurvatureCommand:
             assert json.loads(capsys.readouterr().out)["results"]["oracle_agreement"] is True
 
     def test_one_elimination_feeds_the_report(self, fixture_file, capsys, monkeypatch):
-        """``curvature --oracle --matrix`` eliminates the kernel block once;
+        """``curvature --oracle --matrix`` eliminates the kernel block once
+        and takes one eigh of it, which also feeds the kernel-block report;
         its K is curvature(loc, N) bit for bit and its matrix is
         curvature_matrix(loc, N), at N = inf and at finite N."""
         from concurv.curvature import _eliminate
+        from concurv.hermitian import _eigh_rank
         path = fixture_file("g1_u2")
         loc = local_structure(graphs.load_graph(Path(path).read_bytes()), "1")
         for n in ("inf", "2.5"):
             want_k, want_mult = curvature(loc, float(n))
             want_a = curvature_matrix(loc, float(n)).mat
             calls = count_calls(monkeypatch, _eliminate)
+            eighs = count_calls(monkeypatch, _eigh_rank)
             argv = ["--json", "curvature", path, "--vertex", "1", "--N", n, "--oracle", "--matrix"]
             assert main(argv) == 0
-            assert calls == ["1"]
+            assert calls == ["1"] and len(eighs) == 1
             results = json.loads(capsys.readouterr().out)["results"]
             assert results["curvature"] == want_k and results["multiplicity"] == want_mult
             assert results["a_n"] == cli.matrix_to_json(want_a)

@@ -22,10 +22,9 @@ from concurv import (
     local_structure,
     switch,
 )
-from concurv.curvature import _eliminate, _kernel_eigh, _kernel_schur, basis_residual
+from concurv.curvature import _eliminate, basis_residual
 from concurv.fixtures import fixture_graph, fixture_names
-from concurv.hermitian import (PINV_RTOL_SCALE, HermitianMatrix, min_eig_hermitian, pinv,
-                               schur_complement)
+from concurv.hermitian import PINV_RTOL_SCALE, HermitianMatrix, _eigh_rank, min_eig_hermitian
 from concurv.operators import q_matrix
 
 from helpers import (
@@ -37,6 +36,7 @@ from helpers import (
     gamma_forms,
     mixed_rates,
     phase_triangle,
+    pinv,
     random_balanced_graph,
     random_function,
     random_graph,
@@ -317,8 +317,9 @@ class TestKernelBlockProperties:
 
 
 class TestKernelElimination:
-    """curvature_bundle eliminates the kernel block a itself; the generic
-    schur_complement is its reference."""
+    """curvature_bundle eliminates the kernel block a itself; the Schur
+    complement of the dense ``S`` with numpy's SVD pseudoinverse
+    (``helpers.pinv``) is its reference."""
 
     def test_a_inf_matches_schur_complement(self):
         rng = np.random.default_rng(56)
@@ -334,7 +335,9 @@ class TestKernelElimination:
                 loc = local_structure(g, x)
                 bundle = curvature_bundle(loc)
                 s = bundle.b @ (q_matrix(loc).mat / 2.0) @ bundle.b.conj().T
-                want = schur_complement(s, range(loc.d, s.shape[0])).mat
+                d = loc.d
+                corr = s[d:, :d] @ pinv(s[:d, :d]) @ s[:d, d:]
+                want = s[d:, d:] - (corr + corr.conj().T) / 2.0
                 assert_close(bundle.a_inf.mat, want, 1e-13, f"a_inf at {x}")
                 balanced += is_locally_balanced(loc)
                 no_s2 += loc.n == 0
@@ -438,7 +441,7 @@ class TestMdSizePipeline:
         for trial in range(24):
             g = random_graph(rng, d=1 + trial % 3)
             loc = local_structure(scaled_rates(g, 10.0 ** rng.uniform(-3, 10)), "1")
-            a_inf = _eliminate(loc)[2]
+            a_inf = _eliminate(loc).a_inf
             assert np.array_equal(a_inf, a_inf.conj().T)
             for n in (INF, 4.0):
                 want = curvature(loc, n)[0]
@@ -451,10 +454,12 @@ class TestMdSizePipeline:
         ``2 * PINV_RTOL_SCALE * max|lam|``, exactly where ``pinv`` zeroes
         singular values (``test_hermitian.py::test_cutoff_without_rtol_keyword``)."""
         a = np.diag([1.0, lam * PINV_RTOL_SCALE])
-        got = -_kernel_schur(a, np.eye(2), np.zeros((2, 2)))
+        eig = _eigh_rank(a)
+        got = -eig.schur(np.eye(2), np.zeros((2, 2)))
         assert_close(got, pinv(a), 1e-6)
+        assert_close(eig.pinv(), pinv(a), 1e-6)
         kept = abs(lam) > 2.0
-        assert _kernel_eigh(a)[3].tolist() == [kept, True]
+        assert eig.keep.tolist() == [kept, True]
         assert got[1, 1] == (1.0 / (lam * PINV_RTOL_SCALE) if kept else 0.0)
 
 

@@ -7,11 +7,10 @@ from concurv.hermitian import (
     HermitianMatrix,
     is_psd,
     min_eig_hermitian,
-    pinv,
     schur_complement,
 )
 
-from helpers import assert_close
+from helpers import assert_close, pinv
 
 
 def rand_complex(rng, shape):
@@ -39,6 +38,9 @@ class TestHermitianMatrix:
 
 
 class TestPinv:
+    """The SVD pseudoinverse lives in tests/helpers.py as the reference for
+    the library's eigh pseudoinverse; no library path takes it."""
+
     def test_identity(self):
         assert_close(pinv(np.eye(3)), np.eye(3), 1e-14)
 
@@ -72,6 +74,49 @@ class TestPinv:
         small = PINV_RTOL_SCALE
         assert_close(pinv(np.diag([1.0, small])), np.diag([1.0, 0.0]), 0.0)
         assert_close(pinv(np.diag([1.0, 4 * small])), np.diag([1.0, 0.25 / small]), 1e-6)
+
+
+def test_no_library_path_reaches_svd_pinv(monkeypatch, tmp_path, capsys):
+    """curvature, curvature_function, curvature_bundle, the tensors, the
+    product decomposition, schur_complement and the CLI take every
+    pseudoinverse from one eigh (``hermitian._eigh_rank``)."""
+    import json
+
+    from concurv import (INF, ProductSpec, curvature, curvature_bundle, curvature_function,
+                         general_basis, local_structure, phi_map, product_decomposition,
+                         ric_and_metric, tensor_matrix_check)
+    from concurv.cli import main
+    from concurv.fixtures import fixture_document, fixture_graph
+
+    paths = {}
+    for name in ("g1_u2", "triangle_signed", "diamond_signed"):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(fixture_document(name)))
+    loc = local_structure(fixture_graph("g1_u2"), "1")
+    b = general_basis(loc, seed=0)
+    v = np.arange(loc.m * loc.d) + 1j
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.pinv reached")
+
+    monkeypatch.setattr(np.linalg, "pinv", refuse)
+    for n in (INF, 2.0):
+        curvature(loc, n)
+        curvature_function(loc)(n)
+        curvature_bundle(loc).a_n(n)
+        curvature_bundle(loc, b).a_n(n)
+        ric_and_metric(loc, n, v, v)
+        tensor_matrix_check(loc, n)
+        tensor_matrix_check(loc, n, b=b)
+    phi_map(loc)
+    schur_complement(random_psd(np.random.default_rng(9), 5, rank=3), range(2, 5))
+    product_decomposition(fixture_graph("triangle_signed"), fixture_graph("diamond_signed"),
+                          ProductSpec(), "A", "1", INF, 2.0)
+    assert main(["curvature", str(paths["g1_u2"]), "--vertex", "1", "--N", "2",
+                 "--oracle", "--matrix"]) == 0
+    assert main(["product", str(paths["triangle_signed"]), str(paths["diamond_signed"]),
+                 "--decompose", "A,1"]) == 0
+    capsys.readouterr()
 
 
 class TestSchurComplement:

@@ -7,6 +7,7 @@ from concurv import (
     ValidationError,
     cartesian_product,
     curvature,
+    curvature_bundle,
     curvature_function,
     gamma2_matrix,
     load_graph,
@@ -22,6 +23,7 @@ from concurv.fixtures import PRODUCT_NONCOMMUTING, fixture_graph
 from helpers import (
     assert_close,
     gamma_forms,
+    pinv,
     random_balanced_graph,
     random_commuting_pair,
     random_graph,
@@ -245,6 +247,33 @@ class TestDecomposition:
             for mat in (dec.r, dec.j):
                 lam = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0])
                 assert lam >= -1e-9
+
+    def test_r_matches_svd_reference(self):
+        """R from the factors' eigh pseudoinverses against R built with
+        numpy's SVD pseudoinverse (``helpers.pinv``) from the factor
+        bundles, at several vertex pairs of random commuting pairs."""
+        rng = np.random.default_rng(89)
+        pairs = 0
+        for _ in range(12):
+            g, g2 = random_commuting_pair(rng)
+            spec = ProductSpec(alpha=float(rng.uniform(0.5, 2.0)),
+                               beta=float(rng.uniform(0.5, 2.0)))
+            al, be = spec.alpha, spec.beta
+            for x, x2 in zip(g.vertex_ids[:2], g2.vertex_ids[:2]):
+                if not (g.neighbors(x) and g2.neighbors(x2)):
+                    continue
+                dec = product_decomposition(g, g2, spec, x, x2, INF, 2.0)
+                b1 = curvature_bundle(local_structure(g, x))
+                b2 = curvature_bundle(local_structure(g2, x2))
+                s = pinv(al**2 * b1.a + be**2 * b2.a)
+                w1c, w2c = b1.omega_t.conj().T, b2.omega_t.conj().T
+                r12 = -(al * be) ** 1.5 * w1c @ s @ b2.omega_t
+                want = np.block([
+                    [al**3 * w1c @ (pinv(al**2 * b1.a) - s) @ b1.omega_t, r12],
+                    [r12.conj().T, be**3 * w2c @ (pinv(be**2 * b2.a) - s) @ b2.omega_t]])
+                assert_close(dec.r, want, 1e-10 * max(1.0, float(np.max(np.abs(want)))))
+                pairs += 1
+        assert pairs >= 12
 
     def test_noncommuting_refused(self):
         with pytest.raises(ValidationError, match="commute"):
