@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, _solve, curvature_oracle, curvature_profile
-from .graphs import is_locally_balanced, load_graph, local_structure, sigma_stack
+from .graphs import _raw_sigma, is_locally_balanced, load_graph, local_structure, sigma_stack
 from .hermitian import HermitianMatrix
 
 FRACTION_MAX_DEN = 16
@@ -249,16 +249,16 @@ def cmd_balance(args) -> tuple[int, Report]:
 
 
 def _parse_sigma_arg(text: str | None, sign: int | None, d: int):
-    if text is not None:
-        try:
-            raw = json.loads(text)
-        except ValueError:
-            raise ValidationError(
-                f"--sigma: expected JSON rows of [re, im] pairs, got {text!r}") from None
-        return sigma_stack([raw], d, lambda k: "--sigma")[0]
-    if sign is not None:
-        return np.array([[float(sign)]], dtype=complex)
-    return None
+    """--sigma or --sign, converted as a document edge's 'sigma' or 'sign'."""
+    if text is None and sign is None:
+        return None
+    where = "--sign" if text is None else "--sigma"
+    try:
+        entry = {"sign": sign} if text is None else {"sigma": json.loads(text)}
+    except ValueError:
+        raise ValidationError(
+            f"--sigma: expected JSON rows of [re, im] pairs, got {text!r}") from None
+    return sigma_stack([_raw_sigma(entry, d, where)], d, lambda k: where)[0]
 
 
 def cmd_add_edge(args) -> tuple[int, Report]:

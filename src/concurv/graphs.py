@@ -37,33 +37,27 @@ def _polar_unitary(a: np.ndarray) -> np.ndarray:
 
 
 def _stack(mats: list, d: int, where) -> np.ndarray:
-    """The matrices as one (k, d, d) complex array, None meaning I_d.
+    """The matrices as one (k, d, d) complex array.
 
     ``where(k)`` names entry k in the error raised for a matrix that does
     not convert or is not d x d.
     """
-    given = [k for k, s in enumerate(mats) if s is not None]
     try:
-        stacked = np.array([mats[k] for k in given] or np.empty((0, d, d)), dtype=complex)
+        stacked = np.array(mats or np.empty((0, d, d)), dtype=complex)
     except (TypeError, ValueError, OverflowError):
         stacked = None
-    if stacked is None or stacked.shape != (len(given), d, d):
+    if stacked is None or stacked.shape != (len(mats), d, d):
         # Only after the stacked conversion failed: find the entry to blame.
-        for k in given:
+        for k, mat in enumerate(mats):
             try:
-                shape = np.asarray(mats[k], dtype=complex).shape
+                shape = np.asarray(mat, dtype=complex).shape
             except (TypeError, ValueError, OverflowError):
                 raise ValidationError(f"{where(k)}: sigma is not a numeric matrix") from None
             if shape != (d, d):
                 raise ValidationError(
                     f"{where(k)}: sigma has shape {shape}, expected ({d}, {d})")
         raise ValidationError("connection matrices do not stack")
-    if len(given) == len(mats):
-        return stacked
-    out = np.empty((len(mats), d, d), dtype=complex)
-    out[:] = np.eye(d)
-    out[given] = stacked
-    return out
+    return stacked
 
 
 def _check_unitary(s: np.ndarray, where, real: bool = False) -> np.ndarray:
@@ -127,8 +121,16 @@ def _edge_name(ids, u, v):
 def _edge_index(ids, mu, u, v, w, s):
     """The edge index of a graph in :meth:`ConnectionGraph._arrays`'s form
     (``ids`` in any order), and the rows of its stored orientations.  Every
-    graph is indexed here, so here w/mu_u and w/mu_v are checked to lie in
+    graph is indexed here, so here every measure, then every weight, is
+    checked to be positive and finite, and then w/mu_u and w/mu_v to lie in
     [RATE_MIN, RATE_MAX]."""
+    edge = _edge_name(ids, u, v)
+    for values, name in ((mu, lambda k: f"vertex {ids[k]!r}: measure"),
+                         (w, lambda k: f"{edge(k)}: weight")):
+        bad = ~((values > 0) & (values < math.inf))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(f"{name(k)} must be positive and finite, got {float(values[k])}")
     n_e = u.size
     with np.errstate(over="ignore"):  # an infinite rate fails below
         rates = np.concatenate([w / mu[u], w / mu[v]])
@@ -136,7 +138,7 @@ def _edge_index(ids, mu, u, v, w, s):
     if bad.any():
         k = int(np.argmax(bad.reshape(2, n_e).any(axis=0)))
         raise ValidationError(
-            f"{_edge_name(ids, u, v)(k)}: rate w/mu = {rates[k if bad[k] else k + n_e]:.3e} "
+            f"{edge(k)}: rate w/mu = {rates[k if bad[k] else k + n_e]:.3e} "
             f"is outside [{RATE_MIN:.0e}, {RATE_MAX:.0e}]")
     order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
     rank = np.argsort(order)   # a position's rank by id, its position from here on
@@ -177,24 +179,12 @@ def _dimension(d) -> int:
     return int(d)
 
 
-def _positive(value, where) -> float:
-    """A positive, finite number (by :func:`_number`'s rule) as a float."""
+def _as_number(value, where) -> float:
+    """Outside input as a float by :func:`_number`'s rule; ``where()`` names it."""
     try:
-        v = _number(value)
-    except TypeError:
+        return _number(value)
+    except (TypeError, OverflowError):
         raise ValidationError(f"{where()} must be a number, got {value!r}") from None
-    if not (v > 0 and math.isfinite(v)):
-        raise ValidationError(f"{where()} must be positive and finite, got {v}")
-    return v
-
-
-def _check_positive(values: np.ndarray, where) -> None:
-    """Raise :func:`_positive`'s error for the first of ``values`` that is
-    not positive and finite, named by ``where(k)``."""
-    bad = ~((values > 0) & (values < math.inf))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValidationError(f"{where(k)} must be positive and finite, got {float(values[k])}")
 
 
 def _check_size(n_edges: int, d: int) -> None:
@@ -204,6 +194,43 @@ def _check_size(n_edges: int, d: int) -> None:
         raise ValidationError(
             f"{n_edges} edges of dimension {d} exceed the limit of "
             f"{MAX_CONNECTION_ENTRIES} stacked connection entries (E * d^2)")
+
+
+def _checked(d: int, field, ids: list, mu: list, ends: list, w: list, given: list, stack):
+    """Converted graph input, checked, in :meth:`ConnectionGraph._arrays`'s
+    form.  ``ends`` are the edges' (u, v) id pairs; ``stack(where)`` stacks
+    the connections of the edges in ``given``, the others being I_d.  The
+    constructor and :func:`load_graph` both end here, so their faults come
+    in one order: field, duplicate id, edge structure (unknown endpoint,
+    self-loop, duplicate pair), size, connection shape, unitarity, and last,
+    in :func:`_edge_index`, measures, weights and rates."""
+    if field not in ("real", "complex"):
+        raise ValidationError(f"field must be 'real' or 'complex', got {field!r}")
+    pos: dict[str, int] = {}
+    for vid in ids:
+        if vid in pos:
+            raise ValidationError(f"duplicate vertex id {vid!r}")
+        pos[vid] = len(pos)
+    pairs: set[tuple[str, str]] = set()
+    at: list[int] = []
+    for u, v in ends:
+        if u not in pos or v not in pos:
+            raise ValidationError(f"edge ({u!r}, {v!r}): unknown endpoint")
+        if u == v:
+            raise ValidationError(f"self-loop at vertex {u!r} is not allowed")
+        pair = (u, v) if u < v else (v, u)
+        if pair in pairs:
+            raise ValidationError(f"duplicate edge ({u!r}, {v!r})")
+        pairs.add(pair)
+        at += pos[u], pos[v]
+    _check_size(len(ends), d)
+    u, v = np.array(at, dtype=np.intp).reshape(-1, 2).T
+    where = _edge_name(ids, u, v)
+    s = np.empty((len(ends), d, d), dtype=complex)
+    s[:] = np.eye(d)
+    s[given] = stack(lambda j: where(given[j]))
+    s = _check_unitary(s, where, real=field == "real")
+    return tuple(ids), np.array(mu, dtype=float), u, v, np.array(w, dtype=float), s
 
 
 class ConnectionGraph:
@@ -226,9 +253,8 @@ class ConnectionGraph:
     immutable, so it never goes stale.  It is the only adjacency: every
     query below reads it.
 
-    The edges are checked one by one for structure (endpoints, self-loops,
-    duplicates, weights), then their connections as one stacked array, so a
-    structural fault anywhere is reported before a bad connection.  Graphs
+    Measures and weights must be numbers by :func:`load_graph`'s rule, and
+    :func:`_checked` then checks the input as it does a document's.  Graphs
     derived from a validated one are built from its arrays by
     :meth:`_from_arrays` and check only the values they compute.
     """
@@ -239,46 +265,29 @@ class ConnectionGraph:
                  vertices: Iterable[tuple[str, float]],
                  edges: Iterable[tuple[str, str, float, np.ndarray | None]]):
         d = _dimension(dimension)
-        if field not in ("real", "complex"):
-            raise ValidationError(f"field must be 'real' or 'complex', got {field!r}")
-        pos: dict[str, int] = {}
-        mu: list[float] = []
+        ids, mu = [], []
         for vid, m in vertices:
             vid = str(vid)
-            if vid in pos:
-                raise ValidationError(f"duplicate vertex id {vid!r}")
-            mu.append(_positive(m, lambda: f"vertex {vid!r}: measure"))
-            pos[vid] = len(pos)
-
-        pairs: set[tuple[str, str]] = set()
-        ends, weights, sigmas = [], [], []
-        for entry in edges:
-            u, v, w, sigma = entry
+            ids.append(vid)
+            mu.append(_as_number(m, lambda: f"vertex {vid!r}: measure"))
+        ends, weights, given, sigmas = [], [], [], []
+        for u, v, w, sigma in edges:
             u, v = str(u), str(v)
-            if u not in pos or v not in pos:
-                raise ValidationError(f"edge ({u!r}, {v!r}): unknown endpoint")
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u!r} is not allowed")
-            pair = (u, v) if u < v else (v, u)
-            if pair in pairs:
-                raise ValidationError(f"duplicate edge ({u!r}, {v!r})")
-            pairs.add(pair)
-            ends += pos[u], pos[v]
-            weights.append(_positive(w, lambda: f"edge ({u!r}, {v!r}): weight"))
-            sigmas.append(sigma)
-
-        _check_size(len(weights), d)
-        ids = tuple(pos)
-        u, v = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-        where = _edge_name(ids, u, v)
-        s = _check_unitary(_stack(sigmas, d, where), where, real=field == "real")
+            weights.append(_as_number(w, lambda: f"edge ({u!r}, {v!r}): weight"))
+            if sigma is not None:
+                given.append(len(ends))
+                sigmas.append(sigma)
+            ends.append((u, v))
+        arrays = _checked(d, field, ids, mu, ends, weights, given,
+                          lambda where: _stack(sigmas, d, where))
         self.dimension, self.field = d, field
-        self.index, self._stored_rows = _edge_index(ids, np.array(mu), u, v, np.array(weights), s)
+        self.index, self._stored_rows = _edge_index(*arrays)
 
     @classmethod
     def _from_arrays(cls, dimension, field, ids, mu, u, v, w, s) -> ConnectionGraph:
         """A graph from parts already checked, in :meth:`_arrays`'s form with
-        ``ids`` in any order; only the rates are checked, by _edge_index."""
+        ``ids`` in any order; only the measures, weights and rates are
+        checked, by _edge_index."""
         g = cls.__new__(cls)
         g.dimension, g.field = dimension, field
         g.index, g._stored_rows = _edge_index(ids, mu, u, v, w, s)
@@ -420,7 +429,8 @@ def load_graph(document) -> ConnectionGraph:
     sigma is row-major with entries [re, im], exactly two numbers each; an
     omitted sigma means the identity, and for dimension-1 graphs
     ``"sign": 1 | -1`` is accepted.  Measure and weight default to 1.0 when
-    omitted.  All sigmas are converted to one stacked array in a single call.
+    omitted.  Each value is converted once, all sigmas by a single call,
+    and :func:`_checked` then checks the graph as it does the constructor's.
     """
     if isinstance(document, bytes):
         try:
@@ -437,31 +447,28 @@ def load_graph(document) -> ConnectionGraph:
     if "dimension" not in document:
         raise ValidationError("graph document is missing 'dimension'")
     d = _dimension(document["dimension"])
-    field = document.get("field", "complex")
-    vertices = []
+    ids, mu = [], []
     for k, v in enumerate(_entries(document, "vertices")):
         try:
-            vertices.append((str(v["id"]), _number(v.get("measure", 1.0))))
+            vid, m = str(v["id"]), _number(v.get("measure", 1.0))
         except _BAD_ENTRY:
             raise _malformed(f"vertex #{k}", v, ("id",), "measure") from None
-    edges, given, raws = [], [], []
+        ids.append(vid)
+        mu.append(m)
+    ends, weights, given, raws = [], [], [], []
     for k, entry in enumerate(_entries(document, "edges")):
         try:
             u, v, w = str(entry["u"]), str(entry["v"]), _number(entry.get("weight", 1.0))
         except _BAD_ENTRY:
             raise _malformed(f"edge #{k}", entry, ("u", "v"), "weight") from None
-        edges.append([u, v, w, None])
+        ends.append((u, v))
+        weights.append(w)
         if "sigma" in entry or "sign" in entry:
             given.append(k)
             raws.append(_raw_sigma(entry, d, f"edge ({u!r}, {v!r})"))
-
-    def where(j):
-        u, v = edges[given[j]][:2]
-        return f"edge ({u!r}, {v!r})"
-
-    for k, s in zip(given, sigma_stack(raws, d, where)):
-        edges[k][3] = s
-    return ConnectionGraph(d, field, vertices, edges)
+    field = document.get("field", "complex")
+    return ConnectionGraph._from_arrays(d, field, *_checked(
+        d, field, ids, mu, ends, weights, given, lambda where: sigma_stack(raws, d, where)))
 
 
 # What converting a malformed entry raises: a missing key, a non-object entry,

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, curvature, curvature_function
-from .graphs import (ConnectionGraph, LocalStructure, _check_positive, _check_unitary,
-                     _edge_name, _positive, _stack, local_structure)
+from .graphs import (ConnectionGraph, LocalStructure, _as_number, _check_unitary, _edge_name,
+                     _stack, local_structure)
 from .hermitian import _psd_within
 from .operators import _gamma2_array
 
@@ -70,7 +70,7 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
         raise ValidationError(f"{yi!r} and {yj!r} must be two distinct neighbors of {x!r}")
     if g.has_edge(yi, yj):
         raise ValidationError(f"{yi!r} and {yj!r} are already adjacent")
-    w_new = _positive(w_new, lambda: f"new edge ({yi!r}, {yj!r}): weight")
+    w_new = _as_number(w_new, lambda: f"new edge ({yi!r}, {yj!r}): weight")
 
     balanced_default = sigma_new is None
     if balanced_default:
@@ -143,7 +143,6 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
     to_new[pair] = len(ids) - 2
     u, v = to_new[u], to_new[v]
     mu_new = np.append(mu[rest], g.measure(zk) + g.measure(zl))
-    _check_positive(mu_new[-1:], lambda k: f"vertex {merged!r}: measure")
     e = u != v
     g_new = ConnectionGraph._from_arrays(g.dimension, g.field, (*g.index.names[rest], merged),
                                          mu_new, u[e], v[e], w[e], s[e])

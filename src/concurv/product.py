@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, _a_n, _check_n, _eliminate, _v0, curvature_matrix
-from .graphs import (ConnectionGraph, _check_positive, _check_size, _edge_name, local_structure,
-                     signature_groups_commute)
+from .graphs import ConnectionGraph, _check_size, local_structure, signature_groups_commute
 from .hermitian import _eigh_rank, is_psd
 
 DECOMP_TOL = 1e-9
@@ -101,13 +100,10 @@ def _product_of_lifted(gl: ConnectionGraph, g2l: ConnectionGraph,
     u, v = np.concatenate([(np.stack([u1, v1])[..., None] * n2 + np.arange(n2)).reshape(2, -1),
                            (np.arange(n1) * n2 + np.stack([u2, v2])[..., None]).reshape(2, -1)],
                           axis=1)
-    with np.errstate(over="ignore"):  # an infinite measure or weight fails below
+    with np.errstate(over="ignore"):  # _edge_index rejects an infinite measure or weight
         mu = np.multiply.outer(mu1, mu2).ravel()
         w = np.concatenate([np.multiply.outer(spec.alpha * w1, mu2).ravel(),
                             np.multiply.outer(spec.beta * w2, mu1).ravel()])
-    _check_positive(mu, lambda k: f"vertex {ids[k]!r}: measure")
-    edge = _edge_name(ids, u, v)
-    _check_positive(w, lambda k: f"{edge(k)}: weight")
     field = "real" if gl.field == "real" and g2l.field == "real" else "complex"
     return ConnectionGraph._from_arrays(
         gl.dimension, field, ids, mu, u, v, w,

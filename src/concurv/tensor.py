@@ -91,7 +91,11 @@ def _phi(local: LocalStructure, e: _Elimination) -> np.ndarray:
 
 def phi_matrix(local: LocalStructure, f: np.ndarray) -> np.ndarray:
     """The (m+1)d x md matrix of Phi: v -> (phi(v); sigma^{-1}(v_i + phi(v))),
-    for the phi matrix ``f`` of :func:`phi_map`."""
+    for the phi matrix ``f`` of :func:`phi_map`.  ``f`` must be d x md: a
+    smaller one would broadcast into a different map."""
+    d, md = local.d, local.m * local.d
+    if np.shape(f) != (d, md):
+        raise ValidationError(f"phi must have shape ({d}, {md}), got {np.shape(f)}")
     p0 = p0_transpose(local).T  # blocks I_d, sigma^{-1} stacked
     return p0 @ f + _under_block_diagonal(local.sigma_x.conj().transpose(0, 2, 1))
 
@@ -114,27 +118,23 @@ def _tensor_matrices(local: LocalStructure, n: float, phi: np.ndarray, q2: np.nd
     return r, np.diag(np.repeat(local.p_x, local.d))
 
 
-def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray,
-                   phi: np.ndarray | None = None):
+def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray):
     """The Ricci tensor Ric_N(v1, v2) and the metric g(v1, v2).
 
     Both are sesquilinear (conjugate-linear in the second argument).  The
-    metric is ``sum_i p_xyi v1_i . conj(v2_i)``, independent of the phi
-    choice; Ric evaluates 2*Gamma_2 on the Psi-extended Phi lifts minus the
+    metric is ``sum_i p_xyi v1_i . conj(v2_i)``; Ric evaluates 2*Gamma_2 on
+    the Psi-extended Phi lifts, with phi from :func:`phi_map`, minus the
     (2/N) Laplacian-square term on the Phi lifts.  Both are read off the
-    tensor matrices R and G, built once per call.  A given ``phi`` must be
-    a d x md matrix.
+    tensor matrices R and G, built once per call.
     """
     n = _check_n(n)
-    d, md = local.d, local.m * local.d
+    md = local.m * local.d
     v1 = np.asarray(v1, dtype=complex)
     v2 = np.asarray(v2, dtype=complex)
     if v1.shape != (md,) or v2.shape != (md,):
         raise ValidationError(f"tangent vectors must have shape ({md},)")
-    if phi is not None and np.shape(phi) != (d, md):
-        raise ValidationError(f"phi must have shape ({d}, {md}), got {np.shape(phi)}")
     e = _eliminate(local)
-    r, g = _tensor_matrices(local, n, _phi(local, e) if phi is None else phi, e.q2)
+    r, g = _tensor_matrices(local, n, _phi(local, e), e.q2)
     return complex(v1 @ r @ np.conj(v2)), complex(v1 @ g @ np.conj(v2))
 
 

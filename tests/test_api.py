@@ -22,7 +22,6 @@ PUBLIC_OPTIONS = {
     "cartesian_product": {"spec": concurv.ProductSpec()},
     "curvature_bundle": {"b": None},
     "curvature_matrix": {"b": None},
-    "ric_and_metric": {"phi": None},
     "tensor_matrix_check": {"b": None, "seed": 0},
 }
 

@@ -166,6 +166,7 @@ class TestValidateCommand:
             raise AssertionError("connections stacked")
 
         monkeypatch.setattr(graphs, "_stack", no_stack)
+        monkeypatch.setattr(graphs, "sigma_stack", no_stack)
         for doc, message in OVERSIZED_DOCUMENTS:
             path = tmp_path / "big.json"
             path.write_text(json.dumps(doc))
@@ -266,6 +267,15 @@ class TestEditCommands:
         assert main(argv + ["--sigma", "[[[-1, 0]]]"]) == 0
         by_sigma = json.loads(capsys.readouterr().out)["results"]
         assert by_sigma == by_sign
+
+    def test_sign_takes_the_document_rule(self, fixture_file, capsys):
+        """--sign is a document's 'sign' shorthand, so on a d = 2 graph it
+        fails with the document's message."""
+        code = main(["add-edge", fixture_file("g1_u2"), "--vertex", "2", "--yi", "1",
+                     "--yj", "4", "--sign", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "validation error: --sign: 'sign' shorthand is only valid for dimension 1\n")
 
     def test_merge(self, fixture_file, capsys):
         code = main(["merge", fixture_file("g4_signed"), "--vertex", "1",

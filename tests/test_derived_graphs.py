@@ -196,15 +196,15 @@ class TestProduct:
 def positive_calls(monkeypatch):
     """Count the per-value number checks, wherever concurv looks them up."""
     calls = []
-    original = graphs._positive
+    original = graphs._as_number
 
     def counted(value, where):
         calls.append(value)
         return original(value, where)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "concurv" and vars(module).get("_positive") is original:
-            monkeypatch.setattr(module, "_positive", counted)
+        if name.split(".")[0] == "concurv" and vars(module).get("_as_number") is original:
+            monkeypatch.setattr(module, "_as_number", counted)
     return calls
 
 

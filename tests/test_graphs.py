@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,13 +92,15 @@ class TestLoadGraph:
             load_graph(text.replace('"x"', '"x\u00e9"').encode("latin-1"))
 
     def test_constructor_takes_numbers_only(self):
-        """The constructor applies load_graph's rule for numbers: strings and
-        booleans are rejected, numpy scalars accepted."""
+        """The constructor applies load_graph's rule for numbers: strings,
+        booleans and integers beyond float range are rejected, numpy scalars
+        accepted."""
         for vertices, edges in (([("a", "2"), ("b", True)], [("a", "b", "3", None)]),
                                 ([("a", "2"), ("b", 1.0)], [("a", "b", 1.0, None)]),
                                 ([("a", True), ("b", 1.0)], [("a", "b", 1.0, None)]),
                                 ([("a", 1.0), ("b", 1.0)], [("a", "b", "3", None)]),
-                                ([("a", 1.0), ("b", 1.0)], [("a", "b", False, None)])):
+                                ([("a", 1.0), ("b", 1.0)], [("a", "b", False, None)]),
+                            ([("a", 10**400), ("b", 1.0)], [("a", "b", 1.0, None)])):
             with pytest.raises(ValidationError, match="must be a number"):
                 ConnectionGraph(1, "real", vertices, edges)
         g = ConnectionGraph(1, "real", [("a", np.float32(2.0)), ("b", np.int64(1))],
@@ -107,18 +110,58 @@ class TestLoadGraph:
     def test_oversized_connections_rejected_before_stacking(self, monkeypatch):
         """A dimension above sqrt(MAX_CONNECTION_ENTRIES), or more stacked
         connection entries E * d^2 than MAX_CONNECTION_ENTRIES, is refused
-        before any connection is stacked or an identity allocated."""
+        before any connection is stacked or an identity allocated: the
+        constructor stacks by _stack, load_graph by sigma_stack, and no
+        call allocates as much as a megabyte."""
         def no_stack(*args):
             raise AssertionError("connections stacked")
 
         monkeypatch.setattr(graphs, "_stack", no_stack)
+        monkeypatch.setattr(graphs, "sigma_stack", no_stack)
         limit = math.isqrt(graphs.MAX_CONNECTION_ENTRIES)
-        for doc, message in OVERSIZED_DOCUMENTS:
-            with pytest.raises(ValidationError, match=message):
-                load_graph(doc)
-        with pytest.raises(ValidationError, match="exceed the limit"):
-            ConnectionGraph(limit, "complex", [("a", 1.0), ("b", 1.0), ("c", 1.0)],
-                            [("a", "b", 1.0, None), ("b", "c", 1.0, None)])
+        sigmas = (None, np.eye(limit))
+        tracemalloc.start()
+        try:
+            for doc, message in OVERSIZED_DOCUMENTS:
+                with pytest.raises(ValidationError, match=message):
+                    load_graph(doc)
+            for sigma in sigmas:
+                with pytest.raises(ValidationError, match="exceed the limit"):
+                    ConnectionGraph(limit, "complex", [("a", 1.0), ("b", 1.0), ("c", 1.0)],
+                                    [("a", "b", 1.0, sigma), ("b", "c", 1.0, None)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_each_value_converted_once(self, monkeypatch):
+        """Loading a torus document runs the number rule once per measure and
+        weight, V + E times, and stacks the connections once, by sigma_stack
+        alone: the constructor's _stack is never called."""
+        rng = np.random.default_rng(36)
+        side = 6
+        ids = [f"{i},{j}" for i in range(side) for j in range(side)]
+        edges = [(f"{i},{j}", nb, float(rng.uniform(0.5, 2.0)), random_unitary(rng, 2))
+                 for i in range(side) for j in range(side)
+                 for nb in (f"{(i + 1) % side},{j}", f"{i},{(j + 1) % side}")]
+        g = ConnectionGraph(2, "complex", [(v, float(rng.uniform(0.5, 2.0))) for v in ids], edges)
+        text = json.dumps(g.to_document())
+        calls = []
+        number = graphs._number
+
+        def counted(value):
+            calls.append(value)
+            return number(value)
+
+        def no_stack(*args):
+            raise AssertionError("_stack called on the load path")
+
+        monkeypatch.setattr(graphs, "_number", counted)
+        monkeypatch.setattr(graphs, "_stack", no_stack)
+        loaded = load_graph(text)
+        assert len(calls) == len(ids) + len(edges) == 108
+        for u, v, w, s in g.edge_list():
+            assert loaded.weight(u, v) == w and np.array_equal(loaded.sigma(u, v), s)
 
     def test_duplicate_edge_and_self_loop(self):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -216,6 +259,59 @@ class TestLoadGraph:
         k, _ = curvature(local_structure(load_graph(json.dumps(triangle.to_document())), "a"), INF)
         assert curvature(local_structure(phase_triangle(0.0), "a"), INF)[0] == pytest.approx(2.5)
         assert abs(k) < 1e-2   # the phase survived: K stays far below the balanced 2.5
+
+
+def as_document(vertices, edges) -> dict:
+    """The d = 1 graph document of constructor input."""
+    def entry(u, v, w, sigma):
+        out = {"u": u, "v": v, "weight": w}
+        if sigma is not None:
+            out["sigma"] = [[[z.real, z.imag] for z in map(complex, row)] for row in sigma]
+        return out
+    return {"dimension": 1, "vertices": [{"id": v, "measure": m} for v, m in vertices],
+            "edges": [entry(*e) for e in edges]}
+
+
+# Inputs with two faults each, and the one fault that both entry points report
+# (constructor message, load_graph message).  Conversion comes first, then the
+# shared checks: field, duplicate ids, edge structure, size, connection shape,
+# unitarity, and last the values (measures, weights, rates).
+MULTI_FAULTS = {
+    "unknown_endpoint_and_string_weight": (
+        "complex", [("a", 1.0), ("b", 1.0), ("c", 1.0)],
+        [("a", "zz", 1.0, None), ("b", "c", "x", None)],
+        "edge ('b', 'c'): weight must be a number, got 'x'",
+        "edge #1: 'weight' must be a number, got 'x'"),
+    "negative_measure_and_duplicate_edge": (
+        "complex", [("a", -1.0), ("b", 1.0)], [("a", "b", 1.0, None), ("b", "a", 1.0, None)],
+        "duplicate edge ('b', 'a')", None),
+    "negative_weight_and_non_unitary_sigma": (
+        "complex", [("a", 1.0), ("b", 1.0), ("c", 1.0)],
+        [("a", "b", -1.0, None), ("b", "c", 1.0, [[2.0]])],
+        "edge ('b', 'c'): sigma is not unitary, |sigma sigma^H - I| = 3.000e+00 > 1.0e-09", None),
+    "wrong_sigma_shape_and_self_loop": (
+        "complex", [("a", 1.0), ("b", 1.0)], [("a", "b", 1.0, [[1.0, 0.0]]), ("b", "b", 1.0, None)],
+        "self-loop at vertex 'b' is not allowed", None),
+    "negative_weight_and_infinite_measure": (
+        "complex", [("a", 1.0), ("b", math.inf)], [("a", "b", -2.0, None)],
+        "vertex 'b': measure must be positive and finite, got inf", None),
+    "bad_field_and_duplicate_id": (
+        "quaternion", [("a", 1.0), ("a", 1.0)], [],
+        "field must be 'real' or 'complex', got 'quaternion'", None),
+}
+
+
+class TestOneFaultOrder:
+    """The constructor and load_graph check converted input with one
+    function, so an input with several faults gets the same fault from
+    both; only a conversion fault is worded by its entry point."""
+
+    @pytest.mark.parametrize("name", sorted(MULTI_FAULTS))
+    def test_both_entry_points_report_the_same_fault(self, name):
+        field, vertices, edges, message, load_message = MULTI_FAULTS[name]
+        doc = dict(as_document(vertices, edges), field=field)
+        assert raised(lambda: ConnectionGraph(1, field, vertices, edges)) == message
+        assert raised(lambda: load_graph(json.dumps(doc))) == (load_message or message)
 
 
 class TestRateLimits:

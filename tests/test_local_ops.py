@@ -16,6 +16,7 @@ from concurv import (
 from concurv.fixtures import fixture_graph
 
 from helpers import (
+    add_edge_rebuild,
     assert_close,
     count_gamma2_assemblies,
     random_merge_instance,
@@ -36,10 +37,15 @@ class TestAddSphericalEdge:
         with pytest.raises(ValidationError, match="adjacent"):
             add_spherical_edge(g_adj, "1", "2", "3")
 
-    @pytest.mark.parametrize("w_new", [True, "2", float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("w_new", [True, "2", float("nan"), float("inf"), 0.0, -1.0])
     def test_weight_takes_the_constructor_rule(self, w_new):
-        with pytest.raises(ValidationError, match="weight"):
-            add_spherical_edge(fixture_graph("g5_signed"), "1", "2", "3", w_new=w_new)
+        g = fixture_graph("g5_signed")
+        with pytest.raises(ValidationError, match="weight") as derived:
+            add_spherical_edge(g, "1", "2", "3", w_new=w_new)
+        if isinstance(w_new, float):   # a number out of range: the rebuild's message
+            with pytest.raises(ValidationError) as rebuilt:
+                add_edge_rebuild(g, "1", "2", "3", w_new)
+            assert str(derived.value) == str(rebuilt.value)
 
     def test_unknown_or_isolated_center_rejected(self):
         g = load_graph({"dimension": 1,
