@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, _solve, curvature_oracle, curvature_profile
-from .graphs import _raw_sigma, is_locally_balanced, load_graph, local_structure, sigma_stack
+from .graphs import (_connections, _raw_sigma, is_locally_balanced, load_graph,
+                     local_structure)
 from .hermitian import HermitianMatrix
 
 FRACTION_MAX_DEN = 16
@@ -248,23 +249,26 @@ def cmd_balance(args) -> tuple[int, Report]:
     return 0, report
 
 
-def _parse_sigma_arg(text: str | None, sign: int | None, d: int):
-    """--sigma or --sign, converted as a document edge's 'sigma' or 'sign'."""
-    if text is None and sign is None:
+def _parse_sigma_arg(args, d: int):
+    """--sigma and --sign, converted as a document edge's 'sigma' and 'sign'."""
+    entry = {} if args.sign is None else {"sign": args.sign}
+    if args.sigma is not None:
+        try:
+            entry["sigma"] = json.loads(args.sigma)
+        except ValueError:
+            raise ValidationError(
+                f"--sigma: expected JSON rows of [re, im] pairs, got {args.sigma!r}") from None
+    if not entry:
         return None
-    where = "--sign" if text is None else "--sigma"
-    try:
-        entry = {"sign": sign} if text is None else {"sigma": json.loads(text)}
-    except ValueError:
-        raise ValidationError(
-            f"--sigma: expected JSON rows of [re, im] pairs, got {text!r}") from None
-    return sigma_stack([_raw_sigma(entry, d, where)], d, lambda k: where)[0]
+    where = ("--sign" if args.sigma is None else "--sigma" if args.sign is None
+             else f"edge ({args.yi!r}, {args.yj!r})")
+    return _connections([_raw_sigma(entry, d, where)], d, lambda k: where, cells=True)[0][0]
 
 
 def cmd_add_edge(args) -> tuple[int, Report]:
     from .local_ops import add_spherical_edge
     report, (g,) = _open("add-edge", args.graph)
-    sigma = _parse_sigma_arg(args.sigma, args.sign, g.dimension)
+    sigma = _parse_sigma_arg(args, g.dimension)
     g_new, edit = add_spherical_edge(g, args.vertex, args.yi, args.yj,
                                      w_new=args.weight, sigma_new=sigma)
     report.add("vertex", args.vertex)

@@ -36,36 +36,53 @@ def _polar_unitary(a: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _stack(mats: list, d: int, where) -> np.ndarray:
-    """The matrices as one (k, d, d) complex array.
+def _connections(mats: list, d: int, where, real: bool = False,
+                 cells: bool = False) -> tuple[np.ndarray, bool]:
+    """The connection rule: k matrices as one checked (k, d, d) complex
+    stack, and whether every one of them is real.
 
-    ``where(k)`` names entry k in the error raised for a matrix that does
-    not convert or is not d x d.
+    All k are converted by one ``np.array`` call into numbers (dtype kind
+    i, u, f or c): strings, booleans and objects are refused, as is a
+    matrix that is not d x d.  With ``cells`` each entry is a JSON
+    ``[re, im]`` pair of real numbers, viewed as complex without
+    arithmetic, so it is exactly the number written.  The stack is then
+    checked by :func:`_check_unitary` (with ``real``, a connection with an
+    imaginary entry is refused).  ``where(k)`` names matrix k in the error.
     """
+    shape, kinds = ((len(mats), d, d, 2), "iuf") if cells else ((len(mats), d, d), "iufc")
     try:
-        stacked = np.array(mats or np.empty((0, d, d)), dtype=complex)
-    except (TypeError, ValueError, OverflowError):
-        stacked = None
-    if stacked is None or stacked.shape != (len(mats), d, d):
-        # Only after the stacked conversion failed: find the entry to blame.
+        a = np.array(mats) if mats else np.empty(shape)
+    except (TypeError, ValueError, OverflowError):  # ragged nesting
+        a = None
+    if a is None or a.shape != shape or a.dtype.kind not in kinds:
+        # Only after the stacked conversion failed: find the matrix to blame.
         for k, mat in enumerate(mats):
             try:
-                shape = np.asarray(mat, dtype=complex).shape
+                m = np.array(mat)
             except (TypeError, ValueError, OverflowError):
-                raise ValidationError(f"{where(k)}: sigma is not a numeric matrix") from None
-            if shape != (d, d):
+                m = np.array(None)  # ragged: an object, so malformed below
+            if m.dtype.kind not in kinds or cells and m.shape[2:] != (2,):
                 raise ValidationError(
-                    f"{where(k)}: sigma has shape {shape}, expected ({d}, {d})")
-        raise ValidationError("connection matrices do not stack")
-    return stacked
+                    f"{where(k)}: malformed sigma, expected a {d} x {d} matrix of numbers "
+                    "([re, im] pairs in a document)")
+            got = m.shape[:2] if cells else m.shape
+            if got != (d, d):
+                raise ValidationError(f"{where(k)}: sigma has shape {got}, expected ({d}, {d})")
+        raise ValidationError("malformed sigma: the connections do not stack")
+    if cells:
+        s = np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+    else:
+        s = a.astype(complex, copy=False)
+    return _check_unitary(s, where, real)
 
 
-def _check_unitary(s: np.ndarray, where, real: bool = False) -> np.ndarray:
-    """Validate a (k, d, d) stack of connection matrices in one pass.
+def _check_unitary(s: np.ndarray, where, real: bool = False) -> tuple[np.ndarray, bool]:
+    """Validate a (k, d, d) stack of connection matrices in one pass, and
+    judge whether all are real: every imaginary part within UNITARY_TOL.
 
     Rows within UNITARY_TOL of unitary are accepted, and those further than
     REPROJECT_TOL from it are replaced by their polar projection; with
-    ``real`` set, rows with imaginary entries are rejected too.  The first
+    ``real`` set, rows that are not real are rejected too.  The first
     failing row, in stack order, is named by ``where(k)`` in the error.
     """
     d = s.shape[-1]
@@ -76,9 +93,8 @@ def _check_unitary(s: np.ndarray, where, real: bool = False) -> np.ndarray:
     if fix.size:
         s = s.copy()
         s[fix] = _polar_unitary(s[fix])
-    fail = bad
-    if real:
-        fail = bad | (np.abs(s.imag).max(axis=(1, 2)) > UNITARY_TOL)
+    imag = np.abs(s.imag).max(axis=(1, 2)) > UNITARY_TOL
+    fail = bad | (imag & real)
     if fail.any():
         k = int(np.argmax(fail))
         if bad[k]:
@@ -86,7 +102,7 @@ def _check_unitary(s: np.ndarray, where, real: bool = False) -> np.ndarray:
                 f"{where(k)}: sigma is not unitary, "
                 f"|sigma sigma^H - I| = {dev[k]:.3e} > {UNITARY_TOL:.1e}")
         raise ValidationError(f"{where(k)}: field='real' but sigma has imaginary entries")
-    return s
+    return s, not imag.any()
 
 
 class EdgeIndex(NamedTuple):
@@ -196,10 +212,12 @@ def _check_size(n_edges: int, d: int) -> None:
             f"{MAX_CONNECTION_ENTRIES} stacked connection entries (E * d^2)")
 
 
-def _checked(d: int, field, ids: list, mu: list, ends: list, w: list, given: list, stack):
+def _checked(d: int, field, ids: list, mu: list, ends: list, w: list, given: list,
+             sigmas: list, cells: bool = False):
     """Converted graph input, checked, in :meth:`ConnectionGraph._arrays`'s
-    form.  ``ends`` are the edges' (u, v) id pairs; ``stack(where)`` stacks
-    the connections of the edges in ``given``, the others being I_d.  The
+    form.  ``ends`` are the edges' (u, v) id pairs; ``sigmas`` are the
+    connections of the edges in ``given``, the others being I_d, converted
+    by :func:`_connections` (``cells`` as there).  The
     constructor and :func:`load_graph` both end here, so their faults come
     in one order: field, duplicate id, edge structure (unknown endpoint,
     self-loop, duplicate pair), size, connection shape, unitarity, and last,
@@ -228,8 +246,7 @@ def _checked(d: int, field, ids: list, mu: list, ends: list, w: list, given: lis
     where = _edge_name(ids, u, v)
     s = np.empty((len(ends), d, d), dtype=complex)
     s[:] = np.eye(d)
-    s[given] = stack(lambda j: where(given[j]))
-    s = _check_unitary(s, where, real=field == "real")
+    s[given] = _connections(sigmas, d, lambda j: where(given[j]), field == "real", cells)[0]
     return tuple(ids), np.array(mu, dtype=float), u, v, np.array(w, dtype=float), s
 
 
@@ -247,7 +264,8 @@ class ConnectionGraph:
         Vertex ids are strings; measures are positive, finite numbers.
     edges : iterable of (u, v, weight, sigma)
         One entry per undirected edge, giving the connection for the stored
-        orientation u -> v.  ``sigma=None`` means the identity.
+        orientation u -> v.  ``sigma=None`` means the identity; any other
+        sigma is taken by the connection rule of :func:`_connections`.
 
     ``index`` is the graph's :class:`EdgeIndex`, built once here; graphs are
     immutable, so it never goes stale.  It is the only adjacency: every
@@ -278,8 +296,7 @@ class ConnectionGraph:
                 given.append(len(ends))
                 sigmas.append(sigma)
             ends.append((u, v))
-        arrays = _checked(d, field, ids, mu, ends, weights, given,
-                          lambda where: _stack(sigmas, d, where))
+        arrays = _checked(d, field, ids, mu, ends, weights, given, sigmas)
         self.dimension, self.field = d, field
         self.index, self._stored_rows = _edge_index(*arrays)
 
@@ -373,46 +390,18 @@ class ConnectionGraph:
 
 
 def _raw_sigma(entry: Mapping, d: int, where: str):
-    """The connection of an edge with a 'sigma' or 'sign', as rows of
-    [re, im] cells, still unconverted."""
-    if "sign" in entry:
-        if d != 1:
-            raise ValidationError(f"{where}: 'sign' shorthand is only valid for dimension 1")
-        sign = entry["sign"]
-        if not _is_integer(sign) or sign not in (1, -1):
-            raise ValidationError(f"{where}: 'sign' must be 1 or -1, got {sign!r}")
-        return [[[sign, 0]]]
-    return entry["sigma"]
-
-
-def _sigma_cells(raw) -> np.ndarray | None:
-    """``raw`` as a numeric array, or None if it is ragged or not numbers."""
-    try:
-        a = np.array(raw)
-    except (TypeError, ValueError, OverflowError):  # ragged nesting
-        return None
-    # A string or object array is no sigma, though float() would parse "1".
-    return a if a.dtype.kind in "biuf" else None
-
-
-def sigma_stack(raws: list, d: int, where) -> np.ndarray:
-    """Connections given as JSON rows of [re, im] cells, as one (k, d, d)
-    complex array: converted by a single call and viewed as complex without
-    arithmetic, so entries are exactly the numbers written.  ``where(k)``
-    names connection k in the error for one that is malformed."""
-    a = _sigma_cells(raws) if raws else np.empty((0, d, d, 2))
-    if a is None or a.shape != (len(raws), d, d, 2):
-        # Only after the stacked conversion failed: find the edge to blame.
-        for k, raw in enumerate(raws):
-            cells = _sigma_cells(raw)
-            if cells is None or cells.ndim != 3 or cells.shape[2] != 2:
-                raise ValidationError(
-                    f"{where(k)}: malformed sigma, expected d x d rows of [re, im]")
-            if cells.shape[:2] != (d, d):
-                raise ValidationError(
-                    f"{where(k)}: sigma has shape {cells.shape[:2]}, expected ({d}, {d})")
-        raise ValidationError("malformed sigma, expected d x d rows of [re, im]")
-    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+    """The connection of an edge with a 'sigma' or a 'sign' (not both), as
+    rows of [re, im] cells, still unconverted."""
+    if "sign" not in entry:
+        return entry["sigma"]
+    if "sigma" in entry:
+        raise ValidationError(f"{where}: 'sign' and 'sigma' are both given; give one")
+    if d != 1:
+        raise ValidationError(f"{where}: 'sign' shorthand is only valid for dimension 1")
+    sign = entry["sign"]
+    if not _is_integer(sign) or sign not in (1, -1):
+        raise ValidationError(f"{where}: 'sign' must be 1 or -1, got {sign!r}")
+    return [[[sign, 0]]]
 
 
 def load_graph(document) -> ConnectionGraph:
@@ -428,9 +417,10 @@ def load_graph(document) -> ConnectionGraph:
 
     sigma is row-major with entries [re, im], exactly two numbers each; an
     omitted sigma means the identity, and for dimension-1 graphs
-    ``"sign": 1 | -1`` is accepted.  Measure and weight default to 1.0 when
-    omitted.  Each value is converted once, all sigmas by a single call,
-    and :func:`_checked` then checks the graph as it does the constructor's.
+    ``"sign": 1 | -1`` is accepted instead (not as well).  Measure and
+    weight default to 1.0 when omitted.  Each value is converted once, all
+    sigmas by a single call, and :func:`_checked` then checks the graph as
+    it does the constructor's.
     """
     if isinstance(document, bytes):
         try:
@@ -468,7 +458,7 @@ def load_graph(document) -> ConnectionGraph:
             raws.append(_raw_sigma(entry, d, f"edge ({u!r}, {v!r})"))
     field = document.get("field", "complex")
     return ConnectionGraph._from_arrays(d, field, *_checked(
-        d, field, ids, mu, ends, weights, given, lambda where: sigma_stack(raws, d, where)))
+        d, field, ids, mu, ends, weights, given, raws, cells=True))
 
 
 # What converting a malformed entry raises: a missing key, a non-object entry,
@@ -593,7 +583,8 @@ def switch(g: ConnectionGraph, tau: Mapping[str, np.ndarray]) -> ConnectionGraph
     """Re-gauge the connection: sigma_uv -> tau(u)^{-1} sigma_uv tau(v).
 
     tau must assign a unitary to every vertex; weights and measures are
-    unchanged.  Switching preserves curvature and balance.
+    unchanged.  Switching preserves curvature and balance.  The result is
+    real when g is and every switched connection is real (to UNITARY_TOL).
     """
     ids = g.vertex_ids
     for v in ids:
@@ -603,14 +594,11 @@ def switch(g: ConnectionGraph, tau: Mapping[str, np.ndarray]) -> ConnectionGraph
     def where(k):
         return f"tau({ids[k]!r})"
 
-    taus = _check_unitary(_stack([tau[v] for v in ids], g.dimension, where), where)
+    taus, _ = _connections([tau[v] for v in ids], g.dimension, where)
     ids, mu, u, v, w, s = g._arrays()
-    switched = taus[u].conj().transpose(0, 2, 1) @ s @ taus[v]
-    field = g.field
-    # A complex tau may leave the real field even for a real graph.
-    if field == "real" and np.abs(taus.imag).max(initial=0.0) > UNITARY_TOL:
-        field = "complex"
-    switched = _check_unitary(switched, _edge_name(ids, u, v), real=field == "real")
+    switched, real = _check_unitary(taus[u].conj().transpose(0, 2, 1) @ s @ taus[v],
+                                    _edge_name(ids, u, v))
+    field = "real" if g.field == "real" and real else "complex"
     return ConnectionGraph._from_arrays(g.dimension, field, ids, mu, u, v, w, switched)
 
 

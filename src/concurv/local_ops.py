@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, curvature, curvature_function
-from .graphs import (ConnectionGraph, LocalStructure, _as_number, _check_unitary, _edge_name,
-                     _stack, local_structure)
+from .graphs import (ConnectionGraph, LocalStructure, _as_number, _connections, _edge_name,
+                     local_structure)
 from .hermitian import _psd_within
 from .operators import _gamma2_array
 
@@ -62,7 +62,8 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     carries the curvature at N = inf before and after, and whether the
     4*Gamma_2 difference matrix is PSD.  Under the balanced default plus
     S1-in regularity the curvature cannot decrease (checked; a decrease
-    raises :class:`CrossCheckError`).
+    raises :class:`CrossCheckError`).  The new graph is real when g is and
+    the new connection is real (to UNITARY_TOL).
     """
     x, yi, yj = str(x), str(yi), str(yj)
     before_loc = local_structure(g, x)   # rejects an unknown or isolated x
@@ -80,8 +81,8 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     ids, mu, u, v, w, s = g._arrays()
     u, v, w = np.append(u, g.index.pos[yi]), np.append(v, g.index.pos[yj]), np.append(w, w_new)
     where = _edge_name(ids, u[-1:], v[-1:])
-    s_new = _check_unitary(_stack([sigma_new], g.dimension, where), where)
-    field = "real" if g.field == "real" and np.abs(s_new.imag).max() <= 1e-12 else "complex"
+    s_new, real = _connections([sigma_new], g.dimension, where)
+    field = "real" if g.field == "real" and real else "complex"
     g_new = ConnectionGraph._from_arrays(g.dimension, field, ids, mu, u, v, w,
                                          np.concatenate([s, s_new]))
 

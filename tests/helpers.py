@@ -17,7 +17,7 @@ import numpy as np
 import concurv
 from concurv import INF, ConnectionGraph, ValidationError, product_vertex, switch
 from concurv.curvature import _v0, canonical_basis
-from concurv.graphs import UNITARY_TOL, EdgeIndex, _check_unitary, _stack, local_structure
+from concurv.graphs import UNITARY_TOL, EdgeIndex, _connections, local_structure
 from concurv.hermitian import PINV_RTOL_SCALE, _lambda_min
 from concurv.operators import _gamma2_array
 
@@ -416,13 +416,13 @@ def switch_rebuild(g: ConnectionGraph, tau) -> ConnectionGraph:
     def where(k):
         return f"tau({ids[k]!r})"
 
-    taus = _check_unitary(_stack([tau[v] for v in ids], g.dimension, where), where)
+    taus = _connections([tau[v] for v in ids], g.dimension, where)[0]
     ix = g.index
     rows = g._stored_rows
     u, v = ix.nbr[ix.rev[rows]], ix.nbr[rows]
     switched = taus[u].conj().transpose(0, 2, 1) @ ix.sigma[rows] @ taus[v]
     field = g.field
-    if field == "real" and np.abs(taus.imag).max(initial=0.0) > UNITARY_TOL:
+    if field == "real" and np.abs(switched.imag).max(initial=0.0) > UNITARY_TOL:
         field = "complex"
     edges = zip(ix.names[u], ix.names[v], ix.weight[rows].tolist(), switched)
     return ConnectionGraph(g.dimension, field, [(v, g.measure(v)) for v in ids], edges)
@@ -436,7 +436,7 @@ def add_edge_rebuild(g: ConnectionGraph, x: str, yi: str, yj: str, w_new: float 
         sigma_new = g.sigma(yi, x) @ g.sigma(x, yj)
     edges = g.edge_list() + [(yi, yj, float(w_new), sigma_new)]
     field = g.field
-    if field == "real" and float(np.max(np.abs(np.asarray(sigma_new).imag))) > 1e-12:
+    if field == "real" and float(np.max(np.abs(np.asarray(sigma_new).imag))) > UNITARY_TOL:
         field = "complex"
     return ConnectionGraph(g.dimension, field, [(v, g.measure(v)) for v in g.vertex_ids], edges)
 
@@ -600,4 +600,6 @@ MALFORMED_DOCUMENTS = {
                      "'measure' must be a number"),
     "sign_bool": (_doc_text(_AB, '{"u": "a", "v": "b", "sign": true}'), "'sign' must be 1 or -1"),
     "sign_float": (_doc_text(_AB, '{"u": "a", "v": "b", "sign": 1.0}'), "'sign' must be 1 or -1"),
+    "sign_and_sigma": (_doc_text(_AB, '{"u": "a", "v": "b", "sign": -1, "sigma": [[[1, 0]]]}'),
+                       "'sign' and 'sigma' are both given; give one"),
 }

@@ -165,8 +165,7 @@ class TestValidateCommand:
         def no_stack(*args):
             raise AssertionError("connections stacked")
 
-        monkeypatch.setattr(graphs, "_stack", no_stack)
-        monkeypatch.setattr(graphs, "sigma_stack", no_stack)
+        monkeypatch.setattr(graphs, "_connections", no_stack)
         for doc, message in OVERSIZED_DOCUMENTS:
             path = tmp_path / "big.json"
             path.write_text(json.dumps(doc))
@@ -276,6 +275,14 @@ class TestEditCommands:
         assert code == 1
         assert capsys.readouterr().err == (
             "validation error: --sign: 'sign' shorthand is only valid for dimension 1\n")
+
+    def test_sign_with_sigma_names_the_edge(self, fixture_file, capsys):
+        """--sign with --sigma is a document edge with both: one error."""
+        code = main(["add-edge", fixture_file("g5_signed"), "--vertex", "1", "--yi", "2",
+                     "--yj", "3", "--sign", "-1", "--sigma", "[[[1, 0]]]"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "validation error: edge ('2', '3'): 'sign' and 'sigma' are both given; give one\n")
 
     def test_merge(self, fixture_file, capsys):
         code = main(["merge", fixture_file("g4_signed"), "--vertex", "1",

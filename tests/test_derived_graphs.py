@@ -107,7 +107,7 @@ class TestAddSphericalEdge:
                 add_edge_rebuild(g, "1", "2", "3", 1.0, sigma)
             assert str(derived.value) == str(rebuilt.value)
         # the rebuild failed on this one with numpy's own error
-        with pytest.raises(ValidationError, match="edge \\('2', '3'\\): sigma is not a numeric"):
+        with pytest.raises(ValidationError, match="edge \\('2', '3'\\): malformed sigma"):
             add_spherical_edge(g, "1", "2", "3", sigma_new=[["a"]])
 
 

@@ -11,6 +11,7 @@ from concurv import (
     INF,
     ConnectionGraph,
     ValidationError,
+    add_spherical_edge,
     curvature,
     is_locally_balanced,
     load_graph,
@@ -18,6 +19,7 @@ from concurv import (
     signature_groups_commute,
     switch,
 )
+from concurv.cli import main
 from concurv.fixtures import fixture_document, fixture_graph, fixture_names
 from concurv.graphs import BALANCE_TOL, REPROJECT_TOL, UNITARY_TOL
 
@@ -111,13 +113,12 @@ class TestLoadGraph:
         """A dimension above sqrt(MAX_CONNECTION_ENTRIES), or more stacked
         connection entries E * d^2 than MAX_CONNECTION_ENTRIES, is refused
         before any connection is stacked or an identity allocated: the
-        constructor stacks by _stack, load_graph by sigma_stack, and no
-        call allocates as much as a megabyte."""
+        constructor and load_graph both stack by _connections, and no call
+        allocates as much as a megabyte."""
         def no_stack(*args):
             raise AssertionError("connections stacked")
 
-        monkeypatch.setattr(graphs, "_stack", no_stack)
-        monkeypatch.setattr(graphs, "sigma_stack", no_stack)
+        monkeypatch.setattr(graphs, "_connections", no_stack)
         limit = math.isqrt(graphs.MAX_CONNECTION_ENTRIES)
         sigmas = (None, np.eye(limit))
         tracemalloc.start()
@@ -136,8 +137,9 @@ class TestLoadGraph:
 
     def test_each_value_converted_once(self, monkeypatch):
         """Loading a torus document runs the number rule once per measure and
-        weight, V + E times, and stacks the connections once, by sigma_stack
-        alone: the constructor's _stack is never called."""
+        weight, V + E times, and converts the connections by one call of
+        _connections, whose stacked conversion succeeds at once: no matrix
+        is converted on its own."""
         rng = np.random.default_rng(36)
         side = 6
         ids = [f"{i},{j}" for i in range(side) for j in range(side)]
@@ -153,13 +155,27 @@ class TestLoadGraph:
             calls.append(value)
             return number(value)
 
-        def no_stack(*args):
-            raise AssertionError("_stack called on the load path")
+        stacks = []
+        connections = graphs._connections
+        array = np.array
+
+        def stacked(mats, *args, **kwargs):
+            stacks.append(len(mats))
+            return connections(mats, *args, **kwargs)
+
+        def no_blame(obj, *args, **kwargs):
+            # the blame pass converts one edge's cells, rows of [re, im]
+            if np.ndim(obj) == 3:
+                raise AssertionError("a connection converted on its own")
+            return array(obj, *args, **kwargs)
 
         monkeypatch.setattr(graphs, "_number", counted)
-        monkeypatch.setattr(graphs, "_stack", no_stack)
+        monkeypatch.setattr(graphs, "_connections", stacked)
+        monkeypatch.setattr(graphs.np, "array", no_blame)
         loaded = load_graph(text)
+        monkeypatch.undo()
         assert len(calls) == len(ids) + len(edges) == 108
+        assert stacks == [len(edges)]
         for u, v, w, s in g.edge_list():
             assert loaded.weight(u, v) == w and np.array_equal(loaded.sigma(u, v), s)
 
@@ -312,6 +328,93 @@ class TestOneFaultOrder:
         doc = dict(as_document(vertices, edges), field=field)
         assert raised(lambda: ConnectionGraph(1, field, vertices, edges)) == message
         assert raised(lambda: load_graph(json.dumps(doc))) == (load_message or message)
+
+
+MALFORMED = "malformed sigma, expected a 1 x 1 matrix of numbers ([re, im] pairs in a document)"
+# Bad connections on a real d = 1 graph, each as a matrix and as a document's
+# [re, im] cells, with the message every entry point gives for it after the
+# name of the connection.
+BAD_CONNECTIONS = {
+    "string": ([["-1"]], [[["-1", "0"]]], MALFORMED),
+    "boolean": ([[True]], [[[True, False]]], MALFORMED),
+    "wrong_shape": ([[1.0, 0.0]], [[[1, 0], [0, 0]]], "sigma has shape (1, 2), expected (1, 1)"),
+    "not_unitary": ([[2.0]], [[[2, 0]]],
+                    "sigma is not unitary, |sigma sigma^H - I| = 3.000e+00 > 1.0e-09"),
+    "imaginary": ([[1j]], [[[0, 1]]], "field='real' but sigma has imaginary entries"),
+}
+PATH = [("a", 1.0), ("b", 1.0), ("c", 1.0)], [("b", "a", 1.0, None), ("b", "c", 1.0, None)]
+
+
+def connection_outcomes(matrix, cells, tmp_path, capsys) -> dict:
+    """What each entry point makes of one connection on the real path
+    a - b - c: the triangle with it on edge (a, c), built by the
+    constructor, load_graph, add_spherical_edge and ``concurv add-edge``,
+    and the path switched by it at every vertex.  Each outcome is the error
+    message after the connection's name, or the field of the graph built."""
+    vertices, edges = PATH
+    path = ConnectionGraph(1, "real", vertices, edges)
+    base = path.to_document()
+    doc = dict(base, edges=[*base["edges"], {"u": "a", "v": "c", "sigma": cells}])
+    src, out = tmp_path / "path.json", tmp_path / "out.json"
+    src.write_text(json.dumps(base))
+
+    def cli():
+        code = main(["add-edge", str(src), "--vertex", "b", "--yi", "a", "--yj", "c",
+                     "--sigma", json.dumps(cells), "--out", str(out)])
+        err = capsys.readouterr().err
+        if code:
+            raise ValidationError(err.removeprefix("validation error: ").rstrip("\n"))
+        return load_graph(out.read_text())
+
+    builds = {
+        "constructor": lambda: ConnectionGraph(1, "real", vertices,
+                                               [*edges, ("a", "c", 1.0, matrix)]),
+        "load_graph": lambda: load_graph(json.dumps(doc)),
+        "switch": lambda: switch(path, {v: matrix for v, _ in vertices}),
+        "add_spherical_edge": lambda: add_spherical_edge(path, "b", "a", "c",
+                                                         sigma_new=matrix)[0],
+        "concurv add-edge": cli,
+    }
+    outcomes = {}
+    for name, build in builds.items():
+        try:
+            outcomes[name] = f"field={build().field}"
+        except ValidationError as exc:
+            outcomes[name] = str(exc).split(": ", 1)[1]
+    return outcomes
+
+
+class TestOneConnectionRule:
+    """Every connection a caller gives is converted, checked and judged
+    real by one function, so each entry point treats it alike."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_CONNECTIONS))
+    def test_every_entry_point_gives_one_message(self, name, tmp_path, capsys):
+        matrix, cells, message = BAD_CONNECTIONS[name]
+        want = dict.fromkeys(("constructor", "load_graph", "switch", "add_spherical_edge",
+                              "concurv add-edge"), message)
+        if name == "imaginary":
+            # A graph built from a parent keeps its real field exactly when its
+            # new connections are real; i at every vertex cancels on each edge.
+            want.update({"switch": "field=real", "add_spherical_edge": "field=complex",
+                         "concurv add-edge": "field=complex"})
+        assert connection_outcomes(matrix, cells, tmp_path, capsys) == want
+
+    def test_realness_is_judged_at_unitary_tol(self, tmp_path, capsys):
+        outcomes = connection_outcomes([[1 + 1e-11j]], [[[1, 1e-11]]], tmp_path, capsys)
+        assert set(outcomes.values()) == {"field=real"}
+        path = ConnectionGraph(1, "real", *PATH)
+        assert switch(path, {"a": [[1j]], "b": [[1]], "c": [[1]]}).field == "complex"
+        assert switch(path, {"a": [[1 + 1e-11j]], "b": [[1]], "c": [[1]]}).field == "real"
+
+    def test_a_boolean_among_numbers_converts_as_a_number(self):
+        """The dtype rule judges the stacked array: True next to numbers is 1."""
+        g = ConnectionGraph(2, "real", [("a", 1.0), ("b", 1.0)],
+                            [("a", "b", 1.0, [[True, 0.0], [0, 1]])])
+        assert np.array_equal(g.sigma("a", "b"), np.eye(2))
+        g = load_graph({"dimension": 1, "vertices": [{"id": "a"}, {"id": "b"}],
+                        "edges": [{"u": "a", "v": "b", "sigma": [[[True, 0]]]}]})
+        assert g.sigma("a", "b")[0, 0] == 1.0
 
 
 class TestRateLimits:
