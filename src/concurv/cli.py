@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import INF, _solve, curvature_oracle, curvature_profile
+from .curvature import INF, _eliminate, curvature_oracle, curvature_profile
 from .graphs import (_connections, _raw_sigma, is_locally_balanced, load_graph,
                      local_structure)
 from .hermitian import HermitianMatrix
@@ -50,13 +50,13 @@ def _n_value(n: float | None):
     return "inf" if n == INF else n
 
 
-def parse_n(text: str) -> float:
+def parse_n(text: str, option: str) -> float:
     if text.strip().lower() in ("inf", "infinity", "oo"):
         return INF
     try:
         return float(text)
     except ValueError:
-        raise ValidationError(f"expected a number or inf, got {text!r}") from None
+        raise ValidationError(f"{option}: expected a number or inf, got {text!r}") from None
 
 
 def _fraction_str(v: float) -> str | None:
@@ -171,9 +171,11 @@ def cmd_validate(args) -> tuple[int, Report]:
 
 def cmd_curvature(args) -> tuple[int, Report]:
     report, (g,) = _open("curvature", args.graph)
-    n = parse_n(args.N)
+    n = parse_n(args.N, "--N")
     loc = local_structure(g, args.vertex)
-    k, mult, eig, a_n = _solve(loc, n)   # one elimination, as curvature() runs it
+    e = _eliminate(loc)   # one elimination, as curvature() runs it
+    k, mult = e.k(n)
+    eig = e.eig
     report.add("vertex", args.vertex)
     report.add("N", _n_value(n))
     report.add_number("curvature", k)
@@ -193,13 +195,13 @@ def cmd_curvature(args) -> tuple[int, Report]:
         report.add("oracle_agreement", agree, None if agree else
                    f"FAIL (gap {gap:.3e} > tolerance * max(1, |K|) = {bound:.1e})")
     if args.matrix:
-        report.add_matrix("a_n", HermitianMatrix(a_n).mat)
+        report.add_matrix("a_n", HermitianMatrix(e.a_n(n)).mat)
     return (0 if agree else 2), report
 
 
 def cmd_profile(args) -> tuple[int, Report]:
     report, (g,) = _open("profile", args.graph)
-    grid = [parse_n(tok) for tok in args.grid.split(",") if tok.strip()]
+    grid = [parse_n(tok, "--grid") for tok in args.grid.split(",")]
     loc = local_structure(g, args.vertex)
     profile = curvature_profile(loc, grid)
     rows = []
@@ -228,8 +230,8 @@ def cmd_product(args) -> tuple[int, Report]:
         if len(toks) != 2:
             raise ValidationError(f"--decompose: expected X,X2, got {args.decompose!r}")
         x, x2 = toks
-        n = parse_n(args.N)
-        n2 = parse_n(args.N2)
+        n = parse_n(args.N, "--N")
+        n2 = parse_n(args.N2, "--N2")
         dec = product_decomposition(g, g2, spec, x, x2, n, n2)
         report.add("decompose_at", f"({x}, {x2})")
         report.add_number("residual", dec.residual)

@@ -19,8 +19,9 @@ N = infinity is the plain ``float("inf")``; ``2 / inf`` is exactly 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,9 +39,11 @@ PROFILE_SHAPE_SLACK = 1e-7  # monotonicity/concavity slack on sampled profiles
 
 
 def _check_n(n) -> float:
+    """The one rule for N: ``N > 0``, and inf or with ``2/N`` (the weight of
+    A_N's dimension term) finite; 0, negatives, nan and 1e-320 are refused."""
     n = float(n)
-    if not (n > 0):
-        raise ValidationError(f"dimension parameter N must be positive or inf, got {n}")
+    if not (n > 0 and (n == INF or math.isfinite(2.0 / n))):
+        raise ValidationError(f"dimension parameter N must be inf or > 0 with 2/N finite, got {n}")
     return n
 
 
@@ -120,42 +123,41 @@ def general_basis(local: LocalStructure, seed: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CurvatureBundle:
-    """All intermediates behind the curvature matrices at one vertex.
+class _Elimination:
+    """One elimination and all that is read after it: ``q2 = 4*Q / 2``, the
+    kernel block a, its eigh and rank, omega^T, A_inf, v0 (on first use) and
+    the one A_N formula; ``b`` is the explicit basis, None if canonical."""
 
-    ``omega_t`` is the d x md block omega^T; ``v0`` is md x d with
-    ``B Delta(x) = (0; v0)``; ``a_inf`` is the N-independent curvature matrix.
-    """
-
-    b: np.ndarray
-    a: np.ndarray
-    omega_t: np.ndarray
-    v0: np.ndarray
-    a_inf: HermitianMatrix
-
-    def a_n(self, n) -> HermitianMatrix:
-        return HermitianMatrix(_a_n(self.a_inf.mat, self.v0, _check_n(n)))
-
-
-def _a_n(a_inf: np.ndarray, v0: np.ndarray, n: float) -> np.ndarray:
-    """``A_N = A_inf - (2/N) v0 v0^H``, the one A_N formula.  At N = inf the
-    term is exactly zero and is not formed."""
-    return a_inf if n == INF else a_inf - (2.0 / n) * (v0 @ v0.conj().T)
-
-
-class _Elimination(NamedTuple):
-    """What one elimination yields and its consumers read: ``q2 = 4*Q / 2``,
-    the kernel block a, its eigh and rank, omega^T and A_inf."""
-
+    local: LocalStructure
+    b: np.ndarray | None
     q2: np.ndarray
     a: np.ndarray
     eig: _Eigh
     omega_t: np.ndarray
     a_inf: np.ndarray
 
+    @cached_property
+    def v0(self) -> np.ndarray:
+        """The md x d block v0 with ``B Delta(x) = (0; v0)``; for the canonical
+        basis its blocks are ``sqrt(p_xyi) sigma_xyi^T``."""
+        local = self.local
+        if self.b is None:
+            p = np.sqrt(local.p_x)[:, None, None]
+            return (p * local.sigma_x.transpose(0, 2, 1)).reshape(local.m * local.d, local.d)
+        return (self.b @ delta_matrix(local))[local.d:, :]
 
-def _eliminate(local: LocalStructure, b: np.ndarray | None = None,
-               q2: np.ndarray | None = None) -> _Elimination:
+    def a_n(self, n) -> np.ndarray:
+        """``A_N = A_inf - (2/N) v0 v0^H`` for an N that passes _check_n.  At
+        N = inf the term is exactly zero, and neither it nor v0 is formed."""
+        n = _check_n(n)
+        return self.a_inf if n == INF else self.a_inf - (2.0 / n) * (self.v0 @ self.v0.conj().T)
+
+    def k(self, n) -> tuple[float, int]:
+        """K(N) and its multiplicity, from the eigenvalues of ``a_n(n)`` only."""
+        return _lambda_min(np.linalg.eigvalsh(self.a_n(n)))
+
+
+def _eliminate(local: LocalStructure, b=None, q2: np.ndarray | None = None) -> _Elimination:
     """The kernel block a of ``S = B q2 B^H`` eliminated, for the basis B;
     ``q2`` is ``4*Q / 2``, formed here unless a caller already holds it.
 
@@ -175,6 +177,7 @@ def _eliminate(local: LocalStructure, b: np.ndarray | None = None,
         a, s10, core = p0c.conj().T @ z, dd * z[d:], q2[d:, d:] * (dd * dd.T)
         omega_t = s10.conj().T
     else:
+        b = np.asarray(b, dtype=complex)
         resid = basis_residual(local, b)
         if resid > BASIS_TOL:
             raise ValidationError(
@@ -183,29 +186,39 @@ def _eliminate(local: LocalStructure, b: np.ndarray | None = None,
         s = (s + s.conj().T) / 2.0   # like the canonical A_inf, exactly Hermitian at any scale
         a, omega_t, s10, core = s[:d, :d], s[:d, d:], s[d:, :d], s[d:, d:]
     eig = _eigh_rank(a)
-    return _Elimination(q2, a, eig, omega_t, eig.schur(s10, core))
+    return _Elimination(local, b, q2, a, eig, omega_t, eig.schur(s10, core))
 
 
-def _v0(local: LocalStructure, b: np.ndarray | None = None) -> np.ndarray:
-    """The md x d block v0 with ``B Delta(x) = (0; v0)``; for the canonical
-    basis (b None) its blocks are ``sqrt(p_xyi) sigma_xyi^T``."""
-    if b is None:
-        p = np.sqrt(local.p_x)[:, None, None]
-        return (p * local.sigma_x.transpose(0, 2, 1)).reshape(local.m * local.d, local.d)
-    return (b @ delta_matrix(local))[local.d:, :]
+@dataclass(frozen=True)
+class CurvatureBundle:
+    """All intermediates behind the curvature matrices at one vertex.
+
+    ``omega_t`` is the d x md block omega^T; ``v0`` is md x d with
+    ``B Delta(x) = (0; v0)``; ``a_inf`` is the N-independent curvature matrix.
+    All are read from one elimination, whose A_N formula ``a_n`` evaluates.
+    """
+
+    b: np.ndarray
+    a: np.ndarray
+    omega_t: np.ndarray
+    v0: np.ndarray
+    a_inf: HermitianMatrix
+    _elimination: _Elimination = field(repr=False, compare=False)
+
+    def a_n(self, n) -> HermitianMatrix:
+        return HermitianMatrix(self._elimination.a_n(n))
 
 
 def curvature_bundle(local: LocalStructure, b: np.ndarray | None = None) -> CurvatureBundle:
     """Assemble a, omega, v0 and A_inf for a basis B (canonical by default)."""
-    b = None if b is None else np.asarray(b, dtype=complex)
     e = _eliminate(local, b)
-    return CurvatureBundle(b=canonical_basis(local) if b is None else b, a=e.a, omega_t=e.omega_t,
-                           v0=_v0(local, b), a_inf=HermitianMatrix(e.a_inf))
+    return CurvatureBundle(canonical_basis(local) if e.b is None else e.b, e.a, e.omega_t, e.v0,
+                           HermitianMatrix(e.a_inf), e)
 
 
 def curvature_matrix(local: LocalStructure, n, b: np.ndarray | None = None) -> HermitianMatrix:
     """The md x md curvature matrix A_N for the basis B (canonical default)."""
-    return curvature_bundle(local, b).a_n(n)
+    return HermitianMatrix(_eliminate(local, b).a_n(n))
 
 
 def curvature(local: LocalStructure, n) -> tuple[float, int]:
@@ -213,24 +226,17 @@ def curvature(local: LocalStructure, n) -> tuple[float, int]:
 
     Equals the smallest eigenvalue of A_N in the canonical basis; the
     multiplicity counts eigenvalues within a relative gap of 1e-8.  Only
-    eigenvalues are computed.
+    eigenvalues are computed, from one elimination.  N follows the one rule
+    of ``_check_n``: positive with 2/N finite, or inf.
     """
-    return _solve(local, _check_n(n))[:2]
-
-
-def _solve(local: LocalStructure, n: float):
-    """K, its multiplicity, the eigh of the kernel block a and A_N in the
-    canonical basis, all from one elimination; v0 is formed only at finite N."""
-    e = _eliminate(local)
-    a_n = e.a_inf if n == INF else _a_n(e.a_inf, _v0(local), n)
-    return (*_lambda_min(np.linalg.eigvalsh(a_n)), e.eig, a_n)
+    return _eliminate(local).k(n)
 
 
 def curvature_function(local: LocalStructure):
-    """A fast callable N -> (K, multiplicity) with A_inf precomputed; each
-    evaluation equals ``curvature(local, N)``."""
-    a_inf, v0 = _eliminate(local).a_inf, _v0(local)
-    return lambda n: _lambda_min(np.linalg.eigvalsh(_a_n(a_inf, v0, _check_n(n))))
+    """A fast callable N -> (K, multiplicity): the bound ``k`` of one
+    elimination, so each evaluation equals ``curvature(local, N)`` bit for
+    bit, by the same N rule, with A_inf formed once."""
+    return _eliminate(local).k
 
 
 def curvature_oracle(local: LocalStructure, n) -> float:
@@ -374,10 +380,7 @@ def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:
         raise ValidationError("curvature_profile: grid must be strictly ascending")
 
     evaluate = curvature_function(local)
-    samples = []
-    for n in grid:
-        k, mult = evaluate(n)
-        samples.append((n, k, mult))
+    samples = [(n, *evaluate(n)) for n in grid]
 
     ks = [k for _, k, _ in samples]
     for i in range(len(ks) - 1):

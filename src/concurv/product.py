@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import INF, _a_n, _check_n, _eliminate, _v0, curvature_matrix
+from .curvature import INF, _check_n, _eliminate, curvature_matrix
 from .graphs import ConnectionGraph, _check_size, local_structure, signature_groups_commute
 from .hermitian import _eigh_rank, is_psd
 
@@ -150,8 +150,7 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
     :class:`CrossCheckError`.  The plain curvature of the product graph is
     available regardless through the curvature module.
     """
-    n = _check_n(n)
-    n2 = _check_n(n2)
+    n, n2 = _check_n(n), _check_n(n2)
     gl, g2l = _lifted_factors(g, g2, spec)
     if not signature_groups_commute(gl, g2l):
         raise ValidationError(
@@ -164,7 +163,6 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
     loc1 = local_structure(gl, x)
     loc2 = local_structure(g2l, x2)
     e1, e2 = _eliminate(loc1), _eliminate(loc2)
-    v01, v02 = _v0(loc1), _v0(loc2)
 
     # R couples the kernel-block corrections of the two factors; the relative
     # cutoff of the one rank decision gives (s a)^+ = a^+ / s for s > 0.
@@ -174,9 +172,9 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
     r = _blocks(alpha**3 * w1c @ (e1.eig.pinv() / alpha**2 - a_sum_pinv) @ e1.omega_t,
                 beta**3 * w2c @ (e2.eig.pinv() / beta**2 - a_sum_pinv) @ e2.omega_t,
                 -(alpha * beta) ** 1.5 * w1c @ a_sum_pinv @ e2.omega_t)
-    j = _j_matrix(v01, v02, alpha, beta, n, n2)
-    blockdiag = _blocks(alpha * _a_n(e1.a_inf, v01, n), beta * _a_n(e2.a_inf, v02, n2),
-                        np.zeros((v01.shape[0], v02.shape[0])))
+    j = _j_matrix(e1.v0, e2.v0, alpha, beta, n, n2)
+    blockdiag = _blocks(alpha * e1.a_n(n), beta * e2.a_n(n2),
+                        np.zeros((e1.v0.shape[0], e2.v0.shape[0])))
 
     # Product curvature matrix in the product's own (sorted) basis, permuted
     # into factor-block order for the comparison.

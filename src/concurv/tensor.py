@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import _a_n, _check_n, _eliminate, _Elimination, _v0, canonical_basis, p0_transpose
+from .curvature import _check_n, _eliminate, _Elimination, canonical_basis, p0_transpose
 from .graphs import LocalStructure
 from .operators import _ball_blocks, delta_matrix
 
@@ -73,9 +73,9 @@ def phi_map(local: LocalStructure) -> np.ndarray:
 def _phi(local: LocalStructure, e: _Elimination) -> np.ndarray:
     """phi from the canonical elimination e: ``-conj(a^+ omega^T) D^{-1}
     blockdiag(sigma_xyi^H)``, ``D^{-1} = diag(sqrt p_xyi)``.  The equation's
-    right side, as a matrix of conj(v), is ``omega^T D^{-1} blockdiag(sigma_xyi^T)``."""
-    d_inv_sigma_t = _under_block_diagonal(
-        np.sqrt(local.p_x)[:, None, None] * local.sigma_x.transpose(0, 2, 1))[local.d:]
+    right side, as a matrix of conj(v), is ``omega^T D^{-1} blockdiag(sigma_xyi^T)``:
+    ``D^{-1} blockdiag(sigma_xyi^T)`` has the d x d blocks of v0 on its diagonal."""
+    d_inv_sigma_t = _under_block_diagonal(e.v0.reshape(local.m, local.d, local.d))[local.d:]
     w = e.omega_t @ d_inv_sigma_t
     scale = max(1.0, float(np.max(np.abs(e.q2))))
     if float(np.max(np.abs(w))) <= PHI_RESIDUAL_TOL * scale:
@@ -159,15 +159,11 @@ def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
     n = _check_n(n)
     md = local.m * local.d
     e = _eliminate(local)
-    if b is None:
-        b, a_inf, v0 = canonical_basis(local), e.a_inf, _v0(local)
-    else:
-        b = np.asarray(b, dtype=complex)
-        a_inf, v0 = _eliminate(local, b, e.q2).a_inf, _v0(local, b)
-    a_n = _a_n(a_inf, v0, n)
+    eb = e if b is None else _eliminate(local, b, e.q2)
+    a_n = eb.a_n(n)
     f = _phi(local, e)
     r, g = _tensor_matrices(local, n, f, e.q2)
-    xi = coordinate_map(local, b, f)
+    xi = coordinate_map(local, canonical_basis(local) if b is None else eb.b, f)
     scale_r, scale_g, scale_a = (max(1.0, float(np.max(np.abs(x)))) for x in (r, g, a_n))
     rng = np.random.default_rng(seed)
     worst = 0.0

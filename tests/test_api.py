@@ -12,7 +12,12 @@ import concurv
 
 from helpers import run_python
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "bench" / "workloads.py"
+
+# The private names of concurv.curvature that other modules may import: the
+# one elimination record, which owns A_N, and the one rule for N.
+CURVATURE_PRIVATE_IMPORTS = {"_eliminate", "_Elimination", "_check_n"}
 
 # Every default-valued parameter of the exported callables, with its default.
 # A new option has a caller; add it here when you add it.
@@ -56,6 +61,22 @@ def test_benchmark_imports_are_exported():
     assert len(names) > 10
     unexported = names - set(concurv.__all__)
     assert all(importlib.util.find_spec(f"concurv.{name}") for name in unexported), unexported
+
+
+def test_a_n_has_one_owner():
+    """Outside curvature.py, no library module and not tests/helpers.py
+    imports a private name of concurv.curvature beyond the elimination
+    record and the N rule, so nothing rebuilds A_N, v0 or K on its own."""
+    sources = [p for p in (ROOT / "src" / "concurv").glob("*.py") if p.name != "curvature.py"]
+    sources.append(ROOT / "tests" / "helpers.py")
+    imported = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported |= {(path.name, alias.name) for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     and (node.module, node.level) in (("curvature", 1), ("concurv.curvature", 0))
+                     for alias in node.names if alias.name.startswith("_")}
+    assert {name for _, name in imported} == CURVATURE_PRIVATE_IMPORTS, sorted(imported)
 
 
 def test_lazy_names_are_defined_by_their_modules():

@@ -192,8 +192,15 @@ class TestValidateCommand:
 class TestBadNumbers:
     @pytest.mark.parametrize("argv", [
         ["curvature", "g1_u2", "--vertex", "1", "--N", "abc"],
+        ["curvature", "g1_u2", "--vertex", "1", "--N", "0"],
+        ["curvature", "g1_u2", "--vertex", "1", "--N", "-1"],
+        ["curvature", "g1_u2", "--vertex", "1", "--N", "nan"],
+        ["curvature", "g1_u2", "--vertex", "1", "--N", "1e-320"],
         ["profile", "g1_u2", "--vertex", "1", "--grid", "1,abc,inf"],
+        ["profile", "g1_u2", "--vertex", "1", "--grid", "1e-320,1"],
+        ["profile", "g1_u2", "--vertex", "1", "--grid", "1,,2"],
         ["product", "triangle_signed", "diamond_signed", "--decompose", "A,1", "--N", "x"],
+        ["product", "triangle_signed", "diamond_signed", "--decompose", "A,1", "--N", "1e-320"],
         ["product", "triangle_signed", "diamond_signed", "--decompose", "A,1", "--N2", "x"],
         ["product", "triangle_signed", "diamond_signed", "--decompose", "A"],
         ["product", "triangle_signed", "diamond_signed", "--alpha", "abc"],
@@ -202,8 +209,9 @@ class TestBadNumbers:
          "--sigma", "[[[1, 0, 5]]]"],
         ["add-edge", "g5_signed", "--vertex", "1", "--yi", "2", "--yj", "3",
          "--sigma", '[[["1", "0"]]]'],
-    ], ids=["N", "grid", "product_N", "product_N2", "decompose", "alpha", "sigma",
-            "sigma_cell_too_long", "sigma_string_cells"])
+    ], ids=["N", "N_zero", "N_negative", "N_nan", "N_subnormal", "grid", "grid_subnormal",
+            "grid_empty_entry", "product_N", "product_N_subnormal", "product_N2", "decompose",
+            "alpha", "sigma", "sigma_cell_too_long", "sigma_string_cells"])
     def test_exits_1(self, argv, fixture_file, capsys):
         argv = [fixture_file(a) if a in fixture_names() else a for a in argv]
         assert main(argv) == 1

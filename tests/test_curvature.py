@@ -137,10 +137,14 @@ class TestCurvatureValues:
             assert k_n == pytest.approx(2.0 - 2.0 / n, abs=1e-12)
 
     def test_n_validation(self):
+        """Every N outside (0, inf], or whose 2/N overflows, is refused by
+        each entry point that reads A_N."""
         loc = single_edge_local()
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValidationError):
-                curvature(loc, bad)
+        for bad in (0.0, -1.0, float("nan"), 1e-320):
+            for evaluate in (lambda n: curvature(loc, n), curvature_function(loc),
+                             lambda n: curvature_matrix(loc, n), curvature_bundle(loc).a_n):
+                with pytest.raises(ValidationError):
+                    evaluate(bad)
 
     def test_a_n_equals_a_inf_minus_dimension_term(self):
         rng = np.random.default_rng(44)
@@ -162,12 +166,15 @@ class TestCurvatureValues:
                     continue
                 loc = local_structure(g, x)
                 evaluate = curvature_function(loc)
-                for n in (INF, 4.0, 1.0):
+                bundle = curvature_bundle(loc)
+                for n in (INF, 4.0, 1.0, 0.5):
                     k, mult = curvature(loc, n)
-                    lam, _, want_mult = min_eig_hermitian(curvature_matrix(loc, n))
+                    a_n = curvature_matrix(loc, n)
+                    lam, _, want_mult = min_eig_hermitian(a_n)
                     assert abs(k - lam) <= 1e-12, (x, n, k, lam)
                     assert mult == want_mult, (x, n)
                     assert evaluate(n) == (k, mult)
+                    assert np.array_equal(bundle.a_n(n).mat, a_n.mat), (x, n)
 
     def test_curvature_function_matches_pointwise(self):
         rng = np.random.default_rng(45)
