@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .graphs import LocalStructure
+from .graphs import LocalStructure, _as_number
 from .hermitian import HermitianMatrix, _Eigh, _eigh_rank, _lambda_min
 from .operators import _gamma2_array, _gamma_array, _q_array, delta_matrix
 
@@ -39,9 +39,11 @@ PROFILE_SHAPE_SLACK = 1e-7  # monotonicity/concavity slack on sampled profiles
 
 
 def _check_n(n) -> float:
-    """The one rule for N: ``N > 0``, and inf or with ``2/N`` (the weight of
-    A_N's dimension term) finite; 0, negatives, nan and 1e-320 are refused."""
-    n = float(n)
+    """The one rule for N: a number by the document rule (a string, bool or
+    None is refused), ``N > 0``, and inf or with ``2/N`` (the weight of A_N's
+    dimension term) finite; 0, negatives, nan and 1e-320 are refused."""
+    if type(n) is not float:   # a float is a number already; N = inf skips the call
+        n = _as_number(n, lambda: "dimension parameter N")
     if not (n > 0 and (n == INF or math.isfinite(2.0 / n))):
         raise ValidationError(f"dimension parameter N must be inf or > 0 with 2/N finite, got {n}")
     return n
@@ -125,11 +127,10 @@ def general_basis(local: LocalStructure, seed: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Elimination:
     """One elimination and all that is read after it: ``q2 = 4*Q / 2``, the
-    kernel block a, its eigh and rank, omega^T, A_inf, v0 (on first use) and
-    the one A_N formula; ``b`` is the explicit basis, None if canonical."""
+    kernel block a, its eigh and rank, omega^T, A_inf, v0 (on first use),
+    the one A_N formula and the unitary that carries it to any other basis."""
 
     local: LocalStructure
-    b: np.ndarray | None
     q2: np.ndarray
     a: np.ndarray
     eig: _Eigh
@@ -138,13 +139,11 @@ class _Elimination:
 
     @cached_property
     def v0(self) -> np.ndarray:
-        """The md x d block v0 with ``B Delta(x) = (0; v0)``; for the canonical
-        basis its blocks are ``sqrt(p_xyi) sigma_xyi^T``."""
+        """The md x d block v0 with ``B0 Delta(x) = (0; v0)``: its blocks are
+        ``sqrt(p_xyi) sigma_xyi^T``."""
         local = self.local
-        if self.b is None:
-            p = np.sqrt(local.p_x)[:, None, None]
-            return (p * local.sigma_x.transpose(0, 2, 1)).reshape(local.m * local.d, local.d)
-        return (self.b @ delta_matrix(local))[local.d:, :]
+        p = np.sqrt(local.p_x)[:, None, None]
+        return (p * local.sigma_x.transpose(0, 2, 1)).reshape(local.m * local.d, local.d)
 
     def a_n(self, n) -> np.ndarray:
         """``A_N = A_inf - (2/N) v0 v0^H`` for an N that passes _check_n.  At
@@ -156,37 +155,38 @@ class _Elimination:
         """K(N) and its multiplicity, from the eigenvalues of ``a_n(n)`` only."""
         return _lambda_min(np.linalg.eigvalsh(self.a_n(n)))
 
-
-def _eliminate(local: LocalStructure, b=None, q2: np.ndarray | None = None) -> _Elimination:
-    """The kernel block a of ``S = B q2 B^H`` eliminated, for the basis B;
-    ``q2`` is ``4*Q / 2``, formed here unless a caller already holds it.
-
-    An explicit B, rejected unless it normalizes 2 Gamma(x) within
-    BASIS_TOL, takes the dense product.  The canonical basis (b None),
-    ``B0 = [[I, X], [0, D]]`` with ``D = diag(p_xyi^{-1/2}) (x) I_d``, is
-    applied without forming it: with ``Z = q2 conj(p0)``, ``a = p0^T Z``,
-    ``S10 = D Z[d:]`` and ``core = D q2[d:, d:] D``.
-    """
-    d = local.d
-    q2 = _q_array(local) / 2.0 if q2 is None else q2
-    if b is None:
-        # conj(p0) = [I; sigma_xy1^T; ...; sigma_xym^T]
-        p0c = np.concatenate([np.eye(d)[None], local.sigma_x.transpose(0, 2, 1)]).reshape(-1, d)
-        z = q2 @ p0c
-        dd = np.repeat(1.0 / np.sqrt(local.p_x), d)[:, None]
-        a, s10, core = p0c.conj().T @ z, dd * z[d:], q2[d:, d:] * (dd * dd.T)
-        omega_t = s10.conj().T
-    else:
+    def basis_unitary(self, b) -> np.ndarray:
+        """The md x md unitary U with ``B B0^{-1} = [[E, 0], [C, U]]``, for a
+        basis B that normalizes 2 Gamma(x) within BASIS_TOL (else
+        ValidationError).  Since ``X D^{-1} = v0^H``,
+        ``U = B[d:, d:] D^{-1} - B[d:, :d] v0^H``.  Then ``A_N(B) = U A_N U^H``,
+        and B's tangent coordinates are conj(U) times those of B0."""
+        local, d = self.local, self.local.d
         b = np.asarray(b, dtype=complex)
         resid = basis_residual(local, b)
         if resid > BASIS_TOL:
             raise ValidationError(
                 f"basis does not normalize 2 Gamma(x): residual {resid:.3e} > {BASIS_TOL:.1e}")
-        s = b @ q2 @ b.conj().T
-        s = (s + s.conj().T) / 2.0   # like the canonical A_inf, exactly Hermitian at any scale
-        a, omega_t, s10, core = s[:d, :d], s[:d, d:], s[d:, :d], s[d:, d:]
+        return b[d:, d:] * np.repeat(np.sqrt(local.p_x), d) - b[d:, :d] @ self.v0.conj().T
+
+
+def _eliminate(local: LocalStructure) -> _Elimination:
+    """The kernel block a of ``S = B0 q2 B0^H`` eliminated, ``q2 = 4*Q / 2``.
+
+    The canonical basis ``B0 = [[I, X], [0, D]]``, ``D = diag(p_xyi^{-1/2})
+    (x) I_d``, is applied without forming it: with ``Z = q2 conj(p0)``,
+    ``a = p0^T Z``, ``S10 = D Z[d:]`` and ``core = D q2[d:, d:] D``.  Every
+    other basis is read from this record through ``basis_unitary``.
+    """
+    d = local.d
+    q2 = _q_array(local) / 2.0
+    # conj(p0) = [I; sigma_xy1^T; ...; sigma_xym^T]
+    p0c = np.concatenate([np.eye(d)[None], local.sigma_x.transpose(0, 2, 1)]).reshape(-1, d)
+    z = q2 @ p0c
+    dd = np.repeat(1.0 / np.sqrt(local.p_x), d)[:, None]
+    a, s10, core = p0c.conj().T @ z, dd * z[d:], q2[d:, d:] * (dd * dd.T)
     eig = _eigh_rank(a)
-    return _Elimination(local, b, q2, a, eig, omega_t, eig.schur(s10, core))
+    return _Elimination(local, q2, a, eig, s10.conj().T, eig.schur(s10, core))
 
 
 @dataclass(frozen=True)
@@ -209,16 +209,21 @@ class CurvatureBundle:
         return HermitianMatrix(self._elimination.a_n(n))
 
 
-def curvature_bundle(local: LocalStructure, b: np.ndarray | None = None) -> CurvatureBundle:
-    """Assemble a, omega, v0 and A_inf for a basis B (canonical by default)."""
-    e = _eliminate(local, b)
-    return CurvatureBundle(canonical_basis(local) if e.b is None else e.b, e.a, e.omega_t, e.v0,
+def curvature_bundle(local: LocalStructure) -> CurvatureBundle:
+    """Assemble a, omega, v0 and A_inf in the canonical basis B0."""
+    e = _eliminate(local)
+    return CurvatureBundle(canonical_basis(local), e.a, e.omega_t, e.v0,
                            HermitianMatrix(e.a_inf), e)
 
 
 def curvature_matrix(local: LocalStructure, n, b: np.ndarray | None = None) -> HermitianMatrix:
-    """The md x md curvature matrix A_N for the basis B (canonical default)."""
-    return HermitianMatrix(_eliminate(local, b).a_n(n))
+    """The md x md curvature matrix A_N for the basis B (canonical default):
+    ``U A_N(B0) U^H`` with U from ``_Elimination.basis_unitary``."""
+    e = _eliminate(local)
+    if b is None:
+        return HermitianMatrix(e.a_n(n))
+    u = e.basis_unitary(b)   # the basis is checked before N
+    return HermitianMatrix(u @ e.a_n(n) @ u.conj().T)
 
 
 def curvature(local: LocalStructure, n) -> tuple[float, int]:

@@ -225,8 +225,9 @@ def star_product(f1, f2, t) -> float:
     def gap(t1: float) -> float:
         return float(f1(t1)) - float(f2(t - t1))
 
-    lo = t * 1e-12
-    hi = t * (1.0 - 1e-12)
+    lo, hi = t * 1e-12, t * (1.0 - 1e-12)
+    if 2.0 / lo == INF:   # the bracket end would fail the N rule
+        raise ValidationError(f"star_product: t = {t!r} is too small: t * 1e-12 is not a valid N")
     glo, ghi = gap(lo), gap(hi)
     if glo > 0 or ghi < 0:
         raise ValidationError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import _check_n, _eliminate, _Elimination, canonical_basis, p0_transpose
+from .curvature import _check_n, _eliminate, _Elimination, p0_transpose
 from .graphs import LocalStructure
 from .operators import _ball_blocks, delta_matrix
 
@@ -70,12 +70,18 @@ def phi_map(local: LocalStructure) -> np.ndarray:
     return _phi(local, _eliminate(local))
 
 
+def _v0_blocks(e: _Elimination) -> np.ndarray:
+    """``D^{-1} blockdiag(sigma_xyi^T)``, ``D^{-1} = diag(sqrt p_xyi)``: the
+    md x md block diagonal of the d x d blocks of e's v0."""
+    local = e.local
+    return _under_block_diagonal(e.v0.reshape(local.m, local.d, local.d))[local.d:]
+
+
 def _phi(local: LocalStructure, e: _Elimination) -> np.ndarray:
     """phi from the canonical elimination e: ``-conj(a^+ omega^T) D^{-1}
-    blockdiag(sigma_xyi^H)``, ``D^{-1} = diag(sqrt p_xyi)``.  The equation's
-    right side, as a matrix of conj(v), is ``omega^T D^{-1} blockdiag(sigma_xyi^T)``:
-    ``D^{-1} blockdiag(sigma_xyi^T)`` has the d x d blocks of v0 on its diagonal."""
-    d_inv_sigma_t = _under_block_diagonal(e.v0.reshape(local.m, local.d, local.d))[local.d:]
+    blockdiag(sigma_xyi^H)``.  The equation's right side, as a matrix of
+    conj(v), is ``omega^T D^{-1} blockdiag(sigma_xyi^T)``."""
+    d_inv_sigma_t = _v0_blocks(e)
     w = e.omega_t @ d_inv_sigma_t
     scale = max(1.0, float(np.max(np.abs(e.q2))))
     if float(np.max(np.abs(w))) <= PHI_RESIDUAL_TOL * scale:
@@ -138,10 +144,13 @@ def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray):
     return complex(v1 @ r @ np.conj(v2)), complex(v1 @ g @ np.conj(v2))
 
 
-def coordinate_map(local: LocalStructure, b: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The md x md matrix of v -> v_B, the g-orthonormal coordinates induced by B."""
-    binv_t = np.linalg.inv(np.asarray(b, dtype=complex)).T
-    return (binv_t @ phi_matrix(local, phi))[local.d:, :]
+def coordinate_map(local: LocalStructure, b: np.ndarray) -> np.ndarray:
+    """The md x md matrix of v -> v_B, the g-orthonormal coordinates
+    ``(B^{-T} Phi)[d:]`` induced by B.  The phi part of Phi drops out, so
+    they are ``conj(U D^{-1} blockdiag(sigma_xyi^T))`` for any phi, with U
+    from ``_Elimination.basis_unitary``; B is not inverted."""
+    e = _eliminate(local)
+    return np.conj(e.basis_unitary(b) @ _v0_blocks(e))
 
 
 def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
@@ -154,16 +163,16 @@ def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
     A_N pulled back through the coordinate map attains
     ``Ric/g = lambda_min``.  Returns the largest residual seen, each over
     ``max(1, max|M|)`` for the matrix M it reads (R, G or A_N), so it holds
-    at any scale of the rates.  One 4*Q serves phi, R and an explicit B.
+    at any scale of the rates.  One elimination serves phi, R and any B.
     """
     n = _check_n(n)
     md = local.m * local.d
     e = _eliminate(local)
-    eb = e if b is None else _eliminate(local, b, e.q2)
-    a_n = eb.a_n(n)
-    f = _phi(local, e)
-    r, g = _tensor_matrices(local, n, f, e.q2)
-    xi = coordinate_map(local, canonical_basis(local) if b is None else eb.b, f)
+    a_n, xi = e.a_n(n), np.conj(_v0_blocks(e))
+    if b is not None:
+        u = e.basis_unitary(b)
+        a_n, xi = u @ a_n @ u.conj().T, np.conj(u) @ xi
+    r, g = _tensor_matrices(local, n, _phi(local, e), e.q2)
     scale_r, scale_g, scale_a = (max(1.0, float(np.max(np.abs(x)))) for x in (r, g, a_n))
     rng = np.random.default_rng(seed)
     worst = 0.0

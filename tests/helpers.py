@@ -16,10 +16,10 @@ import numpy as np
 
 import concurv
 from concurv import INF, ConnectionGraph, ValidationError, product_vertex, switch
-from concurv.curvature import _eliminate, canonical_basis
+from concurv.curvature import canonical_basis
 from concurv.graphs import UNITARY_TOL, EdgeIndex, _connections, local_structure
 from concurv.hermitian import PINV_RTOL_SCALE, _lambda_min
-from concurv.operators import _gamma2_array
+from concurv.operators import _gamma2_array, delta_matrix
 
 
 def pinv(m) -> np.ndarray:
@@ -399,7 +399,7 @@ def curvature_dense(local, n=INF) -> tuple[float, int]:
     b = canonical_basis(local)
     s = _dense_s(local)
     corr = s[d:, :d] @ pinv(s[:d, :d]) @ s[:d, d:]
-    v0 = _eliminate(local, b).v0
+    v0 = (b @ delta_matrix(local))[d:]
     a_n = s[d:, d:] - (corr + corr.conj().T) / 2.0 - (2.0 / float(n)) * (v0 @ v0.conj().T)
     return _lambda_min(np.linalg.eigvalsh(a_n))
 

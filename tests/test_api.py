@@ -25,7 +25,6 @@ PUBLIC_OPTIONS = {
     "ProductSpec": {"alpha": 1.0, "beta": 1.0, "lift": "same-dimension"},
     "add_spherical_edge": {"w_new": 1.0, "sigma_new": None},
     "cartesian_product": {"spec": concurv.ProductSpec()},
-    "curvature_bundle": {"b": None},
     "curvature_matrix": {"b": None},
     "tensor_matrix_check": {"b": None, "seed": 0},
 }
@@ -77,6 +76,21 @@ def test_a_n_has_one_owner():
                      and (node.module, node.level) in (("curvature", 1), ("concurv.curvature", 0))
                      for alias in node.names if alias.name.startswith("_")}
     assert {name for _, name in imported} == CURVATURE_PRIVATE_IMPORTS, sorted(imported)
+
+
+def test_no_basis_is_inverted():
+    """No library module calls np.linalg.inv: an explicit basis B is read
+    from the canonical elimination through the unitary U of ``B B0^{-1}``,
+    whose closed form needs no inverse, and so are its tangent coordinates."""
+    found = []
+    for path in (ROOT / "src" / "concurv").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "inv"
+                  and ast.unparse(node.value).endswith("linalg")
+                  or isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                  and any(alias.name == "inv" for alias in node.names)]
+    assert found == []
 
 
 def test_lazy_names_are_defined_by_their_modules():

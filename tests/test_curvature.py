@@ -64,6 +64,8 @@ class TestBases:
             assert basis_residual(loc, canonical_basis(loc)) <= 1e-9
 
     def test_general_basis_valid_and_transition_unitary(self):
+        """The transition between two valid bases is unitary on the core,
+        and the elimination record's U is the core block of ``B B0^{-1}``."""
         rng = np.random.default_rng(42)
         for trial in range(6):
             d = 1 if trial % 2 == 0 else 2
@@ -74,6 +76,9 @@ class TestBases:
             md = loc.m * d
             c = (b1 @ np.linalg.inv(b2))[d:, d:]
             assert_close(c @ c.conj().T, np.eye(md), 1e-9)
+            for b in (b1, b2):
+                want = (b @ np.linalg.inv(canonical_basis(loc)))[d:, d:]
+                assert_close(_eliminate(loc).basis_unitary(b), want, 1e-12)
 
     def test_plain_eigenbasis_variant_is_valid(self):
         rng = np.random.default_rng(43)
@@ -88,9 +93,9 @@ class TestBases:
     def test_explicit_bases_at_large_rates(self):
         """At rates scaled by 1e8 each entry of the basis residual is checked
         at its own rounding scale: general_basis builds, 4*Gamma_2 and the
-        explicit-basis curvature matrices build, the canonical basis passed
-        explicitly gives K within 1e-12 * max(1, |K|) and a general basis
-        within 1e-10 * max(1, |K|).  With absolute tolerances all 40 general
+        explicit-basis curvature matrices build, and the canonical basis
+        passed explicitly and a general basis give K within
+        1e-12 * max(1, |K|).  With absolute tolerances all 40 general
         bases and 23 of the 40 4*Gamma_2 raised; with E and the kernel-row
         component drawn at unit scale a general basis was off by 1.6e-4."""
         rng = np.random.default_rng(7)
@@ -101,9 +106,9 @@ class TestBases:
             assert basis_residual(loc, b) <= 1e-9
             for n in (INF, 4.0):
                 k = curvature(loc, n)[0]
-                for basis, tol in ((canonical_basis(loc), 1e-12), (b, 1e-10)):
+                for basis in (canonical_basis(loc), b):
                     got = float(np.linalg.eigvalsh(curvature_matrix(loc, n, basis).mat)[0])
-                    assert abs(got - k) <= tol * max(1.0, abs(k)), (trial, n, got, k)
+                    assert abs(got - k) <= 1e-12 * max(1.0, abs(k)), (trial, n, got, k)
 
     @pytest.mark.parametrize("rates, factor", [("scaled", 1.01), ("mixed", 1.0 + 1e-6)])
     def test_denormalized_basis_rejected_at_any_scale(self, rates, factor):
@@ -119,7 +124,7 @@ class TestBases:
             b = canonical_basis(loc)
             b[loc.d:] *= factor
             with pytest.raises(ValidationError, match="normalize"):
-                curvature_bundle(loc, b)
+                curvature_matrix(loc, INF, b)
 
     def test_invalid_basis_rejected(self):
         loc = single_edge_local()
@@ -137,13 +142,15 @@ class TestCurvatureValues:
             assert k_n == pytest.approx(2.0 - 2.0 / n, abs=1e-12)
 
     def test_n_validation(self):
-        """Every N outside (0, inf], or whose 2/N overflows, is refused by
-        each entry point that reads A_N."""
+        """Every N outside (0, inf], or whose 2/N overflows, and every N
+        that is not a number (a string, a bool, None, an int beyond float
+        range) is refused, naming N, by each entry point that reads A_N."""
         loc = single_edge_local()
-        for bad in (0.0, -1.0, float("nan"), 1e-320):
+        for bad in (0.0, -1.0, float("nan"), 1e-320, "abc", "inf", "2", True, False,
+                    np.True_, None, 10**400):
             for evaluate in (lambda n: curvature(loc, n), curvature_function(loc),
                              lambda n: curvature_matrix(loc, n), curvature_bundle(loc).a_n):
-                with pytest.raises(ValidationError):
+                with pytest.raises(ValidationError, match="dimension parameter N"):
                     evaluate(bad)
 
     def test_a_n_equals_a_inf_minus_dimension_term(self):
@@ -274,18 +281,27 @@ class TestSwitchingInvariance:
 
 class TestUnitaryEquivalence:
     def test_eigenvalues_and_conjugation(self):
+        """Two general bases give unitarily equivalent curvature matrices, to
+        1e-12 * max(1, max|A|): on random balls, at every fixture vertex
+        (the balanced g4_signed vertices 4 and 5 among them, where a is 0)
+        and on the nearly balanced phase triangles."""
         rng = np.random.default_rng(50)
-        for trial in range(8):
-            d = 1 if trial % 2 == 0 else 2
-            loc = local_structure(random_graph(rng, d=d), "1")
+        locs = [local_structure(random_graph(rng, d=1 + trial % 2), "1") for trial in range(8)]
+        for name in fixture_names():
+            g = fixture_graph(name)
+            locs += [local_structure(g, x) for x in g.vertex_ids if g.neighbors(x)]
+        locs += [local_structure(phase_triangle(theta), "a") for theta in (1e-1, 1e-3, 1e-5)]
+        for trial, loc in enumerate(locs):
+            d = loc.d
             b1 = general_basis(loc, seed=2 * trial)
             b2 = general_basis(loc, seed=2 * trial + 1)
             for n in (1.5, INF):
                 a1 = curvature_matrix(loc, n, b1).mat
                 a2 = curvature_matrix(loc, n, b2).mat
-                assert_close(np.linalg.eigvalsh(a1), np.linalg.eigvalsh(a2), 1e-9)
+                tol = 1e-12 * max(1.0, float(np.max(np.abs(a1))), float(np.max(np.abs(a2))))
+                assert_close(np.linalg.eigvalsh(a1), np.linalg.eigvalsh(a2), tol)
                 c = (b1 @ np.linalg.inv(b2))[d:, d:]
-                assert_close(a1, c @ a2 @ c.conj().T, 1e-9)
+                assert_close(a1, c @ a2 @ c.conj().T, tol)
 
 
 class TestKernelBlockProperties:

@@ -77,14 +77,15 @@ class TestPinv:
 
 
 def test_no_library_path_reaches_svd_pinv(monkeypatch, tmp_path, capsys):
-    """curvature, curvature_function, curvature_bundle, the tensors, the
+    """curvature, curvature_function, curvature_bundle, an explicit-basis
+    curvature_matrix, the tensors, the
     product decomposition, schur_complement and the CLI take every
     pseudoinverse from one eigh (``hermitian._eigh_rank``)."""
     import json
 
     from concurv import (INF, ProductSpec, curvature, curvature_bundle, curvature_function,
-                         general_basis, local_structure, phi_map, product_decomposition,
-                         ric_and_metric, tensor_matrix_check)
+                         curvature_matrix, general_basis, local_structure, phi_map,
+                         product_decomposition, ric_and_metric, tensor_matrix_check)
     from concurv.cli import main
     from concurv.fixtures import fixture_document, fixture_graph
 
@@ -104,7 +105,7 @@ def test_no_library_path_reaches_svd_pinv(monkeypatch, tmp_path, capsys):
         curvature(loc, n)
         curvature_function(loc)(n)
         curvature_bundle(loc).a_n(n)
-        curvature_bundle(loc, b).a_n(n)
+        curvature_matrix(loc, n, b)
         ric_and_metric(loc, n, v, v)
         tensor_matrix_check(loc, n)
         tensor_matrix_check(loc, n, b=b)

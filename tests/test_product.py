@@ -426,6 +426,13 @@ class TestStarProduct:
             right = star_product(f1, right_inner, t)
             assert left == pytest.approx(right, abs=1e-6)
 
+    def test_too_small_t_rejected_by_name(self):
+        """A t whose bracket end t * 1e-12 would fail the N rule is refused
+        naming t, not an N the caller never gave."""
+        f = curvature_function(local_structure(fixture_graph("g1_u2"), "1"))
+        with pytest.raises(ValidationError, match="star_product: t = 1e-300"):
+            star_product(lambda s: f(s)[0], lambda s: f(s)[0], 1e-300)
+
     def test_non_bracketing_input_rejected(self):
         up = lambda t: 5.0  # no divergence at zero: no balance point
         down = lambda t: -7.0

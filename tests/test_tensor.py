@@ -147,15 +147,11 @@ class TestRicAndMetric:
     def test_phi_shape_validation(self, shape):
         """phi must be d x md: at vertex 1 of diamond_signed (d = 1, m = 2)
         a zero (1, 1) phi would broadcast to the zero map, which does not
-        solve the phi equation there.  phi_matrix, and the coordinate map
-        built on it, reject it."""
+        solve the phi equation there.  phi_matrix rejects it."""
         loc = local_structure(fixture_graph("diamond_signed"), "1")
-        b = curvature_bundle(loc).b
         assert phi_matrix(loc, phi_map(loc)).shape == ((loc.m + 1) * loc.d, loc.m * loc.d)
         with pytest.raises(ValidationError, match="phi must have shape"):
             phi_matrix(loc, np.zeros(shape))
-        with pytest.raises(ValidationError, match="phi must have shape"):
-            coordinate_map(loc, b, np.zeros(shape))
 
     def test_non_solving_phi_gives_a_wrong_tensor(self):
         """Why ric_and_metric takes no phi: at vertex 1 of diamond_signed
@@ -222,7 +218,7 @@ class TestRicAndMetric:
         bundle = curvature_bundle(loc)
         from concurv.hermitian import min_eig_hermitian
         lam, vec, _ = min_eig_hermitian(bundle.a_n(INF))
-        xi = coordinate_map(loc, bundle.b, f)
+        xi = coordinate_map(loc, bundle.b)
         v_star = np.linalg.solve(xi, np.conj(vec))
         ric, g = ric_and_metric(loc, INF, v_star, v_star)
         assert np.real(ric) / np.real(g) == pytest.approx(lam, abs=1e-9)
@@ -244,18 +240,23 @@ class TestRicAndMetric:
             assert abs(r21 - (r21a + np.conj(a) * r21b)) <= 1e-10
 
     def test_metric_independent_of_phi_choice(self):
-        # the g-orthonormal coordinates of the canonical basis drop the p0
-        # part of a Phi lift, so any phi, solving or not, gives |v_B|^2 = g(v, v)
+        # B's g-orthonormal coordinates (B^{-T} Phi)[d:] drop the p0 part of
+        # a Phi lift, so coordinate_map takes no phi: in the canonical basis
+        # and in a general one it equals that product for any phi, solving
+        # or not, and gives |v_B|^2 = g(v, v)
         rng = np.random.default_rng(69)
         loc = local_structure(random_graph(rng, d=2), "1")
-        b = curvature_bundle(loc).b
         f = phi_map(loc)
-        for _ in range(3):
-            perturbed = f + (rng.normal(size=f.shape) + 1j * rng.normal(size=f.shape))
-            v = rand_tangent(rng, loc)
-            vb = coordinate_map(loc, b, perturbed) @ v
-            _, g = ric_and_metric(loc, INF, v, v)
-            assert abs(g - np.vdot(vb, vb)) <= 1e-12
+        for b in (curvature_bundle(loc).b, general_basis(loc, seed=3)):
+            xi = coordinate_map(loc, b)
+            for _ in range(3):
+                perturbed = f + (rng.normal(size=f.shape) + 1j * rng.normal(size=f.shape))
+                want = (np.linalg.inv(b).T @ phi_matrix(loc, perturbed))[loc.d:]
+                assert_close(xi, want, 1e-12 * max(1.0, float(np.max(np.abs(xi)))))
+                v = rand_tangent(rng, loc)
+                vb = xi @ v
+                _, g = ric_and_metric(loc, INF, v, v)
+                assert abs(g - np.vdot(vb, vb)) <= 1e-12
 
     def test_balanced_ric_independent_of_phi_choice(self):
         # on a balanced ball a = 0, so every phi solves its equation, and the
@@ -293,8 +294,8 @@ class TestAssemblyCount:
 
     @pytest.mark.parametrize("fn", [_q_array, _ball_blocks], ids=["q_array", "ball_blocks"])
     def test_q_once_per_call(self, fn, monkeypatch):
-        """One 4*Q per tensor call: phi, R and an explicit basis's
-        elimination share it, with or without a given basis."""
+        """One 4*Q per tensor call: phi, R and an explicit basis are read
+        from one elimination, with or without a given basis."""
         loc = local_structure(fixture_graph("g1_u2"), "1")
         b = general_basis(loc, seed=1)
         v = np.arange(loc.m * loc.d) + 1j
@@ -399,13 +400,19 @@ class TestMatrixRepresentation:
         assert tensor_matrix_check(loc, INF) <= 1e-12
 
     def test_residuals_random_bases_and_n(self):
+        """Random balls, and the balanced g4_signed vertices 4 and 5 (a is
+        exactly 0 there) with 32 general bases each."""
         rng = np.random.default_rng(72)
+        cases = []
         for trial in range(6):
             d = 1 if trial % 2 == 0 else 2
-            loc = local_structure(random_graph(rng, d=d), "1")
-            b = general_basis(loc, seed=trial)
+            cases.append((local_structure(random_graph(rng, d=d), "1"), trial))
+        g4 = fixture_graph("g4_signed")
+        cases += [(local_structure(g4, x), seed) for x in ("4", "5") for seed in range(32)]
+        for loc, seed in cases:
+            b = general_basis(loc, seed=seed)
             for n in (1.5, INF):
-                assert tensor_matrix_check(loc, n, b=b, seed=trial) <= 1e-9
+                assert tensor_matrix_check(loc, n, b=b, seed=seed) <= 1e-9, (loc.center, seed)
 
     def test_residuals_at_large_rates(self):
         """Each residual is relative to the size of the matrices it reads,
@@ -425,7 +432,7 @@ class TestMatrixRepresentation:
         bundle = curvature_bundle(loc)
         from concurv.hermitian import min_eig_hermitian
         lam, vec, _ = min_eig_hermitian(bundle.a_n(INF))
-        xi = coordinate_map(loc, bundle.b, phi_map(loc))
+        xi = coordinate_map(loc, bundle.b)
         # the form is v^T A conj(v): its minimizer is the conjugate eigenvector
         v = np.linalg.solve(xi, np.conj(vec))
         ric, g = ric_and_metric(loc, INF, v, v)
