@@ -22,10 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import INF, _eliminate, curvature_oracle, curvature_profile
+from .curvature import INF, curvature_bundle, curvature_oracle, curvature_profile
 from .graphs import (_connections, _raw_sigma, is_locally_balanced, load_graph,
                      local_structure)
-from .hermitian import HermitianMatrix
 
 FRACTION_MAX_DEN = 16
 FRACTION_TOL = 1e-9
@@ -173,7 +172,7 @@ def cmd_curvature(args) -> tuple[int, Report]:
     report, (g,) = _open("curvature", args.graph)
     n = parse_n(args.N, "--N")
     loc = local_structure(g, args.vertex)
-    e = _eliminate(loc)   # one elimination, as curvature() runs it
+    e = curvature_bundle(loc)   # one elimination, as curvature() runs it
     k, mult = e.k(n)
     eig = e.eig
     report.add("vertex", args.vertex)
@@ -195,7 +194,7 @@ def cmd_curvature(args) -> tuple[int, Report]:
         report.add("oracle_agreement", agree, None if agree else
                    f"FAIL (gap {gap:.3e} > tolerance * max(1, |K|) = {bound:.1e})")
     if args.matrix:
-        report.add_matrix("a_n", HermitianMatrix(e.a_n(n)).mat)
+        report.add_matrix("a_n", e.a_n(n))
     return (0 if agree else 2), report
 
 

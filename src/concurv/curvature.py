@@ -20,7 +20,7 @@ N = infinity is the plain ``float("inf")``; ``2 / inf`` is exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -125,10 +125,16 @@ def general_basis(local: LocalStructure, seed: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Elimination:
-    """One elimination and all that is read after it: ``q2 = 4*Q / 2``, the
-    kernel block a, its eigh and rank, omega^T, A_inf, v0 (on first use),
-    the one A_N formula and the unitary that carries it to any other basis."""
+class CurvatureBundle:
+    """The one elimination record of a vertex, and all that is read after it.
+
+    ``q2 = 4*Q / 2``; ``a`` is the d x d kernel block, ``eig`` its eigh and
+    rank; ``omega_t`` is the d x md block omega^T; ``a_inf`` is the
+    N-independent curvature matrix in the canonical basis, exactly Hermitian.
+    ``v0`` and the canonical basis ``b`` are formed on first read.  ``a_n`` is
+    the one A_N formula, ``k`` reads K off its eigenvalues, and
+    ``basis_unitary`` carries it to any other basis.
+    """
 
     local: LocalStructure
     q2: np.ndarray
@@ -136,6 +142,11 @@ class _Elimination:
     eig: _Eigh
     omega_t: np.ndarray
     a_inf: np.ndarray
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """The canonical normalizing basis B0 (:func:`canonical_basis`)."""
+        return canonical_basis(self.local)
 
     @cached_property
     def v0(self) -> np.ndarray:
@@ -146,10 +157,18 @@ class _Elimination:
         return (p * local.sigma_x.transpose(0, 2, 1)).reshape(local.m * local.d, local.d)
 
     def a_n(self, n) -> np.ndarray:
-        """``A_N = A_inf - (2/N) v0 v0^H`` for an N that passes _check_n.  At
-        N = inf the term is exactly zero, and neither it nor v0 is formed."""
+        """``A_N = A_inf - (2/N) v0 v0^H``, exactly Hermitian, for an N that
+        passes _check_n.  At N = inf the term is exactly zero, and neither it
+        nor v0 is formed.  Otherwise the term is made Hermitian where it is
+        formed, from its strict lower triangle and real diagonal: those are
+        what ``eigvalsh`` reads, so K does not depend on the rounding of the
+        upper triangle."""
         n = _check_n(n)
-        return self.a_inf if n == INF else self.a_inf - (2.0 / n) * (self.v0 @ self.v0.conj().T)
+        if n == INF:
+            return self.a_inf
+        term = self.v0 @ self.v0.conj().T
+        low = np.tril(term, -1)
+        return self.a_inf - (2.0 / n) * (low + low.conj().T + np.diag(term.diagonal().real))
 
     def k(self, n) -> tuple[float, int]:
         """K(N) and its multiplicity, from the eigenvalues of ``a_n(n)`` only."""
@@ -170,8 +189,9 @@ class _Elimination:
         return b[d:, d:] * np.repeat(np.sqrt(local.p_x), d) - b[d:, :d] @ self.v0.conj().T
 
 
-def _eliminate(local: LocalStructure) -> _Elimination:
-    """The kernel block a of ``S = B0 q2 B0^H`` eliminated, ``q2 = 4*Q / 2``.
+def curvature_bundle(local: LocalStructure) -> CurvatureBundle:
+    """The elimination record of the ball: the kernel block a of
+    ``S = B0 q2 B0^H`` eliminated, ``q2 = 4*Q / 2``.
 
     The canonical basis ``B0 = [[I, X], [0, D]]``, ``D = diag(p_xyi^{-1/2})
     (x) I_d``, is applied without forming it: with ``Z = q2 conj(p0)``,
@@ -186,44 +206,17 @@ def _eliminate(local: LocalStructure) -> _Elimination:
     dd = np.repeat(1.0 / np.sqrt(local.p_x), d)[:, None]
     a, s10, core = p0c.conj().T @ z, dd * z[d:], q2[d:, d:] * (dd * dd.T)
     eig = _eigh_rank(a)
-    return _Elimination(local, q2, a, eig, s10.conj().T, eig.schur(s10, core))
-
-
-@dataclass(frozen=True)
-class CurvatureBundle:
-    """All intermediates behind the curvature matrices at one vertex.
-
-    ``omega_t`` is the d x md block omega^T; ``v0`` is md x d with
-    ``B Delta(x) = (0; v0)``; ``a_inf`` is the N-independent curvature matrix.
-    All are read from one elimination, whose A_N formula ``a_n`` evaluates.
-    """
-
-    b: np.ndarray
-    a: np.ndarray
-    omega_t: np.ndarray
-    v0: np.ndarray
-    a_inf: HermitianMatrix
-    _elimination: _Elimination = field(repr=False, compare=False)
-
-    def a_n(self, n) -> HermitianMatrix:
-        return HermitianMatrix(self._elimination.a_n(n))
-
-
-def curvature_bundle(local: LocalStructure) -> CurvatureBundle:
-    """Assemble a, omega, v0 and A_inf in the canonical basis B0."""
-    e = _eliminate(local)
-    return CurvatureBundle(canonical_basis(local), e.a, e.omega_t, e.v0,
-                           HermitianMatrix(e.a_inf), e)
+    return CurvatureBundle(local, q2, a, eig, s10.conj().T, eig.schur(s10, core))
 
 
 def curvature_matrix(local: LocalStructure, n, b: np.ndarray | None = None) -> HermitianMatrix:
     """The md x md curvature matrix A_N for the basis B (canonical default):
-    ``U A_N(B0) U^H`` with U from ``_Elimination.basis_unitary``."""
-    e = _eliminate(local)
+    ``U A_N(B0) U^H`` with U from ``CurvatureBundle.basis_unitary``."""
+    bundle = curvature_bundle(local)
     if b is None:
-        return HermitianMatrix(e.a_n(n))
-    u = e.basis_unitary(b)   # the basis is checked before N
-    return HermitianMatrix(u @ e.a_n(n) @ u.conj().T)
+        return HermitianMatrix(bundle.a_n(n))
+    u = bundle.basis_unitary(b)   # the basis is checked before N
+    return HermitianMatrix(u @ bundle.a_n(n) @ u.conj().T)
 
 
 def curvature(local: LocalStructure, n) -> tuple[float, int]:
@@ -234,14 +227,14 @@ def curvature(local: LocalStructure, n) -> tuple[float, int]:
     eigenvalues are computed, from one elimination.  N follows the one rule
     of ``_check_n``: positive with 2/N finite, or inf.
     """
-    return _eliminate(local).k(n)
+    return curvature_bundle(local).k(n)
 
 
 def curvature_function(local: LocalStructure):
     """A fast callable N -> (K, multiplicity): the bound ``k`` of one
     elimination, so each evaluation equals ``curvature(local, N)`` bit for
     bit, by the same N rule, with A_inf formed once."""
-    return _eliminate(local).k
+    return curvature_bundle(local).k
 
 
 def curvature_oracle(local: LocalStructure, n) -> float:

@@ -62,7 +62,7 @@ def _k(loc) -> float:
 
 
 def _a_inf(loc) -> np.ndarray:
-    return curvature_bundle(loc).a_inf.mat
+    return curvature_bundle(loc).a_inf
 
 
 def _a_inf_eigs(loc) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import INF, _check_n, _eliminate, curvature_matrix
+from .curvature import INF, _check_n, curvature_bundle, curvature_matrix
 from .graphs import ConnectionGraph, _check_size, local_structure, signature_groups_commute
 from .hermitian import _eigh_rank, is_psd
 
@@ -162,7 +162,7 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
 
     loc1 = local_structure(gl, x)
     loc2 = local_structure(g2l, x2)
-    e1, e2 = _eliminate(loc1), _eliminate(loc2)
+    e1, e2 = curvature_bundle(loc1), curvature_bundle(loc2)
 
     # R couples the kernel-block corrections of the two factors; the relative
     # cutoff of the one rank decision gives (s a)^+ = a^+ / s for s > 0.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import _check_n, _eliminate, _Elimination, p0_transpose
+from .curvature import CurvatureBundle, _check_n, curvature_bundle, p0_transpose
 from .graphs import LocalStructure
 from .operators import _ball_blocks, delta_matrix
 
@@ -67,17 +67,17 @@ def phi_map(local: LocalStructure) -> np.ndarray:
     it, as on a balanced ball.  A solvability residual beyond tolerance
     raises: it would contradict the range condition ``a a^+ omega^T = omega^T``.
     """
-    return _phi(local, _eliminate(local))
+    return _phi(curvature_bundle(local))
 
 
-def _v0_blocks(e: _Elimination) -> np.ndarray:
+def _v0_blocks(e: CurvatureBundle) -> np.ndarray:
     """``D^{-1} blockdiag(sigma_xyi^T)``, ``D^{-1} = diag(sqrt p_xyi)``: the
     md x md block diagonal of the d x d blocks of e's v0."""
     local = e.local
     return _under_block_diagonal(e.v0.reshape(local.m, local.d, local.d))[local.d:]
 
 
-def _phi(local: LocalStructure, e: _Elimination) -> np.ndarray:
+def _phi(e: CurvatureBundle) -> np.ndarray:
     """phi from the canonical elimination e: ``-conj(a^+ omega^T) D^{-1}
     blockdiag(sigma_xyi^H)``.  The equation's right side, as a matrix of
     conj(v), is ``omega^T D^{-1} blockdiag(sigma_xyi^T)``."""
@@ -139,8 +139,8 @@ def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray):
     v2 = np.asarray(v2, dtype=complex)
     if v1.shape != (md,) or v2.shape != (md,):
         raise ValidationError(f"tangent vectors must have shape ({md},)")
-    e = _eliminate(local)
-    r, g = _tensor_matrices(local, n, _phi(local, e), e.q2)
+    e = curvature_bundle(local)
+    r, g = _tensor_matrices(local, n, _phi(e), e.q2)
     return complex(v1 @ r @ np.conj(v2)), complex(v1 @ g @ np.conj(v2))
 
 
@@ -148,8 +148,8 @@ def coordinate_map(local: LocalStructure, b: np.ndarray) -> np.ndarray:
     """The md x md matrix of v -> v_B, the g-orthonormal coordinates
     ``(B^{-T} Phi)[d:]`` induced by B.  The phi part of Phi drops out, so
     they are ``conj(U D^{-1} blockdiag(sigma_xyi^T))`` for any phi, with U
-    from ``_Elimination.basis_unitary``; B is not inverted."""
-    e = _eliminate(local)
+    from ``CurvatureBundle.basis_unitary``; B is not inverted."""
+    e = curvature_bundle(local)
     return np.conj(e.basis_unitary(b) @ _v0_blocks(e))
 
 
@@ -167,12 +167,12 @@ def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
     """
     n = _check_n(n)
     md = local.m * local.d
-    e = _eliminate(local)
+    e = curvature_bundle(local)
     a_n, xi = e.a_n(n), np.conj(_v0_blocks(e))
     if b is not None:
         u = e.basis_unitary(b)
         a_n, xi = u @ a_n @ u.conj().T, np.conj(u) @ xi
-    r, g = _tensor_matrices(local, n, _phi(local, e), e.q2)
+    r, g = _tensor_matrices(local, n, _phi(e), e.q2)
     scale_r, scale_g, scale_a = (max(1.0, float(np.max(np.abs(x)))) for x in (r, g, a_n))
     rng = np.random.default_rng(seed)
     worst = 0.0

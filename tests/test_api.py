@@ -16,8 +16,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "bench" / "workloads.py"
 
 # The private names of concurv.curvature that other modules may import: the
-# one elimination record, which owns A_N, and the one rule for N.
-CURVATURE_PRIVATE_IMPORTS = {"_eliminate", "_Elimination", "_check_n"}
+# one rule for N.  The elimination record, which owns A_N, is the public
+# CurvatureBundle.
+CURVATURE_PRIVATE_IMPORTS = {"_check_n"}
 
 # Every default-valued parameter of the exported callables, with its default.
 # A new option has a caller; add it here when you add it.
@@ -64,8 +65,8 @@ def test_benchmark_imports_are_exported():
 
 def test_a_n_has_one_owner():
     """Outside curvature.py, no library module and not tests/helpers.py
-    imports a private name of concurv.curvature beyond the elimination
-    record and the N rule, so nothing rebuilds A_N, v0 or K on its own."""
+    imports a private name of concurv.curvature beyond the N rule: A_N,
+    v0 and K are read from the public record, and nothing rebuilds them."""
     sources = [p for p in (ROOT / "src" / "concurv").glob("*.py") if p.name != "curvature.py"]
     sources.append(ROOT / "tests" / "helpers.py")
     imported = set()

@@ -88,14 +88,14 @@ class TestCurvatureCommand:
         and takes one eigh of it, which also feeds the kernel-block report;
         its K is curvature(loc, N) bit for bit and its matrix is
         curvature_matrix(loc, N), at N = inf and at finite N."""
-        from concurv.curvature import _eliminate
+        from concurv.curvature import curvature_bundle
         from concurv.hermitian import _eigh_rank
         path = fixture_file("g1_u2")
         loc = local_structure(graphs.load_graph(Path(path).read_bytes()), "1")
         for n in ("inf", "2.5"):
             want_k, want_mult = curvature(loc, float(n))
             want_a = curvature_matrix(loc, float(n)).mat
-            calls = count_calls(monkeypatch, _eliminate)
+            calls = count_calls(monkeypatch, curvature_bundle)
             eighs = count_calls(monkeypatch, _eigh_rank)
             argv = ["--json", "curvature", path, "--vertex", "1", "--N", n, "--oracle", "--matrix"]
             assert main(argv) == 0

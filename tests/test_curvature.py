@@ -22,7 +22,7 @@ from concurv import (
     local_structure,
     switch,
 )
-from concurv.curvature import _eliminate, basis_residual
+from concurv.curvature import basis_residual
 from concurv.fixtures import fixture_graph, fixture_names
 from concurv.hermitian import PINV_RTOL_SCALE, HermitianMatrix, _eigh_rank, min_eig_hermitian
 from concurv.operators import q_matrix
@@ -78,7 +78,7 @@ class TestBases:
             assert_close(c @ c.conj().T, np.eye(md), 1e-9)
             for b in (b1, b2):
                 want = (b @ np.linalg.inv(canonical_basis(loc)))[d:, d:]
-                assert_close(_eliminate(loc).basis_unitary(b), want, 1e-12)
+                assert_close(curvature_bundle(loc).basis_unitary(b), want, 1e-12)
 
     def test_plain_eigenbasis_variant_is_valid(self):
         rng = np.random.default_rng(43)
@@ -158,7 +158,7 @@ class TestCurvatureValues:
         loc = local_structure(random_graph(rng, d=2), "1")
         bundle = curvature_bundle(loc)
         n = 3.0
-        expected = bundle.a_inf.mat - (2.0 / n) * bundle.v0 @ bundle.v0.conj().T
+        expected = bundle.a_inf - (2.0 / n) * bundle.v0 @ bundle.v0.conj().T
         assert_close(curvature_matrix(loc, n).mat, expected, 1e-12)
 
     def test_values_only_path_matches_min_eig_of_curvature_matrix(self):
@@ -180,8 +180,9 @@ class TestCurvatureValues:
                     lam, _, want_mult = min_eig_hermitian(a_n)
                     assert abs(k - lam) <= 1e-12, (x, n, k, lam)
                     assert mult == want_mult, (x, n)
-                    assert evaluate(n) == (k, mult)
-                    assert np.array_equal(bundle.a_n(n).mat, a_n.mat), (x, n)
+                    assert evaluate(n) == bundle.k(n) == (k, mult)
+                    assert np.array_equal(bundle.a_n(n), a_n.mat), (x, n)
+                    assert np.array_equal(bundle.a_n(n), bundle.a_n(n).conj().T), (x, n)
 
     def test_curvature_function_matches_pointwise(self):
         rng = np.random.default_rng(45)
@@ -361,7 +362,7 @@ class TestKernelElimination:
                 d = loc.d
                 corr = s[d:, :d] @ pinv(s[:d, :d]) @ s[:d, d:]
                 want = s[d:, d:] - (corr + corr.conj().T) / 2.0
-                assert_close(bundle.a_inf.mat, want, 1e-13, f"a_inf at {x}")
+                assert_close(bundle.a_inf, want, 1e-13, f"a_inf at {x}")
                 balanced += is_locally_balanced(loc)
                 no_s2 += loc.n == 0
         assert balanced >= 10 and no_s2 >= 10
@@ -383,8 +384,10 @@ class TestKernelElimination:
         evaluate(INF)
         evaluate(2.0)
         assert len(built) == 0
-        curvature_bundle(loc)
-        assert len(built) == 1   # A_inf
+        bundle = curvature_bundle(loc)
+        bundle.a_n(INF)
+        bundle.a_n(2.0)
+        assert len(built) == 0   # the record's A_N is a plain, exactly Hermitian array
 
 
 @functools.lru_cache(maxsize=1)
@@ -464,7 +467,7 @@ class TestMdSizePipeline:
         for trial in range(24):
             g = random_graph(rng, d=1 + trial % 3)
             loc = local_structure(scaled_rates(g, 10.0 ** rng.uniform(-3, 10)), "1")
-            a_inf = _eliminate(loc).a_inf
+            a_inf = curvature_bundle(loc).a_inf
             assert np.array_equal(a_inf, a_inf.conj().T)
             for n in (INF, 4.0):
                 want = curvature(loc, n)[0]
@@ -544,7 +547,7 @@ class TestProfile:
         for _ in range(5):
             loc = local_structure(random_graph(rng, d=1), "1")
             bundle = curvature_bundle(loc)
-            lam_max = float(np.linalg.eigvalsh(bundle.a_inf.mat)[-1])
+            lam_max = float(np.linalg.eigvalsh(bundle.a_inf)[-1])
             n = 0.01
             k, _ = curvature(loc, n)
             assert k <= lam_max - (2.0 / n) * loc.dx_over_mux + 1e-9

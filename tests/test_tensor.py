@@ -6,6 +6,7 @@ from concurv import (
     ValidationError,
     curvature,
     curvature_bundle,
+    curvature_matrix,
     gamma2_matrix,
     local_structure,
     phi_map,
@@ -14,7 +15,7 @@ from concurv import (
     tangent_from_function,
     tensor_matrix_check,
 )
-from concurv.curvature import _eliminate, general_basis, p0_transpose
+from concurv.curvature import general_basis, p0_transpose
 from concurv.fixtures import fixture_graph, fixture_names
 from concurv.operators import _ball_blocks, _q_array, delta_matrix, q_matrix
 from concurv.tensor import PHI_RESIDUAL_TOL, _tensor_matrices, coordinate_map, phi_matrix
@@ -128,7 +129,7 @@ class TestPhiMap:
         calls return values (README, "Numerical notes")."""
         g = phase_triangle(theta)
         loc = local_structure(g, "a")
-        e = _eliminate(loc)
+        e = curvature_bundle(loc)
         assert e.eig.keep.all()   # curvature() inverts a here too
         f = phi_map(loc)
         t = under_blocks_loops(ball_from_graph_loops(g, "a"), np.transpose)
@@ -257,6 +258,34 @@ class TestRicAndMetric:
                 vb = xi @ v
                 _, g = ric_and_metric(loc, INF, v, v)
                 assert abs(g - np.vdot(vb, vb)) <= 1e-12
+
+    def test_explicit_basis_matrix_represents_the_tensor(self):
+        """For every fixture vertex and several general bases B, the tensor
+        equals B's curvature matrix on B's coordinates formed straight from
+        their definition, ``v_B = (B^{-T} Phi)[d:] v``:
+        ``Ric_N(v, v) = v_B^T A_N(B) conj(v_B)`` and ``g(v, v) = |v_B|^2``.
+        This reads neither the unitary of ``B B0^{-1}`` nor coordinate_map,
+        and covers the balanced g4_signed vertices 4 and 5, where a = 0."""
+        rng = np.random.default_rng(70)
+        for name in fixture_names():
+            g = fixture_graph(name)
+            for x in g.vertex_ids:
+                if not g.neighbors(x):
+                    continue
+                loc = local_structure(g, x)
+                phim = phi_matrix(loc, phi_map(loc))
+                for seed in (0, 1, 2):
+                    b = general_basis(loc, seed)
+                    xi = (np.linalg.inv(b).T @ phim)[loc.d:]
+                    v = rand_tangent(rng, loc)
+                    vb = xi @ v
+                    for n in (INF, 1.5):
+                        ric, met = ric_and_metric(loc, n, v, v)
+                        a_b = curvature_matrix(loc, n, b).mat
+                        want = vb @ a_b @ np.conj(vb)
+                        scale = max(1.0, abs(ric), float(np.max(np.abs(a_b))) * np.vdot(vb, vb).real)
+                        assert abs(ric - want) <= 1e-12 * scale, (name, x, seed, n, ric, want)
+                        assert abs(met - np.vdot(vb, vb)) <= 1e-12 * max(1.0, abs(met)), (name, x, seed)
 
     def test_balanced_ric_independent_of_phi_choice(self):
         # on a balanced ball a = 0, so every phi solves its equation, and the
@@ -479,7 +508,7 @@ def under_blocks_loops(ball, block) -> np.ndarray:
 def phi_map_loops(loc, ball) -> np.ndarray:
     """phi_map with its block-diagonal ``D^{-1} blockdiag(sigma_xyi^T)``
     placed block by block from the loop ball."""
-    e = _eliminate(loc)
+    e = curvature_bundle(loc)
     d, x = ball.d, ball.center
     blocks = np.zeros((ball.m * d, ball.m * d), dtype=complex)
     for i, y in enumerate(ball.s1):
