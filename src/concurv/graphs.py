@@ -579,6 +579,21 @@ def local_structure(g: ConnectionGraph, x: str) -> LocalStructure:
     )
 
 
+def _ball_graph(g: ConnectionGraph, x: str) -> ConnectionGraph:
+    """g cut down to the 2-ball of x: its edges with an end at x or in x's
+    1-sphere, on the vertices they reach.  Every rate and connection of the
+    ball is copied, so x has the same :class:`LocalStructure` in both
+    graphs; an unknown or isolated x is refused as by :func:`local_structure`."""
+    loc = local_structure(g, x)
+    ids, mu, u, v, w, s = g._arrays()
+    inner = np.zeros(len(ids), dtype=bool)
+    inner[[g.index.pos[y] for y in (loc.center,) + loc.s1]] = True
+    keep = inner[u] | inner[v]
+    ball, ends = np.unique(np.concatenate([u[keep], v[keep]]), return_inverse=True)
+    return ConnectionGraph._from_arrays(g.dimension, g.field, tuple(g.index.names[ball]),
+                                        mu[ball], *ends.reshape(2, -1), w[keep], s[keep])
+
+
 def switch(g: ConnectionGraph, tau: Mapping[str, np.ndarray]) -> ConnectionGraph:
     """Re-gauge the connection: sigma_uv -> tau(u)^{-1} sigma_uv tau(v).
 

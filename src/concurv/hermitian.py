@@ -1,5 +1,5 @@
 """Dense complex Hermitian linear algebra: eigensolvers, the one
-pseudoinverse rule (by ``eigh``), Schur complements and PSD tests.
+pseudoinverse rule (by ``eigh``), Schur complements and the PSD test.
 
 Everything operates on small dense matrices (desk scale, a few hundred rows
 at most).  Inputs are plain numpy arrays; :class:`HermitianMatrix` is a thin
@@ -53,12 +53,6 @@ class HermitianMatrix:
 
     def __repr__(self):
         return f"HermitianMatrix(n={self.mat.shape[0]})"
-
-
-def is_psd(m) -> bool:
-    """Tolerance-aware PSD test: smallest eigenvalue >= -PSD_SLACK * max(1, |M|)."""
-    a = _as_array(m)
-    return a.size == 0 or _psd_within(a, float(np.max(np.abs(a))))
 
 
 def _psd_within(a: np.ndarray, scale: float) -> bool:

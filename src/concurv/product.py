@@ -3,8 +3,9 @@ product curvature matrices, and the star product of curvature functions.
 
 The product of (G, sigma) and (G', sigma') at scales alpha, beta has vertex
 measures mu_x mu_x', edge weights ``alpha w_xy mu_x'`` / ``beta w'_x'y' mu_x``
-and copies the factor connections.  When the two signature groups commute,
-the product curvature matrix at (x, x') in canonical bases decomposes as
+and copies the factor connections.  When the connections of the 2-balls of x
+and x' commute, the product curvature matrix at (x, x') in canonical bases
+decomposes as
 
     A_{N+N'}(x, x') = diag(alpha A_N(x), beta A_N'(x')) + R(x, x') + J(x, x')
 
@@ -20,12 +21,12 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, _check_n, curvature_bundle, curvature_matrix
-from .graphs import ConnectionGraph, _check_size, local_structure, signature_groups_commute
-from .hermitian import _eigh_rank, is_psd
+from .graphs import (ConnectionGraph, _ball_graph, _check_size, local_structure,
+                     signature_groups_commute)
+from .hermitian import _eigh_rank, _psd_within
 
 DECOMP_TOL = 1e-9
-STAR_TOL = 1e-12        # star product bisection stops at a bracket of STAR_TOL * t,
-STAR_MAX_ITER = 200     # or after this many steps
+STAR_TOL = 1e-12        # star product bisection stops at a bracket of STAR_TOL * t
 SEPARATOR = "|"
 
 
@@ -81,12 +82,7 @@ def _lifted_factors(g: ConnectionGraph, g2: ConnectionGraph, spec: ProductSpec):
 def cartesian_product(g: ConnectionGraph, g2: ConnectionGraph,
                       spec: ProductSpec = ProductSpec()) -> ConnectionGraph:
     """The Cartesian product graph with vertex ids joined as "x|x'"."""
-    return _product_of_lifted(*_lifted_factors(g, g2, spec), spec)
-
-
-def _product_of_lifted(gl: ConnectionGraph, g2l: ConnectionGraph,
-                       spec: ProductSpec) -> ConnectionGraph:
-    """The product of two factors already lifted to a common dimension."""
+    gl, g2l = _lifted_factors(g, g2, spec)
     for v in gl.vertex_ids + g2l.vertex_ids:
         if SEPARATOR in v:
             raise ValidationError(
@@ -144,17 +140,19 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
                           x: str, x2: str, n, n2) -> ProductDecomposition:
     """Decompose the product curvature matrix at (x, x') into factor blocks.
 
-    Requires commuting signature groups (the decomposition genuinely fails
-    without them); refuses otherwise.  Asserts the decomposition identity to
-    1e-9 and that both correction terms R and J are PSD; a violation raises
-    :class:`CrossCheckError`.  The plain curvature of the product graph is
-    available regardless through the curvature module.
+    Reads only the 2-balls of x and x': the product of their ball graphs
+    (``graphs._ball_graph``) has the ball at (x, x') and the factor balls of
+    the whole product, so the theorem applied to it gives the decomposition
+    here.  Refuses a pair whose 2-ball connections do not commute: the
+    decomposition genuinely fails without that.  Asserts the identity to
+    1e-9 and that R and J are PSD, or raises :class:`CrossCheckError`.
     """
     n, n2 = _check_n(n), _check_n(n2)
-    gl, g2l = _lifted_factors(g, g2, spec)
+    ball, ball2 = _ball_graph(g, x), _ball_graph(g2, x2)
+    gl, g2l = _lifted_factors(ball, ball2, spec)
     if not signature_groups_commute(gl, g2l):
         raise ValidationError(
-            "the signature groups of the factors do not commute; "
+            f"the connections of the 2-balls of {x!r} and {x2!r} do not commute; "
             "the product decomposition does not apply"
         )
     alpha, beta = spec.alpha, spec.beta
@@ -178,13 +176,14 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
 
     # Product curvature matrix in the product's own (sorted) basis, permuted
     # into factor-block order for the comparison.
-    locp = local_structure(_product_of_lifted(gl, g2l, spec), product_vertex(x, x2))
-    order = tuple(product_vertex(y, x2) for y in loc1.s1) + tuple(
-        product_vertex(x, y2) for y2 in loc2.s1
-    )
+    locp = local_structure(cartesian_product(ball, ball2, spec), product_vertex(x, x2))
+    order = (tuple(product_vertex(y, x2) for y in loc1.s1)
+             + tuple(product_vertex(x, y2) for y2 in loc2.s1))
     if set(order) != set(locp.s1):
         raise CrossCheckError("product 1-sphere does not match the factor 1-spheres")
-    a_perm = reorder_blocks(curvature_matrix(locp, n + n2).mat, locp.s1, order, d)
+    idx = (np.array([locp.s1.index(label) for label in order])[:, None] * d
+           + np.arange(d)).ravel()
+    a_perm = curvature_matrix(locp, n + n2).mat[np.ix_(idx, idx)]
 
     residual = float(np.max(np.abs(a_perm - (blockdiag + r + j))))
     scale = max(1.0, float(np.max(np.abs(a_perm))))
@@ -193,20 +192,11 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
             f"product decomposition residual {residual:.3e} exceeds tolerance"
         )
     for name, mat in (("R", r), ("J", j)):
-        if not is_psd(mat):
+        if not _psd_within(mat, float(np.max(np.abs(mat)))):
             lam = float(np.linalg.eigvalsh(mat)[0])
             raise CrossCheckError(f"{name}(x, x') is not PSD: lambda_min = {lam:.3e}")
     return ProductDecomposition(r=r, j=j, residual=residual, a_product=a_perm,
                                 block_order=order)
-
-
-def reorder_blocks(mat: np.ndarray, labels_from, labels_to, d: int) -> np.ndarray:
-    """Permute a block matrix from one basis-label order to another."""
-    pos = {label: i for i, label in enumerate(labels_from)}
-    idx = np.concatenate([
-        np.arange(pos[label] * d, pos[label] * d + d) for label in labels_to
-    ])
-    return mat[np.ix_(idx, idx)]
 
 
 def star_product(f1, f2, t) -> float:
@@ -234,12 +224,10 @@ def star_product(f1, f2, t) -> float:
             "star_product: inputs do not bracket a balance point; "
             "the profiles are not monotone with the required limits"
         )
-    for _ in range(STAR_MAX_ITER):
+    while hi - lo > STAR_TOL * t:
         mid = 0.5 * (lo + hi)
         if gap(mid) <= 0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= STAR_TOL * t:
-            break
     return float(f1(0.5 * (lo + hi)))

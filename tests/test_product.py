@@ -3,12 +3,14 @@ import pytest
 
 from concurv import (
     INF,
+    ConnectionGraph,
     ProductSpec,
     ValidationError,
     cartesian_product,
     curvature,
     curvature_bundle,
     curvature_function,
+    curvature_matrix,
     gamma2_matrix,
     load_graph,
     local_structure,
@@ -35,6 +37,21 @@ def k2_graph(ids=("a", "b")):
     return load_graph({"dimension": 1,
                        "vertices": [{"id": ids[0]}, {"id": ids[1]}],
                        "edges": [{"u": ids[0], "v": ids[1]}]})
+
+
+def diagonal_torus(rng, side, edge=None, sigma=None):
+    """The side x side torus ("ti_j") with random diagonal U(2) connections,
+    any two of which commute; the stored edge ``edge`` carries ``sigma``."""
+    def t(i, j):
+        return f"t{i % side}_{j % side}"
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            for uv in ((t(i, j), t(i + 1, j)), (t(i, j), t(i, j + 1))):
+                s = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=2)))
+                edges.append((*uv, 1.0, sigma if uv == edge else s))
+    return ConnectionGraph(2, "complex", [(t(i, j), 1.0) for i in range(side)
+                                          for j in range(side)], edges)
 
 
 def trivializing_switch(g, x):
@@ -235,18 +252,27 @@ class TestDecomposition:
         assert dec.residual <= 1e-9
 
     def test_random_commuting_pairs(self):
+        """The identity holds with R and J PSD, and the product matrix read
+        from the two ball graphs is the whole product's, bit for bit."""
         rng = np.random.default_rng(86)
         for trial in range(8):
             g, g2 = random_commuting_pair(rng)
-            spec = ProductSpec(alpha=float(rng.uniform(0.5, 2.0)),
-                               beta=float(rng.uniform(0.5, 2.0)))
+            alpha, beta = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))
             n = (1.0, 2.5, INF)[trial % 3]
             n2 = (INF, 3.0, 2.0)[trial % 3]
-            dec = product_decomposition(g, g2, spec, "1", "1", n, n2)
-            assert dec.residual <= 1e-9
-            for mat in (dec.r, dec.j):
-                lam = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0])
-                assert lam >= -1e-9
+            for lift in ("same-dimension", "tensor"):
+                spec = ProductSpec(alpha=alpha, beta=beta, lift=lift)
+                dec = product_decomposition(g, g2, spec, "1", "1", n, n2)
+                assert dec.residual <= 1e-9
+                for mat in (dec.r, dec.j):
+                    lam = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0])
+                    assert lam >= -1e-9
+                locp = local_structure(cartesian_product(g, g2, spec), "1|1")
+                d = locp.d
+                idx = np.concatenate([np.arange(d) + d * locp.s1.index(label)
+                                      for label in dec.block_order])
+                whole = curvature_matrix(locp, n + n2).mat[np.ix_(idx, idx)]
+                assert np.array_equal(dec.a_product, whole), (trial, lift)
 
     def test_r_matches_svd_reference(self):
         """R from the factors' eigh pseudoinverses against R built with
@@ -280,6 +306,44 @@ class TestDecomposition:
             product_decomposition(fixture_graph("triangle_u2"),
                                   fixture_graph("diamond_u2"),
                                   ProductSpec(), "A", "1", INF, INF)
+        # Only the connections of the two 2-balls must commute: a Haar U(2)
+        # outside the 2-ball of t0_0 (far away, or from its 2-sphere to its
+        # 3-sphere) leaves the identity exact, one at t0_0 is refused.
+        rng = np.random.default_rng(93)
+        haar = random_unitary(rng, 2)
+        assert np.abs(haar @ np.diag([1.0, 1j]) - np.diag([1.0, 1j]) @ haar).max() > 1e-3
+        g2 = diagonal_torus(rng, 8)
+        for edge in (("t4_4", "t5_4"), ("t2_0", "t3_0")):
+            g = diagonal_torus(rng, 8, edge, haar)
+            for n, n2 in ((INF, INF), (3.0, 2.0)):
+                dec = product_decomposition(g, g2, ProductSpec(), "t0_0", "t0_0", n, n2)
+                assert dec.residual <= 1e-12
+                for mat in (dec.r, dec.j):
+                    assert float(np.linalg.eigvalsh(mat)[0]) >= -1e-12
+        g = diagonal_torus(rng, 8, ("t0_0", "t1_0"), haar)
+        with pytest.raises(ValidationError, match="commute"):
+            product_decomposition(g, g2, ProductSpec(), "t0_0", "t0_0", INF, INF)
+
+    def test_reads_only_the_two_balls(self, monkeypatch):
+        """No graph built by a decomposition has more vertices than the
+        product of the two factor 2-balls."""
+        rng = np.random.default_rng(94)
+        g, g2 = diagonal_torus(rng, 20), diagonal_torus(rng, 20)
+        ball, ball2 = (1 + loc.m + loc.n for loc in (local_structure(g, "t0_0"),
+                                                     local_structure(g2, "t0_0")))
+        built = []
+        from_arrays = ConnectionGraph._from_arrays
+
+        def spy(cls, dimension, field, ids, *rest):
+            built.append(len(ids))
+            return from_arrays(dimension, field, ids, *rest)
+
+        monkeypatch.setattr(ConnectionGraph, "_from_arrays", classmethod(spy))
+        for lift in ("same-dimension", "tensor"):
+            dec = product_decomposition(g, g2, ProductSpec(lift=lift),
+                                        "t0_0", "t0_0", INF, 2.0)
+            assert dec.residual <= 1e-12
+        assert built and max(built) <= ball * ball2 == 169
 
     def test_tensor_lift_decomposition(self):
         rng = np.random.default_rng(87)
