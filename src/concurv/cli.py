@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, curvature_bundle, curvature_oracle, curvature_profile
-from .graphs import (_connections, _raw_sigma, is_locally_balanced, load_graph,
-                     local_structure)
+from .graphs import _connections, _one_ball, _raw_sigma, is_locally_balanced, load_graph
 
 FRACTION_MAX_DEN = 16
 FRACTION_TOL = 1e-9
@@ -171,7 +170,7 @@ def cmd_validate(args) -> tuple[int, Report]:
 def cmd_curvature(args) -> tuple[int, Report]:
     report, (g,) = _open("curvature", args.graph)
     n = parse_n(args.N, "--N")
-    loc = local_structure(g, args.vertex)
+    loc = _one_ball(g, args.vertex)
     e = curvature_bundle(loc)   # one elimination, as curvature() runs it
     k, mult = e.k(n)
     eig = e.eig
@@ -201,7 +200,7 @@ def cmd_curvature(args) -> tuple[int, Report]:
 def cmd_profile(args) -> tuple[int, Report]:
     report, (g,) = _open("profile", args.graph)
     grid = [parse_n(tok, "--grid") for tok in args.grid.split(",")]
-    loc = local_structure(g, args.vertex)
+    loc = _one_ball(g, args.vertex)
     profile = curvature_profile(loc, grid)
     rows = []
     for n, k, mult in profile.samples:
@@ -220,10 +219,13 @@ def cmd_product(args) -> tuple[int, Report]:
     from .product import ProductSpec, cartesian_product, product_decomposition
     report, (g, g2) = _open("product", args.graph, args.graph2)
     spec = ProductSpec(alpha=args.alpha, beta=args.beta, lift=args.lift)
-    prod = cartesian_product(g, g2, spec)
-    report.add("vertices", len(prod.vertex_ids))
-    report.add("edges", prod.index.nbr.size // 2)
-    _write_out(report, args.out, prod)
+    # |V||V'| vertices and |E||V'| + |V||E'| edges; the whole product is
+    # built only to be written or checked, as the decomposition reads balls.
+    n_v, n_v2 = len(g.vertex_ids), len(g2.vertex_ids)
+    report.add("vertices", n_v * n_v2)
+    report.add("edges", g.index.nbr.size // 2 * n_v2 + n_v * (g2.index.nbr.size // 2))
+    if args.out or not args.decompose:
+        _write_out(report, args.out, cartesian_product(g, g2, spec))
     if args.decompose:
         toks = [tok.strip() for tok in args.decompose.split(",")]
         if len(toks) != 2:
@@ -244,7 +246,7 @@ def cmd_product(args) -> tuple[int, Report]:
 
 def cmd_balance(args) -> tuple[int, Report]:
     report, (g,) = _open("balance", args.graph)
-    loc = local_structure(g, args.vertex)
+    loc = _one_ball(g, args.vertex)
     report.add("vertex", args.vertex)
     report.add("locally_balanced", is_locally_balanced(loc))
     return 0, report

@@ -277,7 +277,10 @@ class ConnectionGraph:
     :meth:`_from_arrays` and check only the values they compute.
     """
 
-    __slots__ = ("dimension", "field", "index", "_stored_rows")
+    # _balls is None until local_structure first runs, then the gather of
+    # every vertex's 2-ball, or False for a graph too large to store it.  It
+    # is set without a lock: concurrent first calls build equal gathers.
+    __slots__ = ("dimension", "field", "index", "_stored_rows", "_balls")
 
     def __init__(self, dimension: int, field: str,
                  vertices: Iterable[tuple[str, float]],
@@ -299,6 +302,7 @@ class ConnectionGraph:
         arrays = _checked(d, field, ids, mu, ends, weights, given, sigmas)
         self.dimension, self.field = d, field
         self.index, self._stored_rows = _edge_index(*arrays)
+        self._balls = None
 
     @classmethod
     def _from_arrays(cls, dimension, field, ids, mu, u, v, w, s) -> ConnectionGraph:
@@ -308,6 +312,7 @@ class ConnectionGraph:
         g = cls.__new__(cls)
         g.dimension, g.field = dimension, field
         g.index, g._stored_rows = _edge_index(ids, mu, u, v, w, s)
+        g._balls = None
         return g
 
     def _arrays(self):
@@ -539,44 +544,134 @@ class LocalStructure:
         return (self.center,) + self.s1 + self.s2
 
 
+class _Gathered(NamedTuple):
+    """The 2-balls of a sorted array of centers, concatenated over the
+    centers, as index arrays only: no rates and no connections.
+
+    Center k's ball edges are entries ``edge_ptr[k]:edge_ptr[k + 1]`` of
+    ``e``, ``row`` and ``col``: every in-ball oriented edge leaving its
+    1-sphere, as the CSR row ``e`` with :class:`LocalStructure`'s
+    ``edge_row`` and ``edge_col``, in its (col, row) order.  Its 2-sphere is
+    ``s2[s2_ptr[k]:s2_ptr[k + 1]]``, as sorted positions.
+    """
+
+    edge_ptr: np.ndarray
+    e: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    s2_ptr: np.ndarray
+    s2: np.ndarray
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i] + arange(counts[i])`` for every i, concatenated."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + (starts - ends + counts).repeat(counts)
+
+
+def _gather(index: EdgeIndex, centers) -> _Gathered:
+    """The 2-balls of the sorted center positions ``centers``, gathered from
+    the edge index by one vectorized pass.
+
+    An entry is an edge y_i -> v leaving center c's 1-sphere, y_i being row
+    i of c's CSR row.  v is the center, or y_j when c -> v is row j of c's
+    row, or else a 2-sphere vertex; those are numbered by position per
+    center.  Keys ``center index * |V| + position`` keep the centers apart,
+    and a stable sort by (center, col) keeps each column's entries in row
+    order.  The array methods skip the wrappers of their ``np.`` functions,
+    which cost as much as the work on one ball.
+    """
+    ix = index
+    centers = np.asarray(centers, dtype=np.intp)
+    k, n_v = centers.size, len(ix.ids)
+    lo = ix.indptr[centers]
+    m = ix.indptr[centers + 1] - lo
+    # The rows c -> y_i of every center, and the rows y_i -> v of each y_i.
+    first = _ranges(lo, m)
+    owner1 = np.arange(k).repeat(m)
+    row1 = first - lo[owner1]
+    y = ix.nbr[first]
+    s1_key = owner1 * n_v + y          # sorted: by center, then by y
+    starts = ix.indptr[y]
+    counts = ix.indptr[y + 1] - starts
+    e = _ranges(starts, counts)
+    owner = owner1.repeat(counts)
+    row = row1.repeat(counts)
+    far = ix.nbr[e]
+    key = owner * n_v + far
+    j = np.minimum(s1_key.searchsorted(key), s1_key.size - 1)
+    in_s1 = s1_key[j] == key
+    at_center = far == centers[owner]
+    # The 2-sphere keys, sorted and deduplicated; np.unique would import numpy.ma.
+    s2_key = key[~(in_s1 | at_center)]
+    s2_key.sort()
+    first_seen = np.empty(s2_key.size, dtype=bool)
+    first_seen[:1] = True
+    first_seen[1:] = s2_key[1:] != s2_key[:-1]
+    s2_key = s2_key[first_seen]
+    bounds = np.arange(k + 1)
+    s2_ptr = s2_key.searchsorted(bounds * n_v)
+    col = np.where(in_s1, 1 + row1[j], s2_key.searchsorted(key) + (1 + m - s2_ptr[:-1])[owner])
+    col[at_center] = 0
+    order = (owner * n_v + col).argsort(kind="stable")
+    return _Gathered(owner.searchsorted(bounds), e[order], row[order], col[order], s2_ptr,
+                     s2_key % n_v)
+
+
+def _center(g: ConnectionGraph, x: str) -> tuple[str, int, int, int]:
+    """``(x, c, lo, hi)``: x as an id, its position c and its CSR rows
+    ``lo:hi``; refuses an unknown or isolated x."""
+    x = str(x)
+    if x not in g:
+        raise ValidationError(f"vertex {x!r} is not in the graph")
+    c = g.index.pos[x]
+    lo, hi = g.index.indptr[c], g.index.indptr[c + 1]
+    if lo == hi:
+        raise ValidationError(f"vertex {x!r} is isolated; curvature is undefined for m = 0")
+    return x, c, lo, hi
+
+
+def _one_ball(g: ConnectionGraph, x: str) -> LocalStructure:
+    """:func:`local_structure` for a caller that reads one ball of g: sliced
+    from g's stored gather when g has one, and otherwise gathered for x
+    alone, so that a graph about to be discarded or derived from never
+    gathers every ball."""
+    x, c, lo, hi = _center(g, x)
+    ix = g.index
+    balls, k = g._balls, c
+    if not isinstance(balls, _Gathered):
+        balls, k = _gather(ix, [c]), 0
+    a, b = balls.edge_ptr[k], balls.edge_ptr[k + 1]
+    e = balls.e[a:b]
+    return LocalStructure(
+        x, tuple(ix.names[ix.nbr[lo:hi]]),
+        tuple(ix.names[balls.s2[balls.s2_ptr[k]:balls.s2_ptr[k + 1]]]), g.dimension,
+        p_x=ix.rate[lo:hi], sigma_x=ix.sigma[lo:hi],
+        edge_row=balls.row[a:b], edge_col=balls.col[a:b],
+        edge_p=ix.rate[e], edge_sigma=ix.sigma[e],
+    )
+
+
 def local_structure(g: ConnectionGraph, x: str) -> LocalStructure:
     """Extract the incomplete 2-ball around x from the graph's edge index.
 
     Raises for an unknown or isolated center (curvature is undefined when the
     1-sphere is empty).  Edges joining two 2-sphere vertices are not included.
+    The first call gathers the balls of every vertex of g at once and stores
+    the gather as read-only int32 arrays, and every call slices it; a graph
+    whose gather would hold more than MAX_CONNECTION_ENTRIES entries (the
+    sum of deg(y)^2 over its vertices) gathers one ball per call instead.
     """
-    x = str(x)
-    if x not in g:
-        raise ValidationError(f"vertex {x!r} is not in the graph")
-    ix = g.index
-    c = ix.pos[x]
-    lo, hi = ix.indptr[c], ix.indptr[c + 1]
-    if lo == hi:
-        raise ValidationError(f"vertex {x!r} is isolated; curvature is undefined for m = 0")
-    s1 = ix.nbr[lo:hi]
-    m = s1.size
-    # The CSR rows of the 1-sphere, concatenated: every edge leaving it.
-    starts = ix.indptr[s1]
-    counts = ix.indptr[s1 + 1] - starts
-    row = np.repeat(np.arange(m), counts)
-    e = np.arange(row.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    far = ix.nbr[e]
-    j = np.searchsorted(s1, far)
-    in_s1 = s1[np.minimum(j, m - 1)] == far
-    at_center = far == c
-    s2 = np.sort(far[~(in_s1 | at_center)])
-    first = np.ones(s2.size, dtype=bool)
-    first[1:] = s2[1:] != s2[:-1]
-    s2 = s2[first]
-    col = np.where(in_s1, 1 + j, 1 + m + np.searchsorted(s2, far))
-    col[at_center] = 0
-    order = np.argsort(col * m + row)
-    e, row, col = e[order], row[order], col[order]
-    return LocalStructure(
-        x, tuple(ix.names[s1]), tuple(ix.names[s2]), g.dimension,
-        p_x=ix.rate[lo:hi], sigma_x=ix.sigma[lo:hi],
-        edge_row=row, edge_col=col, edge_p=ix.rate[e], edge_sigma=ix.sigma[e],
-    )
+    if g._balls is None:
+        deg = np.diff(g.index.indptr)
+        if int(deg @ deg) <= MAX_CONNECTION_ENTRIES:
+            balls = _Gathered(*(a.astype(np.int32) for a in _gather(g.index, np.arange(deg.size))))
+            for a in balls:
+                a.setflags(write=False)
+        else:
+            balls = False
+        g._balls = balls
+    return _one_ball(g, x)
 
 
 def _ball_graph(g: ConnectionGraph, x: str) -> ConnectionGraph:
@@ -584,14 +679,17 @@ def _ball_graph(g: ConnectionGraph, x: str) -> ConnectionGraph:
     1-sphere, on the vertices they reach.  Every rate and connection of the
     ball is copied, so x has the same :class:`LocalStructure` in both
     graphs; an unknown or isolated x is refused as by :func:`local_structure`."""
-    loc = local_structure(g, x)
+    _, c, lo, hi = _center(g, x)
     ids, mu, u, v, w, s = g._arrays()
     inner = np.zeros(len(ids), dtype=bool)
-    inner[[g.index.pos[y] for y in (loc.center,) + loc.s1]] = True
+    inner[c] = True
+    inner[g.index.nbr[lo:hi]] = True
     keep = inner[u] | inner[v]
-    ball, ends = np.unique(np.concatenate([u[keep], v[keep]]), return_inverse=True)
+    ends = np.concatenate([u[keep], v[keep]])
+    ball = np.flatnonzero(np.bincount(ends, minlength=len(ids)))   # sorted positions
     return ConnectionGraph._from_arrays(g.dimension, g.field, tuple(g.index.names[ball]),
-                                        mu[ball], *ends.reshape(2, -1), w[keep], s[keep])
+                                        mu[ball], *np.searchsorted(ball, ends).reshape(2, -1),
+                                        w[keep], s[keep])
 
 
 def switch(g: ConnectionGraph, tau: Mapping[str, np.ndarray]) -> ConnectionGraph:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, curvature, curvature_function
 from .graphs import (ConnectionGraph, LocalStructure, _as_number, _connections, _edge_name,
-                     local_structure)
+                     _one_ball)
 from .hermitian import _psd_within
 from .operators import _gamma2_array
 
@@ -43,7 +43,7 @@ def s1_in_regular(g: ConnectionGraph, x: str) -> bool:
     """True iff the inward rate p_yx is the same for every neighbor y of x,
     to S1_IN_TOL relative.  Raises as local_structure does for an unknown or
     isolated x."""
-    return _s1_in_regular(local_structure(g, x))
+    return _s1_in_regular(_one_ball(g, x))
 
 
 def _s1_in_regular(loc: LocalStructure) -> bool:
@@ -66,7 +66,7 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     the new connection is real (to UNITARY_TOL).
     """
     x, yi, yj = str(x), str(yi), str(yj)
-    before_loc = local_structure(g, x)   # rejects an unknown or isolated x
+    before_loc = _one_ball(g, x)   # rejects an unknown or isolated x
     if yi not in before_loc.s1 or yj not in before_loc.s1 or yi == yj:
         raise ValidationError(f"{yi!r} and {yj!r} must be two distinct neighbors of {x!r}")
     if g.has_edge(yi, yj):
@@ -86,7 +86,7 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     g_new = ConnectionGraph._from_arrays(g.dimension, field, ids, mu, u, v, w,
                                          np.concatenate([s, s_new]))
 
-    after_loc = local_structure(g_new, x)
+    after_loc = _one_ball(g_new, x)
     before, _ = curvature(before_loc, INF)
     after, _ = curvature(after_loc, INF)
 
@@ -121,7 +121,7 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
     ``MERGE_CHECK_GRID`` and a violation raises :class:`CrossCheckError`.
     """
     x, zk, zl = str(x), str(zk), str(zl)
-    loc = local_structure(g, x)
+    loc = _one_ball(g, x)
     s2 = set(loc.s2)
     if zk not in s2 or zl not in s2 or zk == zl:
         raise ValidationError(f"{zk!r} and {zl!r} must be two distinct 2-sphere vertices of {x!r}")
@@ -149,7 +149,7 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
                                          mu_new, u[e], v[e], w[e], s[e])
 
     f_before = curvature_function(loc)
-    f_after = curvature_function(local_structure(g_new, x))
+    f_after = curvature_function(_one_ball(g_new, x))
     ks = {n: (f_before(n)[0], f_after(n)[0]) for n in MERGE_CHECK_GRID}
     for n, (kb, ka) in ks.items():
         if ka < kb - MONOTONE_SLACK * max(1.0, abs(kb)):

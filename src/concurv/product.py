@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, _check_n, curvature_bundle, curvature_matrix
-from .graphs import (ConnectionGraph, _ball_graph, _check_size, local_structure,
+from .graphs import (ConnectionGraph, _ball_graph, _check_size, _one_ball,
                      signature_groups_commute)
 from .hermitian import _eigh_rank, _psd_within
 
@@ -158,25 +158,26 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
     alpha, beta = spec.alpha, spec.beta
     d = gl.dimension
 
-    loc1 = local_structure(gl, x)
-    loc2 = local_structure(g2l, x2)
+    loc1 = _one_ball(gl, x)
+    loc2 = _one_ball(g2l, x2)
     e1, e2 = curvature_bundle(loc1), curvature_bundle(loc2)
 
-    # R couples the kernel-block corrections of the two factors; the relative
-    # cutoff of the one rank decision gives (s a)^+ = a^+ / s for s > 0.
-    a_sum_pinv = _eigh_rank(alpha**2 * e1.a + beta**2 * e2.a).pinv()
-    w1c = e1.omega_t.conj().T   # this is conj(omega) of the first factor
-    w2c = e2.omega_t.conj().T
-    r = _blocks(alpha**3 * w1c @ (e1.eig.pinv() / alpha**2 - a_sum_pinv) @ e1.omega_t,
-                beta**3 * w2c @ (e2.eig.pinv() / beta**2 - a_sum_pinv) @ e2.omega_t,
-                -(alpha * beta) ** 1.5 * w1c @ a_sum_pinv @ e2.omega_t)
+    # R couples the kernel-block corrections of the two factors: with
+    # W = [alpha^1.5 omega, beta^1.5 omega'], R = diag(alpha omega^H a^+ omega,
+    # beta omega'^H a'^+ omega') - W^H (alpha^2 a + beta^2 a')^+ W.  The
+    # relative cutoff of the one rank decision gives (s a)^+ = a^+ / s for s > 0.
+    w = np.concatenate([alpha**1.5 * e1.omega_t, beta**1.5 * e2.omega_t], axis=1)
+    coupled = w.conj().T @ _eigh_rank(alpha**2 * e1.a + beta**2 * e2.a).pinv() @ w
+    zeros = np.zeros((e1.v0.shape[0], e2.v0.shape[0]))
+    own = _blocks(alpha * e1.omega_t.conj().T @ e1.eig.pinv() @ e1.omega_t,
+                  beta * e2.omega_t.conj().T @ e2.eig.pinv() @ e2.omega_t, zeros)
+    r = own - coupled
     j = _j_matrix(e1.v0, e2.v0, alpha, beta, n, n2)
-    blockdiag = _blocks(alpha * e1.a_n(n), beta * e2.a_n(n2),
-                        np.zeros((e1.v0.shape[0], e2.v0.shape[0])))
+    blockdiag = _blocks(alpha * e1.a_n(n), beta * e2.a_n(n2), zeros)
 
     # Product curvature matrix in the product's own (sorted) basis, permuted
     # into factor-block order for the comparison.
-    locp = local_structure(cartesian_product(ball, ball2, spec), product_vertex(x, x2))
+    locp = _one_ball(cartesian_product(ball, ball2, spec), product_vertex(x, x2))
     order = (tuple(product_vertex(y, x2) for y in loc1.s1)
              + tuple(product_vertex(x, y2) for y2 in loc2.s1))
     if set(order) != set(locp.s1):
@@ -191,8 +192,9 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
         raise CrossCheckError(
             f"product decomposition residual {residual:.3e} exceeds tolerance"
         )
-    for name, mat in (("R", r), ("J", j)):
-        if not _psd_within(mat, float(np.max(np.abs(mat)))):
+    # R is judged at the size of the terms it is the difference of, J at its own.
+    for name, mat, terms in (("R", r, (own, coupled)), ("J", j, (j,))):
+        if not _psd_within(mat, max(float(np.max(np.abs(t))) for t in terms)):
             lam = float(np.linalg.eigvalsh(mat)[0])
             raise CrossCheckError(f"{name}(x, x') is not PSD: lambda_min = {lam:.3e}")
     return ProductDecomposition(r=r, j=j, residual=residual, a_product=a_perm,

@@ -187,6 +187,21 @@ def random_commuting_pair(rng):
     return random_diagonal_graph(rng), random_diagonal_graph(rng)
 
 
+def diagonal_torus(rng, side, edge=None, sigma=None):
+    """The side x side torus ("ti_j") with random diagonal U(2) connections,
+    any two of which commute; the stored edge ``edge`` carries ``sigma``."""
+    def t(i, j):
+        return f"t{i % side}_{j % side}"
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            for uv in ((t(i, j), t(i + 1, j)), (t(i, j), t(i, j + 1))):
+                s = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=2)))
+                edges.append((*uv, 1.0, sigma if uv == edge else s))
+    return ConnectionGraph(2, "complex", [(t(i, j), 1.0) for i in range(side)
+                                          for j in range(side)], edges)
+
+
 def random_function(rng, vertices, d: int) -> dict[str, np.ndarray]:
     return {v: rng.normal(size=d) + 1j * rng.normal(size=d) for v in vertices}
 

@@ -12,7 +12,7 @@ from concurv.fixtures import fixture_document, fixture_names
 from concurv.hermitian import PINV_RTOL_SCALE
 
 from helpers import (MALFORMED_DOCUMENTS, NON_FINITE_DOCUMENTS, OVERSIZED_DOCUMENTS, count_calls,
-                     random_graph, run_python, scaled_rates)
+                     diagonal_torus, random_graph, run_python, scaled_rates)
 
 
 @pytest.fixture()
@@ -246,6 +246,23 @@ class TestProductCommand:
         doc = json.loads(Path(out_path).read_text())
         assert doc["dimension"] == 1
         assert len(doc["vertices"]) == 12
+
+    def test_decompose_reads_balls_only(self, tmp_path, capsys):
+        """--decompose without --out never builds the whole product, so two
+        30x30 diagonal-U(2) tori, whose product exceeds the size limit,
+        decompose; the counts are |V||V'| and |E||V'| + |V||E'|."""
+        rng = np.random.default_rng(29)
+        paths = []
+        for k in range(2):
+            paths.append(str(tmp_path / f"torus{k}.json"))
+            Path(paths[-1]).write_text(json.dumps(diagonal_torus(rng, 30).to_document()))
+        assert main(["--json", "product", *paths, "--decompose", "t0_0,t0_0"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["residual"] <= 1e-12
+        assert (results["vertices"], results["edges"]) == (900 * 900, 2 * 1800 * 900)
+        assert "written" not in results
+        assert main(["product", *paths]) == 1
+        assert "exceed the limit" in capsys.readouterr().err
 
     def test_noncommuting_decomposition_exits_1(self, fixture_file, capsys):
         code = main(["product", fixture_file("triangle_u2"), fixture_file("diamond_u2"),

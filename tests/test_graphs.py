@@ -10,12 +10,16 @@ import concurv.graphs as graphs
 from concurv import (
     INF,
     ConnectionGraph,
+    ProductSpec,
     ValidationError,
     add_spherical_edge,
     curvature,
     is_locally_balanced,
     load_graph,
     local_structure,
+    merge_s2,
+    product_decomposition,
+    s1_in_regular,
     signature_groups_commute,
     switch,
 )
@@ -34,6 +38,8 @@ from helpers import (
     random_commuting_pair,
     random_diagonal_graph,
     random_graph,
+    random_merge_instance,
+    random_s1_in_regular_graph,
     random_switching,
     random_unitary,
 )
@@ -699,6 +705,23 @@ def ball_entries(loc):
     return [(loc.s1[i], names[k]) for i, k in zip(loc.edge_row.tolist(), loc.edge_col.tolist())]
 
 
+BALL_ARRAYS = ("p_x", "sigma_x", "edge_row", "edge_col", "edge_p", "edge_sigma")
+
+
+def ungathered(g):
+    """A copy of g without its stored gather, whose one-ball calls gather a
+    single center."""
+    return ConnectionGraph._from_arrays(g.dimension, g.field, *g._arrays())
+
+
+def assert_same_ball(a, b):
+    assert (a.center, a.s1, a.s2, a.d, a.m, a.n) == (b.center, b.s1, b.s2, b.d, b.m, b.n)
+    assert a.dx_over_mux == b.dx_over_mux
+    for name in BALL_ARRAYS:
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+
+
 class TestLocalStructure:
     def test_u2_fixture(self):
         loc = local_structure(fixture_graph("g1_u2"), "1")
@@ -742,31 +765,126 @@ class TestLocalStructure:
         assert ball_entries(loc) == [("y", "x"), ("y", "z1"), ("y", "z2")]
 
     def test_matches_graph_loops(self):
-        """Spheres, rates and connections of every ball's arrays against the
-        loop extraction from the graph, at every vertex of fixtures and 80
-        random graphs, including 2-sphere edges that must be dropped."""
+        """Spheres, rates and connections of every ball's arrays, sliced
+        from the stored gather and gathered for its center alone, against
+        the loop extraction from the graph, at every vertex of fixtures and
+        80 random graphs, including 2-sphere edges that must be dropped."""
         rng = np.random.default_rng(24)
-        graphs = [fixture_graph("g1_u2"), fixture_graph("positive_strip")]
-        graphs += [random_graph(rng, n_max=8, d=1 + t % 3, extra_edge_p=0.45) for t in range(80)]
-        for g in graphs:
+        cases = [fixture_graph("g1_u2"), fixture_graph("positive_strip")]
+        cases += [random_graph(rng, n_max=8, d=1 + t % 3, extra_edge_p=0.45) for t in range(80)]
+        for g in cases:
+            single = ungathered(g)
+            for x in (x for x in g.vertex_ids if g.neighbors(x)):
+                ball = ball_from_graph_loops(g, x)
+                for loc in (local_structure(g, x), graphs._one_ball(single, x)):
+                    assert (loc.s1, loc.s2) == (ball.s1, ball.s2)
+                    assert loc.p_x.tolist() == [ball.p[(x, y)] for y in ball.s1]
+                    for y, s in zip(loc.s1, loc.sigma_x):
+                        assert np.array_equal(s, ball.sigma[(x, y)])
+                    entries = ball_entries(loc)
+                    # every in-ball edge leaving the 1-sphere once, sorted by (col, row)
+                    assert sorted(entries) == sorted((u, v) for (u, v) in ball.p if u in ball.s1)
+                    keys = list(zip(loc.edge_col.tolist(), loc.edge_row.tolist()))
+                    assert keys == sorted(keys)
+                    for (u, v), r, s in zip(entries, loc.edge_p.tolist(), loc.edge_sigma):
+                        assert r == ball.p[(u, v)]
+                        assert np.array_equal(s, ball.sigma[(u, v)])
+                    assert loc.dx_over_mux == ball.dx_over_mux
+            assert single._balls is None
+
+    def test_stored_and_single_center_agree(self, monkeypatch):
+        """Every ball sliced from the graph's stored gather equals the one
+        gathered for its center alone, field by field, with bit-identical K.
+        The draws include an isolated vertex, a graph with no edges, complete
+        graphs (an empty 2-sphere) and edges inside the 2-sphere; the stored
+        gather of a graph too large to hold one is never built."""
+        rng = np.random.default_rng(26)
+        draws = [random_graph(rng, n_max=8, d=1 + t % 3, extra_edge_p=p)
+                 for t, p in enumerate([0.1, 0.45, 0.8] * 12)]
+        ids, mu, u, v, w, s = draws[0]._arrays()
+        with_isolated = ConnectionGraph._from_arrays(draws[0].dimension, "complex", (*ids, "iso"),
+                                                     np.append(mu, 1.0), u, v, w, s)
+        no_edges = ConnectionGraph(2, "complex", [("a", 1.0), ("b", 2.0)], [])
+        complete = [ConnectionGraph(d, "complex", [(str(k), 1.0 + k) for k in range(5)],
+                                    [(str(a), str(b), 0.5 + a, random_unitary(rng, d))
+                                     for a in range(5) for b in range(a + 1, 5)])
+                    for d in (1, 2)]
+        cases = draws + [with_isolated, no_edges] + complete
+        assert all(local_structure(g, "0").n == 0 for g in complete)
+        s2_edges = 0
+        for g in cases:
+            single = ungathered(g)
             for x in g.vertex_ids:
                 if not g.neighbors(x):
+                    with pytest.raises(ValidationError, match="isolated"):
+                        local_structure(g, x)
+                    with pytest.raises(ValidationError, match="isolated"):
+                        graphs._one_ball(single, x)
                     continue
-                loc = local_structure(g, x)
-                ball = ball_from_graph_loops(g, x)
-                assert (loc.s1, loc.s2) == (ball.s1, ball.s2)
-                assert loc.p_x.tolist() == [ball.p[(x, y)] for y in ball.s1]
-                for y, s in zip(loc.s1, loc.sigma_x):
-                    assert np.array_equal(s, ball.sigma[(x, y)])
-                entries = ball_entries(loc)
-                # every in-ball edge leaving the 1-sphere once, sorted by (col, row)
-                assert sorted(entries) == sorted((u, v) for (u, v) in ball.p if u in ball.s1)
-                keys = list(zip(loc.edge_col.tolist(), loc.edge_row.tolist()))
-                assert keys == sorted(keys)
-                for (u, v), r, s in zip(entries, loc.edge_p.tolist(), loc.edge_sigma):
-                    assert r == ball.p[(u, v)]
-                    assert np.array_equal(s, ball.sigma[(u, v)])
-                assert loc.dx_over_mux == ball.dx_over_mux
+                stored, one = local_structure(g, x), graphs._one_ball(single, x)
+                assert_same_ball(stored, one)
+                for n in (INF, 4.0, 1.0):
+                    assert curvature(stored, n) == curvature(one, n)
+                names = set(stored.s2)
+                s2_edges += sum(1 for z in stored.s2 for y in g.neighbors(z) if y in names)
+            assert isinstance(g._balls, graphs._Gathered)
+            assert single._balls is None
+        assert s2_edges > 0
+        assert no_edges._balls.e.size == 0
+
+        # Past the size limit every call gathers one center, and nothing is stored.
+        g = draws[1]
+        deg = np.diff(g.index.indptr)
+        monkeypatch.setattr(graphs, "MAX_CONNECTION_ENTRIES", int(deg @ deg) - 1)
+        over_limit = ungathered(g)
+        for x in g.vertex_ids:
+            assert_same_ball(local_structure(over_limit, x), local_structure(g, x))
+        assert over_limit._balls is False
+
+    def test_derived_graph_gathers_its_own(self):
+        """A switched or edited graph builds its own gather on its first
+        local_structure call and leaves its parent's as it was."""
+        rng = np.random.default_rng(27)
+        g, x, yi, yj = random_s1_in_regular_graph(rng, d=2)
+        local_structure(g, x)
+        parent = g._balls
+        kept = [a.copy() for a in parent]
+        edited, _ = add_spherical_edge(g, x, yi, yj)
+        switched = switch(g, random_switching(rng, g))
+        for h in (edited, switched):
+            assert h._balls is None   # a derived graph starts without a gather
+            for y in h.vertex_ids:
+                assert_same_ball(local_structure(h, y), graphs._one_ball(ungathered(h), y))
+            assert h._balls is not parent
+        assert g._balls is parent
+        assert all(np.array_equal(a, b) for a, b in zip(parent, kept))
+        assert not local_structure(g, x).edge_row.flags.writeable
+
+    def test_one_off_callers_gather_one_center(self, monkeypatch, tmp_path):
+        """Edits, the product check and the single-vertex CLI commands read
+        one ball of a graph they derive or discard, so no gather they run
+        holds more than one center."""
+        sizes = []
+        gather = graphs._gather
+
+        def counted(index, centers):
+            sizes.append(len(centers))
+            return gather(index, centers)
+
+        monkeypatch.setattr(graphs, "_gather", counted)
+        rng = np.random.default_rng(28)
+        g, x, yi, yj = random_s1_in_regular_graph(rng, d=2)
+        s1_in_regular(g, x)
+        add_spherical_edge(g, x, yi, yj)
+        g, x, zk, zl = random_merge_instance(rng, d=2)
+        merge_s2(g, x, zk, zl)
+        g1, g2 = random_graph(rng, d=1), random_graph(rng, d=2)
+        product_decomposition(g1, g2, ProductSpec(lift="tensor"), "1", "1", INF, 2.0)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(g.to_document()))
+        for argv in (["curvature", "--oracle"], ["profile", "--grid", "1,inf"], ["balance"]):
+            assert main([argv[0], str(path), "--vertex", x, *argv[1:]]) == 0
+        assert sizes and set(sizes) == {1}
 
     def test_deterministic(self):
         rng = np.random.default_rng(22)
@@ -774,7 +892,7 @@ class TestLocalStructure:
         a = local_structure(g, "1")
         b = local_structure(g, "1")
         assert a.s1 == b.s1 and a.s2 == b.s2
-        for name in ("p_x", "sigma_x", "edge_row", "edge_col", "edge_p", "edge_sigma"):
+        for name in BALL_ARRAYS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 

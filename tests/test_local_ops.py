@@ -76,13 +76,14 @@ class TestAddSphericalEdge:
 
     def test_each_2_ball_built_once(self, monkeypatch):
         import concurv.local_ops as local_ops
+        from concurv.graphs import _one_ball
         calls = []
 
         def counted(g, x):
             calls.append(x)
-            return local_structure(g, x)
+            return _one_ball(g, x)
 
-        monkeypatch.setattr(local_ops, "local_structure", counted)
+        monkeypatch.setattr(local_ops, "_one_ball", counted)
         g, x, yi, yj = random_s1_in_regular_graph(np.random.default_rng(104), d=2)
         add_spherical_edge(g, x, yi, yj)   # balanced default: the S1-in check runs
         assert calls == [x, x]             # before and after the edit

@@ -24,6 +24,7 @@ from concurv.fixtures import PRODUCT_NONCOMMUTING, fixture_graph
 
 from helpers import (
     assert_close,
+    diagonal_torus,
     gamma_forms,
     pinv,
     random_balanced_graph,
@@ -37,21 +38,6 @@ def k2_graph(ids=("a", "b")):
     return load_graph({"dimension": 1,
                        "vertices": [{"id": ids[0]}, {"id": ids[1]}],
                        "edges": [{"u": ids[0], "v": ids[1]}]})
-
-
-def diagonal_torus(rng, side, edge=None, sigma=None):
-    """The side x side torus ("ti_j") with random diagonal U(2) connections,
-    any two of which commute; the stored edge ``edge`` carries ``sigma``."""
-    def t(i, j):
-        return f"t{i % side}_{j % side}"
-    edges = []
-    for i in range(side):
-        for j in range(side):
-            for uv in ((t(i, j), t(i + 1, j)), (t(i, j), t(i, j + 1))):
-                s = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=2)))
-                edges.append((*uv, 1.0, sigma if uv == edge else s))
-    return ConnectionGraph(2, "complex", [(t(i, j), 1.0) for i in range(side)
-                                          for j in range(side)], edges)
 
 
 def trivializing_switch(g, x):
@@ -300,6 +286,19 @@ class TestDecomposition:
                 assert_close(dec.r, want, 1e-10 * max(1.0, float(np.max(np.abs(want)))))
                 pairs += 1
         assert pairs >= 12
+
+    def test_r_judged_at_its_terms(self):
+        """R is the difference of kernel-block terms of size about 2.4 that
+        cancel to about 1e-9 here, where a factor's kernel block has
+        eigenvalues near 4e-6.  Its rounding, lambda_min(R) = -1.7e-9,
+        follows those terms and not max|R|, so the decomposition holds."""
+        rng = np.random.default_rng(1052)
+        pairs = [(random_graph(rng, d=1), random_graph(rng, d=2)) for _ in range(3)]
+        g, g2 = pairs[2]
+        for n, n2 in ((2.0, INF), (INF, INF), (4.0, 2.0)):
+            dec = product_decomposition(g, g2, ProductSpec(lift="tensor"), "1", "1", n, n2)
+            assert float(np.linalg.eigvalsh(dec.r)[0]) >= -1e-8
+            assert float(np.linalg.eigvalsh(dec.j)[0]) >= -1e-12
 
     def test_noncommuting_refused(self):
         with pytest.raises(ValidationError, match="commute"):
