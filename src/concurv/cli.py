@@ -211,7 +211,7 @@ def cmd_profile(args) -> tuple[int, Report]:
         )
     report.doc["results"]["profile"] = rows
     report.add("constant_from", _n_value(profile.constant_from))
-    report.add("equality_from", _n_value(profile.equality_from))
+    report.add("n0", _n_value(profile.n0), "inf" if profile.n0 == INF else fmt_value(profile.n0))
     return 0, report
 
 

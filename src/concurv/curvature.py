@@ -34,8 +34,8 @@ INF = float("inf")
 BASIS_TOL = 1e-9         # allowed residual of B (2 Gamma) B^H = diag(0, I), entrywise relative
 ORACLE_PSD_SLACK = 1e-9  # feasibility slack of the bisection oracle, relative to its matrices
 ORACLE_BRACKET = 1e-10   # the oracle bisects K to a bracket this wide, relative to max(1, |K|)
-PROFILE_TOL = 1e-9       # constancy assertions on curvature profiles
-PROFILE_SHAPE_SLACK = 1e-7  # monotonicity/concavity slack on sampled profiles
+PROFILE_TOL = 1e-9       # constancy: z on the lambda_1 cluster, N0 slack, K(N) = K(inf) check
+PROFILE_SHAPE_SLACK = 1e-7  # monotonicity/concavity slack on sampled profiles, relative
 
 
 def _check_n(n) -> float:
@@ -131,9 +131,9 @@ class CurvatureBundle:
     ``q2 = 4*Q / 2``; ``a`` is the d x d kernel block, ``eig`` its eigh and
     rank; ``omega_t`` is the d x md block omega^T; ``a_inf`` is the
     N-independent curvature matrix in the canonical basis, exactly Hermitian.
-    ``v0`` and the canonical basis ``b`` are formed on first read.  ``a_n`` is
-    the one A_N formula, ``k`` reads K off its eigenvalues, and
-    ``basis_unitary`` carries it to any other basis.
+    ``v0``, the canonical basis ``b`` and the constancy threshold ``n0`` are
+    formed on first read.  ``a_n`` is the one A_N formula, ``k`` reads K off
+    its eigenvalues, and ``basis_unitary`` carries it to any other basis.
     """
 
     local: LocalStructure
@@ -155,6 +155,21 @@ class CurvatureBundle:
         local = self.local
         p = np.sqrt(local.p_x)[:, None, None]
         return (p * local.sigma_x.transpose(0, 2, 1)).reshape(local.m * local.d, local.d)
+
+    @cached_property
+    def n0(self) -> float:
+        """The least N with K(N) = K(inf), inf if there is none.  With
+        ``A_inf = U diag(lam) U^H`` and ``z = U^H v0``: inf when z is not zero
+        (to PROFILE_TOL of max|z|) on the cluster of lam_1 that ``_lambda_min``
+        counts, else ``2 lambda_max(sum over the rest of z_i^H z_i / (lam_i - lam_1))``."""
+        lam, u = np.linalg.eigh(self.a_inf)
+        z = u.conj().T @ self.v0
+        c = _lambda_min(lam)[1]
+        mag = np.abs(z)
+        if mag[:c].max() > PROFILE_TOL * mag.max():
+            return INF
+        y = z[c:] / np.sqrt(lam[c:] - lam[0])[:, None]
+        return 2.0 * float(np.linalg.eigvalsh(y.conj().T @ y)[-1])
 
     def a_n(self, n) -> np.ndarray:
         """``A_N = A_inf - (2/N) v0 v0^H``, exactly Hermitian, for an N that
@@ -223,7 +238,7 @@ def curvature(local: LocalStructure, n) -> tuple[float, int]:
     """The N-curvature of the center and the eigenvalue multiplicity.
 
     Equals the smallest eigenvalue of A_N in the canonical basis; the
-    multiplicity counts eigenvalues within a relative gap of 1e-8.  Only
+    multiplicity is ``hermitian._lambda_min``'s, at the spectrum's scale.  Only
     eigenvalues are computed, from one elimination.  N follows the one rule
     of ``_check_n``: positive with 2/N finite, or inf.
     """
@@ -350,26 +365,24 @@ def curvature_oracle(local: LocalStructure, n) -> float:
 
 @dataclass(frozen=True)
 class CurvatureProfile:
-    """Sampled curvature function N -> K(N) with structure flags.
+    """Sampled curvature function N -> K(N) with its constancy threshold.
 
-    ``constant_from`` is the first sampled N whose smallest-eigenvalue
-    multiplicity exceeds d; from there on the function is constant (checked,
-    violation raises).  ``equality_from`` is the first sampled N at which two
-    consecutive samples agree to 1e-9; it is informational only, since a
-    slowly increasing function can produce numerically equal samples.
+    ``n0`` is ``CurvatureBundle.n0``: K(N) = K(inf) exactly for N >= n0.
+    ``constant_from`` is the first sampled N >= ``n0 (1 - PROFILE_TOL)``, so
+    a grid point equal to n0 up to rounding counts, or None if there is none.
     """
 
     samples: tuple[tuple[float, float, int], ...]
     constant_from: float | None
-    equality_from: float | None
+    n0: float
 
 
 def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:
     """Sample K(N) and multiplicities on an ascending grid (inf allowed last).
 
-    Validates the shape guarantees of the curvature function: monotone
-    non-decreasing and concave along the samples (slack 1e-7), and constancy
-    after a detected multiplicity > d (slack 1e-9).
+    Validates, each at the scale ``max(1, max|A_inf|, max|K|)`` where the
+    samples round: monotone non-decreasing and concave along the samples
+    (PROFILE_SHAPE_SLACK), and equal to K(inf) from ``constant_from`` on (PROFILE_TOL).
     """
     grid = [_check_n(n) for n in grid]
     if not grid:
@@ -377,43 +390,29 @@ def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:
     if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
         raise ValidationError("curvature_profile: grid must be strictly ascending")
 
-    evaluate = curvature_function(local)
-    samples = [(n, *evaluate(n)) for n in grid]
-
+    bundle = curvature_bundle(local)
+    samples = [(n, *bundle.k(n)) for n in grid]
     ks = [k for _, k, _ in samples]
+    scale = max(1.0, float(np.abs(bundle.a_inf).max()), *map(abs, ks))
     for i in range(len(ks) - 1):
-        if ks[i + 1] < ks[i] - PROFILE_SHAPE_SLACK:
+        if ks[i + 1] < ks[i] - PROFILE_SHAPE_SLACK * scale:
             raise CrossCheckError(
                 f"curvature profile is not monotone: K({grid[i]})={ks[i]:.12g} "
-                f"> K({grid[i + 1]})={ks[i + 1]:.12g}"
-            )
+                f"> K({grid[i + 1]})={ks[i + 1]:.12g}")
     for i in range(len(ks) - 2):
         n1, n2, n3 = grid[i], grid[i + 1], grid[i + 2]
         if n3 == INF:
             continue
         chord = ks[i] + (ks[i + 2] - ks[i]) * (n2 - n1) / (n3 - n1)
-        if ks[i + 1] < chord - PROFILE_SHAPE_SLACK:
+        if ks[i + 1] < chord - PROFILE_SHAPE_SLACK * scale:
             raise CrossCheckError(
                 f"curvature profile is not concave at N={n2}: "
-                f"K={ks[i + 1]:.12g} < chord {chord:.12g}"
-            )
+                f"K={ks[i + 1]:.12g} < chord {chord:.12g}")
 
-    constant_from = None
-    for i, (n, k, mult) in enumerate(samples):
-        if mult > local.d:
-            constant_from = n
-            for n2, k2, _ in samples[i + 1:]:
-                if abs(k2 - k) > PROFILE_TOL:
-                    raise CrossCheckError(
-                        f"multiplicity {mult} > d at N={n} but K moves from "
-                        f"{k:.12g} to {k2:.12g} at N={n2}"
-                    )
-            break
-
-    equality_from = None
-    for i in range(len(samples) - 1):
-        if abs(ks[i + 1] - ks[i]) <= PROFILE_TOL:
-            equality_from = samples[i][0]
-            break
-
-    return CurvatureProfile(tuple(samples), constant_from, equality_from)
+    n0, k_inf = bundle.n0, bundle.k(INF)[0]
+    tail = [s for s in samples if n0 < INF and s[0] >= n0 * (1.0 - PROFILE_TOL)]
+    for n, k, _ in tail:
+        if abs(k - k_inf) > PROFILE_TOL * scale:
+            raise CrossCheckError(f"K(N) is constant from N0={n0:.12g} but K({n})={k:.12g} "
+                                  f"differs from K(inf)={k_inf:.12g}")
+    return CurvatureProfile(tuple(samples), tail[0][0] if tail else None, n0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -36,32 +37,49 @@ def _polar_unitary(a: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
+def _holds_bool(x, depth: int) -> bool:
+    """Whether x, ``depth`` levels of sequences around its entries, holds a
+    boolean entry; numpy's dtype cannot tell, as True beside a number is 1.
+    An ``np.matrix`` iterates as matrices, never as entries, so an array
+    left at the last level is judged by its dtype."""
+    for _ in range(depth - 1):
+        x = chain.from_iterable(x)
+    x = list(x)
+    kinds = set(map(type, x))
+    if any(issubclass(k, np.ndarray) for k in kinds):
+        kinds.update(a.dtype.type for a in x if isinstance(a, np.ndarray))
+    return not kinds.isdisjoint((bool, np.bool_))
+
+
 def _connections(mats: list, d: int, where, real: bool = False,
                  cells: bool = False) -> tuple[np.ndarray, bool]:
     """The connection rule: k matrices as one checked (k, d, d) complex
     stack, and whether every one of them is real.
 
     All k are converted by one ``np.array`` call into numbers (dtype kind
-    i, u, f or c): strings, booleans and objects are refused, as is a
-    matrix that is not d x d.  With ``cells`` each entry is a JSON
-    ``[re, im]`` pair of real numbers, viewed as complex without
-    arithmetic, so it is exactly the number written.  The stack is then
-    checked by :func:`_check_unitary` (with ``real``, a connection with an
-    imaginary entry is refused).  ``where(k)`` names matrix k in the error.
+    i, u, f or c): strings, booleans (also beside numbers, found by
+    :func:`_holds_bool`) and objects are refused, as is a matrix that is
+    not d x d.  With ``cells`` each entry is a JSON ``[re, im]`` pair of
+    real numbers, viewed as complex without arithmetic, so it is exactly
+    the number written.  The stack is then checked by :func:`_check_unitary`
+    (with ``real``, a connection with an imaginary entry is refused).
+    ``where(k)`` names matrix k in the error.
     """
     shape, kinds = ((len(mats), d, d, 2), "iuf") if cells else ((len(mats), d, d), "iufc")
     try:
         a = np.array(mats) if mats else np.empty(shape)
     except (TypeError, ValueError, OverflowError):  # ragged nesting
         a = None
-    if a is None or a.shape != shape or a.dtype.kind not in kinds:
+    if (a is None or a.shape != shape or a.dtype.kind not in kinds
+            or _holds_bool(mats, a.ndim)):
         # Only after the stacked conversion failed: find the matrix to blame.
         for k, mat in enumerate(mats):
             try:
                 m = np.array(mat)
             except (TypeError, ValueError, OverflowError):
                 m = np.array(None)  # ragged: an object, so malformed below
-            if m.dtype.kind not in kinds or cells and m.shape[2:] != (2,):
+            if (m.dtype.kind not in kinds or _holds_bool([mat], m.ndim + 1)
+                    or cells and m.shape[2:] != (2,)):
                 raise ValidationError(
                     f"{where(k)}: malformed sigma, expected a {d} x {d} matrix of numbers "
                     "([re, im] pairs in a document)")
@@ -658,14 +676,14 @@ def local_structure(g: ConnectionGraph, x: str) -> LocalStructure:
     Raises for an unknown or isolated center (curvature is undefined when the
     1-sphere is empty).  Edges joining two 2-sphere vertices are not included.
     The first call gathers the balls of every vertex of g at once and stores
-    the gather as read-only int32 arrays, and every call slices it; a graph
+    the gather as read-only intp arrays, and every call slices it; a graph
     whose gather would hold more than MAX_CONNECTION_ENTRIES entries (the
     sum of deg(y)^2 over its vertices) gathers one ball per call instead.
     """
     if g._balls is None:
         deg = np.diff(g.index.indptr)
         if int(deg @ deg) <= MAX_CONNECTION_ENTRIES:
-            balls = _Gathered(*(a.astype(np.int32) for a in _gather(g.index, np.arange(deg.size))))
+            balls = _gather(g.index, np.arange(deg.size))
             for a in balls:
                 a.setflags(write=False)
         else:

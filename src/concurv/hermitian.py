@@ -18,7 +18,7 @@ from .errors import ValidationError
 HERMITIAN_TOL = 1e-9        # max allowed |M - M^H| entry, relative to max(1, max|M|)
 PSD_SLACK = 1e-9            # lambda_min >= -PSD_SLACK * max(1, |M|) counts as PSD
 PINV_RTOL_SCALE = 1e-10     # pseudoinverse cutoff is PINV_RTOL_SCALE * n * max abs(eigenvalue)
-MULTIPLICITY_GAP = 1e-8     # relative gap grouping eigenvalues with lambda_min
+MULTIPLICITY_GAP = 1e-8     # gap grouping eigenvalues with lambda_min, relative to |lambda_min|
 
 
 def _as_array(m) -> np.ndarray:
@@ -115,9 +115,8 @@ def schur_complement(s, keep) -> HermitianMatrix:
 def min_eig_hermitian(m):
     """Smallest eigenvalue of a Hermitian matrix.
 
-    Returns ``(lambda_min, eigvec, multiplicity)`` where the multiplicity
-    counts eigenvalues within ``MULTIPLICITY_GAP * max(1, |lambda_min|)`` of
-    the smallest one.
+    Returns ``(lambda_min, eigvec, multiplicity)``, the multiplicity by the
+    one rule of :func:`_lambda_min`.
     """
     a = m.mat if isinstance(m, HermitianMatrix) else HermitianMatrix(m).mat
     w, v = np.linalg.eigh(a)
@@ -126,9 +125,11 @@ def min_eig_hermitian(m):
 
 
 def _lambda_min(w: np.ndarray) -> tuple[float, int]:
-    """The smallest of the ascending eigenvalues ``w`` and its multiplicity:
-    the count of eigenvalues within ``MULTIPLICITY_GAP * max(1, |lambda_min|)``
-    of it."""
-    lam = float(w[0])
-    gap = MULTIPLICITY_GAP * max(1.0, abs(lam))
+    """The smallest of the ascending eigenvalues ``w`` and its multiplicity, by
+    the one multiplicity and cluster rule: the count of those within
+    ``MULTIPLICITY_GAP * |w[0]|`` of it, or within ``2**14`` epsilons of max|w|
+    if wider, near eigh's resolution yet above nearly all the rounding that
+    eliminating a balanced ball leaves on a cluster at zero."""
+    lam, top = float(w[0]), max(abs(float(w[0])), abs(float(w[-1])))
+    gap = max(MULTIPLICITY_GAP * abs(lam), 2.0 ** 14 * np.finfo(float).eps * top)
     return lam, int(np.count_nonzero(w <= lam + gap))

@@ -352,31 +352,101 @@ def q_reference(g: ConnectionGraph, x: str):
     return q
 
 
-def curvature_reference(g: ConnectionGraph, x: str, dps: int = 50) -> float:
-    """K(inf) at x to ``dps`` digits, from the graph's double inputs taken as
-    exact.
+REFERENCE_CUT = 1e-40   # at 50 digits: an eigenvalue this far below the scale is exactly zero
 
-    4*Q comes from :func:`q_reference`; the kernel block a is eliminated
-    with an exact inverse in the canonical basis, and K is the smallest
-    eigenvalue from ``mpmath.eighe``.  The kernel block must be nonsingular
-    (an unbalanced ball).
+
+def _max_abs(m):
+    return max(abs(m[i, j]) for i in range(m.rows) for j in range(m.cols))
+
+
+def _reference_record(g: ConnectionGraph, x: str):
+    """``(A_inf, v0)`` at x at the working precision, from the graph's double
+    inputs taken as exact.
+
+    4*Q comes from :func:`q_reference` and the canonical basis B0 makes
+    ``S = B0 (4Q/2) B0^H``.  The kernel block a of S is eliminated on its
+    eigendirections above ``REFERENCE_CUT * max|S|`` only, so an exactly
+    zero a (a balanced ball) has rank 0.  v0 has the blocks
+    ``sqrt(p_xyi) sigma_xyi^T``, and ``A_N = A_inf - (2/N) v0 v0^H``.
     """
     import mpmath
 
     loc = local_structure(g, x)
     d, b1 = loc.d, (loc.m + 1) * loc.d
+    q = q_reference(g, x)
+    b = mpmath.eye(b1)
+    v0 = mpmath.matrix(b1 - d, d)
+    for i, y in enumerate(loc.s1):
+        blk, sigma, root = (i + 1) * d, g.sigma(x, y), mpmath.sqrt(g.p(x, y))
+        for k in range(d):
+            for col in range(d):
+                b[k, blk + col] = mpmath.mpc(complex(sigma[k, col])).conjugate()
+                v0[blk - d + col, k] = root * mpmath.mpc(complex(sigma[k, col]))
+            b[blk + k, blk + k] = 1 / root
+    s = b * (q / 2) * b.H
+    lam, u = mpmath.eighe(s[:d, :d])
+    a_plus = mpmath.matrix(d, d)
+    for j in range(d):
+        if abs(lam[j]) > REFERENCE_CUT * _max_abs(s):
+            a_plus += u[:, j] * u[:, j].H / lam[j]
+    return s[d:, d:] - s[d:, :d] * a_plus * s[:d, d:], v0
+
+
+def _reference_spectrum(a_inf, v0, n) -> list:
+    """The ascending eigenvalues, by ``mpmath.eighe`` at the working
+    precision, of ``A_N = A_inf - (2/N) v0 v0^H``."""
+    import mpmath
+
+    a_n = a_inf if n == INF else a_inf - (2 / mpmath.mpf(n)) * v0 * v0.H
+    return sorted(mpmath.eighe(a_n, eigvals_only=True))
+
+
+def curvature_reference(g: ConnectionGraph, x: str, n=INF, dps: int = 50) -> float:
+    """K(N) at x to ``dps`` digits: the smallest eigenvalue of A_N from
+    :func:`_reference_record`."""
+    import mpmath
+
     with mpmath.workdps(dps):
-        q = q_reference(g, x)
-        b = mpmath.eye(b1)
-        for i, y in enumerate(loc.s1):
-            blk = (i + 1) * d
-            for k in range(d):
-                for col in range(d):
-                    b[k, blk + col] = mpmath.mpc(complex(g.sigma(x, y)[k, col])).conjugate()
-                b[blk + k, blk + k] = 1 / mpmath.sqrt(g.p(x, y))
-        s = b * (q / 2) * b.H
-        a_inf = s[d:, d:] - s[d:, :d] * s[:d, :d] ** -1 * s[:d, d:]
-        return float(min(mpmath.eighe(a_inf, eigvals_only=True)))
+        return float(_reference_spectrum(*_reference_record(g, x), n)[0])
+
+
+def multiplicity_reference(g: ConnectionGraph, x: str, ns, dps: int = 50) -> list[int]:
+    """The multiplicity of K(N) at x for each N of ``ns``, by exact ties:
+    the count of the eigenvalues of A_N at ``dps`` digits within
+    ``REFERENCE_CUT`` of max|lambda| of the smallest."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        record, counts = _reference_record(g, x), []
+        for n in ns:
+            lam = _reference_spectrum(*record, n)
+            cut = REFERENCE_CUT * max(abs(lam[0]), abs(lam[-1]))
+            counts.append(sum(1 for v in lam if v - lam[0] <= cut))
+        return counts
+
+
+def n0_reference(g: ConnectionGraph, x: str, dps: int = 50) -> float:
+    """The constancy threshold N0 at x to ``dps`` digits, by the formula of
+    ``CurvatureBundle.n0`` on :func:`_reference_record`: with
+    ``A_inf = U diag(lam) U^H`` and ``z = U^H v0``, inf when z is not zero
+    on the eigenvalues equal to lam_1, else ``2 lambda_max(sum over the
+    others of z_i^H z_i / (lam_i - lam_1))``.  Equal means within
+    ``REFERENCE_CUT`` of max|lam|, and zero within it of max|z|."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a_inf, v0 = _reference_record(g, x)
+        lam, u = mpmath.eighe(a_inf)
+        z = u.H * v0
+        lam1, z_max = min(lam), _max_abs(z)
+        m = mpmath.matrix(v0.cols, v0.cols)
+        for i in range(len(lam)):
+            zi = z[i, :]
+            if lam[i] - lam1 > REFERENCE_CUT * _max_abs(lam):
+                m += zi.H * zi / (lam[i] - lam1)
+            elif _max_abs(zi) > REFERENCE_CUT * z_max:
+                return INF
+        return float(2 * max(mpmath.eighe(m, eigvals_only=True)))
 
 
 def q_full_schur(local) -> np.ndarray:

@@ -206,15 +206,15 @@ def test_criterion_08_curvature_function_shape():
         edges = [("c", f"l{i}", 1.0, None) for i in range(m)]
         return local_structure(ConnectionGraph(1, "real", vertices, edges), "c")
 
-    # stars hit multiplicity m > 1 at N = 2 and lock the function there
+    # stars have N0 = 2: the function is constant from N = 2 on
     locals_under_test = [star(3), star(4)]
     locals_under_test += [
         local_structure(random_graph(rng, n_max=5, d=1 if t % 2 == 0 else 2), "1")
         for t in range(48)
     ]
     for loc in locals_under_test:
-        profile = curvature_profile(loc, grid)  # validates shape at 1e-7,
-        # and constancy after multiplicity > d at 1e-9, raising on violation
+        profile = curvature_profile(loc, grid)  # validates shape, and K = K(inf)
+        # from constant_from (the first sample at or above N0) on, raising on violation
         ks = [k for _, k, _ in profile.samples]
         assert all(ks[i + 1] >= ks[i] - 1e-7 for i in range(len(ks) - 1))
         if profile.constant_from is not None:
@@ -224,7 +224,7 @@ def test_criterion_08_curvature_function_shape():
             for _, k, _ in profile.samples[idx:]:
                 assert abs(k - base) <= 1e-9
     assert constants_seen >= 2
-    report("08", f"50 profiles monotone+concave; multiplicity lock observed "
+    report("08", f"50 profiles monotone+concave; constant from N0 observed "
                  f"{constants_seen} times, constant within 1e-9 each time")
 
 

@@ -233,6 +233,22 @@ class TestProfileCommand:
         assert out.count("N=") == 4
         assert "constant_from" in out
 
+    def test_star_with_large_weights(self, tmp_path, capsys):
+        """The 3-leaf star with weights 1e10: N0 = 2 and K constant from
+        there, with every check at the scale of the curvature matrix (an
+        absolute slack failed it as not monotone, exit 2)."""
+        doc = {"dimension": 1, "vertices": [{"id": v} for v in "cabe"],
+               "edges": [{"u": "c", "v": v, "weight": 1e10} for v in "abe"]}
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(doc))
+        argv = ["profile", str(path), "--vertex", "c", "--grid", "1,2,3,4,8,inf"]
+        assert main(["--json", *argv]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["constant_from"] == 2.0
+        assert results["n0"] == pytest.approx(2.0, rel=1e-12)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split() == ["n0", "2"]
+
 
 class TestProductCommand:
     def test_product_and_decomposition(self, fixture_file, tmp_path, capsys):

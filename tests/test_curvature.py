@@ -35,6 +35,8 @@ from helpers import (
     dense_kernel_condition,
     gamma_forms,
     mixed_rates,
+    multiplicity_reference,
+    n0_reference,
     phase_triangle,
     pinv,
     random_balanced_graph,
@@ -507,6 +509,36 @@ class TestNearBalancedReference:
         assert abs(k - ref) <= (1e-9 if theta >= 1e-3 else 1e-3)
 
 
+class TestFiftyDigitReference:
+    """The library against the 50-digit ``curvature_reference`` and
+    ``n0_reference`` on fixtures whose data are exact (a ball balanced only
+    to rounding would defeat the reference's cut), balanced balls included:
+    g2_signed vertices 4-6, g3_signed 6 and positive_strip 6 and 9 have an
+    exactly zero kernel block, which the reference eliminates with rank 0."""
+
+    BALLS = ([("g2_signed", v) for v in "123456"] + [("g3_signed", "3"), ("g3_signed", "6")]
+             + [("positive_strip", v) for v in "169"])
+
+    @pytest.mark.parametrize("name, x", BALLS)
+    def test_curvature_at_finite_and_infinite_n(self, name, x):
+        pytest.importorskip("mpmath")
+        g = fixture_graph(name)
+        loc = local_structure(g, x)
+        for n in (INF, 4.0, 1.0):
+            ref = curvature_reference(g, x, n)
+            # measured: within 6e-16 * max(1, |K|) at every ball and N
+            assert abs(curvature(loc, n)[0] - ref) <= 1e-13 * max(1.0, abs(ref)), (n, ref)
+
+    @pytest.mark.parametrize("name, x", BALLS)
+    def test_constancy_threshold(self, name, x):
+        pytest.importorskip("mpmath")
+        g = fixture_graph(name)
+        ref = n0_reference(g, x)
+        assert ref == FINITE_N0.get((name, x), INF)
+        n0 = curvature_bundle(local_structure(g, x)).n0
+        assert n0 == ref or abs(n0 - ref) <= 1e-12 * ref
+
+
 class TestGammaNullFunctions:
     def test_null_gradient_implies_harmonic_and_nonnegative_gamma2(self):
         rng = np.random.default_rng(54)
@@ -553,11 +585,11 @@ class TestProfile:
             assert k <= lam_max - (2.0 / n) * loc.dx_over_mux + 1e-9
 
     def test_constant_after_large_multiplicity(self):
-        # the single edge has a 1x1 curvature matrix; multiplicity equals d=1
-        # and never exceeds it, so constant_from must stay unset
+        # the single edge has N0 = inf (z is not zero on the lambda_1 cluster
+        # of its 1x1 curvature matrix), so constant_from must stay unset
         profile = curvature_profile(single_edge_local(), [1.0, 2.0, INF])
         assert profile.constant_from is None
-        # a 3-leaf star hits multiplicity 3 > d at N = 2 and locks there
+        # a 3-leaf star has N0 = 2: K(N) = K(inf) from N = 2 on
         from concurv import ConnectionGraph
         star = ConnectionGraph(1, "real",
                                [("c", 1.0), ("a", 1.0), ("b", 1.0), ("e", 1.0)],
@@ -575,3 +607,137 @@ class TestProfile:
             curvature_profile(loc, [])
         with pytest.raises(ValidationError, match="ascending"):
             curvature_profile(loc, [2.0, 1.0])
+
+
+def _star(m: int, d: int = 1) -> ConnectionGraph:
+    return ConnectionGraph(d, "complex", [("c", 1.0)] + [(f"l{i}", 1.0) for i in range(m)],
+                           [("c", f"l{i}", 1.0, None) for i in range(m)])
+
+
+def _cycle(n: int, d: int = 1) -> ConnectionGraph:
+    return ConnectionGraph(d, "complex", [(str(i), 1.0) for i in range(n)],
+                           [(str(i), str((i + 1) % n), 1.0, None) for i in range(n)])
+
+
+def _threshold_cases():
+    """The 3-, 4- and 5-leaf stars, the cycles C5-C7 and every vertex of
+    every fixture: 56 balls."""
+    cases = [(_star(m), "c") for m in (3, 4, 5)] + [(_cycle(n), "0") for n in (5, 6, 7)]
+    for name in fixture_names():
+        g = fixture_graph(name)
+        cases += [(g, x) for x in g.vertex_ids if g.neighbors(x)]
+    return cases
+
+
+# N0 at the ten fixture balls where it is finite, to 20 digits from the
+# 50-digit n0_reference; every other fixture ball has N0 = inf.
+FINITE_N0 = {("positive_strip", "1"): 6.2462112512353210996,
+             ("g2_signed", "3"): 4.0, ("g3_signed", "3"): 4.0, ("g4_signed", "1"): 2.0,
+             **{(name, v): 8.0 / 3.0 for name in ("triangle_signed", "triangle_u2")
+                for v in "ABC"}}
+
+
+class TestConstancyThreshold:
+    """``CurvatureBundle.n0``, the least N with K(N) = K(inf), and the
+    profile's ``constant_from`` read from it: exact, and free of the unit of
+    the rates.  K(N) at N exactly N0 is not asserted: the eigenvalues cross
+    there, so its multiplicity is a rounding decision."""
+
+    SCALES = (1e-20, 1.0, 1e10, 1e20)
+    GRID = [1.0, 2.0, 3.0, 4.0, 8.0, INF]
+
+    def test_fixture_thresholds(self):
+        seen = set()
+        for name in fixture_names():
+            g = fixture_graph(name)
+            for x in (x for x in g.vertex_ids if g.neighbors(x)):
+                n0 = curvature_bundle(local_structure(g, x)).n0
+                assert n0 == pytest.approx(FINITE_N0.get((name, x), INF), rel=1e-12), (name, x)
+                seen.add((name, x))
+        assert set(FINITE_N0) <= seen
+
+    def test_profile_is_free_of_the_rate_unit(self):
+        """At rates scaled by 1e-20 to 1e20 every profile of the 56 balls
+        passes its checks with the same constant_from and N0 (the absolute
+        tolerances before gave 48 different constant_from and 23 false
+        cross-check failures)."""
+        for g, x in _threshold_cases():
+            profiles = [curvature_profile(local_structure(scaled_rates(g, s), x), self.GRID)
+                        for s in self.SCALES]
+            unit = profiles[1]
+            for p in profiles:
+                assert p.constant_from == unit.constant_from, (x, p)
+                assert p.n0 == unit.n0 or abs(p.n0 - unit.n0) <= 1e-12 * unit.n0, (x, p)
+
+    def test_multiplicities_are_free_of_the_rate_unit(self):
+        for name in fixture_names():
+            g = fixture_graph(name)
+            for x in (x for x in g.vertex_ids if g.neighbors(x)):
+                unit = local_structure(g, x)
+                for s in (1e-20, 1e20):
+                    loc = local_structure(scaled_rates(g, s), x)
+                    for n in (1.0, 4.0, INF):
+                        assert curvature(loc, n)[1] == curvature(unit, n)[1], (name, x, s, n)
+
+    def test_constant_from_between_grid_points(self):
+        """A grid that straddles N0 without holding it still finds it: the
+        first sample above N0 (the multiplicity rule found none here)."""
+        for name, x in FINITE_N0:
+            loc = local_structure(fixture_graph(name), x)
+            n0 = curvature_bundle(loc).n0
+            grid = [1.01 * n0, 2.0 * n0, INF]
+            assert curvature_profile(loc, grid).constant_from == grid[0], (name, x)
+
+    def test_disparate_rates(self):
+        """Rates alternating between 1 and 1e6 along the edges spread a
+        spectrum over up to 1e12, with eigh still resolving its gaps near
+        lam_1: the multiplicity counts the exact ties of the 50-digit
+        spectrum, and N0 is the 50-digit one (a gap of 1e-8 of max|lambda|
+        merged 9 of these 224).  At 1e8 the rates alone make gaps below
+        ``MULTIPLICITY_GAP * |lam_1|``, which the rule groups."""
+        ns = (1.0, 4.0, INF)
+        for g, x in _threshold_cases():
+            h = mixed_rates(g, 1.0, 1e6)
+            loc = local_structure(h, x)
+            assert [curvature(loc, n)[1] for n in ns] == multiplicity_reference(h, x, ns), x
+            assert curvature_bundle(loc).n0 == pytest.approx(n0_reference(h, x), rel=1e-9), x
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_switched_stars_and_cycles(self, d):
+        """Stars and cycles have N0 = 2, and switching changes no N0."""
+        rng = np.random.default_rng(240 + d)
+        graphs = [(_star(m, d), "c") for m in (3, 4, 5)] + [(_cycle(n, d), "0") for n in (5, 6, 7)]
+        for g, x in graphs:
+            switched = switch(g, {v: random_unitary(rng, d) for v in g.vertex_ids})
+            for h in (g, switched):
+                assert abs(curvature_bundle(local_structure(h, x)).n0 - 2.0) <= 1e-12
+
+    def test_oracle_brackets_n0(self):
+        """Just below N0 both the eigenvalue path and the independent oracle
+        put K below K(inf) (measured: by 1.7e-4 to 2.0e-3); just above, both
+        equal it (measured: within 8e-16)."""
+        for name, x in FINITE_N0:
+            loc = local_structure(fixture_graph(name), x)
+            n0, k_inf = curvature_bundle(loc).n0, curvature(loc, INF)[0]
+            below, above = 0.999 * n0, 1.001 * n0
+            for k in (curvature(loc, below)[0], curvature_oracle(loc, below)):
+                assert k < k_inf - 1e-6, (name, x, k, k_inf)
+            assert abs(curvature(loc, above)[0] - k_inf) <= 1e-12
+            assert abs(curvature_oracle(loc, above) - k_inf) <= 1e-10 * max(1.0, abs(k_inf))
+
+    def test_a_multiplicity_above_d_implies_n0(self):
+        """A sampled multiplicity above d, the old sufficient rule, is only
+        ever seen at N >= N0."""
+        rng = np.random.default_rng(241)
+        cases = _threshold_cases()
+        cases += [(random_graph(rng, d=1 + t % 3), "1") for t in range(60)]
+        grid = [*np.geomspace(0.5, 64.0, 22).tolist(), INF]
+        seen = 0
+        for g, x in cases:
+            loc = local_structure(g, x)
+            n0 = curvature_bundle(loc).n0
+            for n in grid:
+                if curvature(loc, n)[1] > loc.d:
+                    seen += 1
+                    assert n >= n0 * (1.0 - 1e-9), (x, n, n0)
+        assert seen

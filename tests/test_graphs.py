@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,14 @@ class TestOneFaultOrder:
         assert raised(lambda: load_graph(json.dumps(doc))) == (load_message or message)
 
 
+def bool_matrix(rows) -> np.matrix:
+    """An ``np.matrix`` of booleans, whose rows iterate as matrices again
+    (building one warns that the class is pending deprecation)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        return np.matrix(rows, dtype=bool)
+
+
 MALFORMED = "malformed sigma, expected a 1 x 1 matrix of numbers ([re, im] pairs in a document)"
 # Bad connections on a real d = 1 graph, each as a matrix and as a document's
 # [re, im] cells, with the message every entry point gives for it after the
@@ -343,6 +352,9 @@ MALFORMED = "malformed sigma, expected a 1 x 1 matrix of numbers ([re, im] pairs
 BAD_CONNECTIONS = {
     "string": ([["-1"]], [[["-1", "0"]]], MALFORMED),
     "boolean": ([[True]], [[[True, False]]], MALFORMED),
+    "boolean_beside_a_number": ([[True]], [[[True, 0]]], MALFORMED),
+    "number_beside_a_boolean": ([[np.True_]], [[[1, False]]], MALFORMED),
+    "boolean_matrix": (bool_matrix([[True]]), [[[True, 0]]], MALFORMED),
     "wrong_shape": ([[1.0, 0.0]], [[[1, 0], [0, 0]]], "sigma has shape (1, 2), expected (1, 1)"),
     "not_unitary": ([[2.0]], [[[2, 0]]],
                     "sigma is not unitary, |sigma sigma^H - I| = 3.000e+00 > 1.0e-09"),
@@ -413,14 +425,30 @@ class TestOneConnectionRule:
         assert switch(path, {"a": [[1j]], "b": [[1]], "c": [[1]]}).field == "complex"
         assert switch(path, {"a": [[1 + 1e-11j]], "b": [[1]], "c": [[1]]}).field == "real"
 
-    def test_a_boolean_among_numbers_converts_as_a_number(self):
-        """The dtype rule judges the stacked array: True next to numbers is 1."""
-        g = ConnectionGraph(2, "real", [("a", 1.0), ("b", 1.0)],
+    def test_a_boolean_among_numbers_is_refused(self):
+        """The stacked dtype would take True beside numbers as 1, in one
+        matrix or beside another connection, so the rule walks the input
+        for booleans, a parsed document's too, and judges an array met on
+        the way by its dtype."""
+        with pytest.raises(ValidationError, match="edge \\('a', 'b'\\): malformed sigma"):
+            ConnectionGraph(2, "real", [("a", 1.0), ("b", 1.0)],
                             [("a", "b", 1.0, [[True, 0.0], [0, 1]])])
-        assert np.array_equal(g.sigma("a", "b"), np.eye(2))
-        g = load_graph({"dimension": 1, "vertices": [{"id": "a"}, {"id": "b"}],
-                        "edges": [{"u": "a", "v": "b", "sigma": [[[True, 0]]]}]})
-        assert g.sigma("a", "b")[0, 0] == 1.0
+        vertices, edges = PATH
+        for bad in ([[True]], bool_matrix([[True]])):
+            with pytest.raises(ValidationError, match="edge \\('b', 'c'\\): malformed sigma"):
+                ConnectionGraph(1, "real", vertices, [(*edges[0][:3], [[1.0]]),
+                                                      (*edges[1][:3], bad)])
+        with pytest.raises(ValidationError, match="malformed sigma"):
+            switch(ConnectionGraph(1, "real", *PATH),
+                   {"a": bool_matrix([[True]]), "b": [[1.0]], "c": np.eye(1)})
+        doc = {"dimension": 1, "vertices": [{"id": "a"}, {"id": "b"}],
+               "edges": [{"u": "a", "v": "b", "sigma": [[[True, 0]]]}]}
+        for document in (doc, json.dumps(doc), json.dumps(doc).encode()):
+            with pytest.raises(ValidationError, match="edge \\('a', 'b'\\): malformed sigma"):
+                load_graph(document)
+        doc["vertices"][0]["id"] = doc["edges"][0]["u"] = "true"
+        doc["edges"][0]["sigma"] = [[[1, 0]]]
+        assert load_graph(json.dumps(doc)).sigma("true", "b")[0, 0] == 1.0
 
 
 class TestRateLimits:
@@ -719,7 +747,8 @@ def assert_same_ball(a, b):
     assert a.dx_over_mux == b.dx_over_mux
     for name in BALL_ARRAYS:
         got, want = getattr(a, name), getattr(b, name)
-        assert got.shape == want.shape and np.array_equal(got, want), name
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
 
 
 class TestLocalStructure:
