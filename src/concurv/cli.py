@@ -6,7 +6,8 @@ either as aligned text (default) or JSON (--json); exit code 0 on success,
 1 on validation failure (including a malformed argument), 2 on a numerical
 cross-check failure.  Every report records the comparison tolerance tol,
 COMPARISON_TOL or the env var CURV_TOL when it is set; ``curvature --oracle``
-accepts a gap up to ``tol * max(1, |K|)``.
+accepts a gap up to ``tol * CurvatureBundle.k_scale(K, K_oracle)`` and
+records that bound as ``oracle_bound``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .graphs import _connections, _one_ball, _raw_sigma, is_locally_balanced, lo
 
 FRACTION_MAX_DEN = 16
 FRACTION_TOL = 1e-9
-COMPARISON_TOL = 1e-8   # accepted |K - K_oracle| over max(1, |K|) unless CURV_TOL is set
+COMPARISON_TOL = 1e-8   # accepted |K - K_oracle| over k_scale(K, K_oracle) unless CURV_TOL is set
 
 
 def comparison_tol() -> float:
@@ -188,10 +189,11 @@ def cmd_curvature(args) -> tuple[int, Report]:
         report.add_number("oracle", k_oracle)
         gap = abs(k_oracle - k)
         report.add_number("oracle_gap", gap)
-        bound = report.doc["tolerance"] * max(1.0, abs(k))
+        bound = report.doc["tolerance"] * e.k_scale(k, k_oracle)
+        report.add_number("oracle_bound", bound)
         agree = gap <= bound
         report.add("oracle_agreement", agree, None if agree else
-                   f"FAIL (gap {gap:.3e} > tolerance * max(1, |K|) = {bound:.1e})")
+                   f"FAIL (gap {gap:.3e} > oracle_bound {bound:.3e})")
     if args.matrix:
         report.add_matrix("a_n", e.a_n(n))
     return (0 if agree else 2), report

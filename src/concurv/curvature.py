@@ -33,9 +33,9 @@ from .operators import _gamma2_array, _gamma_array, _q_array, delta_matrix
 INF = float("inf")
 BASIS_TOL = 1e-9         # allowed residual of B (2 Gamma) B^H = diag(0, I), entrywise relative
 ORACLE_PSD_SLACK = 1e-9  # feasibility slack of the bisection oracle, relative to its matrices
-ORACLE_BRACKET = 1e-10   # the oracle bisects K to a bracket this wide, relative to max(1, |K|)
-PROFILE_TOL = 1e-9       # constancy: z on the lambda_1 cluster, N0 slack, K(N) = K(inf) check
-PROFILE_SHAPE_SLACK = 1e-7  # monotonicity/concavity slack on sampled profiles, relative
+ORACLE_BRACKET = 1e-10   # width of the oracle's bisection bracket, relative to its bound on |K|
+PROFILE_TOL = 1e-9       # constancy: z on the lambda_1 cluster, and the N0 grid slack
+K_SLACK = 1e-9           # every comparison of two K, relative to CurvatureBundle.k_scale
 
 
 def _check_n(n) -> float:
@@ -133,7 +133,8 @@ class CurvatureBundle:
     N-independent curvature matrix in the canonical basis, exactly Hermitian.
     ``v0``, the canonical basis ``b`` and the constancy threshold ``n0`` are
     formed on first read.  ``a_n`` is the one A_N formula, ``k`` reads K off
-    its eigenvalues, and ``basis_unitary`` carries it to any other basis.
+    its eigenvalues, ``k_scale`` is the scale at which they round, and
+    ``basis_unitary`` carries it to any other basis.
     """
 
     local: LocalStructure
@@ -188,6 +189,11 @@ class CurvatureBundle:
     def k(self, n) -> tuple[float, int]:
         """K(N) and its multiplicity, from the eigenvalues of ``a_n(n)`` only."""
         return _lambda_min(np.linalg.eigvalsh(self.a_n(n)))
+
+    def k_scale(self, *ks) -> float:
+        """The scale at which a K of this ball rounds, ``max|A_inf|`` and |k|
+        for each k given, with no floor.  Every check on K allows K_SLACK of it."""
+        return max([float(np.abs(self.a_inf).max()), *map(abs, ks)])
 
     def basis_unitary(self, b) -> np.ndarray:
         """The md x md unitary U with ``B B0^{-1} = [[E, 0], [C, U]]``, for a
@@ -257,10 +263,10 @@ def curvature_oracle(local: LocalStructure, n) -> float:
 
     Tests ``lambda_min(Gamma_2(x) - (1/N) Delta Delta^H - K Gamma(x)) >=
     -ORACLE_PSD_SLACK * s`` on the full 2-ball matrix (the Gamma and Laplacian
-    terms are zero-padded over the 2-sphere block; s is the largest entry of
-    either term, at least 1) and bisects K to a bracket of width <=
-    ``ORACLE_BRACKET * max(1, |lo|, |hi|)``.
-    Deliberately independent of the Schur-complement/basis route.
+    terms are zero-padded over the 2-sphere block) and bisects K to a bracket
+    of width <= ``ORACLE_BRACKET * max(bound, |lo|, |hi|)``, with ``bound``
+    its Rayleigh bound on |K| and ``s = max(max|base|, bound * max|Gamma|)``:
+    no test has a floor.  Deliberately independent of the Schur/basis route.
 
     The PSD-slack bisection alone cannot resolve K on nearly balanced
     structures, where the binding eigenvalue crosses zero with a slope as
@@ -288,10 +294,13 @@ def curvature_oracle(local: LocalStructure, n) -> float:
     # symmetrized once: base - k * gamma_pad is then exactly Hermitian for every real k
     base = (base + base.conj().T) / 2.0
 
-    # The slack, the bracket and the refinement's zero test are relative, so
-    # the oracle ends, and agrees with K, at any scale of the rates.
-    scale_g = max(1.0, float(np.max(np.abs(gamma_pad))))
-    scale_m = max(scale_g, float(np.max(np.abs(base))))
+    # Bracket from the Rayleigh-quotient bound |K| <= |4 Gamma_2| / lambda_+,
+    # expanded defensively if the feasibility pattern disagrees.  Tests on the
+    # matrices (quadratic in the rates) read scale_m, tests on K the bound.
+    lam_plus = float(np.linalg.eigvalsh(two_gamma)[d])
+    bound = float(np.max(np.abs(four_gamma2))) / lam_plus
+    scale_g = float(np.max(np.abs(gamma_pad)))
+    scale_m = max(float(np.max(np.abs(base))), bound * scale_g)
 
     def smallest(k: float) -> float:
         return float(np.linalg.eigvalsh(base - k * gamma_pad)[0])
@@ -299,12 +308,7 @@ def curvature_oracle(local: LocalStructure, n) -> float:
     def feasible(k: float) -> bool:
         return smallest(k) >= -ORACLE_PSD_SLACK * scale_m
 
-    # Bracket from the Rayleigh-quotient bound |K| <= |4 Gamma_2| / lambda_+,
-    # expanded defensively if the feasibility pattern disagrees.
-    gvals = np.linalg.eigvalsh(two_gamma)
-    lam_plus = float(gvals[d])
-    bound = float(np.max(np.abs(four_gamma2))) / lam_plus
-    lo, hi = -4.0 * max(bound, 1.0), 4.0 * max(bound, 1.0)
+    lo, hi = -4.0 * bound, 4.0 * bound
     for _ in range(64):
         if feasible(lo):
             break
@@ -319,7 +323,7 @@ def curvature_oracle(local: LocalStructure, n) -> float:
         raise CrossCheckError("curvature_oracle could not bracket K from above")
 
     floor = lo
-    while hi - lo > ORACLE_BRACKET * max(1.0, abs(lo), abs(hi)):
+    while hi - lo > ORACLE_BRACKET * max(bound, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
@@ -355,8 +359,8 @@ def curvature_oracle(local: LocalStructure, n) -> float:
         pencil = white.conj().T @ mr @ white
         pencil = (pencil + pencil.conj().T) / 2.0
         step = float(np.linalg.eigvalsh(pencil)[0])
-        k_new = min(max(k + step, floor), hi + 1.0)
-        if abs(k_new - k) <= 1e-13 * max(1.0, abs(k)):
+        k_new = min(max(k + step, floor), hi + bound)
+        if abs(k_new - k) <= 1e-13 * max(bound, abs(k)):
             k = k_new
             break
         k = k_new
@@ -380,9 +384,9 @@ class CurvatureProfile:
 def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:
     """Sample K(N) and multiplicities on an ascending grid (inf allowed last).
 
-    Validates, each at the scale ``max(1, max|A_inf|, max|K|)`` where the
-    samples round: monotone non-decreasing and concave along the samples
-    (PROFILE_SHAPE_SLACK), and equal to K(inf) from ``constant_from`` on (PROFILE_TOL).
+    Validates, each to ``K_SLACK * k_scale`` of the samples: monotone
+    non-decreasing and concave along the samples, and equal to K(inf) from
+    ``constant_from`` on.
     """
     grid = [_check_n(n) for n in grid]
     if not grid:
@@ -393,9 +397,9 @@ def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:
     bundle = curvature_bundle(local)
     samples = [(n, *bundle.k(n)) for n in grid]
     ks = [k for _, k, _ in samples]
-    scale = max(1.0, float(np.abs(bundle.a_inf).max()), *map(abs, ks))
+    slack = K_SLACK * bundle.k_scale(*ks)
     for i in range(len(ks) - 1):
-        if ks[i + 1] < ks[i] - PROFILE_SHAPE_SLACK * scale:
+        if ks[i + 1] < ks[i] - slack:
             raise CrossCheckError(
                 f"curvature profile is not monotone: K({grid[i]})={ks[i]:.12g} "
                 f"> K({grid[i + 1]})={ks[i + 1]:.12g}")
@@ -404,7 +408,7 @@ def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:
         if n3 == INF:
             continue
         chord = ks[i] + (ks[i + 2] - ks[i]) * (n2 - n1) / (n3 - n1)
-        if ks[i + 1] < chord - PROFILE_SHAPE_SLACK * scale:
+        if ks[i + 1] < chord - slack:
             raise CrossCheckError(
                 f"curvature profile is not concave at N={n2}: "
                 f"K={ks[i + 1]:.12g} < chord {chord:.12g}")
@@ -412,7 +416,7 @@ def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:
     n0, k_inf = bundle.n0, bundle.k(INF)[0]
     tail = [s for s in samples if n0 < INF and s[0] >= n0 * (1.0 - PROFILE_TOL)]
     for n, k, _ in tail:
-        if abs(k - k_inf) > PROFILE_TOL * scale:
+        if abs(k - k_inf) > slack:
             raise CrossCheckError(f"K(N) is constant from N0={n0:.12g} but K({n})={k:.12g} "
                                   f"differs from K(inf)={k_inf:.12g}")
     return CurvatureProfile(tuple(samples), tail[0][0] if tail else None, n0)

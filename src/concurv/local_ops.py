@@ -5,7 +5,8 @@ adding a spherical edge between two 1-sphere neighbors, and merging two
 Adding a spherical edge with the balanced default connection
 ``sigma_yi_x sigma_x_yj`` never decreases the curvature when the center is
 S1-in regular (equal inward rates p_yx); any other connection can move the
-curvature either way.  Merging never decreases it, balanced or not.
+curvature either way.  Merging never decreases it, balanced or not.  Both
+edits check this to K_SLACK of the larger ``k_scale`` of the two balls.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import INF, curvature, curvature_function
+from .curvature import INF, K_SLACK, curvature_bundle
 from .graphs import (ConnectionGraph, LocalStructure, _as_number, _connections, _edge_name,
                      _one_ball)
 from .hermitian import _psd_within
 from .operators import _gamma2_array
 
-MONOTONE_SLACK = 1e-9           # allowed decrease of K, relative to max(1, |K before|)
 S1_IN_TOL = 1e-12               # relative spread of inward rates counted as equal
 MERGE_CHECK_GRID = (1.0, INF)   # N at which merge_s2 checks monotonicity
 
@@ -49,7 +49,7 @@ def s1_in_regular(g: ConnectionGraph, x: str) -> bool:
 def _s1_in_regular(loc: LocalStructure) -> bool:
     """s1_in_regular on the 2-ball of x."""
     rates = loc.edge_p[:loc.m]  # the first m ball edges are y_i -> x
-    return bool(rates.max() - rates.min() <= S1_IN_TOL * max(1.0, rates.max()))
+    return bool(rates.max() - rates.min() <= S1_IN_TOL * rates.max())
 
 
 def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
@@ -62,8 +62,8 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     carries the curvature at N = inf before and after, and whether the
     4*Gamma_2 difference matrix is PSD.  Under the balanced default plus
     S1-in regularity the curvature cannot decrease (checked; a decrease
-    raises :class:`CrossCheckError`).  The new graph is real when g is and
-    the new connection is real (to UNITARY_TOL).
+    beyond the module's slack raises :class:`CrossCheckError`).  The new
+    graph is real when g is and the new connection is real (to UNITARY_TOL).
     """
     x, yi, yj = str(x), str(yi), str(yj)
     before_loc = _one_ball(g, x)   # rejects an unknown or isolated x
@@ -87,8 +87,8 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
                                          np.concatenate([s, s_new]))
 
     after_loc = _one_ball(g_new, x)
-    before, _ = curvature(before_loc, INF)
-    after, _ = curvature(after_loc, INF)
+    e_before, e_after = curvature_bundle(before_loc), curvature_bundle(after_loc)
+    before, after = e_before.k(INF)[0], e_after.k(INF)[0]
 
     # Same 2-ball vertex set before and after, so the difference is congruent
     # to its switched-gauge form and PSD-ness is basis independent.  It
@@ -98,7 +98,7 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
                             max(float(np.max(np.abs(g))) for g in (g2_after, g2_before)))
 
     if balanced_default and _s1_in_regular(before_loc):
-        if after < before - MONOTONE_SLACK * max(1.0, abs(before)):
+        if after < before - K_SLACK * max(e_before.k_scale(before), e_after.k_scale(after)):
             raise CrossCheckError(
                 f"balanced spherical edge decreased curvature: {before:.12g} -> {after:.12g}"
             )
@@ -148,11 +148,12 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
     g_new = ConnectionGraph._from_arrays(g.dimension, g.field, (*g.index.names[rest], merged),
                                          mu_new, u[e], v[e], w[e], s[e])
 
-    f_before = curvature_function(loc)
-    f_after = curvature_function(_one_ball(g_new, x))
-    ks = {n: (f_before(n)[0], f_after(n)[0]) for n in MERGE_CHECK_GRID}
+    e_before, e_after = curvature_bundle(loc), curvature_bundle(_one_ball(g_new, x))
+    ks = {n: (e_before.k(n)[0], e_after.k(n)[0]) for n in MERGE_CHECK_GRID}
+    kbs, kas = zip(*ks.values())
+    slack = K_SLACK * max(e_before.k_scale(*kbs), e_after.k_scale(*kas))
     for n, (kb, ka) in ks.items():
-        if ka < kb - MONOTONE_SLACK * max(1.0, abs(kb)):
+        if ka < kb - slack:
             raise CrossCheckError(
                 f"merging decreased curvature at N={n}: {kb:.12g} -> {ka:.12g}"
             )

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,36 @@ def test_star_import():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         concurv.no_such_name
+
+
+def numeric_constants() -> set[str]:
+    """``module.NAME`` for every module-level name that a module of the
+    package binds to an int, a float or a tuple of them, except INF."""
+    found = set()
+    for path in (ROOT / "src" / "concurv").glob("*.py"):
+        module = importlib.import_module("concurv" if path.stem == "__init__"
+                                         else f"concurv.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for name in (t.id for t in targets if isinstance(t, ast.Name) and t.id != "INF"):
+                value = getattr(module, name)
+                items = value if isinstance(value, tuple) and value else (value,)
+                if all(type(v) in (int, float) for v in items):
+                    found.add(f"{path.stem}.{name}")
+    return found
+
+
+def test_readme_lists_every_numeric_constant():
+    """The "Numerical notes" table of the README names every numeric
+    constant as ``module.NAME``, and every name it lists is one of them."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    notes = text[text.index("### Numerical notes"):]
+    table = next(block for block in notes.split("\n\n") if block.startswith("|"))
+    listed = set(re.findall(r"`(\w+\.[A-Z][A-Z0-9_]*)`", table))
+    constants = numeric_constants()
+    assert constants - listed == set(), "missing from the README table"
+    assert listed - constants == set(), "listed in the README table but not a constant"
 
 
 def test_public_options_are_pinned():

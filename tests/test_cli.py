@@ -70,7 +70,7 @@ class TestCurvatureCommand:
     def test_random_graphs_at_large_rates(self, n, tmp_path, capsys):
         """Random graphs with unequal weights scaled by 1e8 (K near 1e7): the
         report, its kernel block and the matrix dump build, and the oracle
-        agrees within the default tolerance times max(1, |K|)."""
+        agrees within the default tolerance times the ball's k_scale."""
         rng = np.random.default_rng(49)
         path = tmp_path / "scaled.json"
         for trial in range(6):
@@ -419,22 +419,25 @@ class TestToleranceOverride:
 
     @pytest.mark.parametrize("env", [None, "1e-6"])
     def test_reported_tolerance_is_applied(self, env, fixture_file, capsys, monkeypatch):
-        """The oracle check passes a gap just inside the tolerance the report
-        records and fails one just outside it."""
+        """The oracle check passes a gap of half the bound the report records
+        as applied and fails one of twice that bound."""
         if env is not None:
             monkeypatch.setenv("CURV_TOL", env)
         argv = ["--json", "curvature", fixture_file("g1_u2"), "--vertex", "1", "--oracle"]
         assert main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert sorted(report) == ["command", "inputs", "results", "tolerance"]
-        tol = report["tolerance"]
-        assert tol == (1e-8 if env is None else float(env))
+        assert report["tolerance"] == (1e-8 if env is None else float(env))
         k = report["results"]["curvature"]
         for factor, code in ((0.5, 0), (2.0, 2)):
-            monkeypatch.setattr(cli, "curvature_oracle", lambda loc, n: k + factor * tol)
+            bound = report["results"]["oracle_bound"]
+            monkeypatch.setattr(cli, "curvature_oracle", lambda loc, n: k + factor * bound)
             assert main(argv) == code
-            results = json.loads(capsys.readouterr().out)["results"]
-            assert results["oracle_agreement"] is (code == 0)
+            report = json.loads(capsys.readouterr().out)
+            assert report["results"]["oracle_agreement"] is (code == 0)
+            assert report["results"]["oracle_bound"] == bound
+        main(argv[1:])
+        assert f"oracle_bound {bound:.3e}" in capsys.readouterr().out
 
 
 class TestModuleEntryPoint:

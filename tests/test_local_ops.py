@@ -248,8 +248,9 @@ def test_s1_in_regular_rejects_unknown_and_isolated_vertices():
 @pytest.mark.parametrize("s", [1e6, 1e8])
 def test_edits_at_large_rates(s):
     """Edits of graphs whose weights are scaled by s raise no cross-check:
-    the monotonicity slack is relative to max(1, |K|) and the PSD slack of
-    the Gamma_2 difference to the size of the two matrices it subtracts.
+    the monotonicity slack is relative to the k_scale of the two balls and
+    the PSD slack of the Gamma_2 difference to the size of the two matrices
+    it subtracts.
     With absolute slacks, 2 to 30 of these 30 balanced additions and 4 to 6
     of these 30 merges raised on correct values."""
     rng = np.random.default_rng(105)

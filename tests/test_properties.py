@@ -19,12 +19,18 @@ from concurv import (  # noqa: E402
     curvature,
     curvature_bundle,
     curvature_matrix,
+    curvature_profile,
     general_basis,
     local_structure,
     switch,
 )
 
-from helpers import random_balanced_graph, random_graph, random_unitary  # noqa: E402
+from helpers import (  # noqa: E402
+    random_balanced_graph,
+    random_graph,
+    random_unitary,
+    scaled_rates,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 N_VALUES = (INF, 4.0, 1.0)
@@ -103,3 +109,30 @@ def test_balanced_k_is_the_scalar_graph_k(shape):
         for n in N_VALUES:
             k, k1 = curvature(loc, n)[0], curvature(loc1, n)[0]
             assert abs(k - k1) <= 1e-10 * max(1.0, abs(k1)), (loc.center, n, k, k1)
+
+
+@PROPERTY_SETTINGS
+@given(graph_shapes, st.sampled_from([-12, 0, 12]), st.booleans())
+def test_profile_is_monotone_and_concave_at_any_unit(shape, exponent, unit_balanced):
+    """K(N) is monotone and concave at any unit of the rates: the checks of
+    ``curvature_profile``, at ``K_SLACK * k_scale``, pass on a grid spanning
+    N0 at rates scaled by 1e-12, 1 and 1e12, and ``constant_from`` is the
+    first grid point at or above N0 (None when N0 = inf).  Half the draws are
+    balanced graphs with unit weights and measures, re-gauged by a Haar
+    switch, where N0 can be finite (8 of the 97 balls drawn)."""
+    rng = np.random.default_rng(shape["seed"])
+    d, field = shape["d"], shape["field"]
+    g = random_graph(rng, n_max=shape["n_max"], d=d, field=field,
+                     identity_connections=unit_balanced,
+                     weight_range=(1.0, 1.0) if unit_balanced else (0.6, 1.8))
+    if unit_balanced:
+        g = switch(g, {v: random_unitary(rng, d, field) for v in g.vertex_ids})
+    for loc in balls(scaled_rates(g, 10.0 ** exponent)):
+        n0 = curvature_bundle(loc).n0
+        if n0 < INF:
+            grid = [n0 / 8, n0 / 2, 2 * n0, 8 * n0, INF]
+        else:
+            grid = [0.25, 1.0, 4.0, 16.0, INF]
+        profile = curvature_profile(loc, grid)
+        assert profile.n0 == n0
+        assert profile.constant_from == (2 * n0 if n0 < INF else None), (loc.center, n0)
