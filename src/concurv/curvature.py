@@ -27,15 +27,14 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .graphs import LocalStructure, _as_number
-from .hermitian import HermitianMatrix, _Eigh, _eigh_rank, _lambda_min
+from .hermitian import SLACK, HermitianMatrix, _Eigh, _eigh_rank, _lambda_min, _scale
 from .operators import _gamma2_array, _gamma_array, _q_array, delta_matrix
 
 INF = float("inf")
 BASIS_TOL = 1e-9         # allowed residual of B (2 Gamma) B^H = diag(0, I), entrywise relative
-ORACLE_PSD_SLACK = 1e-9  # feasibility slack of the bisection oracle, relative to its matrices
+ORACLE_PSD_SLACK = 1e-9  # the oracle's own slack, so that it stays independent of the record
 ORACLE_BRACKET = 1e-10   # width of the oracle's bisection bracket, relative to its bound on |K|
 PROFILE_TOL = 1e-9       # constancy: z on the lambda_1 cluster, and the N0 grid slack
-K_SLACK = 1e-9           # every comparison of two K, relative to CurvatureBundle.k_scale
 
 
 def _check_n(n) -> float:
@@ -83,6 +82,7 @@ def basis_residual(local: LocalStructure, b: np.ndarray) -> float:
     resid = b @ two_gamma @ b.conj().T
     resid[d:, d:] -= np.eye(local.m * d)   # the target diag(0_d, I_md)
     abs_b = np.abs(b)
+    # the floor of 1 is the unit-free target diag(0, I), not a unit of the rates
     scale = np.maximum(1.0, abs_b @ np.abs(two_gamma) @ abs_b.T)
     return float(np.max(np.abs(resid) / scale))
 
@@ -191,9 +191,8 @@ class CurvatureBundle:
         return _lambda_min(np.linalg.eigvalsh(self.a_n(n)))
 
     def k_scale(self, *ks) -> float:
-        """The scale at which a K of this ball rounds, ``max|A_inf|`` and |k|
-        for each k given, with no floor.  Every check on K allows K_SLACK of it."""
-        return max([float(np.abs(self.a_inf).max()), *map(abs, ks)])
+        """The scale at which a K of this ball rounds: ``_scale`` of A_inf and the k given."""
+        return _scale(self.a_inf, ks)
 
     def basis_unitary(self, b) -> np.ndarray:
         """The md x md unitary U with ``B B0^{-1} = [[E, 0], [C, U]]``, for a
@@ -384,7 +383,7 @@ class CurvatureProfile:
 def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:
     """Sample K(N) and multiplicities on an ascending grid (inf allowed last).
 
-    Validates, each to ``K_SLACK * k_scale`` of the samples: monotone
+    Validates, each to ``SLACK * k_scale`` of the samples: monotone
     non-decreasing and concave along the samples, and equal to K(inf) from
     ``constant_from`` on.
     """
@@ -397,7 +396,7 @@ def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:
     bundle = curvature_bundle(local)
     samples = [(n, *bundle.k(n)) for n in grid]
     ks = [k for _, k, _ in samples]
-    slack = K_SLACK * bundle.k_scale(*ks)
+    slack = SLACK * bundle.k_scale(*ks)
     for i in range(len(ks) - 1):
         if ks[i + 1] < ks[i] - slack:
             raise CrossCheckError(

@@ -5,6 +5,8 @@ Everything operates on small dense matrices (desk scale, a few hundred rows
 at most).  Inputs are plain numpy arrays; :class:`HermitianMatrix` is a thin
 validated wrapper for public results, so callers can rely on exact
 Hermitianity.  :func:`schur_complement` is the generic reference form.
+Every matrix check allows ``SLACK * _scale`` of the matrices it compares, with
+no floor, so no check depends on the unit of the rates.
 """
 
 from __future__ import annotations
@@ -15,10 +17,14 @@ import numpy as np
 
 from .errors import ValidationError
 
-HERMITIAN_TOL = 1e-9        # max allowed |M - M^H| entry, relative to max(1, max|M|)
-PSD_SLACK = 1e-9            # lambda_min >= -PSD_SLACK * max(1, |M|) counts as PSD
+SLACK = 1e-9                # every matrix check, relative to _scale of the matrices compared
 PINV_RTOL_SCALE = 1e-10     # pseudoinverse cutoff is PINV_RTOL_SCALE * n * max abs(eigenvalue)
 MULTIPLICITY_GAP = 1e-8     # gap grouping eigenvalues with lambda_min, relative to |lambda_min|
+
+
+def _scale(*mats) -> float:
+    """The largest entry of ``mats``: the scale at which a check on them rounds."""
+    return max(float(np.max(np.abs(m), initial=0.0)) for m in mats)
 
 
 def _as_array(m) -> np.ndarray:
@@ -30,9 +36,9 @@ def _as_array(m) -> np.ndarray:
 class HermitianMatrix:
     """A dense complex matrix kept exactly Hermitian.
 
-    The constructor rejects inputs further than ``HERMITIAN_TOL * max(1,
-    max|M|)`` from their conjugate transpose, so rounding at large entries
-    passes, and symmetrizes the rest to ``(M + M^H) / 2``.
+    The constructor rejects inputs further than ``SLACK * max|M|`` from their
+    conjugate transpose, so rounding passes at any scale of the entries, and
+    symmetrizes the rest to ``(M + M^H) / 2``.
     """
 
     __slots__ = ("mat",)
@@ -43,7 +49,7 @@ class HermitianMatrix:
             raise ValidationError(f"expected a square matrix, got shape {m.shape}")
         mh = m.conj().T
         dev = float(np.max(np.abs(m - mh), initial=0.0))
-        bound = HERMITIAN_TOL * max(1.0, float(np.max(np.abs(m), initial=0.0)))
+        bound = SLACK * _scale(m)
         if dev > bound:
             raise ValidationError(f"matrix is not Hermitian: max |M - M^H| = {dev:.3e} "
                                   f"> {bound:.1e}")
@@ -55,10 +61,9 @@ class HermitianMatrix:
         return f"HermitianMatrix(n={self.mat.shape[0]})"
 
 
-def _psd_within(a: np.ndarray, scale: float) -> bool:
-    """``lambda_min(a) >= -PSD_SLACK * max(1, scale)``, for a difference ``a``
-    whose rounding follows the size ``scale`` of its operands."""
-    return float(np.linalg.eigvalsh(a)[0]) >= -PSD_SLACK * max(1.0, scale)
+def _psd_within(a: np.ndarray, *operands) -> bool:
+    """``lambda_min(a) >= -SLACK * _scale(*operands)``, the operands ``a`` is formed from."""
+    return float(np.linalg.eigvalsh(a)[0]) >= -SLACK * _scale(*operands)
 
 
 class _Eigh(NamedTuple):

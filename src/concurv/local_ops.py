@@ -6,7 +6,7 @@ Adding a spherical edge with the balanced default connection
 ``sigma_yi_x sigma_x_yj`` never decreases the curvature when the center is
 S1-in regular (equal inward rates p_yx); any other connection can move the
 curvature either way.  Merging never decreases it, balanced or not.  Both
-edits check this to K_SLACK of the larger ``k_scale`` of the two balls.
+edits check this to SLACK of the larger ``k_scale`` of the two balls.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import INF, K_SLACK, curvature_bundle
+from .curvature import INF, curvature_bundle
 from .graphs import (ConnectionGraph, LocalStructure, _as_number, _connections, _edge_name,
                      _one_ball)
-from .hermitian import _psd_within
+from .hermitian import SLACK, _psd_within
 from .operators import _gamma2_array
 
 S1_IN_TOL = 1e-12               # relative spread of inward rates counted as equal
@@ -94,11 +94,10 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     # to its switched-gauge form and PSD-ness is basis independent.  It
     # rounds at the size of the two matrices, which sets the PSD slack.
     g2_after, g2_before = _gamma2_array(after_loc), _gamma2_array(before_loc)
-    delta_psd = _psd_within(g2_after - g2_before,
-                            max(float(np.max(np.abs(g))) for g in (g2_after, g2_before)))
+    delta_psd = _psd_within(g2_after - g2_before, g2_after, g2_before)
 
     if balanced_default and _s1_in_regular(before_loc):
-        if after < before - K_SLACK * max(e_before.k_scale(before), e_after.k_scale(after)):
+        if after < before - SLACK * max(e_before.k_scale(before), e_after.k_scale(after)):
             raise CrossCheckError(
                 f"balanced spherical edge decreased curvature: {before:.12g} -> {after:.12g}"
             )
@@ -151,7 +150,7 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
     e_before, e_after = curvature_bundle(loc), curvature_bundle(_one_ball(g_new, x))
     ks = {n: (e_before.k(n)[0], e_after.k(n)[0]) for n in MERGE_CHECK_GRID}
     kbs, kas = zip(*ks.values())
-    slack = K_SLACK * max(e_before.k_scale(*kbs), e_after.k_scale(*kas))
+    slack = SLACK * max(e_before.k_scale(*kbs), e_after.k_scale(*kas))
     for n, (kb, ka) in ks.items():
         if ka < kb - slack:
             raise CrossCheckError(

@@ -23,9 +23,8 @@ from .errors import CrossCheckError, ValidationError
 from .curvature import INF, _check_n, curvature_bundle, curvature_matrix
 from .graphs import (ConnectionGraph, _ball_graph, _check_size, _one_ball,
                      signature_groups_commute)
-from .hermitian import _eigh_rank, _psd_within
+from .hermitian import SLACK, _eigh_rank, _psd_within, _scale
 
-DECOMP_TOL = 1e-9
 STAR_TOL = 1e-12        # star product bisection stops at a bracket of STAR_TOL * t
 SEPARATOR = "|"
 
@@ -144,8 +143,8 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
     (``graphs._ball_graph``) has the ball at (x, x') and the factor balls of
     the whole product, so the theorem applied to it gives the decomposition
     here.  Refuses a pair whose 2-ball connections do not commute: the
-    decomposition genuinely fails without that.  Asserts the identity to
-    1e-9 and that R and J are PSD, or raises :class:`CrossCheckError`.
+    decomposition genuinely fails without that.  Asserts the identity and that
+    R and J are PSD, to SLACK of its terms, or raises :class:`CrossCheckError`.
     """
     n, n2 = _check_n(n), _check_n(n2)
     ball, ball2 = _ball_graph(g, x), _ball_graph(g2, x2)
@@ -187,14 +186,11 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
     a_perm = curvature_matrix(locp, n + n2).mat[np.ix_(idx, idx)]
 
     residual = float(np.max(np.abs(a_perm - (blockdiag + r + j))))
-    scale = max(1.0, float(np.max(np.abs(a_perm))))
-    if residual > DECOMP_TOL * scale:
-        raise CrossCheckError(
-            f"product decomposition residual {residual:.3e} exceeds tolerance"
-        )
-    # R is judged at the size of the terms it is the difference of, J at its own.
-    for name, mat, terms in (("R", r, (own, coupled)), ("J", j, (j,))):
-        if not _psd_within(mat, max(float(np.max(np.abs(t))) for t in terms)):
+    if residual > SLACK * _scale(a_perm):
+        raise CrossCheckError(f"product decomposition residual {residual:.3e} exceeds tolerance")
+    # R and J round at the scale of the identity they are terms of.
+    for name, mat in (("R", r), ("J", j)):
+        if not _psd_within(mat, a_perm, own, coupled, j):
             lam = float(np.linalg.eigvalsh(mat)[0])
             raise CrossCheckError(f"{name}(x, x') is not PSD: lambda_min = {lam:.3e}")
     return ProductDecomposition(r=r, j=j, residual=residual, a_product=a_perm,

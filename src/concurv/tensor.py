@@ -17,9 +17,9 @@ import numpy as np
 from .errors import CrossCheckError, ValidationError
 from .curvature import CurvatureBundle, _check_n, curvature_bundle, p0_transpose
 from .graphs import LocalStructure
+from .hermitian import SLACK, _scale
 from .operators import _ball_blocks, delta_matrix
 
-PHI_RESIDUAL_TOL = 1e-9
 MATRIX_CHECK_TRIALS = 8  # random tangent vectors per tensor_matrix_check
 
 
@@ -83,14 +83,14 @@ def _phi(e: CurvatureBundle) -> np.ndarray:
     conj(v), is ``omega^T D^{-1} blockdiag(sigma_xyi^T)``."""
     d_inv_sigma_t = _v0_blocks(e)
     w = e.omega_t @ d_inv_sigma_t
-    scale = max(1.0, float(np.max(np.abs(e.q2))))
-    if float(np.max(np.abs(w))) <= PHI_RESIDUAL_TOL * scale:
+    bound = SLACK * _scale(e.q2)
+    if float(np.max(np.abs(w))) <= bound:
         # the zero map solves the equation and is the canonical choice; the
         # pseudoinverse of a noise-level a would give a huge spurious map
         return np.zeros_like(w)
     m_conj = -(e.eig.pinv() @ e.omega_t) @ d_inv_sigma_t
     resid = float(np.max(np.abs(w + e.a @ m_conj)))
-    if resid > PHI_RESIDUAL_TOL * scale:
+    if resid > bound:
         raise CrossCheckError(f"phi_map solvability residual {resid:.3e} exceeds tolerance")
     return np.conj(m_conj)
 
@@ -162,7 +162,7 @@ def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
     ``v_B`` the B-induced coordinates, and that the smallest eigenvector of
     A_N pulled back through the coordinate map attains
     ``Ric/g = lambda_min``.  Returns the largest residual seen, each over
-    ``max(1, max|M|)`` for the matrix M it reads (R, G or A_N), so it holds
+    ``hermitian._scale`` of the matrix it reads (R, G or A_N), so it holds
     at any scale of the rates.  One elimination serves phi, R and any B.
     """
     n = _check_n(n)
@@ -173,7 +173,7 @@ def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
         u = e.basis_unitary(b)
         a_n, xi = u @ a_n @ u.conj().T, np.conj(u) @ xi
     r, g = _tensor_matrices(local, n, _phi(e), e.q2)
-    scale_r, scale_g, scale_a = (max(1.0, float(np.max(np.abs(x)))) for x in (r, g, a_n))
+    scale_r, scale_g, scale_a = map(_scale, (r, g, a_n))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(MATRIX_CHECK_TRIALS):

@@ -284,6 +284,18 @@ def _laplacian_sigma(g: ConnectionGraph, f, x: str) -> np.ndarray:
     return acc
 
 
+def connection_laplacian(g: ConnectionGraph) -> np.ndarray:
+    """The dense nd x nd matrix of Delta^sigma on g, with the vertices in
+    ``g.index`` order: ``(Delta f)(x) = sum_y p_xy (sigma_xy f(y) - f(x))``."""
+    ix, d = g.index, g.dimension
+    n = len(ix.ids)
+    src = np.repeat(np.arange(n), np.diff(ix.indptr))
+    out = np.zeros((n, d, n, d), dtype=complex)
+    out[src, :, ix.nbr, :] = ix.rate[:, None, None] * ix.sigma
+    out[np.arange(n), :, np.arange(n), :] -= np.bincount(src, ix.rate, n)[:, None, None] * np.eye(d)
+    return out.reshape(n * d, n * d)
+
+
 def _gamma_at(g: ConnectionGraph, f, h, x: str):
     d = g.dimension
     fx, hx = _vec(f, x, d), _vec(h, x, d)

@@ -158,6 +158,32 @@ def test_readme_lists_every_numeric_constant():
     assert listed - constants == set(), "listed in the README table but not a constant"
 
 
+def is_unit_floor(node) -> bool:
+    """``max(1, ...)``, ``max(1.0, ...)`` or ``np.maximum(1.0, ...)``."""
+    if not isinstance(node, ast.Call) or not node.args:
+        return False
+    func = node.func.id if isinstance(node.func, ast.Name) else \
+        node.func.attr if isinstance(node.func, ast.Attribute) else None
+    first = node.args[0]
+    return func in ("max", "maximum") and isinstance(first, ast.Constant) and first.value == 1
+
+
+def test_no_check_has_a_unit_floor():
+    """Every check on a curvature matrix or on K reads ``hermitian._scale``,
+    with no absolute floor of 1, which would make it vacuous at small rates.
+    Only ``basis_residual`` keeps one, for its unit-free target diag(0, I)."""
+    found = []
+    for path in (ROOT / "src" / "concurv").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = [range(f.lineno, f.end_lineno + 1) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "basis_residual"]
+        found += [(path.name, node.lineno) for node in ast.walk(tree) if is_unit_floor(node)
+                  and not any(node.lineno in lines for lines in exempt)]
+    assert found == []
+    assert is_unit_floor(ast.parse("max(1, x)").body[0].value)
+    assert is_unit_floor(ast.parse("np.maximum(1.0, x)").body[0].value)
+
+
 def test_public_options_are_pinned():
     options = {}
     for name in concurv.__all__:

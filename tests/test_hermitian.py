@@ -179,14 +179,19 @@ class TestMinEig:
 
 
 def test_is_psd_slack():
-    assert _psd_within(np.diag([0.0, -5e-10]), 5e-10)
-    assert not _psd_within(np.diag([1.0, -1e-3]), 1.0)
+    """The slack is relative to the operands, with no floor: an eigenvalue
+    of -5e-10 is rounding against a unit operand, but against operands at
+    rates x1e-20 it is 5e10 times their size and is refused."""
+    a = np.diag([0.0, -5e-10])
+    assert _psd_within(a, np.eye(2))
+    assert not _psd_within(a, 1e-20 * np.eye(2))
+    assert not _psd_within(np.diag([1.0, -1e-3]), np.eye(2))
 
 
 def test_hermitian_tolerance_is_relative():
-    """HERMITIAN_TOL scales with max(1, max|M|): a few ulps of asymmetry in
-    entries near 1e8 pass, an asymmetry above 1e-9 of the largest entry
-    does not."""
+    """The Hermitian check allows SLACK * max|M|, with no floor: a few ulps
+    of asymmetry in entries near 1e8 pass, an asymmetry above 1e-9 of the
+    largest entry does not."""
     big = np.array([[3e8, 1e8 + 1e-7], [1e8, 2e8]], dtype=complex)
     assert HermitianMatrix(big).mat[0, 1] == pytest.approx(1e8, rel=1e-15)
     with pytest.raises(ValidationError, match="not Hermitian"):

@@ -115,7 +115,7 @@ def test_balanced_k_is_the_scalar_graph_k(shape):
 @given(graph_shapes, st.sampled_from([-12, 0, 12]), st.booleans())
 def test_profile_is_monotone_and_concave_at_any_unit(shape, exponent, unit_balanced):
     """K(N) is monotone and concave at any unit of the rates: the checks of
-    ``curvature_profile``, at ``K_SLACK * k_scale``, pass on a grid spanning
+    ``curvature_profile``, at ``SLACK * k_scale``, pass on a grid spanning
     N0 at rates scaled by 1e-12, 1 and 1e12, and ``constant_from`` is the
     first grid point at or above N0 (None when N0 = inf).  Half the draws are
     balanced graphs with unit weights and measures, re-gauged by a Haar

@@ -1,19 +1,24 @@
-"""One scale for every check on K, over a table of balls at rates scaled by
-1e-20 to 1e12.
+"""One slack and one scale for every check on K and on the curvature
+matrices, over a table of balls at rates scaled by 1e-20 to 1e12.
 
 Multiplying every edge weight by s multiplies every curvature matrix and K
-by s, so no check on K may depend on the unit of the weights.  Each check
-allows ``K_SLACK`` (or the CLI's tolerance) times ``CurvatureBundle.k_scale``,
-``max(max|A_inf|, |K| ...)`` with no floor.  At every scale of the table:
-the oracle agrees with ``curvature``, no correct balanced addition or merge
-raises, and ``concurv curvature --oracle`` exits 0; and an error of a few
-bounds, injected by a stub, still fails.  An absolute floor of 1 made the
-checks vacuous at small rates (an oracle off K by 5.4 |K| passed at 1e-8)
+by s, so no check may depend on the unit of the weights.  Each check on K
+allows ``hermitian.SLACK`` (or the CLI's tolerance) times
+``CurvatureBundle.k_scale``, ``max(max|A_inf|, |K| ...)`` with no floor, and
+each matrix check allows ``SLACK`` times ``hermitian._scale``, the largest
+entry of the matrices it compares.  At every scale of the table: the oracle
+agrees with ``curvature``, no correct balanced addition, merge or product
+decomposition raises, ``concurv curvature --oracle`` exits 0 and phi is the
+map it is at unit rates; and an error injected at a small multiple of the
+bound, or at 1e-6 of the scale, still fails.  An absolute floor of 1 made
+the checks vacuous at small rates (an oracle off K by 5.4 |K| passed at
+1e-8, and at 1e-8 phi was the zero map on every unbalanced fixture ball)
 and too tight at large ones (the flat tori raised on 66 of 96 merges at
 1e8).
 """
 
 import contextlib
+import dataclasses
 import functools
 import io
 import itertools
@@ -22,17 +27,26 @@ import json
 import numpy as np
 import pytest
 
-from concurv import (INF, ConnectionGraph, CrossCheckError, add_spherical_edge, cli,
-                     curvature_bundle, curvature_oracle, load_graph, local_ops, local_structure,
-                     merge_s2, switch)
+from concurv import (INF, ConnectionGraph, CrossCheckError, HermitianMatrix, ProductSpec,
+                     ValidationError, add_spherical_edge, cli, curvature_bundle,
+                     curvature_matrix, curvature_oracle, load_graph, local_ops, local_structure,
+                     merge_s2, phi_map, product, product_decomposition, switch, tensor,
+                     tensor_matrix_check)
 from concurv.fixtures import fixture_graph, fixture_names
 from concurv.local_ops import s1_in_regular
 
-from helpers import (random_graph, random_merge_instance, random_s1_in_regular_graph,
-                     random_unitary, scaled_rates)
+from helpers import (random_commuting_pair, random_graph, random_merge_instance,
+                     random_s1_in_regular_graph, random_unitary, scaled_rates)
 
 SCALES = (1e-20, 1e-8, 1.0, 1e8, 1e12)
 ORACLE_AGREEMENT = 1e-10   # measured: 3.6e-13 of k_scale at most, over the table
+INJECTED = 1e-6            # an error this far off, relative to the scale, must raise
+TENSOR_AGREEMENT = 1e-12   # measured: 4.3e-15 at most, over the table
+
+
+def top(m) -> float:
+    """The largest entry of m."""
+    return float(np.max(np.abs(m)))
 
 
 def flat_torus(side: int, d: int) -> ConnectionGraph:
@@ -93,6 +107,7 @@ def test_the_table_holds_every_kind_of_case():
     adds, merges = edits()
     assert len(all_balls()) > 200 and len(adds) >= 100 and len(merges) >= 100
     assert sum(g.dimension == 1 for g, _ in table()["tori"]) == 2
+    assert len(product_pairs()) == 3 * 6 + 8 and len(unbalanced_fixture_balls()) == 33
 
 
 @pytest.mark.parametrize("s", SCALES)
@@ -114,7 +129,8 @@ def test_correct_edits_do_not_raise(s):
     """The new edge of an addition has the unit weight times s too."""
     adds, merges = edits()
     for g, x, a, b in adds:
-        add_spherical_edge(scaled_rates(g, s), x, a, b, w_new=s)
+        _, report = add_spherical_edge(scaled_rates(g, s), x, a, b, w_new=s)
+        assert report.delta_psd is True, (x, a, b, s)
     for g, x, a, b in merges:
         merge_s2(scaled_rates(g, s), x, a, b)
 
@@ -207,3 +223,89 @@ def test_cli_oracle_check_bites(s, tmp_path, monkeypatch):
             monkeypatch.setattr(cli, "curvature_oracle", lambda loc, n: k + factor * bound)
             code, report = run_curvature(path, x)
             assert code == want, (x, s, factor, report["results"])
+
+
+@functools.cache
+def product_pairs() -> list[tuple[ConnectionGraph, ConnectionGraph, str, str]]:
+    """Every vertex pair of ``triangle_signed`` x ``g2_signed``, and the pair
+    ("1", "1") of eight random commuting pairs."""
+    g, g2 = fixture_graph("triangle_signed"), fixture_graph("g2_signed")
+    pairs = [(g, g2, x, x2) for x in g.vertex_ids for x2 in g2.vertex_ids if g2.neighbors(x2)]
+    rng = np.random.default_rng(86)
+    return pairs + [(*random_commuting_pair(rng), "1", "1") for _ in range(8)]
+
+
+@functools.cache
+def unbalanced_fixture_balls():
+    """The fixture balls whose phi is not the zero map at unit rates."""
+    return [(g, x) for g, x in table()["fixtures"] if np.any(phi_map(local_structure(g, x)))]
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_correct_product_decompositions_pass(s):
+    """R and J are PSD, and the identity holds, at every scale of both
+    factors, N, N' = (inf, inf) and (2, 3)."""
+    for g, g2, x, x2 in product_pairs():
+        for n, n2 in ((INF, INF), (2.0, 3.0)):
+            product_decomposition(scaled_rates(g, s), scaled_rates(g2, s), ProductSpec(),
+                                  x, x2, n, n2)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_phi_and_the_tensor_check_are_free_of_the_rate_unit(s):
+    """phi is homogeneous of degree 0 in the rates, so it is the map it is
+    at unit rates, not the zero map; and the tensor and its matrix agree
+    (with a floor of 1, phi was the zero map on all 33 balls at 1e-20 and
+    1e-8, and ``tensor_matrix_check`` read 7e-20 and 7e-8)."""
+    for g, x in unbalanced_fixture_balls():
+        loc = local_structure(scaled_rates(g, s), x)
+        want = phi_map(local_structure(g, x))
+        assert top(phi_map(loc) - want) <= 1e-9 * top(want), (x, s)
+        for n in (INF, 2.0):
+            assert tensor_matrix_check(loc, n) <= TENSOR_AGREEMENT, (x, s, n)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_an_injected_product_residual_raises(s, monkeypatch):
+    """The product matrix read one entry ``INJECTED * max|A_N|`` off."""
+    real = product.curvature_matrix
+
+    def shifted(loc, n):
+        m = real(loc, n).mat.copy()
+        m[0, 0] += INJECTED * top(m)
+        return HermitianMatrix(m)
+
+    monkeypatch.setattr(product, "curvature_matrix", shifted)
+    for g, g2, x, x2 in product_pairs():
+        with pytest.raises(CrossCheckError, match="residual"):
+            product_decomposition(scaled_rates(g, s), scaled_rates(g2, s), ProductSpec(),
+                                  x, x2, INF, INF)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_an_injected_asymmetry_raises(s):
+    """A curvature matrix with one entry ``INJECTED * max|A_N|`` off its
+    mirror is not Hermitian."""
+    for g, x in table()["fixtures"]:
+        m = curvature_matrix(local_structure(scaled_rates(g, s), x), INF).mat.copy()
+        m[-1, 0] += 1j * INJECTED * top(m)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            HermitianMatrix(m)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_an_injected_phi_residual_raises(s, monkeypatch):
+    """phi read through a kernel block moved by ``delta I``, with delta set
+    so that its equation is left ``INJECTED * max|4Q/2|`` unsolved."""
+    real, balls = tensor.curvature_bundle, unbalanced_fixture_balls()
+
+    def moved(loc):
+        e = real(loc)
+        m_conj = -(e.eig.pinv() @ e.omega_t) @ tensor._v0_blocks(e)
+        delta = INJECTED * top(e.q2) / top(m_conj)
+        return dataclasses.replace(e, a=e.a + delta * np.eye(loc.d))
+
+    monkeypatch.setattr(tensor, "curvature_bundle", moved)
+    for g, x in balls:
+        with pytest.raises(CrossCheckError, match="solvability"):
+            phi_map(local_structure(scaled_rates(g, s), x))

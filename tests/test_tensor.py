@@ -18,7 +18,8 @@ from concurv import (
 from concurv.curvature import general_basis, p0_transpose
 from concurv.fixtures import fixture_graph, fixture_names
 from concurv.operators import _ball_blocks, _q_array, delta_matrix, q_matrix
-from concurv.tensor import PHI_RESIDUAL_TOL, _tensor_matrices, coordinate_map, phi_matrix
+from concurv.hermitian import SLACK
+from concurv.tensor import _tensor_matrices, coordinate_map, phi_matrix
 
 from helpers import (
     assert_close,
@@ -135,7 +136,7 @@ class TestPhiMap:
         t = under_blocks_loops(ball_from_graph_loops(g, "a"), np.transpose)
         w = p0_transpose(loc) @ e.q2 @ t
         resid = float(np.max(np.abs(w + e.a @ np.conj(f))))
-        assert resid <= PHI_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(e.q2))))
+        assert resid <= SLACK * float(np.max(np.abs(e.q2)))
         v = np.ones(loc.m * loc.d, dtype=complex)
         for n in (INF, 2.5):
             assert np.isfinite(tensor_matrix_check(loc, n))
@@ -515,11 +516,11 @@ def phi_map_loops(loc, ball) -> np.ndarray:
         block = np.sqrt(ball.p[(x, y)]) * ball.sigma[(x, y)].T
         blocks[i * d:(i + 1) * d, i * d:(i + 1) * d] = block
     w = e.omega_t @ blocks
-    scale = max(1.0, float(np.max(np.abs(e.q2))))
-    if float(np.max(np.abs(w))) <= PHI_RESIDUAL_TOL * scale:
+    bound = SLACK * float(np.max(np.abs(e.q2)))
+    if float(np.max(np.abs(w))) <= bound:
         return np.zeros_like(w)
     m_conj = -(e.eig.pinv() @ e.omega_t) @ blocks
-    assert float(np.max(np.abs(w + e.a @ m_conj))) <= PHI_RESIDUAL_TOL * scale
+    assert float(np.max(np.abs(w + e.a @ m_conj))) <= bound
     return np.conj(m_conj)
 
 
