@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .graphs import LocalStructure, _as_number
+from .graphs import LocalStructure, _as_array, _as_number
 from .hermitian import SLACK, HermitianMatrix, _Eigh, _eigh_rank, _lambda_min, _scale
 from .operators import _gamma2_array, _gamma_array, _q_array, delta_matrix
 
@@ -201,7 +201,7 @@ class CurvatureBundle:
         ``U = B[d:, d:] D^{-1} - B[d:, :d] v0^H``.  Then ``A_N(B) = U A_N U^H``,
         and B's tangent coordinates are conj(U) times those of B0."""
         local, d = self.local, self.local.d
-        b = np.asarray(b, dtype=complex)
+        b = _as_array(b, "basis b", ((local.m + 1) * d,) * 2)
         resid = basis_residual(local, b)
         if resid > BASIS_TOL:
             raise ValidationError(

@@ -94,6 +94,28 @@ def _connections(mats: list, d: int, where, real: bool = False,
     return _check_unitary(s, where, real)
 
 
+def _as_array(value, where: str, *shapes: tuple) -> np.ndarray:
+    """The array rule for outside input: ``value`` as a complex array of one
+    of ``shapes`` (None, shown as k, is a free axis), by one ``np.asarray``
+    call into numbers as in :func:`_connections`, every entry finite; numbers
+    convert as ``np.asarray(value, dtype=complex)`` would.  ``where`` names it."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):  # ragged nesting
+        a = np.array(None)
+    if a.dtype.kind not in "iufc" or (not isinstance(value, np.ndarray)
+                                      and _holds_bool([value], a.ndim + 1)):
+        raise ValidationError(f"{where} must be an array of numbers, got {type(value).__name__}")
+    if not any(len(s) == a.ndim and all(k in (None, n) for k, n in zip(s, a.shape))
+               for s in shapes):
+        want = " or ".join(str(s).replace("None", "k") for s in shapes)
+        raise ValidationError(f"{where} must have shape {want}, got {a.shape}")
+    a = a.astype(complex, copy=False)
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{where} must have finite entries")
+    return a
+
+
 def _check_unitary(s: np.ndarray, where, real: bool = False) -> tuple[np.ndarray, bool]:
     """Validate a (k, d, d) stack of connection matrices in one pass, and
     judge whether all are real: every imaginary part within UNITARY_TOL.

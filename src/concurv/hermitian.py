@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
+from .graphs import _as_array, _is_integer
 
 SLACK = 1e-9                # every matrix check, relative to _scale of the matrices compared
 PINV_RTOL_SCALE = 1e-10     # pseudoinverse cutoff is PINV_RTOL_SCALE * n * max abs(eigenvalue)
@@ -27,16 +28,11 @@ def _scale(*mats) -> float:
     return max(float(np.max(np.abs(m), initial=0.0)) for m in mats)
 
 
-def _as_array(m) -> np.ndarray:
-    if isinstance(m, HermitianMatrix):
-        return m.mat
-    return np.asarray(m, dtype=complex)
-
-
 class HermitianMatrix:
     """A dense complex matrix kept exactly Hermitian.
 
-    The constructor rejects inputs further than ``SLACK * max|M|`` from their
+    The constructor takes a square matrix by the array rule (numbers, all
+    finite), rejects inputs further than ``SLACK * max|M|`` from their
     conjugate transpose, so rounding passes at any scale of the entries, and
     symmetrizes the rest to ``(M + M^H) / 2``.
     """
@@ -44,9 +40,9 @@ class HermitianMatrix:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        m = np.asarray(mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+        m = _as_array(mat, "matrix", (None, None))
+        if m.shape[0] != m.shape[1]:
+            raise ValidationError(f"matrix must have shape (k, k), got {m.shape}")
         mh = m.conj().T
         dev = float(np.max(np.abs(m - mh), initial=0.0))
         bound = SLACK * _scale(m)
@@ -101,15 +97,17 @@ def schur_complement(s, keep) -> HermitianMatrix:
     For the Hermitian matrix ``S`` partitioned by the index sets
     ``drop = {0..n-1} - keep`` and ``keep``, returns
     ``S[keep,keep] - S[keep,drop] pinv(S[drop,drop]) S[keep,drop]^H`` (pinv by ``_eigh_rank``).
-    An empty ``drop`` set returns ``S[keep,keep]`` unchanged.
+    An empty ``drop`` set returns ``S[keep,keep]`` unchanged; ``keep`` holds distinct integers.
     """
-    a = _as_array(s)
+    a = (s if isinstance(s, HermitianMatrix) else HermitianMatrix(s)).mat
     n = a.shape[0]
-    keep = np.asarray(sorted(keep), dtype=int)
-    if keep.size == 0:
+    idx = list(keep) if np.iterable(keep) else [None]   # a lone value is refused
+    if not idx:
         raise ValidationError("schur_complement: the keep index set is empty")
-    if keep.min() < 0 or keep.max() >= n or len(set(keep.tolist())) != keep.size:
-        raise ValidationError("schur_complement: keep indices out of range or repeated")
+    if not all(_is_integer(k) and 0 <= k < n for k in idx) or len(set(idx)) != len(idx):
+        raise ValidationError(f"schur_complement: keep must be distinct integers in [0, {n}), "
+                              f"got {keep!r}")
+    keep = np.array(sorted(idx), dtype=int)
     drop = np.setdiff1d(np.arange(n), keep)
     s22 = a[keep[:, None], keep]
     if drop.size == 0:
@@ -123,7 +121,7 @@ def min_eig_hermitian(m):
     Returns ``(lambda_min, eigvec, multiplicity)``, the multiplicity by the
     one rule of :func:`_lambda_min`.
     """
-    a = m.mat if isinstance(m, HermitianMatrix) else HermitianMatrix(m).mat
+    a = (m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)).mat
     w, v = np.linalg.eigh(a)
     lam, mult = _lambda_min(w)
     return lam, v[:, 0].copy(), mult

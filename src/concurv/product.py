@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import INF, _check_n, curvature_bundle, curvature_matrix
-from .graphs import (ConnectionGraph, _ball_graph, _check_size, _one_ball,
+from .curvature import INF, _check_n, curvature_bundle
+from .graphs import (ConnectionGraph, _as_number, _ball_graph, _check_size, _one_ball,
                      signature_groups_commute)
 from .hermitian import SLACK, _eigh_rank, _psd_within, _scale
 
@@ -36,6 +36,7 @@ class ProductSpec:
     ``lift="tensor"`` builds the d1*d2-dimensional product with connections
     sigma (x) I and I (x) sigma', which is the only option when the factor
     dimensions differ (those lifted signature groups always commute).
+    ``alpha`` and ``beta`` are numbers (the number rule), positive and finite.
     """
 
     alpha: float = 1.0
@@ -43,8 +44,11 @@ class ProductSpec:
     lift: str = "same-dimension"
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValidationError("product scales alpha, beta must be positive")
+        for name in ("alpha", "beta"):
+            value = _as_number(getattr(self, name), lambda: f"product scale {name}")
+            if not 0 < value < INF:
+                raise ValidationError(f"product scale {name} must be positive and finite: {value}")
+            object.__setattr__(self, name, value)
         if self.lift not in ("same-dimension", "tensor"):
             raise ValidationError(f"unknown lift {self.lift!r}")
 
@@ -147,18 +151,15 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
     R and J are PSD, to SLACK of its terms, or raises :class:`CrossCheckError`.
     """
     n, n2 = _check_n(n), _check_n(n2)
-    ball, ball2 = _ball_graph(g, x), _ball_graph(g2, x2)
-    gl, g2l = _lifted_factors(ball, ball2, spec)
+    gl, g2l = _lifted_factors(_ball_graph(g, x), _ball_graph(g2, x2), spec)
     if not signature_groups_commute(gl, g2l):
         raise ValidationError(
             f"the connections of the 2-balls of {x!r} and {x2!r} do not commute; "
             "the product decomposition does not apply"
         )
-    alpha, beta = spec.alpha, spec.beta
-    d = gl.dimension
+    alpha, beta, d = spec.alpha, spec.beta, gl.dimension
 
-    loc1 = _one_ball(gl, x)
-    loc2 = _one_ball(g2l, x2)
+    loc1, loc2 = _one_ball(gl, x), _one_ball(g2l, x2)
     e1, e2 = curvature_bundle(loc1), curvature_bundle(loc2)
 
     # R couples the kernel-block corrections of the two factors: with
@@ -174,16 +175,16 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
     j = _j_matrix(e1.v0, e2.v0, alpha, beta, n, n2)
     blockdiag = _blocks(alpha * e1.a_n(n), beta * e2.a_n(n2), zeros)
 
-    # Product curvature matrix in the product's own (sorted) basis, permuted
-    # into factor-block order for the comparison.
-    locp = _one_ball(cartesian_product(ball, ball2, spec), product_vertex(x, x2))
+    # Product curvature matrix of the lifted factor balls, in its own (sorted)
+    # basis, permuted into factor-block order for the comparison.
+    locp = _one_ball(cartesian_product(gl, g2l, ProductSpec(alpha, beta)), product_vertex(x, x2))
     order = (tuple(product_vertex(y, x2) for y in loc1.s1)
              + tuple(product_vertex(x, y2) for y2 in loc2.s1))
     if set(order) != set(locp.s1):
         raise CrossCheckError("product 1-sphere does not match the factor 1-spheres")
     idx = (np.array([locp.s1.index(label) for label in order])[:, None] * d
            + np.arange(d)).ravel()
-    a_perm = curvature_matrix(locp, n + n2).mat[np.ix_(idx, idx)]
+    a_perm = curvature_bundle(locp).a_n(n + n2)[np.ix_(idx, idx)]
 
     residual = float(np.max(np.abs(a_perm - (blockdiag + r + j))))
     if residual > SLACK * _scale(a_perm):

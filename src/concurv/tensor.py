@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import CurvatureBundle, _check_n, curvature_bundle, p0_transpose
-from .graphs import LocalStructure
+from .graphs import LocalStructure, _as_array
 from .hermitian import SLACK, _scale
 from .operators import _ball_blocks, delta_matrix
 
@@ -24,10 +24,15 @@ MATRIX_CHECK_TRIALS = 8  # random tangent vectors per tensor_matrix_check
 
 
 def tangent_from_function(local: LocalStructure, f) -> np.ndarray:
-    """Gradient coordinates of a 1-ball function: stack of sigma_xyi f(yi) - f(x)."""
-    fx = np.atleast_1d(np.asarray(f[local.center], dtype=complex))
-    fy = np.array([np.atleast_1d(np.asarray(f[y], dtype=complex)) for y in local.s1])
-    return ((local.sigma_x @ fy[:, :, None])[:, :, 0] - fx).reshape(local.m * local.d)
+    """Gradient coordinates of a 1-ball function: stack of sigma_xyi f(yi) - f(x).
+    Each value ``f[v]`` is taken by the array rule: d numbers, or one number when d = 1."""
+    d, shapes = local.d, ((local.d,), ()) if local.d == 1 else ((local.d,),)
+    try:
+        fx, *fy = [_as_array(f[v], f"f[{v!r}]", *shapes).reshape(d)
+                   for v in (local.center, *local.s1)]
+    except KeyError as exc:
+        raise ValidationError(f"f is missing vertex {exc.args[0]!r}") from None
+    return ((local.sigma_x @ np.array(fy)[:, :, None])[:, :, 0] - fx).reshape(local.m * d)
 
 
 def _under_block_diagonal(blocks: np.ndarray) -> np.ndarray:
@@ -51,9 +56,7 @@ def psi_extend(local: LocalStructure, w: np.ndarray) -> np.ndarray:
     extended together.
     """
     b1 = (local.m + 1) * local.d
-    w = np.asarray(w, dtype=complex)
-    if w.shape[:1] != (b1,) or w.ndim > 2:
-        raise ValidationError(f"psi_extend: expected shape ({b1},) or ({b1}, k), got {w.shape}")
+    w = _as_array(w, "psi_extend: w", (b1,), (b1, None))
     _, c12, w2 = _ball_blocks(local)
     return np.concatenate([w, -(c12.T / w2[:, None]) @ w])
 
@@ -99,9 +102,7 @@ def phi_matrix(local: LocalStructure, f: np.ndarray) -> np.ndarray:
     """The (m+1)d x md matrix of Phi: v -> (phi(v); sigma^{-1}(v_i + phi(v))),
     for the phi matrix ``f`` of :func:`phi_map`.  ``f`` must be d x md: a
     smaller one would broadcast into a different map."""
-    d, md = local.d, local.m * local.d
-    if np.shape(f) != (d, md):
-        raise ValidationError(f"phi must have shape ({d}, {md}), got {np.shape(f)}")
+    f = _as_array(f, "phi", (local.d, local.m * local.d))
     p0 = p0_transpose(local).T  # blocks I_d, sigma^{-1} stacked
     return p0 @ f + _under_block_diagonal(local.sigma_x.conj().transpose(0, 2, 1))
 
@@ -135,10 +136,7 @@ def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray):
     """
     n = _check_n(n)
     md = local.m * local.d
-    v1 = np.asarray(v1, dtype=complex)
-    v2 = np.asarray(v2, dtype=complex)
-    if v1.shape != (md,) or v2.shape != (md,):
-        raise ValidationError(f"tangent vectors must have shape ({md},)")
+    v1, v2 = _as_array(v1, "tangent vector v1", (md,)), _as_array(v2, "tangent vector v2", (md,))
     e = curvature_bundle(local)
     r, g = _tensor_matrices(local, n, _phi(e), e.q2)
     return complex(v1 @ r @ np.conj(v2)), complex(v1 @ g @ np.conj(v2))
@@ -163,7 +161,8 @@ def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
     A_N pulled back through the coordinate map attains
     ``Ric/g = lambda_min``.  Returns the largest residual seen, each over
     ``hermitian._scale`` of the matrix it reads (R, G or A_N), so it holds
-    at any scale of the rates.  One elimination serves phi, R and any B.
+    at any scale of the rates (an exactly zero one, as at a flat ball, is
+    read as it is).  One elimination serves phi, R and any B.
     """
     n = _check_n(n)
     md = local.m * local.d
@@ -173,7 +172,7 @@ def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
         u = e.basis_unitary(b)
         a_n, xi = u @ a_n @ u.conj().T, np.conj(u) @ xi
     r, g = _tensor_matrices(local, n, _phi(e), e.q2)
-    scale_r, scale_g, scale_a = map(_scale, (r, g, a_n))
+    scale_r, scale_g, scale_a = (_scale(m) or 1.0 for m in (r, g, a_n))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(MATRIX_CHECK_TRIALS):

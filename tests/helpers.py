@@ -6,6 +6,7 @@ from a single seed.
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -371,9 +372,11 @@ def _max_abs(m):
     return max(abs(m[i, j]) for i in range(m.rows) for j in range(m.cols))
 
 
-def _reference_record(g: ConnectionGraph, x: str):
-    """``(A_inf, v0)`` at x at the working precision, from the graph's double
-    inputs taken as exact.
+@functools.cache
+def _reference_record(g: ConnectionGraph, x: str, dps: int):
+    """``(A_inf, v0)`` at x to ``dps`` digits, from the graph's double
+    inputs taken as exact; built once per graph, vertex and ``dps``, so the
+    callers only read it.
 
     4*Q comes from :func:`q_reference` and the canonical basis B0 makes
     ``S = B0 (4Q/2) B0^H``.  The kernel block a of S is eliminated on its
@@ -383,25 +386,26 @@ def _reference_record(g: ConnectionGraph, x: str):
     """
     import mpmath
 
-    loc = local_structure(g, x)
-    d, b1 = loc.d, (loc.m + 1) * loc.d
-    q = q_reference(g, x)
-    b = mpmath.eye(b1)
-    v0 = mpmath.matrix(b1 - d, d)
-    for i, y in enumerate(loc.s1):
-        blk, sigma, root = (i + 1) * d, g.sigma(x, y), mpmath.sqrt(g.p(x, y))
-        for k in range(d):
-            for col in range(d):
-                b[k, blk + col] = mpmath.mpc(complex(sigma[k, col])).conjugate()
-                v0[blk - d + col, k] = root * mpmath.mpc(complex(sigma[k, col]))
-            b[blk + k, blk + k] = 1 / root
-    s = b * (q / 2) * b.H
-    lam, u = mpmath.eighe(s[:d, :d])
-    a_plus = mpmath.matrix(d, d)
-    for j in range(d):
-        if abs(lam[j]) > REFERENCE_CUT * _max_abs(s):
-            a_plus += u[:, j] * u[:, j].H / lam[j]
-    return s[d:, d:] - s[d:, :d] * a_plus * s[:d, d:], v0
+    with mpmath.workdps(dps):
+        loc = local_structure(g, x)
+        d, b1 = loc.d, (loc.m + 1) * loc.d
+        q = q_reference(g, x)
+        b = mpmath.eye(b1)
+        v0 = mpmath.matrix(b1 - d, d)
+        for i, y in enumerate(loc.s1):
+            blk, sigma, root = (i + 1) * d, g.sigma(x, y), mpmath.sqrt(g.p(x, y))
+            for k in range(d):
+                for col in range(d):
+                    b[k, blk + col] = mpmath.mpc(complex(sigma[k, col])).conjugate()
+                    v0[blk - d + col, k] = root * mpmath.mpc(complex(sigma[k, col]))
+                b[blk + k, blk + k] = 1 / root
+        s = b * (q / 2) * b.H
+        lam, u = mpmath.eighe(s[:d, :d])
+        a_plus = mpmath.matrix(d, d)
+        for j in range(d):
+            if abs(lam[j]) > REFERENCE_CUT * _max_abs(s):
+                a_plus += u[:, j] * u[:, j].H / lam[j]
+        return s[d:, d:] - s[d:, :d] * a_plus * s[:d, d:], v0
 
 
 def _reference_spectrum(a_inf, v0, n) -> list:
@@ -419,7 +423,7 @@ def curvature_reference(g: ConnectionGraph, x: str, n=INF, dps: int = 50) -> flo
     import mpmath
 
     with mpmath.workdps(dps):
-        return float(_reference_spectrum(*_reference_record(g, x), n)[0])
+        return float(_reference_spectrum(*_reference_record(g, x, dps), n)[0])
 
 
 def multiplicity_reference(g: ConnectionGraph, x: str, ns, dps: int = 50) -> list[int]:
@@ -429,7 +433,7 @@ def multiplicity_reference(g: ConnectionGraph, x: str, ns, dps: int = 50) -> lis
     import mpmath
 
     with mpmath.workdps(dps):
-        record, counts = _reference_record(g, x), []
+        record, counts = _reference_record(g, x, dps), []
         for n in ns:
             lam = _reference_spectrum(*record, n)
             cut = REFERENCE_CUT * max(abs(lam[0]), abs(lam[-1]))
@@ -447,7 +451,7 @@ def n0_reference(g: ConnectionGraph, x: str, dps: int = 50) -> float:
     import mpmath
 
     with mpmath.workdps(dps):
-        a_inf, v0 = _reference_record(g, x)
+        a_inf, v0 = _reference_record(g, x, dps)
         lam, u = mpmath.eighe(a_inf)
         z = u.H * v0
         lam1, z_max = min(lam), _max_abs(z)

@@ -219,14 +219,16 @@ class TestChecksPerDerivation:
         gm, xm, za, zb = random_merge_instance(rng, d=2)
         g1, g2 = random_graph(rng, d=2), random_graph(rng, d=2)
         tau = {v: random_unitary(rng, 2) for v in g1.vertex_ids}
+        # a spec's scales are outside input, read when the spec is built
+        specs = [ProductSpec(alpha=2.0, lift=lift) for lift in ("same-dimension", "tensor")]
         del positive_calls[:]
         add_spherical_edge(g, x, yi, yj, w_new=1.5)
         assert positive_calls == [1.5]
         del positive_calls[:]
         merge_s2(gm, xm, za, zb)
         switch(g1, tau)
-        for lift in ("same-dimension", "tensor"):
-            cartesian_product(g1, g2, ProductSpec(alpha=2.0, lift=lift))
+        for spec in specs:
+            cartesian_product(g1, g2, spec)
         assert positive_calls == []
 
 

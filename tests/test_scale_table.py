@@ -267,15 +267,21 @@ def test_phi_and_the_tensor_check_are_free_of_the_rate_unit(s):
 
 @pytest.mark.parametrize("s", SCALES)
 def test_an_injected_product_residual_raises(s, monkeypatch):
-    """The product matrix read one entry ``INJECTED * max|A_N|`` off."""
-    real = product.curvature_matrix
+    """The product matrix read one entry ``INJECTED * max|A_N|`` off: the
+    product ball's record (its center holds the separator) gets the shifted
+    A_inf, which is A_N at N = inf; the factor balls' records are left as
+    they are."""
+    real = product.curvature_bundle
 
-    def shifted(loc, n):
-        m = real(loc, n).mat.copy()
+    def shifted(loc):
+        bundle = real(loc)
+        if product.SEPARATOR not in loc.center:
+            return bundle
+        m = bundle.a_inf.copy()
         m[0, 0] += INJECTED * top(m)
-        return HermitianMatrix(m)
+        return dataclasses.replace(bundle, a_inf=m)
 
-    monkeypatch.setattr(product, "curvature_matrix", shifted)
+    monkeypatch.setattr(product, "curvature_bundle", shifted)
     for g, g2, x, x2 in product_pairs():
         with pytest.raises(CrossCheckError, match="residual"):
             product_decomposition(scaled_rates(g, s), scaled_rates(g2, s), ProductSpec(),

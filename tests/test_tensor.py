@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -455,6 +457,21 @@ class TestMatrixRepresentation:
             for n in (1.5, INF):
                 assert tensor_matrix_check(loc, n) <= 1e-9
                 assert tensor_matrix_check(loc, n, b=b, seed=trial) <= 1e-9
+
+    @pytest.mark.parametrize("name, x, n", [
+        ("single_edge", "x", 1.0), ("single_edge", "y", 1.0),
+        ("positive_strip", "6", 4.0), ("positive_strip", "9", 4.0)])
+    def test_residuals_on_a_flat_ball(self, name, x, n):
+        """A_N and R are exactly zero on these balls, so their scale is 0:
+        the residual of two exactly zero matrices is 0, not 0/0, and no
+        warning is raised (they were NaN and an 'invalid value' warning)."""
+        loc = local_structure(fixture_graph(name), x)
+        assert not curvature_matrix(loc, n).mat.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tensor_matrix_check(loc, n) == 0.0
+            # only the metric residual is left, and G is not zero
+            assert tensor_matrix_check(loc, n, b=general_basis(loc, seed=5)) <= 1e-12
 
     def test_eigenvector_attainment(self):
         rng = np.random.default_rng(73)
