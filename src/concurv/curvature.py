@@ -26,15 +26,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .graphs import LocalStructure, _as_array, _as_number
-from .hermitian import SLACK, HermitianMatrix, _Eigh, _eigh_rank, _lambda_min, _scale
+from .graphs import SLACK, LocalStructure, _as_array, _as_number, _rng
+from .hermitian import HermitianMatrix, _Eigh, _eigh_rank, _lambda_min, _scale
 from .operators import _gamma2_array, _gamma_array, _q_array, delta_matrix
 
 INF = float("inf")
-BASIS_TOL = 1e-9         # allowed residual of B (2 Gamma) B^H = diag(0, I), entrywise relative
 ORACLE_PSD_SLACK = 1e-9  # the oracle's own slack, so that it stays independent of the record
 ORACLE_BRACKET = 1e-10   # width of the oracle's bisection bracket, relative to its bound on |K|
-PROFILE_TOL = 1e-9       # constancy: z on the lambda_1 cluster, and the N0 grid slack
 
 
 def _check_n(n) -> float:
@@ -97,8 +95,9 @@ def general_basis(local: LocalStructure, seed: int) -> np.ndarray:
     scale ``median(p_xy)^{-1/2}`` of the positive rows, so that neither
     swamps them at any scale of the rates.  Used to exercise
     basis-independence; all default computations use ``canonical_basis``.
+    ``seed`` follows the seed rule of ``graphs._rng``.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     d, m = local.d, local.m
     md = m * d
     w, u = np.linalg.eigh(_gamma_array(local))
@@ -119,7 +118,7 @@ def general_basis(local: LocalStructure, seed: int) -> np.ndarray:
     c = 0.5 * rand_complex((md, d))
     b = np.vstack([e @ p0_transpose(local), v @ rows + c @ p0_transpose(local)])
     resid = basis_residual(local, b)
-    if resid > BASIS_TOL:
+    if resid > SLACK:
         raise CrossCheckError(f"general_basis produced relative residual {resid:.3e}")
     return b
 
@@ -161,13 +160,13 @@ class CurvatureBundle:
     def n0(self) -> float:
         """The least N with K(N) = K(inf), inf if there is none.  With
         ``A_inf = U diag(lam) U^H`` and ``z = U^H v0``: inf when z is not zero
-        (to PROFILE_TOL of max|z|) on the cluster of lam_1 that ``_lambda_min``
+        (to SLACK of max|z|) on the cluster of lam_1 that ``_lambda_min``
         counts, else ``2 lambda_max(sum over the rest of z_i^H z_i / (lam_i - lam_1))``."""
         lam, u = np.linalg.eigh(self.a_inf)
         z = u.conj().T @ self.v0
         c = _lambda_min(lam)[1]
         mag = np.abs(z)
-        if mag[:c].max() > PROFILE_TOL * mag.max():
+        if mag[:c].max() > SLACK * mag.max():
             return INF
         y = z[c:] / np.sqrt(lam[c:] - lam[0])[:, None]
         return 2.0 * float(np.linalg.eigvalsh(y.conj().T @ y)[-1])
@@ -196,16 +195,16 @@ class CurvatureBundle:
 
     def basis_unitary(self, b) -> np.ndarray:
         """The md x md unitary U with ``B B0^{-1} = [[E, 0], [C, U]]``, for a
-        basis B that normalizes 2 Gamma(x) within BASIS_TOL (else
+        basis B that normalizes 2 Gamma(x) within SLACK (else
         ValidationError).  Since ``X D^{-1} = v0^H``,
         ``U = B[d:, d:] D^{-1} - B[d:, :d] v0^H``.  Then ``A_N(B) = U A_N U^H``,
         and B's tangent coordinates are conj(U) times those of B0."""
         local, d = self.local, self.local.d
         b = _as_array(b, "basis b", ((local.m + 1) * d,) * 2)
         resid = basis_residual(local, b)
-        if resid > BASIS_TOL:
+        if resid > SLACK:
             raise ValidationError(
-                f"basis does not normalize 2 Gamma(x): residual {resid:.3e} > {BASIS_TOL:.1e}")
+                f"basis does not normalize 2 Gamma(x): residual {resid:.3e} > {SLACK:.1e}")
         return b[d:, d:] * np.repeat(np.sqrt(local.p_x), d) - b[d:, :d] @ self.v0.conj().T
 
 
@@ -371,7 +370,7 @@ class CurvatureProfile:
     """Sampled curvature function N -> K(N) with its constancy threshold.
 
     ``n0`` is ``CurvatureBundle.n0``: K(N) = K(inf) exactly for N >= n0.
-    ``constant_from`` is the first sampled N >= ``n0 (1 - PROFILE_TOL)``, so
+    ``constant_from`` is the first sampled N >= ``n0 (1 - SLACK)``, so
     a grid point equal to n0 up to rounding counts, or None if there is none.
     """
 
@@ -385,8 +384,12 @@ def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:
 
     Validates, each to ``SLACK * k_scale`` of the samples: monotone
     non-decreasing and concave along the samples, and equal to K(inf) from
-    ``constant_from`` on.
+    ``constant_from`` on.  The grid is an iterable of N values: a lone
+    number, a string or bytes is refused before any N is read.
     """
+    if not np.iterable(grid) or isinstance(grid, (str, bytes)):
+        raise ValidationError(f"curvature_profile: grid must be an iterable of N values, "
+                              f"got {grid!r}")
     grid = [_check_n(n) for n in grid]
     if not grid:
         raise ValidationError("curvature_profile: empty grid")
@@ -413,7 +416,7 @@ def curvature_profile(local: LocalStructure, grid) -> CurvatureProfile:
                 f"K={ks[i + 1]:.12g} < chord {chord:.12g}")
 
     n0, k_inf = bundle.n0, bundle.k(INF)[0]
-    tail = [s for s in samples if n0 < INF and s[0] >= n0 * (1.0 - PROFILE_TOL)]
+    tail = [s for s in samples if n0 < INF and s[0] >= n0 * (1.0 - SLACK)]
     for n, k, _ in tail:
         if abs(k - k_inf) > slack:
             raise CrossCheckError(f"K(N) is constant from N0={n0:.12g} but K({n})={k:.12g} "

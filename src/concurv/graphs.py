@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import ValidationError
 
-UNITARY_TOL = 1e-9      # reject connections further than this from unitary
-REPROJECT_TOL = 1e-12   # deviations in (REPROJECT_TOL, UNITARY_TOL] get polar-projected
-BALANCE_TOL = 1e-9      # non-tree connections must match I_d this closely
-COMMUTE_TOL = 1e-9      # max |S T - T S| entry for two connections to commute
+# The one slack of every check, read at the scale of what it checks: 1 for a
+# unitary (unitarity, realness, balance, commutators), relative elsewhere.
+SLACK = 1e-9
+REPROJECT_TOL = 1e-12   # deviations in (REPROJECT_TOL, SLACK] get polar-projected
 # Every rate w/mu must lie in [RATE_MIN, RATE_MAX]: the 2-ball matrices hold
 # products of up to four rates, which then stay normal doubles.
 RATE_MIN = 1e-60
@@ -118,9 +118,9 @@ def _as_array(value, where: str, *shapes: tuple) -> np.ndarray:
 
 def _check_unitary(s: np.ndarray, where, real: bool = False) -> tuple[np.ndarray, bool]:
     """Validate a (k, d, d) stack of connection matrices in one pass, and
-    judge whether all are real: every imaginary part within UNITARY_TOL.
+    judge whether all are real: every imaginary part within SLACK.
 
-    Rows within UNITARY_TOL of unitary are accepted, and those further than
+    Rows within SLACK of unitary are accepted, and those further than
     REPROJECT_TOL from it are replaced by their polar projection; with
     ``real`` set, rows that are not real are rejected too.  The first
     failing row, in stack order, is named by ``where(k)`` in the error.
@@ -128,19 +128,19 @@ def _check_unitary(s: np.ndarray, where, real: bool = False) -> tuple[np.ndarray
     d = s.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows fail below
         dev = np.abs(s @ s.conj().transpose(0, 2, 1) - np.eye(d)).max(axis=(1, 2))
-    bad = ~(dev <= UNITARY_TOL)  # also rejects NaN and infinite entries
+    bad = ~(dev <= SLACK)  # also rejects NaN and infinite entries
     fix = np.flatnonzero((dev > REPROJECT_TOL) & ~bad)
     if fix.size:
         s = s.copy()
         s[fix] = _polar_unitary(s[fix])
-    imag = np.abs(s.imag).max(axis=(1, 2)) > UNITARY_TOL
+    imag = np.abs(s.imag).max(axis=(1, 2)) > SLACK
     fail = bad | (imag & real)
     if fail.any():
         k = int(np.argmax(fail))
         if bad[k]:
             raise ValidationError(
                 f"{where(k)}: sigma is not unitary, "
-                f"|sigma sigma^H - I| = {dev[k]:.3e} > {UNITARY_TOL:.1e}")
+                f"|sigma sigma^H - I| = {dev[k]:.3e} > {SLACK:.1e}")
         raise ValidationError(f"{where(k)}: field='real' but sigma has imaginary entries")
     return s, not imag.any()
 
@@ -222,6 +222,14 @@ def _edge_index(ids, mu, u, v, w, s):
 
 def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _rng(seed) -> np.random.Generator:
+    """The seed rule: a generator seeded by a non-negative integer (numpy
+    integers too); any other seed, None and bools included, is refused."""
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def _dimension(d) -> int:
@@ -737,7 +745,7 @@ def switch(g: ConnectionGraph, tau: Mapping[str, np.ndarray]) -> ConnectionGraph
 
     tau must assign a unitary to every vertex; weights and measures are
     unchanged.  Switching preserves curvature and balance.  The result is
-    real when g is and every switched connection is real (to UNITARY_TOL).
+    real when g is and every switched connection is real (to SLACK).
     """
     ids = g.vertex_ids
     for v in ids:
@@ -759,7 +767,7 @@ def is_locally_balanced(local: LocalStructure) -> bool:
     """True iff some switching makes every connection in the ball the identity.
 
     Trivializes a spanning tree rooted at the center, then tests every
-    connection against I_d to BALANCE_TOL.  The tree is the breadth-first
+    connection against I_d to SLACK.  The tree is the breadth-first
     one: the center has gauge I, each y_i the gauge sigma_xy_i^H, and each
     z_k the gauge sigma_z_ky_i sigma_xy_i^H through its in-ball edge with
     the smallest i.
@@ -774,12 +782,12 @@ def is_locally_balanced(local: LocalStructure) -> bool:
     gauge[col[first]] = s[first].conj().transpose(0, 2, 1) @ gauge[1 + row[first]]
     # gauge(y_i)^H sigma_y_iv gauge(v), with gauge(y_i)^H = sigma_xy_i
     switched = local.sigma_x[row] @ s @ gauge[col]
-    return bool(np.abs(switched - np.eye(d)).max() <= BALANCE_TOL)
+    return bool(np.abs(switched - np.eye(d)).max() <= SLACK)
 
 
 def signature_groups_commute(g: ConnectionGraph, g2: ConnectionGraph) -> bool:
     """True iff every pair of edge connections from the two graphs commutes
-    (to COMMUTE_TOL).
+    (to SLACK).
 
     Checking the generators suffices: products and inverses of pairwise
     commuting unitaries still commute.
@@ -792,4 +800,4 @@ def signature_groups_commute(g: ConnectionGraph, g2: ConnectionGraph) -> bool:
     if not t.size:
         return True
     # One broadcast commutator of each of g's connections with all of g2's.
-    return not any(np.abs(s @ t - t @ s).max() > COMMUTE_TOL for s in g._arrays()[-1])
+    return not any(np.abs(s @ t - t @ s).max() > SLACK for s in g._arrays()[-1])

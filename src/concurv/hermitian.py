@@ -5,8 +5,9 @@ Everything operates on small dense matrices (desk scale, a few hundred rows
 at most).  Inputs are plain numpy arrays; :class:`HermitianMatrix` is a thin
 validated wrapper for public results, so callers can rely on exact
 Hermitianity.  :func:`schur_complement` is the generic reference form.
-Every matrix check allows ``SLACK * _scale`` of the matrices it compares, with
-no floor, so no check depends on the unit of the rates.
+Every matrix check allows ``SLACK`` (the library's one slack, from
+``graphs``) times ``_scale`` of the matrices it compares, with no floor, so
+no check depends on the unit of the rates.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import _as_array, _is_integer
+from .graphs import SLACK, _as_array, _is_integer
 
-SLACK = 1e-9                # every matrix check, relative to _scale of the matrices compared
 PINV_RTOL_SCALE = 1e-10     # pseudoinverse cutoff is PINV_RTOL_SCALE * n * max abs(eigenvalue)
 MULTIPLICITY_GAP = 1e-8     # gap grouping eigenvalues with lambda_min, relative to |lambda_min|
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, curvature_bundle
-from .graphs import (ConnectionGraph, LocalStructure, _as_number, _connections, _edge_name,
-                     _one_ball)
-from .hermitian import SLACK, _psd_within
+from .graphs import (SLACK, ConnectionGraph, LocalStructure, _as_number, _connections,
+                     _edge_name, _one_ball)
+from .hermitian import _psd_within
 from .operators import _gamma2_array
 
 S1_IN_TOL = 1e-12               # relative spread of inward rates counted as equal
@@ -63,7 +63,7 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     4*Gamma_2 difference matrix is PSD.  Under the balanced default plus
     S1-in regularity the curvature cannot decrease (checked; a decrease
     beyond the module's slack raises :class:`CrossCheckError`).  The new
-    graph is real when g is and the new connection is real (to UNITARY_TOL).
+    graph is real when g is and the new connection is real (to SLACK).
     """
     x, yi, yj = str(x), str(yi), str(yj)
     before_loc = _one_ball(g, x)   # rejects an unknown or isolated x

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, _check_n, curvature_bundle
-from .graphs import (ConnectionGraph, _as_number, _ball_graph, _check_size, _one_ball,
+from .graphs import (SLACK, ConnectionGraph, _as_number, _ball_graph, _check_size, _one_ball,
                      signature_groups_commute)
-from .hermitian import SLACK, _eigh_rank, _psd_within, _scale
+from .hermitian import _eigh_rank, _psd_within, _scale
 
 STAR_TOL = 1e-12        # star product bisection stops at a bracket of STAR_TOL * t
 SEPARATOR = "|"

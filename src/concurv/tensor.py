@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import CurvatureBundle, _check_n, curvature_bundle, p0_transpose
-from .graphs import LocalStructure, _as_array
-from .hermitian import SLACK, _scale
+from .graphs import SLACK, LocalStructure, _as_array, _rng
+from .hermitian import _scale
 from .operators import _ball_blocks, delta_matrix
 
 MATRIX_CHECK_TRIALS = 8  # random tangent vectors per tensor_matrix_check
@@ -162,9 +162,11 @@ def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
     ``Ric/g = lambda_min``.  Returns the largest residual seen, each over
     ``hermitian._scale`` of the matrix it reads (R, G or A_N), so it holds
     at any scale of the rates (an exactly zero one, as at a flat ball, is
-    read as it is).  One elimination serves phi, R and any B.
+    read as it is).  One elimination serves phi, R and any B.  ``seed``
+    follows the seed rule of ``graphs._rng``.
     """
     n = _check_n(n)
+    rng = _rng(seed)
     md = local.m * local.d
     e = curvature_bundle(local)
     a_n, xi = e.a_n(n), np.conj(_v0_blocks(e))
@@ -173,7 +175,6 @@ def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
         a_n, xi = u @ a_n @ u.conj().T, np.conj(u) @ xi
     r, g = _tensor_matrices(local, n, _phi(e), e.q2)
     scale_r, scale_g, scale_a = (_scale(m) or 1.0 for m in (r, g, a_n))
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(MATRIX_CHECK_TRIALS):
         v = rng.normal(size=md) + 1j * rng.normal(size=md)

@@ -18,7 +18,7 @@ import numpy as np
 import concurv
 from concurv import INF, ConnectionGraph, ValidationError, product_vertex, switch
 from concurv.curvature import canonical_basis
-from concurv.graphs import UNITARY_TOL, EdgeIndex, _connections, local_structure
+from concurv.graphs import SLACK, EdgeIndex, _connections, local_structure
 from concurv.hermitian import PINV_RTOL_SCALE, _lambda_min
 from concurv.operators import _gamma2_array, delta_matrix
 
@@ -523,7 +523,7 @@ def switch_rebuild(g: ConnectionGraph, tau) -> ConnectionGraph:
     u, v = ix.nbr[ix.rev[rows]], ix.nbr[rows]
     switched = taus[u].conj().transpose(0, 2, 1) @ ix.sigma[rows] @ taus[v]
     field = g.field
-    if field == "real" and np.abs(switched.imag).max(initial=0.0) > UNITARY_TOL:
+    if field == "real" and np.abs(switched.imag).max(initial=0.0) > SLACK:
         field = "complex"
     edges = zip(ix.names[u], ix.names[v], ix.weight[rows].tolist(), switched)
     return ConnectionGraph(g.dimension, field, [(v, g.measure(v)) for v in ids], edges)
@@ -537,7 +537,7 @@ def add_edge_rebuild(g: ConnectionGraph, x: str, yi: str, yj: str, w_new: float 
         sigma_new = g.sigma(yi, x) @ g.sigma(x, yj)
     edges = g.edge_list() + [(yi, yj, float(w_new), sigma_new)]
     field = g.field
-    if field == "real" and float(np.max(np.abs(np.asarray(sigma_new).imag))) > UNITARY_TOL:
+    if field == "real" and float(np.max(np.abs(np.asarray(sigma_new).imag))) > SLACK:
         field = "complex"
     return ConnectionGraph(g.dimension, field, [(v, g.measure(v)) for v in g.vertex_ids], edges)
 

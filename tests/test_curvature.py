@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from concurv import (
 )
 from concurv.curvature import basis_residual
 from concurv.fixtures import fixture_graph, fixture_names
+from concurv.graphs import SLACK
 from concurv.hermitian import PINV_RTOL_SCALE, HermitianMatrix, _eigh_rank, min_eig_hermitian
 from concurv.operators import q_matrix
 
@@ -132,6 +135,22 @@ class TestBases:
         loc = single_edge_local()
         with pytest.raises(ValidationError, match="normalize"):
             curvature_matrix(loc, INF, b=np.eye(2))
+
+    @pytest.mark.parametrize("share", [0.5, 2.0])
+    def test_slack_boundary(self, share):
+        """The canonical basis with its normalized rows stretched to a
+        residual of share * SLACK: accepted at half the slack, refused at
+        twice it."""
+        loc = local_structure(fixture_graph("g1_u2"), "1")
+        b = canonical_basis(loc)
+        b[loc.d:] *= math.sqrt(1.0 + share * SLACK)
+        assert basis_residual(loc, b) == pytest.approx(share * SLACK, rel=1e-6)
+        bundle = curvature_bundle(loc)
+        if share < 1.0:
+            bundle.basis_unitary(b)
+        else:
+            with pytest.raises(ValidationError, match="normalize"):
+                bundle.basis_unitary(b)
 
 
 class TestCurvatureValues:
@@ -608,6 +627,20 @@ class TestProfile:
         with pytest.raises(ValidationError, match="ascending"):
             curvature_profile(loc, [2.0, 1.0])
 
+    @pytest.mark.parametrize("grid", [4.0, 4, INF, np.float64(4.0), np.array(4.0), None, "48",
+                                      b"48", object()])
+    def test_grid_is_an_iterable_of_n(self, grid):
+        """A lone number, a string or bytes, or anything not iterable is
+        refused as a grid before any N is read."""
+        with pytest.raises(ValidationError, match="grid must be an iterable of N values"):
+            curvature_profile(single_edge_local(), grid)
+
+    def test_grid_takes_any_iterable(self):
+        loc = single_edge_local()
+        want = curvature_profile(loc, [1.0, 2.0, INF])
+        for grid in ((1.0, 2.0, INF), np.array([1.0, 2.0, INF]), iter([1.0, 2.0, INF])):
+            assert curvature_profile(loc, grid) == want
+
 
 def _star(m: int, d: int = 1) -> ConnectionGraph:
     return ConnectionGraph(d, "complex", [("c", 1.0)] + [(f"l{i}", 1.0) for i in range(m)],
@@ -655,6 +688,19 @@ class TestConstancyThreshold:
                 assert n0 == pytest.approx(FINITE_N0.get((name, x), INF), rel=1e-12), (name, x)
                 seen.add((name, x))
         assert set(FINITE_N0) <= seen
+
+    @pytest.mark.parametrize("share", [0.5, 2.0])
+    def test_slack_boundary(self, share):
+        """z = U^H v0 set on the lambda_1 cluster to share * SLACK of max|z|
+        at the 3-leaf star (N0 = 2, a cluster of 2): N0 stays at half the
+        slack and is inf at twice it."""
+        bundle = curvature_bundle(local_structure(_star(3), "c"))
+        lam, u = np.linalg.eigh(bundle.a_inf)
+        z = u.conj().T @ bundle.v0
+        z[:2] = share * SLACK * np.abs(z).max()
+        moved = dataclasses.replace(bundle)
+        moved.__dict__["v0"] = u @ z   # the cached v0
+        assert moved.n0 == (pytest.approx(bundle.n0, rel=1e-12) if share < 1.0 else INF)
 
     def test_profile_is_free_of_the_rate_unit(self):
         """At rates scaled by 1e-20 to 1e20 every profile of the 56 balls

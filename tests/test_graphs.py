@@ -26,7 +26,7 @@ from concurv import (
 )
 from concurv.cli import main
 from concurv.fixtures import fixture_document, fixture_graph, fixture_names
-from concurv.graphs import BALANCE_TOL, REPROJECT_TOL, UNITARY_TOL
+from concurv.graphs import REPROJECT_TOL, SLACK
 
 from helpers import (
     MALFORMED_DOCUMENTS,
@@ -552,9 +552,9 @@ def check_unitary_loops(sigma, d: int, where: str):
         raise ValidationError(f"{where}: sigma has shape {sigma.shape}, expected ({d}, {d})")
     with np.errstate(invalid="ignore", over="ignore"):
         dev = float(np.max(np.abs(sigma @ sigma.conj().T - np.eye(d))))
-    if not dev <= UNITARY_TOL:
+    if not dev <= SLACK:
         raise ValidationError(
-            f"{where}: sigma is not unitary, |sigma sigma^H - I| = {dev:.3e} > {UNITARY_TOL:.1e}"
+            f"{where}: sigma is not unitary, |sigma sigma^H - I| = {dev:.3e} > {SLACK:.1e}"
         )
     if dev > REPROJECT_TOL:
         u, _, vh = np.linalg.svd(sigma)
@@ -586,7 +586,7 @@ def connections_loops(d: int, field: str, vertices, edges):
             s, dev = np.eye(d, dtype=complex), 0.0
         else:
             s, dev = check_unitary_loops(np.asarray(sigma, dtype=complex), d, f"edge ({u!r}, {v!r})")
-            if field == "real" and float(np.max(np.abs(s.imag))) > UNITARY_TOL:
+            if field == "real" and float(np.max(np.abs(s.imag))) > SLACK:
                 raise ValidationError(
                     f"edge ({u!r}, {v!r}): field='real' but sigma has imaginary entries")
         adj[u].add(v)
@@ -597,7 +597,7 @@ def connections_loops(d: int, field: str, vertices, edges):
 
 
 def near_unitary(rng, d: int, field: str):
-    """A unitary scaled so that |S S^H - I| lies in (REPROJECT_TOL, UNITARY_TOL]."""
+    """A unitary scaled so that |S S^H - I| lies in (REPROJECT_TOL, SLACK]."""
     return random_unitary(rng, d, field) * (1 + rng.uniform(1e-12, 4e-10))
 
 
@@ -1000,6 +1000,17 @@ class TestLocallyBalanced:
             assert is_locally_balanced(local_structure(g, "1"))
 
 
+    @pytest.mark.parametrize("share, balanced", [(0.5, True), (2.0, False)])
+    def test_slack_boundary(self, share, balanced):
+        """A triangle of identity connections but for a phase on its
+        spherical edge, with |e^{i theta} - 1| = share * SLACK: balanced at
+        half the slack, not at twice it."""
+        theta = 2.0 * math.asin(share * SLACK / 2.0)
+        phase = [[complex(math.cos(theta), math.sin(theta))]]
+        g = ConnectionGraph(1, "complex", [("x", 1.0), ("a", 1.0), ("b", 1.0)],
+                            [("x", "a", 1.0, None), ("x", "b", 1.0, None), ("a", "b", 1.0, phase)])
+        assert is_locally_balanced(local_structure(g, "x")) is balanced
+
     def test_matches_breadth_first_oracle(self):
         """The array check against the breadth-first gauge fixing it
         replaced, at every fixture vertex and every vertex of random
@@ -1026,7 +1037,7 @@ class TestLocallyBalanced:
         assert min(answers.values()) >= 100, answers
 
 
-def balanced_bfs(ball, tol: float = BALANCE_TOL) -> bool:
+def balanced_bfs(ball, tol: float = SLACK) -> bool:
     """Local balance by breadth-first gauge fixing over the loop ball: the
     tree edge u -> v sets gauge[v] = sigma_vu gauge[u], then every in-ball
     connection is tested against I_d.  An oracle for is_locally_balanced."""
@@ -1072,7 +1083,7 @@ class TestSignatureGroupsCommute:
         connections on its own, on commuting pairs and on pairs where one
         edge of g2 is switched to a non-diagonal connection."""
         def commute_loops(g, g2):
-            return all(float(np.max(np.abs(s @ t - t @ s))) <= UNITARY_TOL
+            return all(float(np.max(np.abs(s @ t - t @ s))) <= SLACK
                        for _, _, _, s in g.edge_list() for _, _, _, t in g2.edge_list())
 
         rng = np.random.default_rng(32)
@@ -1089,6 +1100,19 @@ class TestSignatureGroupsCommute:
             assert signature_groups_commute(g, g2) == want == commute_loops(g2, g)
             answers.add(want)
         assert answers == {True, False}
+
+    @pytest.mark.parametrize("share, commute", [(0.5, True), (2.0, False)])
+    def test_slack_boundary(self, share, commute):
+        """diag(1, -1) and the rotation by phi have max|S T - T S| = 2 sin(phi)
+        = share * SLACK: they commute at half the slack, not at twice it."""
+        phi = math.asin(share * SLACK / 2.0)
+        c, s = math.cos(phi), math.sin(phi)
+
+        def one_edge(sigma):
+            return ConnectionGraph(2, "real", [("a", 1.0), ("b", 1.0)], [("a", "b", 1.0, sigma)])
+
+        g, g2 = one_edge([[1.0, 0.0], [0.0, -1.0]]), one_edge([[c, -s], [s, c]])
+        assert signature_groups_commute(g, g2) is signature_groups_commute(g2, g) is commute
 
     def test_edgeless_graph_commutes(self):
         rng = np.random.default_rng(33)

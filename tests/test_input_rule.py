@@ -95,6 +95,20 @@ class TestOneArrayRule:
             with pytest.raises(ValidationError, match="keep"):
                 schur_complement(h, keep)
 
+    @pytest.mark.parametrize("bad", ["x", 1.5, -1, np.int64(-1), None, True, np.float64(2.0)])
+    def test_seed_is_a_non_negative_integer(self, bad):
+        loc = ball()
+        for draw in (lambda s: general_basis(loc, s),
+                     lambda s: tensor_matrix_check(loc, 4.0, seed=s)):
+            with pytest.raises(ValidationError, match="seed"):
+                draw(bad)
+
+    def test_seed_takes_numpy_integers(self):
+        loc = ball()
+        assert np.array_equal(general_basis(loc, np.int64(7)), general_basis(loc, 7))
+        assert tensor_matrix_check(loc, 4.0, seed=np.uint8(7)) == \
+            tensor_matrix_check(loc, 4.0, seed=7)
+
     def test_schur_keep_in_range_and_distinct(self):
         h = entry_points()["schur_complement"][1]
         for keep in ([0, 3], [-1, 2], [1, 1], np.array([0, 5])):

@@ -3,7 +3,7 @@ matrices, over a table of balls at rates scaled by 1e-20 to 1e12.
 
 Multiplying every edge weight by s multiplies every curvature matrix and K
 by s, so no check may depend on the unit of the weights.  Each check on K
-allows ``hermitian.SLACK`` (or the CLI's tolerance) times
+allows ``graphs.SLACK`` (or the CLI's tolerance) times
 ``CurvatureBundle.k_scale``, ``max(max|A_inf|, |K| ...)`` with no floor, and
 each matrix check allows ``SLACK`` times ``hermitian._scale``, the largest
 entry of the matrices it compares.  At every scale of the table: the oracle

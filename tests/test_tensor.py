@@ -20,7 +20,7 @@ from concurv import (
 from concurv.curvature import general_basis, p0_transpose
 from concurv.fixtures import fixture_graph, fixture_names
 from concurv.operators import _ball_blocks, _q_array, delta_matrix, q_matrix
-from concurv.hermitian import SLACK
+from concurv.graphs import SLACK
 from concurv.tensor import _tensor_matrices, coordinate_map, phi_matrix
 
 from helpers import (
