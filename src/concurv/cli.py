@@ -147,14 +147,22 @@ class Report:
         return "\n".join(out)
 
 
+def _write_json(path: str, doc: dict, make_dir: bool = False) -> None:
+    """The one JSON writer of --out and --export, creating the directory when
+    ``make_dir``; an OSError (a missing directory, say) is a validation failure."""
+    try:
+        if make_dir:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=2)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_out(report: Report, path: str | None, g) -> None:
     """The --out option: write the graph's JSON document to path, if given."""
     if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(g.to_document(), fh, sort_keys=True, indent=2)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {path}: {exc}") from exc
+        _write_json(path, g.to_document())
         report.add("written", path)
 
 
@@ -309,12 +317,10 @@ def cmd_examples(args) -> tuple[int, Report]:
         report.add_line(f"[{status}] {criterion:>3s} {name}{(': ' + detail) if detail else ''}")
     report.add("failures", failures)
     if args.export:
-        os.makedirs(args.export, exist_ok=True)
         from .fixtures import fixture_document, fixture_names
         for name in fixture_names():
-            path = os.path.join(args.export, f"{name}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(fixture_document(name), fh, sort_keys=True, indent=2)
+            _write_json(os.path.join(args.export, f"{name}.json"), fixture_document(name),
+                        make_dir=True)
         report.add("exported", args.export)
     return (2 if failures else 0), report
 

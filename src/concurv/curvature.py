@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CrossCheckError, ValidationError
 from .graphs import SLACK, LocalStructure, _as_array, _as_number, _rng
 from .hermitian import HermitianMatrix, _Eigh, _eigh_rank, _lambda_min, _scale
-from .operators import _gamma2_array, _gamma_array, _q_array, delta_matrix
+from .operators import _gamma2_array, _gamma_array, _neighbour_stack, _q_array, delta_matrix
 
 INF = float("inf")
 ORACLE_PSD_SLACK = 1e-9  # the oracle's own slack, so that it stays independent of the record
@@ -46,29 +46,25 @@ def _check_n(n) -> float:
     return n
 
 
-def p0_transpose(local: LocalStructure) -> np.ndarray:
-    """The d x (m+1)d row block (I_d, conj(sigma_xy1), ..., conj(sigma_xym)).
-
-    Its conjugate spans the kernel of 2*Gamma(x) and it annihilates Delta(x).
-    """
-    d, m = local.d, local.m
-    blocks = np.concatenate([np.eye(d, dtype=complex)[None], local.sigma_x.conj()])
-    return blocks.transpose(1, 0, 2).reshape(d, (m + 1) * d)
+def _dimension_weight(n: float, c: float, gram: np.ndarray) -> float:
+    """The weight c/N of a dimension term ``(c/N) gram``.  An N that passes
+    _check_n can still be small enough for the term to overflow on a ball
+    with large rates; such an N is refused with a ValidationError naming it."""
+    w = c / n
+    if not math.isfinite(w * float(np.max(np.abs(gram)))):
+        raise ValidationError(f"dimension parameter N = {n} is too small for this ball: "
+                              f"the dimension term ({c:g}/N) times a matrix of the ball overflows")
+    return w
 
 
 def canonical_basis(local: LocalStructure) -> np.ndarray:
-    """The canonical normalizing basis B0.
-
-    First d rows are p0^T; the remaining rows are diagonal blocks
-    ``(1/sqrt(p_xyi)) I_d``.  Satisfies the normalization
-    ``B0 (2 Gamma(x)) B0^H = diag(0_d, I_md)`` by construction.
-    """
-    d, m = local.d, local.m
-    ys = np.arange(1, m + 1)
-    out = np.zeros((m + 1, d, m + 1, d), dtype=complex)
-    out[0] = p0_transpose(local).reshape(d, m + 1, d)
-    out[ys, :, ys, :] = np.eye(d) / np.sqrt(local.p_x)[:, None, None]
-    return out.reshape((m + 1) * d, (m + 1) * d)
+    """The canonical normalizing basis ``B0 = [[I, S^H], [0, D]]``: S is the
+    plain neighbour stack and ``D = diag(p_xyi^{-1/2}) (x) I_d``.  Its first d
+    rows are p0^T, whose conjugate spans the kernel of 2*Gamma(x) and which
+    annihilates Delta(x); ``B0 (2 Gamma(x)) B0^H = diag(0_d, I_md)``."""
+    s = _neighbour_stack(local)
+    return np.block([[np.eye(local.d), s.conj().T],
+                     [np.zeros_like(s), np.diag(np.repeat(1.0 / np.sqrt(local.p_x), local.d))]])
 
 
 def basis_residual(local: LocalStructure, b: np.ndarray) -> float:
@@ -86,24 +82,16 @@ def basis_residual(local: LocalStructure, b: np.ndarray) -> float:
 
 
 def general_basis(local: LocalStructure, seed: int) -> np.ndarray:
-    """A random valid basis matrix B.
-
-    Rows 1..d are E p0^T for a random nonsingular E; the rest mix the
-    orthonormalized positive-eigenspace rows of 2*Gamma(x) by a random
-    unitary, plus a random kernel-row component (which the normalization
-    condition cannot see).  E and the kernel component are drawn at the
-    scale ``median(p_xy)^{-1/2}`` of the positive rows, so that neither
-    swamps them at any scale of the rates.  Used to exercise
-    basis-independence; all default computations use ``canonical_basis``.
-    ``seed`` follows the seed rule of ``graphs._rng``.
+    """A random valid basis ``B = [[E, 0], [C, U]] @ B0``, the form of every
+    normalizing basis: a random nonsingular d x d E, kernel-row component C
+    and md x md unitary U, the U that ``CurvatureBundle.basis_unitary`` reads
+    back.  E and C are drawn at the scale ``median(p_xy)^{-1/2}`` of B0's
+    normalized rows, so that neither swamps them at any scale of the rates.
+    Used to exercise basis-independence; all default computations use
+    ``canonical_basis``.  ``seed`` follows the seed rule of ``graphs._rng``.
     """
     rng = _rng(seed)
-    d, m = local.d, local.m
-    md = m * d
-    w, u = np.linalg.eigh(_gamma_array(local))
-    # Exactly d zero eigenvalues; the positive part starts at index d.
-    rows = (u[:, d:] / np.sqrt(w[d:])).conj().T
-
+    d, md = local.d, local.m * local.d
     scale = 1.0 / np.sqrt(np.median(local.p_x))
 
     def rand_complex(shape):
@@ -114,9 +102,9 @@ def general_basis(local: LocalStructure, seed: int) -> np.ndarray:
         if np.linalg.cond(e) < 1e6:
             break
     q, r = np.linalg.qr(rand_complex((md, md)))
-    v = q * (np.diag(r) / np.abs(np.diag(r)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
     c = 0.5 * rand_complex((md, d))
-    b = np.vstack([e @ p0_transpose(local), v @ rows + c @ p0_transpose(local)])
+    b = np.block([[e, np.zeros((d, md))], [c, u]]) @ canonical_basis(local)
     resid = basis_residual(local, b)
     if resid > SLACK:
         raise CrossCheckError(f"general_basis produced relative residual {resid:.3e}")
@@ -152,9 +140,7 @@ class CurvatureBundle:
     def v0(self) -> np.ndarray:
         """The md x d block v0 with ``B0 Delta(x) = (0; v0)``: its blocks are
         ``sqrt(p_xyi) sigma_xyi^T``."""
-        local = self.local
-        p = np.sqrt(local.p_x)[:, None, None]
-        return (p * local.sigma_x.transpose(0, 2, 1)).reshape(local.m * local.d, local.d)
+        return _neighbour_stack(self.local, np.sqrt(self.local.p_x))
 
     @cached_property
     def n0(self) -> float:
@@ -177,13 +163,14 @@ class CurvatureBundle:
         nor v0 is formed.  Otherwise the term is made Hermitian where it is
         formed, from its strict lower triangle and real diagonal: those are
         what ``eigvalsh`` reads, so K does not depend on the rounding of the
-        upper triangle."""
+        upper triangle.  An N at which the term overflows is refused."""
         n = _check_n(n)
         if n == INF:
             return self.a_inf
         term = self.v0 @ self.v0.conj().T
         low = np.tril(term, -1)
-        return self.a_inf - (2.0 / n) * (low + low.conj().T + np.diag(term.diagonal().real))
+        herm = low + low.conj().T + np.diag(term.diagonal().real)
+        return self.a_inf - _dimension_weight(n, 2.0, term) * herm
 
     def k(self, n) -> tuple[float, int]:
         """K(N) and its multiplicity, from the eigenvalues of ``a_n(n)`` only."""
@@ -219,8 +206,7 @@ def curvature_bundle(local: LocalStructure) -> CurvatureBundle:
     """
     d = local.d
     q2 = _q_array(local) / 2.0
-    # conj(p0) = [I; sigma_xy1^T; ...; sigma_xym^T]
-    p0c = np.concatenate([np.eye(d)[None], local.sigma_x.transpose(0, 2, 1)]).reshape(-1, d)
+    p0c = np.concatenate([np.eye(d), _neighbour_stack(local)])   # conj(p0) = [I; S]
     z = q2 @ p0c
     dd = np.repeat(1.0 / np.sqrt(local.p_x), d)[:, None]
     a, s10, core = p0c.conj().T @ z, dd * z[d:], q2[d:, d:] * (dd * dd.T)
@@ -287,14 +273,18 @@ def curvature_oracle(local: LocalStructure, n) -> float:
     gamma_pad = np.zeros((size, size), dtype=complex)
     gamma_pad[:b1, :b1] = two_gamma / 2.0
     delta = delta_matrix(local)
+    ddh = delta @ delta.conj().T
+    weight = _dimension_weight(n, 1.0, ddh)
     base = four_gamma2 / 4.0
-    base[:b1, :b1] -= (1.0 / n) * (delta @ delta.conj().T)
+    base[:b1, :b1] -= weight * ddh
     # symmetrized once: base - k * gamma_pad is then exactly Hermitian for every real k
     base = (base + base.conj().T) / 2.0
 
     # Bracket from the Rayleigh-quotient bound |K| <= |4 Gamma_2| / lambda_+,
     # expanded defensively if the feasibility pattern disagrees.  Tests on the
     # matrices (quadratic in the rates) read scale_m, tests on K the bound.
+    # The lower start also covers the dimension term, of size up to
+    # (4/N) |Delta Delta^H| / lambda_+, which dominates K at small N.
     lam_plus = float(np.linalg.eigvalsh(two_gamma)[d])
     bound = float(np.max(np.abs(four_gamma2))) / lam_plus
     scale_g = float(np.max(np.abs(gamma_pad)))
@@ -306,7 +296,8 @@ def curvature_oracle(local: LocalStructure, n) -> float:
     def feasible(k: float) -> bool:
         return smallest(k) >= -ORACLE_PSD_SLACK * scale_m
 
-    lo, hi = -4.0 * bound, 4.0 * bound
+    reach = 4.0 * weight * float(np.max(np.abs(ddh))) / lam_plus
+    lo, hi = -4.0 * (bound + reach), 4.0 * bound
     for _ in range(64):
         if feasible(lo):
             break

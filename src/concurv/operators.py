@@ -19,6 +19,25 @@ from .graphs import LocalStructure
 from .hermitian import HermitianMatrix
 
 
+def _neighbour_stack(local: LocalStructure, rates: np.ndarray | None = None,
+                     diagonal: bool = False) -> np.ndarray:
+    """The 1-ball layout: one d x d block ``rates_i sigma_xy_i^T`` per sorted
+    neighbour (``sigma_xy_i^T`` when ``rates`` is None), stacked into an md x d
+    matrix or, with ``diagonal``, on the diagonal of an md x md one.  With S
+    the plain stack, ``p0^T = [I, S^H]``; with S_p that of the rates,
+    ``Delta(x) = [-(d_x/mu_x) I; S_p]`` and ``2*Gamma(x)`` has blocks ``-S_p``."""
+    d, m = local.d, local.m
+    blocks = local.sigma_x.transpose(0, 2, 1)
+    if rates is not None:
+        blocks = rates[:, None, None] * blocks
+    if not diagonal:
+        return blocks.reshape(m * d, d)
+    out = np.zeros((m, d, m, d), dtype=complex)
+    ys = np.arange(m)
+    out[ys, :, ys, :] = blocks
+    return out.reshape(m * d, m * d)
+
+
 def delta_matrix(local: LocalStructure) -> np.ndarray:
     """The (m+1)d x d Laplacian block Delta(x).
 
@@ -26,10 +45,8 @@ def delta_matrix(local: LocalStructure) -> np.ndarray:
     so that for the local vector f of a function, ``f^T Delta(x)`` is the row
     vector ``(Delta f(x))^T``.
     """
-    d, m = local.d, local.m
-    blocks = np.concatenate([-local.dx_over_mux * np.eye(d)[None],
-                             local.p_x[:, None, None] * local.sigma_x.transpose(0, 2, 1)])
-    return blocks.reshape((m + 1) * d, d)
+    return np.concatenate([-local.dx_over_mux * np.eye(local.d),
+                           _neighbour_stack(local, local.p_x)])
 
 
 def gamma_matrix(local: LocalStructure) -> HermitianMatrix:
@@ -38,16 +55,11 @@ def gamma_matrix(local: LocalStructure) -> HermitianMatrix:
 
 
 def _gamma_array(local: LocalStructure) -> np.ndarray:
-    """2*Gamma(x) as a plain array, exactly Hermitian by construction."""
-    d, m = local.d, local.m
-    p = local.p_x[:, None, None]
-    ys = np.arange(1, m + 1)
-    out = np.zeros((m + 1, d, m + 1, d), dtype=complex)   # out[a, :, b, :] is block (a, b)
-    out[0, :, 0, :] = local.dx_over_mux * np.eye(d)
-    out[0, :, ys, :] = -p * local.sigma_x.conj()
-    out[ys, :, 0, :] = -p * local.sigma_x.transpose(0, 2, 1)
-    out[ys, :, ys, :] = p * np.eye(d)
-    return out.reshape((m + 1) * d, (m + 1) * d)
+    """2*Gamma(x) as a plain array, exactly Hermitian by construction:
+    ``[[(d_x/mu_x) I, -S_p^H], [-S_p, diag(p_xyi) (x) I_d]]``."""
+    s = _neighbour_stack(local, local.p_x)
+    return np.block([[local.dx_over_mux * np.eye(local.d), -s.conj().T],
+                     [-s, np.diag(np.repeat(local.p_x, local.d))]])
 
 
 def gamma2_matrix(local: LocalStructure) -> HermitianMatrix:
@@ -71,7 +83,7 @@ def _ball_blocks(local: LocalStructure):
     """
     d, m, n = local.d, local.m, local.n
     md, b1 = m * d, (m + 1) * d
-    P, sx = local.p_x, local.sigma_x
+    P = local.p_x
     row, col, r = local.edge_row, local.edge_col, local.edge_p
     dx = local.dx_over_mux
     pin = r[:m]                                     # p_yix: the first m edges end at x
@@ -84,13 +96,13 @@ def _ball_blocks(local: LocalStructure):
     w[row[m:], :, col[m:] - 1, :] = c[:, None, None] * local.edge_sigma[m:].conj()
     w[ys, :, ys, :] = (-(2.0 * pin + dy + dx) * P)[:, None, None] * eye
     w = w.reshape(md, (m + n) * d)
-    xw = sx.conj().transpose(1, 0, 2).reshape(d, md) @ w   # X W
+    xw = _neighbour_stack(local).conj().T @ w   # X W, X = p0^T without its center block
 
     g11 = np.empty((b1, b1), dtype=complex)
     g11[:d, :d] = (3.0 * sum((P * pin).tolist()) + dx * dx) * eye
     g11[:d, d:] = xw[:, :md]
     g11[d:, :d] = xw[:, :md].conj().T
-    v = (P[:, None, None] * sx.transpose(0, 2, 1)).reshape(md, d)
+    v = _neighbour_stack(local, P)
     w11 = w[:, :md]
     g11[d:, d:] = 2.0 * (v @ v.conj().T - w11 - w11.conj().T)
     diag = (2.0 * P + 3.0 * dy - dx) * P + into[1:m + 1]

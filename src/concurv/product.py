@@ -172,8 +172,9 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
     own = _blocks(alpha * e1.omega_t.conj().T @ e1.eig.pinv() @ e1.omega_t,
                   beta * e2.omega_t.conj().T @ e2.eig.pinv() @ e2.omega_t, zeros)
     r = own - coupled
-    j = _j_matrix(e1.v0, e2.v0, alpha, beta, n, n2)
+    # a_n refuses an N whose dimension term overflows, before J forms its terms
     blockdiag = _blocks(alpha * e1.a_n(n), beta * e2.a_n(n2), zeros)
+    j = _j_matrix(e1.v0, e2.v0, alpha, beta, n, n2)
 
     # Product curvature matrix of the lifted factor balls, in its own (sorted)
     # basis, permuted into factor-block order for the comparison.

@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import CurvatureBundle, _check_n, curvature_bundle, p0_transpose
+from .curvature import CurvatureBundle, _check_n, curvature_bundle
 from .graphs import SLACK, LocalStructure, _as_array, _rng
 from .hermitian import _scale
-from .operators import _ball_blocks, delta_matrix
+from .operators import _ball_blocks, _neighbour_stack, delta_matrix
 
 MATRIX_CHECK_TRIALS = 8  # random tangent vectors per tensor_matrix_check
 
@@ -33,16 +33,6 @@ def tangent_from_function(local: LocalStructure, f) -> np.ndarray:
     except KeyError as exc:
         raise ValidationError(f"f is missing vertex {exc.args[0]!r}") from None
     return ((local.sigma_x @ np.array(fy)[:, :, None])[:, :, 0] - fx).reshape(local.m * d)
-
-
-def _under_block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """The (m+1)d x md matrix with the m d x d ``blocks`` on the diagonal
-    below a zero first block row."""
-    m, d, _ = blocks.shape
-    out = np.zeros((m + 1, d, m, d), dtype=complex)
-    ys = np.arange(m)
-    out[ys + 1, :, ys, :] = blocks
-    return out.reshape((m + 1) * d, m * d)
 
 
 def psi_extend(local: LocalStructure, w: np.ndarray) -> np.ndarray:
@@ -73,18 +63,11 @@ def phi_map(local: LocalStructure) -> np.ndarray:
     return _phi(curvature_bundle(local))
 
 
-def _v0_blocks(e: CurvatureBundle) -> np.ndarray:
-    """``D^{-1} blockdiag(sigma_xyi^T)``, ``D^{-1} = diag(sqrt p_xyi)``: the
-    md x md block diagonal of the d x d blocks of e's v0."""
-    local = e.local
-    return _under_block_diagonal(e.v0.reshape(local.m, local.d, local.d))[local.d:]
-
-
 def _phi(e: CurvatureBundle) -> np.ndarray:
     """phi from the canonical elimination e: ``-conj(a^+ omega^T) D^{-1}
     blockdiag(sigma_xyi^H)``.  The equation's right side, as a matrix of
     conj(v), is ``omega^T D^{-1} blockdiag(sigma_xyi^T)``."""
-    d_inv_sigma_t = _v0_blocks(e)
+    d_inv_sigma_t = _neighbour_stack(e.local, np.sqrt(e.local.p_x), diagonal=True)
     w = e.omega_t @ d_inv_sigma_t
     bound = SLACK * _scale(e.q2)
     if float(np.max(np.abs(w))) <= bound:
@@ -103,8 +86,9 @@ def phi_matrix(local: LocalStructure, f: np.ndarray) -> np.ndarray:
     for the phi matrix ``f`` of :func:`phi_map`.  ``f`` must be d x md: a
     smaller one would broadcast into a different map."""
     f = _as_array(f, "phi", (local.d, local.m * local.d))
-    p0 = p0_transpose(local).T  # blocks I_d, sigma^{-1} stacked
-    return p0 @ f + _under_block_diagonal(local.sigma_x.conj().transpose(0, 2, 1))
+    p0 = np.concatenate([np.eye(local.d), _neighbour_stack(local).conj()])  # I_d, sigma^{-1}
+    return p0 @ f + np.concatenate([np.zeros((local.d, f.shape[1])),
+                                    _neighbour_stack(local, diagonal=True).conj()])
 
 
 def _tensor_matrices(local: LocalStructure, n: float, phi: np.ndarray, q2: np.ndarray):
@@ -148,7 +132,7 @@ def coordinate_map(local: LocalStructure, b: np.ndarray) -> np.ndarray:
     they are ``conj(U D^{-1} blockdiag(sigma_xyi^T))`` for any phi, with U
     from ``CurvatureBundle.basis_unitary``; B is not inverted."""
     e = curvature_bundle(local)
-    return np.conj(e.basis_unitary(b) @ _v0_blocks(e))
+    return np.conj(e.basis_unitary(b) @ _neighbour_stack(local, np.sqrt(local.p_x), diagonal=True))
 
 
 def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
@@ -169,7 +153,7 @@ def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
     rng = _rng(seed)
     md = local.m * local.d
     e = curvature_bundle(local)
-    a_n, xi = e.a_n(n), np.conj(_v0_blocks(e))
+    a_n, xi = e.a_n(n), np.conj(_neighbour_stack(local, np.sqrt(local.p_x), diagonal=True))
     if b is not None:
         u = e.basis_unitary(b)
         a_n, xi = u @ a_n @ u.conj().T, np.conj(u) @ xi

@@ -66,6 +66,14 @@ class TestCurvatureCommand:
         assert code == 0 and results["oracle_agreement"] is True
         assert results["curvature"] == pytest.approx(25000.0, rel=1e-12)
 
+    def test_oracle_agrees_at_small_n(self, fixture_file, capsys):
+        """At N = 1e-25 the oracle brackets K, which the dimension term
+        dominates, and agrees with it: exit 0, not a cross-check failure."""
+        code = main(["--json", "curvature", fixture_file("g1_u2"), "--vertex", "1",
+                     "--N", "1e-25", "--oracle"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0 and results["oracle_agreement"] is True
+
     @pytest.mark.parametrize("n", ["inf", "4"])
     def test_random_graphs_at_large_rates(self, n, tmp_path, capsys):
         """Random graphs with unequal weights scaled by 1e8 (K near 1e7): the
@@ -377,6 +385,15 @@ class TestExamplesCommand:
         assert code == 0
         assert "[FAIL]" not in out
         assert (tmp_path / "graphs" / "g1_u2.json").exists()
+
+    def test_export_to_a_file_exits_1(self, tmp_path, capsys):
+        """--export writes through --out's JSON writer: a path that is an
+        existing file exits 1 with a message instead of a FileExistsError."""
+        path = tmp_path / "g1_u2.json"
+        path.write_text("{}")
+        assert main(["examples", "--export", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"validation error: cannot write {path}")
+        assert path.read_text() == "{}"
 
 
 class TestKernelBlockReport:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from concurv import (
     INF,
     ConnectionGraph,
     CrossCheckError,
+    ProductSpec,
     ValidationError,
     canonical_basis,
     curvature,
@@ -22,6 +24,7 @@ from concurv import (
     is_locally_balanced,
     load_graph,
     local_structure,
+    product_decomposition,
     switch,
 )
 from concurv.curvature import basis_residual
@@ -47,6 +50,7 @@ from helpers import (
     random_graph,
     random_switching,
     random_unitary,
+    run_python,
     scaled_rates,
 )
 
@@ -89,10 +93,9 @@ class TestBases:
         rng = np.random.default_rng(43)
         loc = local_structure(random_graph(rng, d=2), "1")
         from concurv import gamma_matrix
-        from concurv.curvature import p0_transpose
         w, u = np.linalg.eigh(gamma_matrix(loc).mat)
         rows = (u[:, loc.d:] / np.sqrt(w[loc.d:])).conj().T
-        b = np.vstack([p0_transpose(loc), rows])
+        b = np.vstack([canonical_basis(loc)[:loc.d], rows])
         assert basis_residual(loc, b) <= 1e-9
 
     def test_explicit_bases_at_large_rates(self):
@@ -261,6 +264,94 @@ class TestOracleEquivalence:
             n = (2.0, INF)[trial % 2]
             k, _ = curvature(loc, n)
             assert abs(curvature_oracle(loc, n) - k) <= 1e-8 * max(s, abs(k))
+
+    @pytest.mark.parametrize("n", [1e-25, 1e-100])
+    def test_small_n_at_every_fixture_vertex(self, n):
+        """At small N the dimension term, about -(2/N) times the rates,
+        dominates K.  The oracle's lower start covers it, so the oracle
+        brackets K and agrees with curvature to 1e-9 of k_scale; with a
+        start that left the term out, 64 doublings did not reach K at any
+        fixture vertex."""
+        for name in fixture_names():
+            g = fixture_graph(name)
+            for x in g.vertex_ids:
+                e = curvature_bundle(local_structure(g, x))
+                k, k_oracle = e.k(n)[0], curvature_oracle(e.local, n)
+                assert abs(k_oracle - k) <= 1e-9 * e.k_scale(k, k_oracle), (name, x)
+
+    def test_small_n_decades(self):
+        """g1_u2 vertex 1 at every decade of N from 1e-20 to 1e-30."""
+        e = curvature_bundle(local_structure(fixture_graph("g1_u2"), "1"))
+        for exponent in range(20, 31):
+            n = 10.0 ** -exponent
+            k, k_oracle = e.k(n)[0], curvature_oracle(e.local, n)
+            assert abs(k_oracle - k) <= 1e-9 * e.k_scale(k, k_oracle), n
+
+    def test_small_n_at_large_rates(self):
+        """A 3-vertex path with weights 1e40 at N = 1e-200, where K is about -4e240."""
+        e = curvature_bundle(local_structure(load_graph(_path_document(1e40)), "b"))
+        k, k_oracle = e.k(1e-200)[0], curvature_oracle(e.local, 1e-200)
+        assert abs(k_oracle - k) <= 1e-9 * e.k_scale(k, k_oracle)
+
+
+def _path_document(w: float) -> dict:
+    """The path a - b - c with both weights w and unit measures, d = 1."""
+    return {"dimension": 1, "vertices": [{"id": v} for v in "abc"],
+            "edges": [{"u": "a", "v": "b", "weight": w}, {"u": "b", "v": "c", "weight": w}]}
+
+
+def _big_triangle():
+    return local_structure(scaled_rates(fixture_graph("triangle_signed"), 1e10), "A")
+
+
+def _product_at_large_rates():
+    g = scaled_rates(fixture_graph("g2_signed"), 1e10)
+    x = g.vertex_ids[0]
+    return product_decomposition(g, g, ProductSpec(), x, x, 1e-300, 1e-300)
+
+
+def _cli(command, *options):
+    def run(tmp_path):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(_path_document(1e40)))
+        return run_python("-m", "concurv.cli", command, str(path), "--vertex", "b", *options)
+    return run
+
+
+@pytest.mark.parametrize("call", [
+    lambda tmp_path: curvature(_big_triangle(), 1e-300),
+    lambda tmp_path: curvature_profile(_big_triangle(), [1e-300, INF]),
+    lambda tmp_path: curvature_oracle(_big_triangle(), 1e-300),
+    lambda tmp_path: _product_at_large_rates(),
+    _cli("curvature", "--N", "1e-300"),
+    _cli("profile", "--grid", "1e-300,inf"),
+], ids=["curvature", "curvature_profile", "curvature_oracle", "product_decomposition",
+        "cli-curvature", "cli-profile"])
+def test_an_overflowing_dimension_term_is_refused(call, tmp_path):
+    """An N that passes the N rule can still make the dimension term
+    (2/N) v0 v0^H, or the oracle's (1/N) Delta Delta^H, overflow on a ball
+    with large rates: triangle_signed and g2_signed with weights x1e10 and
+    the path with weights 1e40, at N = 1e-300.  Each entry point refuses
+    that N with a ValidationError naming it, and the CLI exits 1 with a
+    message and no traceback.  Before, the profile returned K = nan with
+    multiplicity 0, the product raised numpy's LinAlgError and the CLI ended
+    in a traceback."""
+    try:
+        proc = call(tmp_path)
+    except ValidationError as exc:
+        assert "dimension parameter N = 1e-300" in str(exc)
+        return
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("validation error: dimension parameter N = 1e-300")
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_a_small_n_below_overflow_is_kept():
+    """The refusal is only where the term overflows: the same triangle at
+    N = 1e-290, where (2/N) v0 v0^H stays in range, gives the finite K that
+    the dimension term dominates."""
+    k, mult = curvature(_big_triangle(), 1e-290)
+    assert math.isfinite(k) and k < -1e290 and mult >= 1
 
 
 class TestSwitchingInvariance:

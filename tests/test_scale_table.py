@@ -34,6 +34,7 @@ from concurv import (INF, ConnectionGraph, CrossCheckError, HermitianMatrix, Pro
                      tensor_matrix_check)
 from concurv.fixtures import fixture_graph, fixture_names
 from concurv.local_ops import s1_in_regular
+from concurv.operators import _neighbour_stack
 
 from helpers import (random_commuting_pair, random_graph, random_merge_instance,
                      random_s1_in_regular_graph, random_unitary, scaled_rates)
@@ -307,7 +308,7 @@ def test_an_injected_phi_residual_raises(s, monkeypatch):
 
     def moved(loc):
         e = real(loc)
-        m_conj = -(e.eig.pinv() @ e.omega_t) @ tensor._v0_blocks(e)
+        m_conj = -(e.eig.pinv() @ e.omega_t) @ _neighbour_stack(loc, np.sqrt(loc.p_x), diagonal=True)
         delta = INJECTED * top(e.q2) / top(m_conj)
         return dataclasses.replace(e, a=e.a + delta * np.eye(loc.d))
 

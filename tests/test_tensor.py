@@ -17,7 +17,7 @@ from concurv import (
     tangent_from_function,
     tensor_matrix_check,
 )
-from concurv.curvature import general_basis, p0_transpose
+from concurv.curvature import canonical_basis, general_basis
 from concurv.fixtures import fixture_graph, fixture_names
 from concurv.operators import _ball_blocks, _q_array, delta_matrix, q_matrix
 from concurv.graphs import SLACK
@@ -120,7 +120,7 @@ class TestPhiMap:
             phim = phi_matrix(loc, f)
             from concurv.operators import q_matrix
             two_q = q_matrix(loc).mat / 2
-            out = p0_transpose(loc) @ two_q @ np.conj(phim)
+            out = canonical_basis(loc)[:loc.d] @ two_q @ np.conj(phim)
             assert float(np.max(np.abs(out))) <= 1e-9 * max(
                 1.0, float(np.max(np.abs(two_q))))
 
@@ -136,7 +136,7 @@ class TestPhiMap:
         assert e.eig.keep.all()   # curvature() inverts a here too
         f = phi_map(loc)
         t = under_blocks_loops(ball_from_graph_loops(g, "a"), np.transpose)
-        w = p0_transpose(loc) @ e.q2 @ t
+        w = canonical_basis(loc)[:loc.d] @ e.q2 @ t
         resid = float(np.max(np.abs(w + e.a @ np.conj(f))))
         assert resid <= SLACK * float(np.max(np.abs(e.q2)))
         v = np.ones(loc.m * loc.d, dtype=complex)
@@ -370,7 +370,7 @@ def ricci_reference(g, x, ns):
     d, md = loc.d, loc.m * loc.d
     t = phi_matrix(loc, np.zeros((d, md)))
     with mpmath.workdps(50):
-        b_t = mpmath.matrix(np.vstack([p0_transpose(loc), t.T]).tolist())
+        b_t = mpmath.matrix(np.vstack([canonical_basis(loc)[:d], t.T]).tolist())
         k = b_t * (q_reference(g, x) / 2) * b_t.H
         a, w = k[:d, :d], k[:d, d:]
         r = k[d:, d:] - w.H * mpmath.inverse(a) * w
@@ -571,7 +571,7 @@ def test_array_forms_match_loops():
             assert_close(tangent_from_function(loc, f), tangent_loops(ball, f), 1e-15, "tangent")
             phi = phi_map(loc)
             assert_close(phi, phi_map_loops(loc, ball), 1e-15, "phi_map")
-            want = p0_transpose(loc).T @ phi + under_blocks_loops(ball, lambda s: s.conj().T)
+            want = canonical_basis(loc)[:loc.d].T @ phi + under_blocks_loops(ball, lambda s: s.conj().T)
             assert_close(phi_matrix(loc, phi), want, 1e-15, "phi_matrix")
             v1, v2 = rand_tangent(rng, loc), rand_tangent(rng, loc)
             _, metric = ric_and_metric(loc, INF, v1, v2)
