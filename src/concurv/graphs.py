@@ -562,7 +562,7 @@ class LocalStructure:
     are sorted by (col, row), so the first m end at the center, one per y_i
     in order, and each y_i's edges come center first, then 1-sphere, then
     2-sphere.  The arrays are the ball's only form: there is no per-edge
-    dictionary view.
+    dictionary view.  Every array is read-only.
     """
 
     __slots__ = ("center", "s1", "s2", "d", "m", "n", "dx_over_mux", "p_x", "sigma_x",
@@ -594,7 +594,7 @@ class LocalStructure:
 
 class _Gathered(NamedTuple):
     """The 2-balls of a sorted array of centers, concatenated over the
-    centers, as index arrays only: no rates and no connections.
+    centers, as read-only index arrays only: no rates and no connections.
 
     Center k's ball edges are entries ``edge_ptr[k]:edge_ptr[k + 1]`` of
     ``e``, ``row`` and ``col``: every in-ball oriented edge leaving its
@@ -662,8 +662,11 @@ def _gather(index: EdgeIndex, centers) -> _Gathered:
     col = np.where(in_s1, 1 + row1[j], s2_key.searchsorted(key) + (1 + m - s2_ptr[:-1])[owner])
     col[at_center] = 0
     order = (owner * n_v + col).argsort(kind="stable")
-    return _Gathered(owner.searchsorted(bounds), e[order], row[order], col[order], s2_ptr,
-                     s2_key % n_v)
+    balls = _Gathered(owner.searchsorted(bounds), e[order], row[order], col[order], s2_ptr,
+                      s2_key % n_v)
+    for a in balls:
+        a.setflags(write=False)
+    return balls
 
 
 def _center(g: ConnectionGraph, x: str) -> tuple[str, int, int, int]:
@@ -691,12 +694,14 @@ def _one_ball(g: ConnectionGraph, x: str) -> LocalStructure:
         balls, k = _gather(ix, [c]), 0
     a, b = balls.edge_ptr[k], balls.edge_ptr[k + 1]
     e = balls.e[a:b]
+    edge_p, edge_sigma = ix.rate[e], ix.sigma[e]   # copies: read-only as the views are
+    edge_p.setflags(write=False)
+    edge_sigma.setflags(write=False)
     return LocalStructure(
         x, tuple(ix.names[ix.nbr[lo:hi]]),
         tuple(ix.names[balls.s2[balls.s2_ptr[k]:balls.s2_ptr[k + 1]]]), g.dimension,
         p_x=ix.rate[lo:hi], sigma_x=ix.sigma[lo:hi],
-        edge_row=balls.row[a:b], edge_col=balls.col[a:b],
-        edge_p=ix.rate[e], edge_sigma=ix.sigma[e],
+        edge_row=balls.row[a:b], edge_col=balls.col[a:b], edge_p=edge_p, edge_sigma=edge_sigma,
     )
 
 
@@ -712,13 +717,8 @@ def local_structure(g: ConnectionGraph, x: str) -> LocalStructure:
     """
     if g._balls is None:
         deg = np.diff(g.index.indptr)
-        if int(deg @ deg) <= MAX_CONNECTION_ENTRIES:
-            balls = _gather(g.index, np.arange(deg.size))
-            for a in balls:
-                a.setflags(write=False)
-        else:
-            balls = False
-        g._balls = balls
+        fits = int(deg @ deg) <= MAX_CONNECTION_ENTRIES
+        g._balls = _gather(g.index, np.arange(deg.size)) if fits else False
     return _one_ball(g, x)
 
 

@@ -6,7 +6,8 @@ Adding a spherical edge with the balanced default connection
 ``sigma_yi_x sigma_x_yj`` never decreases the curvature when the center is
 S1-in regular (equal inward rates p_yx); any other connection can move the
 curvature either way.  Merging never decreases it, balanced or not.  Both
-edits check this to SLACK of the larger ``k_scale`` of the two balls.
+edits check this through one procedure at every N of ``CHECK_GRID``, to
+SLACK of the larger ``k_scale`` of the two balls.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .graphs import (SLACK, ConnectionGraph, LocalStructure, _as_number, _connec
 from .hermitian import _psd_within
 from .operators import _gamma2_array
 
-S1_IN_TOL = 1e-12               # relative spread of inward rates counted as equal
-MERGE_CHECK_GRID = (1.0, INF)   # N at which merge_s2 checks monotonicity
+S1_IN_TOL = 1e-12         # relative spread of inward rates counted as equal
+CHECK_GRID = (1.0, INF)   # N at which both edits check monotonicity
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,10 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     choice ``sigma_yi_x sigma_x_yj`` closing a trivial triangle.  The report
     carries the curvature at N = inf before and after, and whether the
     4*Gamma_2 difference matrix is PSD.  Under the balanced default plus
-    S1-in regularity the curvature cannot decrease (checked; a decrease
-    beyond the module's slack raises :class:`CrossCheckError`).  The new
-    graph is real when g is and the new connection is real (to SLACK).
+    S1-in regularity K cannot decrease at any N (checked on ``CHECK_GRID``;
+    a fall beyond SLACK, or a difference that is not PSD, raises
+    :class:`CrossCheckError`).  The new graph is real when g is and the new
+    connection is real (to SLACK).
     """
     x, yi, yj = str(x), str(yi), str(yj)
     before_loc = _one_ball(g, x)   # rejects an unknown or isolated x
@@ -87,25 +89,17 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
                                          np.concatenate([s, s_new]))
 
     after_loc = _one_ball(g_new, x)
-    e_before, e_after = curvature_bundle(before_loc), curvature_bundle(after_loc)
-    before, after = e_before.k(INF)[0], e_after.k(INF)[0]
-
     # Same 2-ball vertex set before and after, so the difference is congruent
     # to its switched-gauge form and PSD-ness is basis independent.  It
     # rounds at the size of the two matrices, which sets the PSD slack.
     g2_after, g2_before = _gamma2_array(after_loc), _gamma2_array(before_loc)
     delta_psd = _psd_within(g2_after - g2_before, g2_after, g2_before)
 
-    if balanced_default and _s1_in_regular(before_loc):
-        if after < before - SLACK * max(e_before.k_scale(before), e_after.k_scale(after)):
-            raise CrossCheckError(
-                f"balanced spherical edge decreased curvature: {before:.12g} -> {after:.12g}"
-            )
-        if not delta_psd:
-            raise CrossCheckError(
-                "balanced spherical edge produced a non-PSD Gamma_2 difference"
-            )
-    return g_new, EditReport(before=before, after=after, delta_psd=delta_psd)
+    checked = balanced_default and _s1_in_regular(before_loc)
+    report = _edit_report("balanced spherical edge", before_loc, after_loc, checked, delta_psd)
+    if checked and not delta_psd:
+        raise CrossCheckError("balanced spherical edge produced a non-PSD Gamma_2 difference")
+    return g_new, report
 
 
 def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
@@ -117,7 +111,7 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
     whichever original edge each neighbor had.  Any edge between the two
     merged vertices is dropped; it lies outside the incomplete 2-ball.
     Curvature at x cannot decrease, for any N; this is checked on
-    ``MERGE_CHECK_GRID`` and a violation raises :class:`CrossCheckError`.
+    ``CHECK_GRID`` and a violation raises :class:`CrossCheckError`.
     """
     x, zk, zl = str(x), str(zk), str(zl)
     loc = _one_ball(g, x)
@@ -146,15 +140,20 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
     e = u != v
     g_new = ConnectionGraph._from_arrays(g.dimension, g.field, (*g.index.names[rest], merged),
                                          mu_new, u[e], v[e], w[e], s[e])
+    return g_new, _edit_report("merging", loc, _one_ball(g_new, x), True, None)
 
-    e_before, e_after = curvature_bundle(loc), curvature_bundle(_one_ball(g_new, x))
-    ks = {n: (e_before.k(n)[0], e_after.k(n)[0]) for n in MERGE_CHECK_GRID}
+
+def _edit_report(edit: str, before_loc: LocalStructure, after_loc: LocalStructure,
+                 checked: bool, delta_psd: bool | None) -> EditReport:
+    """The report of one edit, from the ball before it and the ball after.
+    When ``checked``, a K that falls at some N of CHECK_GRID by more than
+    SLACK of the larger ``k_scale`` raises :class:`CrossCheckError`."""
+    e_before, e_after = curvature_bundle(before_loc), curvature_bundle(after_loc)
+    ks = {n: (e_before.k(n)[0], e_after.k(n)[0]) for n in CHECK_GRID}
     kbs, kas = zip(*ks.values())
     slack = SLACK * max(e_before.k_scale(*kbs), e_after.k_scale(*kas))
     for n, (kb, ka) in ks.items():
-        if ka < kb - slack:
-            raise CrossCheckError(
-                f"merging decreased curvature at N={n}: {kb:.12g} -> {ka:.12g}"
-            )
-    before, after = ks[INF]   # MERGE_CHECK_GRID includes N = inf
-    return g_new, EditReport(before=before, after=after, delta_psd=None)
+        if checked and ka < kb - slack:
+            raise CrossCheckError(f"{edit} decreased curvature at N={n}: {kb:.12g} -> {ka:.12g}")
+    before, after = ks[INF]   # CHECK_GRID includes N = inf
+    return EditReport(before=before, after=after, delta_psd=delta_psd)

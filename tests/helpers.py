@@ -234,6 +234,21 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def force_k(monkeypatch, module, forced: dict):
+    """Make ``module.curvature_bundle`` return records whose K(N) reads
+    ``forced[N]`` at each N it names, and the computed K at every other N:
+    a check on K forced to fail by the value it reads."""
+    real = module.curvature_bundle
+
+    def bundle(loc):
+        e = real(loc)
+        own = e.k
+        object.__setattr__(e, "k", lambda n: (forced[n], 1) if n in forced else own(n))
+        return e
+
+    monkeypatch.setattr(module, "curvature_bundle", bundle)
+
+
 def count_gamma2_assemblies(monkeypatch) -> list[str]:
     """Count the full 4*Gamma_2 assemblies, the calls of ``_gamma2_array``."""
     return count_calls(monkeypatch, _gamma2_array)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from concurv.fixtures import fixture_document, fixture_names
 from concurv.hermitian import PINV_RTOL_SCALE
 
 from helpers import (MALFORMED_DOCUMENTS, NON_FINITE_DOCUMENTS, OVERSIZED_DOCUMENTS, count_calls,
-                     diagonal_torus, random_graph, run_python, scaled_rates)
+                     diagonal_torus, force_k, random_graph, run_python, scaled_rates)
 
 
 @pytest.fixture()
@@ -257,6 +258,16 @@ class TestProfileCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out.splitlines()[-1].split() == ["n0", "2"]
 
+    def test_a_failed_profile_check_exits_2(self, fixture_file, capsys, monkeypatch):
+        """A profile read with K(2) one below K(1) = -5/2 is refused as a
+        cross-check failure: exit 2, one line on stderr and no traceback."""
+        force_k(monkeypatch, importlib.import_module("concurv.curvature"), {2.0: -3.5})
+        code = main(["profile", fixture_file("g1_u2"), "--vertex", "1", "--grid", "1,2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("cross-check failure: curvature profile is not monotone")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
 
 class TestProductCommand:
     def test_product_and_decomposition(self, fixture_file, tmp_path, capsys):
@@ -385,6 +396,20 @@ class TestExamplesCommand:
         assert code == 0
         assert "[FAIL]" not in out
         assert (tmp_path / "graphs" / "g1_u2.json").exists()
+
+    def test_a_failed_row_exits_2(self, capsys, monkeypatch):
+        """With K(inf) read one too high by the registry's ``_k``, each row
+        that reads it prints a FAIL line and is counted; the command exits 2."""
+        from concurv import examples_registry
+        real = examples_registry._k
+        monkeypatch.setattr(examples_registry, "_k", lambda loc: real(loc) + 1.0)
+        code = main(["--json", "examples"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        failed = [name for name, row in results.items() if isinstance(row, dict) and not row["ok"]]
+        assert code == 2 and results["failures"] == len(failed) > 0
+        code = main(["examples"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2 and sum(line.startswith("[FAIL]") for line in lines) == len(failed)
 
     def test_export_to_a_file_exits_1(self, tmp_path, capsys):
         """--export writes through --out's JSON writer: a path that is an

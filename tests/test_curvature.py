@@ -619,6 +619,46 @@ class TestNearBalancedReference:
         assert abs(k - ref) <= (1e-9 if theta >= 1e-3 else 1e-3)
 
 
+class TestPhaseTriangleClosedForm:
+    """K(inf) at each vertex of the phase triangle against its closed form.
+
+    With unit weights and measures and holonomy exp(i theta), a symbolic
+    elimination of the recursive Gamma and Gamma_2 at a vertex factors
+    det(Gamma_2 - K Gamma) as (e^{i theta} - 1)^2 (4K^2 - 10K + 4s) times a
+    constant, s = sin^2(theta/2).  So K = 4s / (5 + sqrt(25 - 16s)), the
+    smaller root, for theta not a multiple of 2 pi, and K(0) = 5/2, the
+    complete graph K_3's (n + 2) / 2, where the first factor vanishes.  The
+    triangle is symmetric, so all three vertices share K."""
+
+    # measured, relative to k_scale: at most 2.9e-15 (curvature) and 3.4e-15
+    # (oracle) at theta = 0, 1, 3 and pi; 2.6e-13 and 1.8e-13 at 1e-1;
+    # 2.4e-11 and 4.4e-11 at 1e-2; 3.1e-9 for both at 1e-3.  K shrinks like
+    # theta^2 / 10 while assembly noise does not (TestNearBalancedReference).
+    BOUNDS = {0.0: 1e-13, 1.0: 1e-13, 3.0: 1e-13, math.pi: 1e-13,
+              1e-1: 1e-12, 1e-2: 2e-10, 1e-3: 1e-8}
+
+    @staticmethod
+    def closed_form(theta: float) -> float:
+        if theta == 0.0:
+            return 2.5
+        s = math.sin(theta / 2.0) ** 2
+        return 4.0 * s / (5.0 + math.sqrt(25.0 - 16.0 * s))
+
+    @pytest.mark.parametrize("theta", list(BOUNDS))
+    def test_both_routes_at_every_vertex(self, theta):
+        want, bound = self.closed_form(theta), self.BOUNDS[theta]
+        for x in "abc":
+            loc = local_structure(phase_triangle(theta), x)
+            e = curvature_bundle(loc)
+            for route, k in (("curvature", curvature(loc, INF)[0]),
+                             ("oracle", curvature_oracle(loc, INF))):
+                assert abs(k - want) <= bound * e.k_scale(k, want), (x, route, k, want)
+
+    def test_known_values(self):
+        assert self.closed_form(math.pi) == pytest.approx(0.5, abs=1e-15)
+        assert self.closed_form(1e-3) == pytest.approx(1e-6 / 10, rel=1e-6)
+
+
 class TestFiftyDigitReference:
     """The library against the 50-digit ``curvature_reference`` and
     ``n0_reference`` on fixtures whose data are exact (a ball balanced only

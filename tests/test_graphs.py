@@ -924,6 +924,17 @@ class TestLocalStructure:
         for name in BALL_ARRAYS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
+    def test_every_ball_array_refuses_a_write(self):
+        """A ball may be shared, so each of its arrays is read-only, from the
+        stored gather and from a one-ball gather alike (writing 5 into
+        ``edge_p`` of g1_u2 vertex 1 moved its K(inf) from 1.5 to 3.5)."""
+        g = fixture_graph("g1_u2")
+        for loc in (local_structure(g, "1"), graphs._one_ball(ungathered(g), "1")):
+            for name in BALL_ARRAYS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(loc, name)[...] = 5
+            assert curvature(loc, INF)[0] == pytest.approx(1.5, abs=1e-12)
+
 
 class TestSwitch:
     def test_identity_switching(self):

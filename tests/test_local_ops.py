@@ -3,6 +3,7 @@ import pytest
 
 from concurv import (
     INF,
+    ConnectionGraph,
     ValidationError,
     add_spherical_edge,
     curvature,
@@ -14,6 +15,7 @@ from concurv import (
     switch,
 )
 from concurv.fixtures import fixture_graph
+from concurv.local_ops import S1_IN_TOL
 
 from helpers import (
     add_edge_rebuild,
@@ -233,6 +235,16 @@ def test_s1_in_regular_detection():
                                  {"id": "b", "measure": 2.0}],
                     "edges": [{"u": "x", "v": "a"}, {"u": "x", "v": "b"}]})
     assert not s1_in_regular(g, "x")  # p_ax = 1 but p_bx = 1/2
+
+
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("share, regular", [(0.5, True), (2.0, False)])
+def test_s1_in_tol_boundary(share, regular, s):
+    """Inward rates s and s (1 - share * S1_IN_TOL): S1-in regular at half
+    the tolerance, not at twice it, in any unit of the rates."""
+    g = ConnectionGraph(1, "complex", [("x", 1.0), ("a", 1.0), ("b", 1.0)],
+                        [("x", "a", s, None), ("x", "b", s * (1.0 - share * S1_IN_TOL), None)])
+    assert s1_in_regular(g, "x") is regular
 
 
 def test_s1_in_regular_rejects_unknown_and_isolated_vertices():

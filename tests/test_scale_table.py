@@ -145,19 +145,22 @@ def test_s1_in_regularity_is_free_of_the_rate_unit(s):
         assert s1_in_regular(scaled_rates(g, s), x) == s1_in_regular(g, x), (x, s)
 
 
-def lower_after(monkeypatch, drop: float):
-    """Make the edits read K after the edit as K before it minus ``drop``
-    times the ``k_scale`` of the ball before: an edit eliminates the ball
-    before it first and the ball after it second."""
+def lower_after(monkeypatch, drop: float, at=None):
+    """Make the edits read K after the edit, at each N of ``at`` (every N
+    by default), as K before it minus ``drop`` times the ``k_scale`` of the
+    ball before: an edit eliminates the ball before it first and the ball
+    after it second."""
     real = local_ops.curvature_bundle
     seen = []
 
     def bundle(loc):
         e = real(loc)
         if seen:
-            before = seen[0]
+            before, own = seen[0], e.k
 
             def k(n):
+                if at is not None and n not in at:
+                    return own(n)
                 kb, mult = before.k(n)
                 return kb - drop * before.k_scale(kb), mult
             object.__setattr__(e, "k", k)
@@ -182,6 +185,20 @@ def test_a_decrease_of_the_scale_raises_in_both_edits(s, monkeypatch):
                 with pytest.raises(CrossCheckError, match="decreased curvature"):
                     edit(scaled_rates(g, s), x, a, b)
                 assert len(seen) == 2
+
+
+def test_a_decrease_at_n_1_alone_raises_in_both_edits(monkeypatch):
+    """Both edits are checked on one grid: K after the edit read lower at
+    N = 1 only, with K(inf) as computed, raises in each of them."""
+    adds, merges = edits()
+    for family in ("fixtures", "tori", "draws"):
+        graphs = [g for g, _ in table()[family]]
+        for edit, cases in ((add_spherical_edge, adds), (merge_s2, merges)):
+            g, x, a, b = next(e for e in cases if any(e[0] is h for h in graphs))
+            with monkeypatch.context() as m:
+                lower_after(m, 1e-6, at=(1.0,))
+                with pytest.raises(CrossCheckError, match=r"decreased curvature at N=1\.0:"):
+                    edit(g, x, a, b)
 
 
 def cli_balls():
