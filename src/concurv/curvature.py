@@ -325,27 +325,31 @@ def curvature_oracle(local: LocalStructure, n) -> float:
     # meets the flat Gamma-null branches, and multiplicities collide), so the
     # full problem is restricted to that cluster: there it becomes the same
     # one-parameter feasibility question, but at the scale of the cluster,
-    # where dense-solver noise is negligible.  Extended-precision Rayleigh
-    # quotients transport the cluster block below the outer noise floor.
+    # where dense-solver noise is negligible.
     k = hi
     width = 1e-7 * scale_m
     for _ in range(8):
         mat = base - k * gamma_pad
         w, vecs = np.linalg.eigh(mat)
         v = vecs[:, w <= w[0] + width]
-        v128 = v.astype(np.clongdouble)
-        mr = v128.conj().T @ (mat.astype(np.clongdouble) @ v128)
-        mr = ((mr + mr.conj().T) / 2.0).astype(complex)
         gr = v.conj().T @ gamma_pad @ v
         s, u = np.linalg.eigh((gr + gr.conj().T) / 2.0)
-        # Exact structural zeros of the Gamma form never cross; deflating
-        # them leaves the pencil on the crossing directions, which whitens
-        # to an ordinary eigenvalue problem.
-        keep = s > 1e-12 * scale_g
-        if not np.any(keep):
+        vu = v @ u
+        mr = vu.conj().T @ mat @ vu
+        mr = (mr + mr.conj().T) / 2.0
+        # The zeros of the Gamma form do not move with k, so the largest
+        # step keeping mr - step * diag(s) PSD is read after eliminating
+        # them: the Schur complement of mr's Gamma-null block (its
+        # eigenvalues below the oracle's slack taken as zero), whitened by
+        # s to an ordinary eigenvalue problem.
+        pos = s > 1e-12 * scale_g
+        if not np.any(pos):
             break
-        white = u[:, keep] / np.sqrt(s[keep])
-        pencil = white.conj().T @ mr @ white
+        lam0, u0 = np.linalg.eigh(mr[np.ix_(~pos, ~pos)])
+        inv = lam0 > ORACLE_PSD_SLACK * scale_m
+        y = mr[np.ix_(pos, ~pos)] @ u0[:, inv]
+        white = 1.0 / np.sqrt(s[pos])
+        pencil = (mr[np.ix_(pos, pos)] - (y / lam0[inv]) @ y.conj().T) * np.outer(white, white)
         pencil = (pencil + pencil.conj().T) / 2.0
         step = float(np.linalg.eigvalsh(pencil)[0])
         k_new = min(max(k + step, floor), hi + bound)

@@ -153,8 +153,8 @@ class EdgeIndex(NamedTuple):
     position order is id order.  The oriented edges leaving vertex k are rows
     ``indptr[k]:indptr[k + 1]``, sorted by neighbor position; row e goes to
     ``nbr[e]`` with weight ``weight[e]``, rate ``rate[e] = w / mu`` of its
-    source and connection ``sigma[e]`` (d x d, read-only), and ``rev[e]`` is
-    the row of the reverse orientation.
+    source and connection ``sigma[e]`` (d x d), and ``rev[e]`` is the row of
+    the reverse orientation.  Every array field is read-only.
     """
 
     ids: tuple[str, ...]
@@ -212,11 +212,12 @@ def _edge_index(ids, mu, u, v, w, s):
     rate = rates[order]
     rev = back[(order + n_e) % max(2 * n_e, 1)]
     sigma = np.concatenate([s, s.conj().transpose(0, 2, 1)])[order]
-    for arr in (mu, indptr, dst, weight, rate, rev, sigma):
-        arr.setflags(write=False)
     names = np.array(ids, dtype=object)
     pos = {vid: k for k, vid in enumerate(ids)}
     index = EdgeIndex(ids, names, pos, mu, indptr, dst, weight, rate, rev, sigma)
+    for field in index:
+        if isinstance(field, np.ndarray):
+            field.setflags(write=False)
     return index, back[:n_e]
 
 

@@ -101,6 +101,24 @@ def mixed_rates(g: ConnectionGraph, low: float, high: float) -> ConnectionGraph:
                             for k, (u, v, w, sigma) in enumerate(g.edge_list())])
 
 
+def direct_sum(g: ConnectionGraph, h: ConnectionGraph) -> ConnectionGraph:
+    """The connection ``sigma (+) tau`` on the graph that g and h share (the
+    same vertices, measures, edges in order and weights): every edge carries
+    the block diagonal ``diag(sigma_uv, tau_uv)``, so every form at a vertex
+    splits into a g block and an h block."""
+    d1, d2 = g.dimension, h.dimension
+    vertices = [(v, g.measure(v)) for v in g.vertex_ids]
+    assert vertices == [(v, h.measure(v)) for v in h.vertex_ids]
+    edges = []
+    for (u, v, w, s), (*uvw, t) in zip(g.edge_list(), h.edge_list(), strict=True):
+        assert [u, v, w] == uvw
+        block = np.zeros((d1 + d2, d1 + d2), dtype=complex)
+        block[:d1, :d1], block[d1:, d1:] = s, t
+        edges.append((u, v, w, block))
+    field = "real" if g.field == "real" and h.field == "real" else "complex"
+    return ConnectionGraph(d1 + d2, field, vertices, edges)
+
+
 def random_switching(rng, g: ConnectionGraph) -> dict[str, np.ndarray]:
     return {v: random_unitary(rng, g.dimension, "complex") for v in g.vertex_ids}
 

@@ -184,6 +184,33 @@ def test_no_check_has_a_unit_floor():
     assert is_unit_floor(ast.parse("np.maximum(1.0, x)").body[0].value)
 
 
+EXTENDED_PRECISION = {"longdouble", "clongdouble", "float96", "float128", "complex192",
+                      "complex256"}
+
+
+def is_extended_precision(node) -> bool:
+    """A name, attribute or string that names numpy's extended-precision types."""
+    name = node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else \
+        node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+    return name in EXTENDED_PRECISION
+
+
+def test_no_extended_precision():
+    """The library computes in double only: ``long double`` is 80-bit on
+    x86-64 Linux, quad on aarch64 Linux and double under MSVC, so a result
+    that passed through it would differ from platform to platform."""
+    found = []
+    for path in (ROOT / "src" / "concurv").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if is_extended_precision(node)]
+    assert found == []
+    assert is_extended_precision(ast.parse("v.astype(np.clongdouble)").body[0].value.args[0])
+    assert is_extended_precision(ast.parse("np.zeros(3, dtype='longdouble')")
+                                 .body[0].value.keywords[0].value)
+
+
 def test_public_options_are_pinned():
     options = {}
     for name in concurv.__all__:

@@ -75,6 +75,16 @@ class TestCurvatureCommand:
         results = json.loads(capsys.readouterr().out)["results"]
         assert code == 0 and results["oracle_agreement"] is True
 
+    def test_oracle_agrees_where_the_dimension_term_meets_the_rates(self, fixture_file, capsys):
+        """g3_signed vertex 4 at N = 1e-6, where K is about -4e6: the
+        oracle's refinement eliminates the Gamma-null directions of its
+        cluster, so it agrees with K (dropping them missed by 0.165, more
+        than four times the recorded bound)."""
+        code = main(["--json", "curvature", fixture_file("g3_signed"), "--vertex", "4",
+                     "--N", "1e-6", "--oracle"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0 and results["oracle_agreement"] is True
+
     @pytest.mark.parametrize("n", ["inf", "4"])
     def test_random_graphs_at_large_rates(self, n, tmp_path, capsys):
         """Random graphs with unequal weights scaled by 1e8 (K near 1e7): the

@@ -27,6 +27,7 @@ from concurv import (
     product_decomposition,
     switch,
 )
+from concurv.cli import COMPARISON_TOL
 from concurv.curvature import basis_residual
 from concurv.fixtures import fixture_graph, fixture_names
 from concurv.graphs import SLACK
@@ -278,6 +279,23 @@ class TestOracleEquivalence:
                 e = curvature_bundle(local_structure(g, x))
                 k, k_oracle = e.k(n)[0], curvature_oracle(e.local, n)
                 assert abs(k_oracle - k) <= 1e-9 * e.k_scale(k, k_oracle), (name, x)
+
+    @pytest.mark.parametrize("n", [1e-6, 1e-8])
+    def test_small_n_at_every_fixture_and_random_vertex(self, n):
+        """At N = 1e-6 and 1e-8 the dimension term and the rates meet.  The
+        oracle agrees with curvature within the CLI's COMPARISON_TOL of
+        k_scale at every fixture vertex and every vertex of 60 random graphs
+        (325 balls); it stays within 3.5e-9.  When its refinement dropped
+        the Gamma-null directions of its cluster instead of eliminating
+        them, it missed by up to 8.3e-8 at 53 balls at 1e-6 and 28 at 1e-8."""
+        rng = np.random.default_rng(2032)
+        graphs = [fixture_graph(name) for name in fixture_names()]
+        graphs += [random_graph(rng, d=1 + t % 3) for t in range(60)]
+        for g in graphs:
+            for x in g.vertex_ids:
+                e = curvature_bundle(local_structure(g, x))
+                k, k_oracle = e.k(n)[0], curvature_oracle(e.local, n)
+                assert abs(k_oracle - k) <= COMPARISON_TOL * e.k_scale(k, k_oracle), (x, k)
 
     def test_small_n_decades(self):
         """g1_u2 vertex 1 at every decade of N from 1e-20 to 1e-30."""

@@ -14,6 +14,7 @@ from concurv import (
     ProductSpec,
     ValidationError,
     add_spherical_edge,
+    cartesian_product,
     curvature,
     is_locally_balanced,
     load_graph,
@@ -26,7 +27,7 @@ from concurv import (
 )
 from concurv.cli import main
 from concurv.fixtures import fixture_document, fixture_graph, fixture_names
-from concurv.graphs import REPROJECT_TOL, SLACK
+from concurv.graphs import REPROJECT_TOL, SLACK, EdgeIndex
 
 from helpers import (
     MALFORMED_DOCUMENTS,
@@ -525,6 +526,36 @@ class TestEdgeIndex:
             with pytest.raises(ValueError):
                 ix.sigma[0][0, 0] = 0.0
         assert non_edges > 500
+
+    def test_no_field_is_writable(self):
+        """Every array of the edge index refuses a write, on a graph from
+        each way one is built (writing into ``names`` once renamed a
+        1-sphere vertex in every ball, with no error)."""
+        rng = np.random.default_rng(24)
+        g = fixture_graph("g1_u2")
+        s1_graph, x, yi, yj = random_s1_in_regular_graph(rng, d=2)
+        merge_graph, xm, zk, zl = random_merge_instance(rng, d=2)
+        built = {
+            "constructor": random_graph(rng, d=2),
+            "load_graph": load_graph(fixture_document("g1_u2")),
+            "switch": switch(g, random_switching(rng, g)),
+            "same-dimension product": cartesian_product(g, random_graph(rng, d=2)),
+            "tensor product": cartesian_product(g, random_graph(rng, d=1),
+                                                ProductSpec(lift="tensor")),
+            "add_spherical_edge": add_spherical_edge(s1_graph, x, yi, yj)[0],
+            "merge_s2": merge_s2(merge_graph, xm, zk, zl)[0],
+            "_ball_graph": graphs._ball_graph(g, "1"),
+        }
+        for how, h in built.items():
+            arrays = [name for name in EdgeIndex._fields
+                      if isinstance(getattr(h.index, name), np.ndarray)]
+            assert len(arrays) == 8, how
+            for name in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(h.index, name)[...] = getattr(h.index, name)[...]
+        with pytest.raises(ValueError, match="read-only"):
+            g.index.names[1] = "zz"
+        assert local_structure(g, "1").s1 == ("2", "3")
 
     def test_unknown_vertex_queries(self):
         g = fixture_graph("g1_u2")

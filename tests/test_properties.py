@@ -24,8 +24,11 @@ from concurv import (  # noqa: E402
     local_structure,
     switch,
 )
+from concurv.graphs import SLACK  # noqa: E402
+from concurv.hermitian import MULTIPLICITY_GAP  # noqa: E402
 
 from helpers import (  # noqa: E402
+    direct_sum,
     random_balanced_graph,
     random_graph,
     random_unitary,
@@ -136,3 +139,40 @@ def test_profile_is_monotone_and_concave_at_any_unit(shape, exponent, unit_balan
         profile = curvature_profile(loc, grid)
         assert profile.n0 == n0
         assert profile.constant_from == (2 * n0 if n0 < INF else None), (loc.center, n0)
+
+
+@PROPERTY_SETTINGS
+@given(st.fixed_dictionaries({
+    "d1": st.integers(1, 2),
+    "d2": st.integers(1, 2),
+    "field": st.sampled_from(["real", "complex"]),
+    "n_max": st.integers(3, 6),
+    "seed": st.integers(0, 2**32 - 1),
+    "twin": st.booleans(),
+}))
+def test_direct_sum_takes_the_smaller_k(shape):
+    """On ``sigma (+) tau`` every form at x splits into a sigma block and a
+    tau block, so ``K(x, N) = min(K_sigma, K_tau)`` to ``SLACK * k_scale``
+    of the sum, and the multiplicities add where the two K are equal: on
+    the twin draws, where tau is sigma, and wherever else the two K tie to
+    that slack.  Where they lie apart, the sum has the smaller one's
+    multiplicity."""
+    rng = np.random.default_rng(shape["seed"])
+    field = shape["field"]
+    g = random_graph(rng, n_max=shape["n_max"], d=shape["d1"], field=field)
+    if shape["twin"]:
+        h = g
+    else:
+        h = ConnectionGraph(shape["d2"], field, [(v, g.measure(v)) for v in g.vertex_ids],
+                            [(u, v, w, random_unitary(rng, shape["d2"], field))
+                             for u, v, w, _ in g.edge_list()])
+    for loc, loc1, loc2 in zip(balls(direct_sum(g, h)), balls(g), balls(h)):
+        bundle = curvature_bundle(loc)
+        for n in (INF, 4.0, 0.7):
+            (k, mult), (k1, m1), (k2, m2) = bundle.k(n), curvature(loc1, n), curvature(loc2, n)
+            slack = SLACK * bundle.k_scale(k, k1, k2)
+            assert abs(k - min(k1, k2)) <= slack, (loc.center, n, k, k1, k2)
+            if abs(k1 - k2) <= slack:
+                assert mult == m1 + m2, (loc.center, n, k1, k2)
+            elif abs(k1 - k2) > MULTIPLICITY_GAP * abs(k):
+                assert mult == (m1 if k1 < k2 else m2), (loc.center, n, k1, k2)
