@@ -119,7 +119,8 @@ class CurvatureBundle:
     rank; ``omega_t`` is the d x md block omega^T; ``a_inf`` is the
     N-independent curvature matrix in the canonical basis, exactly Hermitian.
     ``v0``, the canonical basis ``b`` and the constancy threshold ``n0`` are
-    formed on first read.  ``a_n`` is the one A_N formula, ``k`` reads K off
+    formed on first read.  ``a_n`` is the one A_N formula, with the dimension
+    term of ``dimension_term``; ``k`` reads K off
     its eigenvalues, ``k_scale`` is the scale at which they round, and
     ``basis_unitary`` carries it to any other basis.
     """
@@ -157,20 +158,24 @@ class CurvatureBundle:
         y = z[c:] / np.sqrt(lam[c:] - lam[0])[:, None]
         return 2.0 * float(np.linalg.eigvalsh(y.conj().T @ y)[-1])
 
+    def dimension_term(self, n, rows=slice(None)) -> np.ndarray:
+        """The dimension term ``(2/N) v0 v0^H`` of A_N, of the ``rows`` of v0
+        when given, for an N that passes _check_n.  It is made Hermitian
+        where it is formed, from its strict lower triangle and real diagonal:
+        those are what ``eigvalsh`` reads, so K does not depend on the
+        rounding of the upper triangle.  An N at which it overflows is refused."""
+        v0 = self.v0[rows]
+        term = v0 @ v0.conj().T
+        low = np.tril(term, -1)
+        herm = low + low.conj().T + np.diag(term.diagonal().real)
+        return _dimension_weight(_check_n(n), 2.0, term) * herm
+
     def a_n(self, n) -> np.ndarray:
         """``A_N = A_inf - (2/N) v0 v0^H``, exactly Hermitian, for an N that
         passes _check_n.  At N = inf the term is exactly zero, and neither it
-        nor v0 is formed.  Otherwise the term is made Hermitian where it is
-        formed, from its strict lower triangle and real diagonal: those are
-        what ``eigvalsh`` reads, so K does not depend on the rounding of the
-        upper triangle.  An N at which the term overflows is refused."""
+        nor v0 is formed."""
         n = _check_n(n)
-        if n == INF:
-            return self.a_inf
-        term = self.v0 @ self.v0.conj().T
-        low = np.tril(term, -1)
-        herm = low + low.conj().T + np.diag(term.diagonal().real)
-        return self.a_inf - _dimension_weight(n, 2.0, term) * herm
+        return self.a_inf if n == INF else self.a_inf - self.dimension_term(n)
 
     def k(self, n) -> tuple[float, int]:
         """K(N) and its multiplicity, from the eigenvalues of ``a_n(n)`` only."""

@@ -11,6 +11,7 @@ convention the reference matrices were computed in.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -112,15 +113,20 @@ def fixture_names() -> tuple[str, ...]:
     return tuple(sorted(_DOCUMENTS))
 
 
-def fixture_document(name: str) -> dict:
+def _document(name: str) -> dict:
     try:
         return _DOCUMENTS[name]
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(fixture_names())}") from None
 
 
+def fixture_document(name: str) -> dict:
+    """A copy of the named document: editing it leaves the fixture as it is."""
+    return copy.deepcopy(_document(name))
+
+
 def fixture_graph(name: str) -> ConnectionGraph:
-    return load_graph(fixture_document(name))
+    return load_graph(_document(name))
 
 
 # -- reference values ------------------------------------------------------

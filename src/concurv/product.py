@@ -125,18 +125,18 @@ class ProductDecomposition:
     block_order: tuple[str, ...]
 
 
-def _j_matrix(v0, v02, alpha, beta, n, n2) -> np.ndarray:
-    """The dimension-coupling PSD term J for finite or infinite N, N' (``2 / inf``
-    is exactly 0)."""
-    c12 = 2.0 / (n + n2)
-    c11, c22 = 2.0 / n - c12, 2.0 / n2 - c12
-    return _blocks(alpha * c11 * (v0 @ v0.conj().T), beta * c22 * (v02 @ v02.conj().T),
-                   -np.sqrt(alpha * beta) * c12 * (v0 @ v02.conj().T))
+def _block_diag(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    zeros = np.zeros((top.shape[0], bottom.shape[1]))
+    return np.block([[top, zeros], [zeros.T, bottom]])
 
 
-def _blocks(top: np.ndarray, bottom: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """The block matrix ``[[top, cross], [cross^H, bottom]]``."""
-    return np.block([[top, cross], [cross.conj().T, bottom]])
+def _r_terms(e1, e2, alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+    """R = own - coupled = ``diag(alpha omega^H a^+ omega, beta omega'^H a'^+ omega') - W^H
+    (alpha^2 a + beta^2 a')^+ W``, W = [alpha^1.5 omega, beta^1.5 omega'], as (s a)^+ = a^+/s."""
+    w = np.concatenate([alpha**1.5 * e1.omega_t, beta**1.5 * e2.omega_t], axis=1)
+    coupled = w.conj().T @ _eigh_rank(alpha**2 * e1.a + beta**2 * e2.a).pinv() @ w
+    return _block_diag(alpha * e1.omega_t.conj().T @ e1.eig.pinv() @ e1.omega_t,
+                       beta * e2.omega_t.conj().T @ e2.eig.pinv() @ e2.omega_t), coupled
 
 
 def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: ProductSpec,
@@ -147,8 +147,15 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
     (``graphs._ball_graph``) has the ball at (x, x') and the factor balls of
     the whole product, so the theorem applied to it gives the decomposition
     here.  Refuses a pair whose 2-ball connections do not commute: the
-    decomposition genuinely fails without that.  Asserts the identity and that
-    R and J are PSD, to SLACK of its terms, or raises :class:`CrossCheckError`.
+    decomposition genuinely fails without that.
+
+    N enters only through the terms ``(2/N) v0 v0^H``, which cancel exactly
+    with ``u = (sqrt(alpha) v0, sqrt(beta) v0')`` and ``J = diag((2/N) alpha
+    v0 v0^H, (2/N') beta v0' v0'^H) - (2/(N+N')) u u^H``, but in floating point
+    with rounding of size 2/N.  So the identity is checked at N = inf plus v0:
+    the product's A_inf against ``diag(alpha A_inf, beta A'_inf) + R`` and its
+    v0 against u, each to SLACK of ``_scale`` of its two sides (``residual`` is
+    the larger deviation); R and J are PSD to SLACK of their terms, else CrossCheckError.
     """
     n, n2 = _check_n(n), _check_n(n2)
     gl, g2l = _lifted_factors(_ball_graph(g, x), _ball_graph(g2, x2), spec)
@@ -158,45 +165,38 @@ def product_decomposition(g: ConnectionGraph, g2: ConnectionGraph, spec: Product
             "the product decomposition does not apply"
         )
     alpha, beta, d = spec.alpha, spec.beta, gl.dimension
-
-    loc1, loc2 = _one_ball(gl, x), _one_ball(g2l, x2)
-    e1, e2 = curvature_bundle(loc1), curvature_bundle(loc2)
-
-    # R couples the kernel-block corrections of the two factors: with
-    # W = [alpha^1.5 omega, beta^1.5 omega'], R = diag(alpha omega^H a^+ omega,
-    # beta omega'^H a'^+ omega') - W^H (alpha^2 a + beta^2 a')^+ W.  The
-    # relative cutoff of the one rank decision gives (s a)^+ = a^+ / s for s > 0.
-    w = np.concatenate([alpha**1.5 * e1.omega_t, beta**1.5 * e2.omega_t], axis=1)
-    coupled = w.conj().T @ _eigh_rank(alpha**2 * e1.a + beta**2 * e2.a).pinv() @ w
-    zeros = np.zeros((e1.v0.shape[0], e2.v0.shape[0]))
-    own = _blocks(alpha * e1.omega_t.conj().T @ e1.eig.pinv() @ e1.omega_t,
-                  beta * e2.omega_t.conj().T @ e2.eig.pinv() @ e2.omega_t, zeros)
-    r = own - coupled
-    # a_n refuses an N whose dimension term overflows, before J forms its terms
-    blockdiag = _blocks(alpha * e1.a_n(n), beta * e2.a_n(n2), zeros)
-    j = _j_matrix(e1.v0, e2.v0, alpha, beta, n, n2)
-
-    # Product curvature matrix of the lifted factor balls, in its own (sorted)
-    # basis, permuted into factor-block order for the comparison.
+    # The product ball first: its rate check refuses an alpha or beta out of range
+    # before any term is scaled.  Its (sorted) basis is permuted to factor-block order.
     locp = _one_ball(cartesian_product(gl, g2l, ProductSpec(alpha, beta)), product_vertex(x, x2))
+    loc1, loc2 = _one_ball(gl, x), _one_ball(g2l, x2)
     order = (tuple(product_vertex(y, x2) for y in loc1.s1)
              + tuple(product_vertex(x, y2) for y2 in loc2.s1))
     if set(order) != set(locp.s1):
         raise CrossCheckError("product 1-sphere does not match the factor 1-spheres")
-    idx = (np.array([locp.s1.index(label) for label in order])[:, None] * d
-           + np.arange(d)).ravel()
-    a_perm = curvature_bundle(locp).a_n(n + n2)[np.ix_(idx, idx)]
+    idx = (np.array([locp.s1.index(label) for label in order])[:, None] * d + np.arange(d)).ravel()
+    e1, e2, ep = curvature_bundle(loc1), curvature_bundle(loc2), curvature_bundle(locp)
+    own, coupled = _r_terms(e1, e2, alpha, beta)
+    r, a_inf = own - coupled, ep.a_inf[np.ix_(idx, idx)]
+    u = np.concatenate([np.sqrt(alpha) * e1.v0, np.sqrt(beta) * e2.v0])
+    residual = 0.0
+    for got, want in ((a_inf, _block_diag(alpha * e1.a_inf, beta * e2.a_inf) + r),
+                      (ep.v0[idx], u)):
+        dev = float(np.max(np.abs(got - want)))
+        if dev > SLACK * _scale(got, want):
+            raise CrossCheckError(f"product decomposition residual {dev:.3e} exceeds tolerance")
+        residual = max(residual, dev)
 
-    residual = float(np.max(np.abs(a_perm - (blockdiag + r + j))))
-    if residual > SLACK * _scale(a_perm):
-        raise CrossCheckError(f"product decomposition residual {residual:.3e} exceeds tolerance")
-    # R and J round at the scale of the identity they are terms of.
-    for name, mat in (("R", r), ("J", j)):
-        if not _psd_within(mat, a_perm, own, coupled, j):
+    # J from the product's v0 (held to u); each block's N is refused by name before N + N'.
+    top, bottom = idx[:e1.v0.shape[0]], idx[e1.v0.shape[0]:]
+    j_own = _block_diag(ep.dimension_term(n, top), ep.dimension_term(n2, bottom))
+    j_u = ep.dimension_term(n + n2, idx)
+    j = j_own - j_u
+    for name, mat, terms in (("R", r, (a_inf, own, coupled)), ("J", j, (j_own, j_u))):
+        if not _psd_within(mat, *terms):
             lam = float(np.linalg.eigvalsh(mat)[0])
             raise CrossCheckError(f"{name}(x, x') is not PSD: lambda_min = {lam:.3e}")
-    return ProductDecomposition(r=r, j=j, residual=residual, a_product=a_perm,
-                                block_order=order)
+    return ProductDecomposition(r=r, j=j, residual=residual,
+                                a_product=ep.a_n(n + n2)[np.ix_(idx, idx)], block_order=order)
 
 
 def star_product(f1, f2, t) -> float:

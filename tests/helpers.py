@@ -87,6 +87,32 @@ def phase_triangle(theta: float) -> ConnectionGraph:
                             ("a", "c", 1.0, np.array([[np.exp(1j * theta)]]))])
 
 
+def magnetic_lattice(side: int, phi: float, torus: bool = False) -> ConnectionGraph:
+    """The side x side grid of vertices ``m{i}_{j}`` (a torus when ``torus``)
+    with unit weights and measures, whose every plaquette has holonomy
+    exp(i phi): the vertical edge (i, j) -> (i, j + 1) carries exp(i phi i)
+    and the horizontal ones 1, except that on the torus the wrap edge
+    (side - 1, j) -> (0, j) carries exp(-i phi side j).  The torus needs
+    ``side^2 phi`` in 2 pi Z, so that its corner plaquette closes."""
+    def vid(i, j):
+        return f"m{i}_{j}"
+
+    def phase(t):
+        return np.array([[np.exp(1j * t)]])
+
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            if j + 1 < side or torus:
+                edges.append((vid(i, j), vid(i, (j + 1) % side), 1.0, phase(phi * i)))
+            if i + 1 < side:
+                edges.append((vid(i, j), vid(i + 1, j), 1.0, None))
+            elif torus:
+                edges.append((vid(i, j), vid(0, j), 1.0, phase(-phi * side * j)))
+    vertices = [(vid(i, j), 1.0) for i in range(side) for j in range(side)]
+    return ConnectionGraph(1, "complex", vertices, edges)
+
+
 def scaled_rates(g: ConnectionGraph, s: float) -> ConnectionGraph:
     """g with every edge weight multiplied by s: every rate, and K(N), scale by s."""
     return ConnectionGraph(g.dimension, g.field, [(v, g.measure(v)) for v in g.vertex_ids],
@@ -117,6 +143,44 @@ def direct_sum(g: ConnectionGraph, h: ConnectionGraph) -> ConnectionGraph:
         edges.append((u, v, w, block))
     field = "real" if g.field == "real" and h.field == "real" else "complex"
     return ConnectionGraph(d1 + d2, field, vertices, edges)
+
+
+def random_permutation_graph(rng, n_max: int, d: int) -> ConnectionGraph:
+    """A random graph (weights and measures from [0.5, 2]) with a random d x d
+    permutation matrix on every edge."""
+    g = random_graph(rng, n_max=n_max, d=1, field="real", identity_connections=True,
+                     weight_range=(0.5, 2.0))
+    return ConnectionGraph(d, "real", [(v, g.measure(v)) for v in g.vertex_ids],
+                           [(u, v, w, np.eye(d)[rng.permutation(d)])
+                            for u, v, w, _ in g.edge_list()])
+
+
+def cover_vertex(x: str, i: int) -> str:
+    return f"{x}.{i}"
+
+
+def cover(g: ConnectionGraph) -> ConnectionGraph:
+    """The d-sheeted covering graph of a permutation connection: with
+    ``sigma_xy = P`` for the stored orientation x -> y and ``P[i, pi(i)] = 1``,
+    ``(x, i)`` joins ``(y, pi(i))`` with the weight of xy, and every sheet of
+    x has the measure of x.  The cover is a d = 1 graph with identity
+    connections, and its forms at x sum over the fibre of x to those of g."""
+    d = g.dimension
+    vertices = [(cover_vertex(x, i), g.measure(x)) for x in g.vertex_ids for i in range(d)]
+    edges = []
+    for x, y, w, sigma in g.edge_list():
+        pi = np.argmax(np.abs(sigma), axis=1)
+        assert np.array_equal(sigma, np.eye(d)[pi]), "not a permutation connection"
+        edges += [(cover_vertex(x, i), cover_vertex(y, pi[i]), w, None) for i in range(d)]
+    return ConnectionGraph(1, "real", vertices, edges)
+
+
+def fibre_balls(c: ConnectionGraph, x: str, d: int):
+    """The balls of the d-sheeted cover c at the fibre of x, and whether
+    their vertex sets are pairwise disjoint."""
+    locs = [local_structure(c, cover_vertex(x, i)) for i in range(d)]
+    sets = [{loc.center, *loc.s1, *loc.s2} for loc in locs]
+    return locs, all(not sets[i] & sets[j] for i in range(d) for j in range(i))
 
 
 def random_switching(rng, g: ConnectionGraph) -> dict[str, np.ndarray]:

@@ -41,6 +41,7 @@ from helpers import (
     curvature_reference,
     dense_kernel_condition,
     gamma_forms,
+    magnetic_lattice,
     mixed_rates,
     multiplicity_reference,
     n0_reference,
@@ -208,6 +209,19 @@ class TestCurvatureValues:
                     assert evaluate(n) == bundle.k(n) == (k, mult)
                     assert np.array_equal(bundle.a_n(n), a_n.mat), (x, n)
                     assert np.array_equal(bundle.a_n(n), bundle.a_n(n).conj().T), (x, n)
+
+    def test_dimension_term_is_the_one_term_of_a_n(self):
+        """A_N is A_inf minus ``dimension_term(N)``, bit for bit; the term of
+        some rows of v0 (the product check reads its factor blocks so) is
+        the block of the whole, exactly Hermitian, and 0 at N = inf."""
+        bundle = curvature_bundle(local_structure(fixture_graph("g1_u2"), "1"))
+        rows = np.array([3, 0, 1])
+        for n in (4.0, 1.0, 1e-8):
+            whole, part = bundle.dimension_term(n), bundle.dimension_term(n, rows)
+            assert np.array_equal(bundle.a_n(n), bundle.a_inf - whole)
+            assert np.array_equal(part, part.conj().T)
+            assert_close(part, whole[np.ix_(rows, rows)], SLACK * float(np.max(np.abs(whole))))
+        assert not np.any(bundle.dimension_term(INF, rows))
 
     def test_curvature_function_matches_pointwise(self):
         rng = np.random.default_rng(45)
@@ -675,6 +689,37 @@ class TestPhaseTriangleClosedForm:
     def test_known_values(self):
         assert self.closed_form(math.pi) == pytest.approx(0.5, abs=1e-15)
         assert self.closed_form(1e-3) == pytest.approx(1e-6 / 10, rel=1e-6)
+
+
+class TestMagneticLattice:
+    """U(1) connections with one holonomy exp(i phi) on every plaquette of
+    the square lattice, a discrete magnetic field (ROADMAP item 18)."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 6])
+    def test_flux_torus_is_symmetric(self, q):
+        """The 12 x 12 flux torus at phi = 2 pi q / 12 is vertex-transitive
+        up to switching, so K(inf) is one value at all 144 vertices.
+        Measured spread: at most 8.1e-15 of k_scale (at q = 1)."""
+        g = magnetic_lattice(12, 2.0 * math.pi * q / 12, torus=True)
+        bundles = [curvature_bundle(local_structure(g, x)) for x in g.vertex_ids]
+        ks = [e.k(INF)[0] for e in bundles]
+        scale = max(e.k_scale(k) for e, k in zip(bundles, ks))
+        assert len(ks) == 144 and max(ks) - min(ks) <= SLACK * scale, (min(ks), max(ks))
+
+    # 17 evenly spaced from -0.5 to pi + 1e-3, the kink 3 pi / 4 and 1e-8
+    PHIS = sorted(np.linspace(-0.5, math.pi + 1e-3, 17).tolist() + [3 * math.pi / 4, 1e-8])
+
+    @pytest.mark.parametrize("phi", PHIS)
+    def test_patch_center_fitted_form(self, phi):
+        """At the center of the 7 x 7 patch both routes give
+        ``min(-2 |sin phi|, 2 cos phi)``, a formula fitted to the library's
+        output, not derived: a conjecture that this test pins.  K is
+        continuous at phi = 0, unlike the phase triangle's jump, and kinks
+        at 3 pi / 4.  Measured: within 1.2e-15 of k_scale at every phi."""
+        loc = local_structure(magnetic_lattice(7, phi), "m3_3")
+        e, want = curvature_bundle(loc), min(-2.0 * abs(math.sin(phi)), 2.0 * math.cos(phi))
+        for route, k in (("curvature", e.k(INF)[0]), ("oracle", curvature_oracle(loc, INF))):
+            assert abs(k - want) <= SLACK * e.k_scale(k, want), (route, k, want)
 
 
 class TestFiftyDigitReference:

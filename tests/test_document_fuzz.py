@@ -88,7 +88,7 @@ def mutated_documents():
     rng = np.random.default_rng(2024)
     names = fixture_names()
     for _ in range(DOCUMENTS):
-        doc = copy.deepcopy(fixture_document(names[int(rng.integers(len(names)))]))
+        doc = fixture_document(names[int(rng.integers(len(names)))])
         for _ in range(1 + int(rng.integers(3))):
             MUTATIONS[int(rng.integers(len(MUTATIONS)))](doc, rng)
         yield doc

@@ -56,6 +56,17 @@ def near_identity(rng, d: int) -> np.ndarray:
 
 
 class TestLoadGraph:
+    def test_fixture_documents_are_copies(self):
+        """Editing a returned document changes neither a second
+        fixture_document call nor fixture_graph (it returned the table's
+        own dict, so one popped edge stayed popped)."""
+        doc = fixture_document("g1_u2")
+        doc["edges"].pop()
+        doc["vertices"][0]["measure"] = 7.0
+        assert len(fixture_document("g1_u2")["edges"]) == 5
+        g = fixture_graph("g1_u2")
+        assert len(g.edge_list()) == 5 and g.measure("1") == 1.0
+
     def test_u2_fixture_roundtrip(self):
         g = load_graph(json.dumps(fixture_document("g1_u2")))
         assert g.dimension == 2

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from concurv import (
     INF,
     ConnectionGraph,
+    CrossCheckError,
     ProductSpec,
     ValidationError,
     cartesian_product,
@@ -20,7 +23,11 @@ from concurv import (
     star_product,
     switch,
 )
-from concurv.fixtures import PRODUCT_NONCOMMUTING, fixture_graph
+from concurv import product
+from concurv.cli import main
+from concurv.fixtures import PRODUCT_NONCOMMUTING, fixture_document, fixture_graph
+from concurv.graphs import SLACK
+from concurv.hermitian import _scale
 
 from helpers import (
     assert_close,
@@ -433,6 +440,90 @@ class TestDecomposition:
         with mpmath.workdps(50):
             lam = min(mpmath.eighe(mpmath.matrix(g2.tolist()), eigvals_only=True))
             assert abs(lam - PRODUCT_NONCOMMUTING["A|1"]["gamma2_min_eig"]) <= 1e-12
+
+
+IDENTITY_PAIRS = [("g1_u2", "g1_u2", "1", "1"), ("triangle_signed", "diamond_signed", "A", "1"),
+                  ("g2_signed", "triangle_signed", "1", "A")]
+IDENTITY_NS = (INF, 4.0, 1.0, 1e-8, 1e-15, 1e-300)
+
+
+@pytest.mark.parametrize("names", IDENTITY_PAIRS, ids=lambda p: f"{p[0]}x{p[1]}")
+class TestIdentityAtEveryN:
+    """The identity is checked where N does not appear: the product's A_inf
+    and v0 against the factors'.  Checked at finite N, the dimension terms
+    of size 2/N cancelled in rounding beyond the slack, so N = 1, N' = 1e-8
+    on g1_u2 x g1_u2 exited 2 on valid input."""
+
+    @staticmethod
+    def setup(names):
+        a, b, x, x2 = names
+        g, g2 = fixture_graph(a), fixture_graph(b)
+        ball = curvature_bundle(local_structure(cartesian_product(g, g2), product_vertex(x, x2)))
+        return g, g2, x, x2, _scale(ball.a_inf, ball.v0)
+
+    def test_every_n_pair_decomposes(self, names):
+        g, g2, x, x2, scale = self.setup(names)
+        for n in IDENTITY_NS:
+            for n2 in IDENTITY_NS:
+                dec = product_decomposition(g, g2, ProductSpec(), x, x2, n, n2)
+                assert dec.residual <= SLACK * scale, (n, n2, dec.residual)
+
+    def test_a_perturbed_r_raises_at_every_n(self, names, monkeypatch):
+        """R's own term moved by 1e-6 of its scale on the diagonal: R stays
+        PSD, so only the identity can catch it, and it does at every N."""
+        real = product._r_terms
+
+        def perturbed(*args):
+            own, coupled = real(*args)
+            assert _scale(own) > 0
+            return own + 1e-6 * _scale(own) * np.eye(own.shape[0]), coupled
+
+        monkeypatch.setattr(product, "_r_terms", perturbed)
+        self.assert_raises_at_every_n(names)
+
+    def test_a_perturbed_product_v0_raises_at_every_n(self, names, monkeypatch):
+        """The product ball's v0 moved by 1e-6 of its scale raises even at
+        N = N' = inf, where A_N does not read it: the identity at every N
+        needs it."""
+        real = product.curvature_bundle
+
+        def perturbed(loc):
+            bundle = real(loc)
+            if product.SEPARATOR in loc.center:
+                bundle.__dict__["v0"] = bundle.v0 + 1e-6 * _scale(bundle.v0)
+            return bundle
+
+        monkeypatch.setattr(product, "curvature_bundle", perturbed)
+        self.assert_raises_at_every_n(names)
+
+    def assert_raises_at_every_n(self, names):
+        g, g2, x, x2, _ = self.setup(names)
+        for n in IDENTITY_NS:
+            for n2 in IDENTITY_NS:
+                with pytest.raises(CrossCheckError, match="product decomposition residual"):
+                    product_decomposition(g, g2, ProductSpec(), x, x2, n, n2)
+
+
+class TestDecomposeCommand:
+    @pytest.fixture()
+    def g1_u2(self, tmp_path):
+        path = tmp_path / "g1_u2.json"
+        path.write_text(json.dumps(fixture_document("g1_u2")))
+        return str(path)
+
+    def test_disparate_n_exits_0(self, g1_u2, capsys):
+        assert main(["product", g1_u2, g1_u2, "--decompose", "1,1",
+                     "--N", "1", "--N2", "1e-8"]) == 0
+        assert "residual" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("options", [["--alpha", "1e200"], ["--beta", "1e250"],
+                                         ["--lift", "tensor", "--alpha", "1e300"]])
+    def test_an_overflowing_scale_exits_1(self, g1_u2, options, capsys):
+        """The product ball is built first, so its rate check refuses the
+        scale before alpha**1.5 or beta**1.5 can overflow."""
+        assert main(["product", g1_u2, g1_u2, "--decompose", "1,1", *options]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "Traceback" not in err
 
 
 class TestSwitchCompatibility:
