@@ -4,10 +4,10 @@ Subcommands: validate, curvature, profile, product, balance, add-edge,
 merge, examples.  Every command builds a deterministic report that renders
 either as aligned text (default) or JSON (--json); exit code 0 on success,
 1 on validation failure (including a malformed argument), 2 on a numerical
-cross-check failure.  Every report records the comparison tolerance tol,
-COMPARISON_TOL or the env var CURV_TOL when it is set; ``curvature --oracle``
-accepts a gap up to ``tol * CurvatureBundle.k_scale(K, K_oracle)`` and
-records that bound as ``oracle_bound``.
+cross-check failure.  Every report records the comparison tolerance
+COMPARISON_TOL; ``curvature --oracle`` accepts a gap up to
+``COMPARISON_TOL * CurvatureBundle.k_scale(K, K_oracle)`` and records that
+bound as ``oracle_bound``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -28,20 +27,7 @@ from .graphs import _connections, _one_ball, _raw_sigma, is_locally_balanced, lo
 
 FRACTION_MAX_DEN = 16
 FRACTION_TOL = 1e-9
-COMPARISON_TOL = 1e-8   # accepted |K - K_oracle| over k_scale(K, K_oracle) unless CURV_TOL is set
-
-
-def comparison_tol() -> float:
-    raw = os.environ.get("CURV_TOL")
-    if not raw:
-        return COMPARISON_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        tol = math.nan  # rejected below like any other unusable value
-    if not (tol >= 0 and math.isfinite(tol)):
-        raise ValidationError(f"CURV_TOL must be a finite nonnegative number, got {raw!r}")
-    return tol
+COMPARISON_TOL = 1e-8   # accepted |K - K_oracle| over k_scale(K, K_oracle)
 
 
 def _n_value(n: float | None):
@@ -113,7 +99,7 @@ class Report:
             "command": command,
             "inputs": {p: "sha256:" + hashlib.sha256(data).hexdigest()
                        for p, data in inputs.items()},
-            "tolerance": comparison_tol(),
+            "tolerance": COMPARISON_TOL,
             "results": {},
         }
         self._lines: list[str] = []
@@ -197,7 +183,7 @@ def cmd_curvature(args) -> tuple[int, Report]:
         report.add_number("oracle", k_oracle)
         gap = abs(k_oracle - k)
         report.add_number("oracle_gap", gap)
-        bound = report.doc["tolerance"] * e.k_scale(k, k_oracle)
+        bound = COMPARISON_TOL * e.k_scale(k, k_oracle)
         report.add_number("oracle_bound", bound)
         agree = gap <= bound
         report.add("oracle_agreement", agree, None if agree else

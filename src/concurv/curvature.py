@@ -330,10 +330,12 @@ def curvature_oracle(local: LocalStructure, n) -> float:
     # meets the flat Gamma-null branches, and multiplicities collide), so the
     # full problem is restricted to that cluster: there it becomes the same
     # one-parameter feasibility question, but at the scale of the cluster,
-    # where dense-solver noise is negligible.
-    k = hi
+    # where dense-solver noise is negligible.  Exact steps only lower k (the
+    # smallest eigenvalue is concave in k), so a rise no smaller than the
+    # step before it is rounding noise: the refinement stops before it.
+    k, last = hi, INF
     width = 1e-7 * scale_m
-    for _ in range(8):
+    for _ in range(64):   # the bound of the bracket loops; ordinary balls stop after 1-2 steps
         mat = base - k * gamma_pad
         w, vecs = np.linalg.eigh(mat)
         v = vecs[:, w <= w[0] + width]
@@ -361,7 +363,9 @@ def curvature_oracle(local: LocalStructure, n) -> float:
         if abs(k_new - k) <= 1e-13 * max(bound, abs(k)):
             k = k_new
             break
-        k = k_new
+        if k_new - k >= last:
+            break
+        k, last = k_new, abs(k_new - k)
     return k
 
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .curvature import CurvatureBundle, _check_n, curvature_bundle
+from .curvature import INF, CurvatureBundle, _check_n, _dimension_weight, curvature_bundle
 from .graphs import SLACK, LocalStructure, _as_array, _rng
 from .hermitian import _scale
-from .operators import _ball_blocks, _neighbour_stack, delta_matrix
+from .operators import _ball_blocks, _neighbour_stack
 
 MATRIX_CHECK_TRIALS = 8  # random tangent vectors per tensor_matrix_check
 
@@ -66,15 +66,15 @@ def phi_map(local: LocalStructure) -> np.ndarray:
 def _phi(e: CurvatureBundle) -> np.ndarray:
     """phi from the canonical elimination e: ``-conj(a^+ omega^T) D^{-1}
     blockdiag(sigma_xyi^H)``.  The equation's right side, as a matrix of
-    conj(v), is ``omega^T D^{-1} blockdiag(sigma_xyi^T)``."""
-    d_inv_sigma_t = _neighbour_stack(e.local, np.sqrt(e.local.p_x), diagonal=True)
-    w = e.omega_t @ d_inv_sigma_t
+    conj(v), is ``omega^T`` times the frame of :func:`_frame`."""
+    frame = _frame(e)
+    w = e.omega_t @ frame
     bound = SLACK * _scale(e.q2)
     if float(np.max(np.abs(w))) <= bound:
         # the zero map solves the equation and is the canonical choice; the
         # pseudoinverse of a noise-level a would give a huge spurious map
         return np.zeros_like(w)
-    m_conj = -(e.eig.pinv() @ e.omega_t) @ d_inv_sigma_t
+    m_conj = -(e.eig.pinv() @ e.omega_t) @ frame
     resid = float(np.max(np.abs(w + e.a @ m_conj)))
     if resid > bound:
         raise CrossCheckError(f"phi_map solvability residual {resid:.3e} exceeds tolerance")
@@ -91,21 +91,19 @@ def phi_matrix(local: LocalStructure, f: np.ndarray) -> np.ndarray:
                                     _neighbour_stack(local, diagonal=True).conj()])
 
 
-def _tensor_matrices(local: LocalStructure, n: float, phi: np.ndarray, q2: np.ndarray):
-    """The md x md matrices R and G of the Ricci tensor and the metric:
-    ``Ric_N(v1, v2) = v1^T R conj(v2)`` and ``g(v1, v2) = v1^T G conj(v2)``.
-
-    Ric_N is 2*Gamma_2 on the Psi-extended columns of Phi, minus (2/N) times
-    the Laplacian-square term on the columns of Phi.  The Psi completion
-    attains the Schur complement, so the first term is 2*Q on Phi itself:
-    ``q2 = 4*Q / 2``, taken from the caller's elimination.  G is diagonal
-    with each rate p_xy_i repeated d times.
-    """
-    phim = phi_matrix(local, phi)
-    r = phim.T @ q2 @ np.conj(phim)
-    if n != np.inf:
-        lap = phim.T @ delta_matrix(local)
-        r -= (2.0 / n) * lap @ lap.conj().T
+def _tensor_matrices(e: CurvatureBundle, n: float):
+    """The md x md matrices R and G of the Ricci tensor and the metric,
+    ``Ric_N(v1, v2) = v1^T R conj(v2)`` and ``g(v1, v2) = v1^T G conj(v2)``, from
+    the elimination e.  The Psi extensions of the Phi lifts attain the Schur
+    complement, so Ric_N's 2*Gamma_2 is 2*Q on Phi; ``p0^T`` annihilates Delta(x),
+    so ``Phi^T Delta(x) = P = p_x (x) I_d`` for any phi, and Ric_N's Laplacian
+    square is ``(2/N) P P^T``, weighed by A_N's N rule.  G is ``diag(p_x) (x) I_d``."""
+    local = e.local
+    phim = phi_matrix(local, _phi(e))
+    r = phim.T @ e.q2 @ np.conj(phim)
+    if n != INF:
+        pp = np.kron(np.outer(local.p_x, local.p_x), np.eye(local.d))   # P P^T
+        r -= _dimension_weight(n, 2.0, pp) * pp
     return r, np.diag(np.repeat(local.p_x, local.d))
 
 
@@ -113,16 +111,14 @@ def ric_and_metric(local: LocalStructure, n, v1: np.ndarray, v2: np.ndarray):
     """The Ricci tensor Ric_N(v1, v2) and the metric g(v1, v2).
 
     Both are sesquilinear (conjugate-linear in the second argument).  The
-    metric is ``sum_i p_xyi v1_i . conj(v2_i)``; Ric evaluates 2*Gamma_2 on
-    the Psi-extended Phi lifts, with phi from :func:`phi_map`, minus the
-    (2/N) Laplacian-square term on the Phi lifts.  Both are read off the
-    tensor matrices R and G, built once per call.
+    metric is ``sum_i p_xyi v1_i . conj(v2_i)``; both are read off the
+    matrices R and G of the tensors, built once per call with phi from
+    :func:`phi_map`.  An N at which R's dimension term overflows is refused.
     """
     n = _check_n(n)
     md = local.m * local.d
     v1, v2 = _as_array(v1, "tangent vector v1", (md,)), _as_array(v2, "tangent vector v2", (md,))
-    e = curvature_bundle(local)
-    r, g = _tensor_matrices(local, n, _phi(e), e.q2)
+    r, g = _tensor_matrices(curvature_bundle(local), n)
     return complex(v1 @ r @ np.conj(v2)), complex(v1 @ g @ np.conj(v2))
 
 
@@ -132,32 +128,35 @@ def coordinate_map(local: LocalStructure, b: np.ndarray) -> np.ndarray:
     they are ``conj(U D^{-1} blockdiag(sigma_xyi^T))`` for any phi, with U
     from ``CurvatureBundle.basis_unitary``; B is not inverted."""
     e = curvature_bundle(local)
-    return np.conj(e.basis_unitary(b) @ _neighbour_stack(local, np.sqrt(local.p_x), diagonal=True))
+    return np.conj(_frame(e, e.basis_unitary(b)))
+
+
+def _frame(e: CurvatureBundle, u: np.ndarray | None = None) -> np.ndarray:
+    """The frame ``D^{-1} blockdiag(sigma_xyi^T)``, times the unitary u of a basis if given."""
+    frame = _neighbour_stack(e.local, np.sqrt(e.local.p_x), diagonal=True)
+    return frame if u is None else u @ frame
 
 
 def tensor_matrix_check(local: LocalStructure, n, b: np.ndarray | None = None,
                         seed: int = 0) -> float:
     """Numeric consistency of the tensor and its matrix representation.
 
-    For MATRIX_CHECK_TRIALS random tangent vectors v, checks
-    ``Ric_N(v, v) = v_B^T A_N conj(v_B)`` and ``g(v, v) = |v_B|^2`` with
-    ``v_B`` the B-induced coordinates, and that the smallest eigenvector of
-    A_N pulled back through the coordinate map attains
-    ``Ric/g = lambda_min``.  Returns the largest residual seen, each over
-    ``hermitian._scale`` of the matrix it reads (R, G or A_N), so it holds
-    at any scale of the rates (an exactly zero one, as at a flat ball, is
-    read as it is).  One elimination serves phi, R and any B.  ``seed``
-    follows the seed rule of ``graphs._rng``.
+    For MATRIX_CHECK_TRIALS random tangent vectors v, checks ``Ric_N(v, v) =
+    v_B^T A_N conj(v_B)`` and ``g(v, v) = |v_B|^2`` with ``v_B`` the B-induced
+    coordinates, and that the smallest eigenvector of A_N pulled back through
+    the coordinate map attains ``Ric/g = lambda_min``.  Returns the largest
+    residual seen, each over ``hermitian._scale`` of the matrix it reads (R, G
+    or A_N), so it holds at any scale of the rates (an exactly zero one, as at
+    a flat ball, is read as it is).  One elimination serves phi, R and any B.
+    ``seed`` follows the seed rule of ``graphs._rng``.
     """
     n = _check_n(n)
     rng = _rng(seed)
     md = local.m * local.d
     e = curvature_bundle(local)
-    a_n, xi = e.a_n(n), np.conj(_neighbour_stack(local, np.sqrt(local.p_x), diagonal=True))
-    if b is not None:
-        u = e.basis_unitary(b)
-        a_n, xi = u @ a_n @ u.conj().T, np.conj(u) @ xi
-    r, g = _tensor_matrices(local, n, _phi(e), e.q2)
+    u = None if b is None else e.basis_unitary(b)   # the basis is checked before N
+    a_n = e.a_n(n) if u is None else u @ e.a_n(n) @ u.conj().T
+    xi, (r, g) = np.conj(_frame(e, u)), _tensor_matrices(e, n)
     scale_r, scale_g, scale_a = (_scale(m) or 1.0 for m in (r, g, a_n))
     worst = 0.0
     for _ in range(MATRIX_CHECK_TRIALS):

@@ -78,6 +78,17 @@ def random_balanced_graph(rng, n_max: int = 6, d: int = 1,
     return switch(g, tau)
 
 
+def near_balanced_graph(rng, eps: float) -> ConnectionGraph:
+    """A d = 1 ``random_balanced_graph`` with each connection times
+    ``exp(i eps h)``, h standard normal, drawn by the same rng in
+    ``edge_list`` order: unbalanced by about eps, where K jumps (ROADMAP
+    item 4's family)."""
+    g = random_balanced_graph(rng, d=1)
+    return ConnectionGraph(1, "complex", [(v, g.measure(v)) for v in g.vertex_ids],
+                           [(u, v, w, s @ np.exp(1j * eps * rng.normal(size=(1, 1))))
+                            for u, v, w, s in g.edge_list()])
+
+
 def phase_triangle(theta: float) -> ConnectionGraph:
     """The d = 1 triangle a, b, c with unit weights and measures whose one
     connection sigma_ac = exp(i theta) is the only imbalance: near balance

@@ -17,9 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "bench" / "workloads.py"
 
 # The private names of concurv.curvature that other modules may import: the
-# one rule for N.  The elimination record, which owns A_N, is the public
+# one rule for N, its check of N and its refusal of an N at which a dimension
+# term overflows.  The elimination record, which owns A_N, is the public
 # CurvatureBundle.
-CURVATURE_PRIVATE_IMPORTS = {"_check_n"}
+CURVATURE_PRIVATE_IMPORTS = {"_check_n", "_dimension_weight"}
 
 # Every default-valued parameter of the exported callables, with its default.
 # A new option has a caller; add it here when you add it.

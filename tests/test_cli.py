@@ -236,12 +236,6 @@ class TestBadNumbers:
         assert main(argv) == 1
         assert "validation error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["foo", "nan", "-1"])
-    def test_bad_curv_tol_exits_1(self, value, fixture_file, capsys, monkeypatch):
-        monkeypatch.setenv("CURV_TOL", value)
-        assert main(["curvature", fixture_file("g1_u2"), "--vertex", "1", "--oracle"]) == 1
-        assert "validation error: CURV_TOL" in capsys.readouterr().err
-
 
 class TestProfileCommand:
     def test_profile_table(self, fixture_file, capsys):
@@ -454,32 +448,17 @@ class TestKernelBlockReport:
         assert f"rank {rank} of {size}" in capsys.readouterr().out
 
 
-class TestToleranceOverride:
-    def test_curv_tol_env(self, fixture_file, capsys, monkeypatch):
-        # an absurdly tight tolerance makes the oracle cross-check fail; the
-        # oracle is stubbed 1e-12 off K, so the gap does not hang on rounding
-        monkeypatch.setattr(cli, "curvature_oracle",
-                            lambda loc, n: curvature(loc, n)[0] + 1e-12)
-        monkeypatch.setenv("CURV_TOL", "1e-15")
-        code = main(["curvature", fixture_file("g1_u2"), "--vertex", "1", "--oracle"])
-        capsys.readouterr()
-        assert code == 2
-        monkeypatch.setenv("CURV_TOL", "1e-6")
-        code = main(["curvature", fixture_file("g1_u2"), "--vertex", "1", "--oracle"])
-        capsys.readouterr()
-        assert code == 0
-
-    @pytest.mark.parametrize("env", [None, "1e-6"])
-    def test_reported_tolerance_is_applied(self, env, fixture_file, capsys, monkeypatch):
+class TestReportedTolerance:
+    def test_reported_tolerance_is_applied(self, fixture_file, capsys, monkeypatch):
         """The oracle check passes a gap of half the bound the report records
-        as applied and fails one of twice that bound."""
-        if env is not None:
-            monkeypatch.setenv("CURV_TOL", env)
+        as applied and fails one of twice that bound.  The recorded tolerance
+        is COMPARISON_TOL: the environment does not set it."""
+        monkeypatch.setenv("CURV_TOL", "1e-6")
         argv = ["--json", "curvature", fixture_file("g1_u2"), "--vertex", "1", "--oracle"]
         assert main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert sorted(report) == ["command", "inputs", "results", "tolerance"]
-        assert report["tolerance"] == (1e-8 if env is None else float(env))
+        assert report["tolerance"] == cli.COMPARISON_TOL == 1e-8
         k = report["results"]["curvature"]
         for factor, code in ((0.5, 0), (2.0, 2)):
             bound = report["results"]["oracle_bound"]

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from concurv import (
     product_decomposition,
     switch,
 )
-from concurv.cli import COMPARISON_TOL
+from concurv.cli import COMPARISON_TOL, main
 from concurv.curvature import basis_residual
 from concurv.fixtures import fixture_graph, fixture_names
 from concurv.graphs import SLACK
@@ -45,6 +46,7 @@ from helpers import (
     mixed_rates,
     multiplicity_reference,
     n0_reference,
+    near_balanced_graph,
     phase_triangle,
     pinv,
     random_balanced_graph,
@@ -55,6 +57,9 @@ from helpers import (
     run_python,
     scaled_rates,
 )
+
+# a d = 1 near-balanced ball whose oracle refinement needs more than 8 steps
+NEAR_BALANCED_404 = Path(__file__).with_name("near_balanced_404.json")
 
 
 def single_edge_local():
@@ -324,6 +329,26 @@ class TestOracleEquivalence:
         e = curvature_bundle(local_structure(load_graph(_path_document(1e40)), "b"))
         k, k_oracle = e.k(1e-200)[0], curvature_oracle(e.local, 1e-200)
         assert abs(k_oracle - k) <= 1e-9 * e.k_scale(k, k_oracle)
+
+    def test_near_balanced_document_is_the_seeded_draw(self):
+        """``near_balanced_404.json`` is, byte for byte, the 35th draw of
+        ``near_balanced_graph(np.random.default_rng(404), 1e-2)``."""
+        rng = np.random.default_rng(404)
+        for _ in range(35):
+            g = near_balanced_graph(rng, 1e-2)
+        assert NEAR_BALANCED_404.read_text(encoding="utf-8") == (
+            json.dumps(g.to_document(), indent=2) + "\n")
+
+    def test_refinement_reaches_a_slow_crossing(self):
+        """Vertex 1 of ``near_balanced_404.json`` (K = 0.26314, kernel block
+        4.8e-8): the bisection ends 0.042 above K and the refinement's steps
+        first grow, so cut at 8 steps it read 0.267140, 4.0e-3 off, and the
+        CLI exited 2.  Run to its rounding floor it stops 6.6e-9 from
+        curvature, within the CLI's bound of 2.1e-8."""
+        e = curvature_bundle(local_structure(load_graph(NEAR_BALANCED_404.read_bytes()), "1"))
+        k, k_oracle = e.k(INF)[0], curvature_oracle(e.local, INF)
+        assert abs(k_oracle - k) <= COMPARISON_TOL * e.k_scale(k, k_oracle)
+        assert main(["curvature", str(NEAR_BALANCED_404), "--vertex", "1", "--oracle"]) == 0
 
 
 def _path_document(w: float) -> dict:
@@ -649,6 +674,32 @@ class TestNearBalancedReference:
         k, _ = curvature(local_structure(g, "a"), INF)
         # measured: 3e-13 to 4e-11 down to theta = 1e-3, then 1.9e-7 and 7.8e-5
         assert abs(k - ref) <= (1e-9 if theta >= 1e-3 else 1e-3)
+
+
+@pytest.mark.parametrize("field, seed, x, values", [
+    ("complex", 252, "2", ((INF, -1.0976902523656, -1.6803270357469),
+                           (2.0, -1.9561684138203, -2.0315996938170))),
+    ("real", 122, "1", ((INF, -0.0083261451127, -0.1969480589936),)),
+], ids=["u1", "signed"])
+def test_a_connection_can_raise_k(field, seed, x, values):
+    """ROADMAP item 17's bound ``K_sigma <= K_1`` fails, K_1 being the K of
+    the same weights and measures with identity connections: at vertex x of
+    ``random_graph(np.random.default_rng(seed), d=1, field=field)``, a U(1)
+    connection (N = inf and 2) and a signing (N = inf) raise K above K_1.
+    curvature, the oracle and the 50-digit reference agree to 1e-13, and the
+    kernel block (12.07 and 3.59) is far from item 4's near-balanced regime."""
+    pytest.importorskip("mpmath")
+    g = random_graph(np.random.default_rng(seed), d=1, field=field)
+    one = ConnectionGraph(1, "real", [(v, g.measure(v)) for v in g.vertex_ids],
+                          [(u, v, w, None) for u, v, w, _ in g.edge_list()])
+    e, e1 = curvature_bundle(local_structure(g, x)), curvature_bundle(local_structure(one, x))
+    assert float(e.a[0, 0].real) > 3.5
+    for n, want, want1 in values:
+        k, k1 = e.k(n)[0], e1.k(n)[0]
+        assert k == pytest.approx(want, abs=1e-12) and k1 == pytest.approx(want1, abs=1e-12)
+        assert curvature_oracle(e.local, n) == pytest.approx(k, abs=1e-13)
+        assert curvature_oracle(e1.local, n) == pytest.approx(k1, abs=1e-13)
+        assert curvature_reference(g, x, n) == pytest.approx(k, abs=1e-13)
 
 
 class TestPhaseTriangleClosedForm:

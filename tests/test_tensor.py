@@ -118,7 +118,6 @@ class TestPhiMap:
             loc = local_structure(random_graph(rng, d=2), "1")
             f = phi_map(loc)  # raises internally if eq residual is large
             phim = phi_matrix(loc, f)
-            from concurv.operators import q_matrix
             two_q = q_matrix(loc).mat / 2
             out = canonical_basis(loc)[:loc.d] @ two_q @ np.conj(phim)
             assert float(np.max(np.abs(out))) <= 1e-9 * max(
@@ -349,7 +348,8 @@ def ricci_psi_route(loc, n, phi):
 
 
 def laplacian_term(loc, n, phim):
-    """(2/N) lap lap^H with lap = Phi^T Delta, as both routes subtract it."""
+    """(2/N) lap lap^H with lap = Phi^T Delta, as the paper's route subtracts
+    it; the library's ``(2/N) P P^T`` is the same term (TestLaplacianLift)."""
     if n == INF:
         return 0.0
     lap = phim.T @ delta_matrix(loc)
@@ -362,8 +362,8 @@ def ricci_reference(g, x, ns):
     map, ``Phi^T = [phi^T, I] B_T``, so for a solving phi the first term
     ``Phi^T (Q/2) conj(Phi)`` is the Schur complement of the kernel block
     ``a`` in ``B_T (Q/2) B_T^H``, taken with the exact inverse of ``a`` and Q
-    from :func:`q_reference`.  The float64 Laplacian-square term, the one
-    both routes subtract, does not depend on phi either: ``p0^T Delta = 0``."""
+    from :func:`q_reference`.  The float64 Laplacian-square term of the
+    paper's route does not depend on phi either: ``p0^T Delta = 0``."""
     import mpmath
 
     loc = local_structure(g, x)
@@ -404,11 +404,9 @@ def test_ricci_matrix_matches_psi_route():
             if not g.neighbors(x):
                 continue
             loc = local_structure(g, x)
-            phi = phi_map(loc)
+            phi, e = phi_map(loc), curvature_bundle(loc)
             balls += 1
-            q2 = q_matrix(loc).mat / 2.0
-            pairs = [(_tensor_matrices(loc, n, phi, q2)[0], ricci_psi_route(loc, n, phi))
-                     for n in ns]
+            pairs = [(_tensor_matrices(e, n)[0], ricci_psi_route(loc, n, phi)) for n in ns]
             scales = [max(1.0, float(np.max(np.abs(want)))) for _, want in pairs]
             if all(np.max(np.abs(r - want)) <= 1e-12 * scale
                    for (r, want), scale in zip(pairs, scales)):
@@ -418,6 +416,82 @@ def test_ricci_matrix_matches_psi_route():
                 psi_err = float(np.max(np.abs(want - exact)))
                 assert lib_err <= max(2.0 * psi_err, 1e-12 * scale), (x, lib_err, psi_err)
     assert balls >= 500
+
+
+def fixture_balls():
+    for name in fixture_names():
+        g = fixture_graph(name)
+        yield from (local_structure(g, x) for x in g.vertex_ids if g.neighbors(x))
+
+
+class TestLaplacianLift:
+    """R's dimension term is ``(2/N) P P^T`` with ``P = p_x (x) I_d``, the
+    tangent-space Laplacian, weighed by A_N's N rule: tensor.py forms no
+    Delta(x), so the identity ``Phi^T Delta(x) = P`` is checked here."""
+
+    N_GRID = (INF, 4.0, 1.0, 1e-8, 1e-300)
+
+    def test_phi_lift_of_the_laplacian_is_p(self):
+        """``Phi^T Delta(x) = p_x (x) I_d`` for the phi of phi_map and for the
+        zero map, at every fixture vertex and every vertex of 40 random
+        graphs (d = 1..3): ``p0^T`` annihilates Delta(x), and the sigma^{-1}
+        blocks of Phi meet the ``p_xyi sigma_xyi^T`` blocks of Delta(x).  The
+        bound is relative to ``|Phi|^T |Delta(x)|``, the scale at which the
+        product rounds (the largest deviation here is 9.1e-16 of it)."""
+        rng = np.random.default_rng(78)
+        locs = list(fixture_balls())
+        for t in range(40):
+            g = random_graph(rng, d=1 + t % 3)
+            locs += [local_structure(g, x) for x in g.vertex_ids if g.neighbors(x)]
+        for loc in locs:
+            p = np.kron(loc.p_x[:, None], np.eye(loc.d))
+            delta = delta_matrix(loc)
+            for f in (phi_map(loc), np.zeros((loc.d, loc.m * loc.d))):
+                phim = phi_matrix(loc, f)
+                scale = float(np.max(np.abs(phim).T @ np.abs(delta)))
+                assert np.max(np.abs(phim.T @ delta - p)) <= 1e-14 * scale, loc.center
+        assert len(locs) >= 200
+
+    def test_overflowing_n_is_refused(self):
+        """At vertex 1 of g1_u2 with every weight times 1e20 (rates 1e20),
+        ``(2/N) P P^T`` overflows at N = 1e-300: ric_and_metric refuses N by
+        name, as curvature does, instead of returning NaN."""
+        loc = local_structure(scaled_rates(fixture_graph("g1_u2"), 1e20), "1")
+        v = np.ones(loc.m * loc.d, dtype=complex)
+        for call in (lambda: ric_and_metric(loc, 1e-300, v, v),
+                     lambda: tensor_matrix_check(loc, 1e-300),
+                     lambda: curvature(loc, 1e-300)):
+            with pytest.raises(ValidationError, match=r"N = 1e-300 is too small"):
+                call()
+
+    def test_tensor_refuses_the_n_curvature_refuses(self):
+        """On every fixture vertex and on the 1e20-rate ball, at N in
+        N_GRID, ric_and_metric and tensor_matrix_check refuse exactly the N
+        that curvature refuses, and the residuals of tensor_matrix_check
+        stay within 1e-14 (3.0e-15 measured; R is its dimension term at
+        N = 1e-300).  Between the two overflow points of the large ball
+        (``2 p / N`` and ``2 p^2 / N`` past the largest double) the tensors
+        refuse N while curvature does not: R holds the Laplacian square in
+        the unnormalized tangent coordinates, whose entries ``(2/N) p^2``
+        are not doubles there, while A_N holds ``(2/N) p``."""
+        def outcome(call):
+            try:
+                return call()
+            except ValidationError:
+                return None
+
+        big = local_structure(scaled_rates(fixture_graph("g1_u2"), 1e20), "1")
+        for loc in (*fixture_balls(), big):
+            v = np.ones(loc.m * loc.d, dtype=complex)
+            for n in self.N_GRID:
+                want = outcome(lambda: curvature(loc, n)) is None
+                assert (outcome(lambda: ric_and_metric(loc, n, v, v)) is None) is want, (loc.center, n)
+                resid = outcome(lambda: tensor_matrix_check(loc, n))
+                assert (resid is None) is want, (loc.center, n)
+                assert want or resid <= 1e-14, (loc.center, n, resid)
+        v = np.ones(big.m * big.d, dtype=complex)
+        assert outcome(lambda: curvature(big, 1e-280)) is not None
+        assert outcome(lambda: ric_and_metric(big, 1e-280, v, v)) is None
 
 
 class TestMatrixRepresentation:
