@@ -6,8 +6,11 @@ Adding a spherical edge with the balanced default connection
 ``sigma_yi_x sigma_x_yj`` never decreases the curvature when the center is
 S1-in regular (equal inward rates p_yx); any other connection can move the
 curvature either way.  Merging never decreases it, balanced or not.  Both
-edits check this through one procedure at every N of ``CHECK_GRID``, to
-SLACK of the larger ``k_scale`` of the two balls.
+edits certify this through one procedure: neither touches an edge at x, so
+B0 and v0 stay as they are, and A_N is ``B0 (4*Q/2) B0^H`` with its PSD
+kernel block eliminated, less ``(2/N) v0 v0^H``.  That Schur complement is
+monotone in Loewner order, so a PSD 4*Q difference, to SLACK of the two
+matrices, means K falls at no N.
 """
 
 from __future__ import annotations
@@ -18,26 +21,24 @@ import numpy as np
 
 from .errors import CrossCheckError, ValidationError
 from .curvature import INF, curvature_bundle
-from .graphs import (SLACK, ConnectionGraph, LocalStructure, _as_number, _connections,
-                     _edge_name, _one_ball)
+from .graphs import (ConnectionGraph, LocalStructure, _as_number, _connections, _edge_name,
+                     _one_ball)
 from .hermitian import _psd_within
-from .operators import _gamma2_array
 
-S1_IN_TOL = 1e-12         # relative spread of inward rates counted as equal
-CHECK_GRID = (1.0, INF)   # N at which both edits check monotonicity
+S1_IN_TOL = 1e-12   # relative spread of inward rates counted as equal
 
 
 @dataclass(frozen=True)
 class EditReport:
     """Curvature before/after one edit at the same vertex and N = inf.
 
-    ``delta_psd`` reports whether the 4*Gamma_2 difference matrix is PSD;
-    it is None when the edit has no fixed-size difference matrix (merging).
+    ``delta_psd`` reports whether the 4*Q difference of the 1-ball, after
+    minus before, is PSD: the certificate that K falls at no N.
     """
 
     before: float
     after: float
-    delta_psd: bool | None
+    delta_psd: bool
 
 
 def s1_in_regular(g: ConnectionGraph, x: str) -> bool:
@@ -60,12 +61,12 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
 
     With ``sigma_new`` omitted, the connection defaults to the balanced
     choice ``sigma_yi_x sigma_x_yj`` closing a trivial triangle.  The report
-    carries the curvature at N = inf before and after, and whether the
-    4*Gamma_2 difference matrix is PSD.  Under the balanced default plus
-    S1-in regularity K cannot decrease at any N (checked on ``CHECK_GRID``;
-    a fall beyond SLACK, or a difference that is not PSD, raises
-    :class:`CrossCheckError`).  The new graph is real when g is and the new
-    connection is real (to SLACK).
+    carries the curvature at N = inf before and after, and whether the 4*Q
+    difference is PSD.  The 2-sphere blocks do not change, so that is the
+    nonzero block of the 4*Gamma_2 difference.  Under the balanced default
+    plus S1-in regularity it is PSD, so K cannot decrease at any N; a
+    difference that is not PSD raises :class:`CrossCheckError`.  The new
+    graph is real when g is and the new connection is real (to SLACK).
     """
     x, yi, yj = str(x), str(yi), str(yj)
     before_loc = _one_ball(g, x)   # rejects an unknown or isolated x
@@ -88,18 +89,9 @@ def add_spherical_edge(g: ConnectionGraph, x: str, yi: str, yj: str,
     g_new = ConnectionGraph._from_arrays(g.dimension, field, ids, mu, u, v, w,
                                          np.concatenate([s, s_new]))
 
-    after_loc = _one_ball(g_new, x)
-    # Same 2-ball vertex set before and after, so the difference is congruent
-    # to its switched-gauge form and PSD-ness is basis independent.  It
-    # rounds at the size of the two matrices, which sets the PSD slack.
-    g2_after, g2_before = _gamma2_array(after_loc), _gamma2_array(before_loc)
-    delta_psd = _psd_within(g2_after - g2_before, g2_after, g2_before)
-
     checked = balanced_default and _s1_in_regular(before_loc)
-    report = _edit_report("balanced spherical edge", before_loc, after_loc, checked, delta_psd)
-    if checked and not delta_psd:
-        raise CrossCheckError("balanced spherical edge produced a non-PSD Gamma_2 difference")
-    return g_new, report
+    return g_new, _edit_report("balanced spherical edge", before_loc, _one_ball(g_new, x),
+                               checked)
 
 
 def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
@@ -110,8 +102,10 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
     happen here by the no-common-neighbor requirement) and the connection of
     whichever original edge each neighbor had.  Any edge between the two
     merged vertices is dropped; it lies outside the incomplete 2-ball.
-    Curvature at x cannot decrease, for any N; this is checked on
-    ``CHECK_GRID`` and a violation raises :class:`CrossCheckError`.
+    In ``4*Q = G11 - C diag(1/w) C^H`` the block G11 does not change, and
+    4*Q gains ``C_k C_k^H / w_k + C_l C_l^H / w_l - (C_k + C_l)(C_k + C_l)^H
+    / (w_k + w_l)``, which is PSD; so curvature at x cannot decrease, for
+    any N.  A 4*Q difference that is not PSD raises :class:`CrossCheckError`.
     """
     x, zk, zl = str(x), str(zk), str(zl)
     loc = _one_ball(g, x)
@@ -140,20 +134,18 @@ def merge_s2(g: ConnectionGraph, x: str, zk: str, zl: str):
     e = u != v
     g_new = ConnectionGraph._from_arrays(g.dimension, g.field, (*g.index.names[rest], merged),
                                          mu_new, u[e], v[e], w[e], s[e])
-    return g_new, _edit_report("merging", loc, _one_ball(g_new, x), True, None)
+    return g_new, _edit_report("merging", loc, _one_ball(g_new, x), True)
 
 
 def _edit_report(edit: str, before_loc: LocalStructure, after_loc: LocalStructure,
-                 checked: bool, delta_psd: bool | None) -> EditReport:
-    """The report of one edit, from the ball before it and the ball after.
-    When ``checked``, a K that falls at some N of CHECK_GRID by more than
-    SLACK of the larger ``k_scale`` raises :class:`CrossCheckError`."""
+                 checked: bool) -> EditReport:
+    """The report of one edit, from the ball before it and the ball after,
+    whose 1-balls list the same vertices in the same order.  ``delta_psd``
+    judges the 4*Q difference at SLACK of the two matrices; when
+    ``checked``, a difference that is not PSD raises
+    :class:`CrossCheckError`."""
     e_before, e_after = curvature_bundle(before_loc), curvature_bundle(after_loc)
-    ks = {n: (e_before.k(n)[0], e_after.k(n)[0]) for n in CHECK_GRID}
-    kbs, kas = zip(*ks.values())
-    slack = SLACK * max(e_before.k_scale(*kbs), e_after.k_scale(*kas))
-    for n, (kb, ka) in ks.items():
-        if checked and ka < kb - slack:
-            raise CrossCheckError(f"{edit} decreased curvature at N={n}: {kb:.12g} -> {ka:.12g}")
-    before, after = ks[INF]   # CHECK_GRID includes N = inf
-    return EditReport(before=before, after=after, delta_psd=delta_psd)
+    delta_psd = _psd_within(e_after.q2 - e_before.q2, e_after.q2, e_before.q2)
+    if checked and not delta_psd:
+        raise CrossCheckError(f"{edit} produced a non-PSD 4*Q difference")
+    return EditReport(before=e_before.k(INF)[0], after=e_after.k(INF)[0], delta_psd=delta_psd)

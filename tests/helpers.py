@@ -98,6 +98,27 @@ def phase_triangle(theta: float) -> ConnectionGraph:
                             ("a", "c", 1.0, np.array([[np.exp(1j * theta)]]))])
 
 
+def two_paths(theta: float) -> ConnectionGraph:
+    """The two 2-paths x - y0 - za and x - y1 - zb, d = 1, with unit weights
+    and measures and the one connection sigma_y1_zb = exp(i theta).  Merging
+    za and zb at x closes the phase 4-cycle (:func:`phase_cycle`) through x."""
+    return ConnectionGraph(1, "complex", [(v, 1.0) for v in ("x", "y0", "y1", "za", "zb")],
+                           [("x", "y0", 1.0, None), ("y0", "za", 1.0, None),
+                            ("x", "y1", 1.0, None),
+                            ("y1", "zb", 1.0, np.array([[np.exp(1j * theta)]]))])
+
+
+def phase_cycle(theta: float) -> ConnectionGraph:
+    """The d = 1 4-cycle 0 - 1 - 2 - 3 with unit weights and measures whose
+    one connection sigma_30 = exp(i theta) is the only imbalance: one
+    2-sphere vertex with two in-neighbours at every vertex.  For theta not
+    in 2 pi Z, K(N) = min(0, 2 - 4/N) at every vertex, so N0 = 2: a formula
+    fitted to the library's output, not derived (ROADMAP item 21)."""
+    return ConnectionGraph(1, "complex", [(v, 1.0) for v in "0123"],
+                           [("0", "1", 1.0, None), ("1", "2", 1.0, None), ("2", "3", 1.0, None),
+                            ("3", "0", 1.0, np.array([[np.exp(1j * theta)]]))])
+
+
 def magnetic_lattice(side: int, phi: float, torus: bool = False) -> ConnectionGraph:
     """The side x side grid of vertices ``m{i}_{j}`` (a torus when ``torus``)
     with unit weights and measures, whose every plaquette has holonomy

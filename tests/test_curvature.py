@@ -25,6 +25,7 @@ from concurv import (
     is_locally_balanced,
     load_graph,
     local_structure,
+    merge_s2,
     product_decomposition,
     switch,
 )
@@ -47,6 +48,7 @@ from helpers import (
     multiplicity_reference,
     n0_reference,
     near_balanced_graph,
+    phase_cycle,
     phase_triangle,
     pinv,
     random_balanced_graph,
@@ -56,6 +58,7 @@ from helpers import (
     random_unitary,
     run_python,
     scaled_rates,
+    two_paths,
 )
 
 # a d = 1 near-balanced ball whose oracle refinement needs more than 8 steps
@@ -740,6 +743,53 @@ class TestPhaseTriangleClosedForm:
     def test_known_values(self):
         assert self.closed_form(math.pi) == pytest.approx(0.5, abs=1e-15)
         assert self.closed_form(1e-3) == pytest.approx(1e-6 / 10, rel=1e-6)
+
+
+class TestPhaseCycleFittedForm:
+    """K(N) at each vertex of the phase 4-cycle (ROADMAP item 21), the ball
+    after ``two_paths``' merge, against ``K = min(0, 2 - 4/N)`` for theta
+    not in 2 pi Z: a formula fitted to the library's output, not derived,
+    so a conjecture that these tests pin.  So N0 = 2 whatever theta is.
+    Measured: within 4.4e-15 (curvature) and 6.9e-15 (oracle) of k_scale,
+    and N0 within 3.6e-15 of 2, at theta = 1, 2, 3 and pi."""
+
+    THETAS = (1.0, 2.0, 3.0, math.pi)
+
+    @staticmethod
+    def fitted(n: float) -> float:
+        return min(0.0, 2.0 - 4.0 / n)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_both_routes_at_every_vertex(self, theta):
+        g = phase_cycle(theta)
+        for x in g.vertex_ids:
+            loc = local_structure(g, x)
+            e = curvature_bundle(loc)
+            for n in (0.5, 1.0, 2.0, 4.0, INF):
+                want = self.fitted(n)
+                for route, k in (("curvature", e.k(n)[0]), ("oracle", curvature_oracle(loc, n))):
+                    assert abs(k - want) <= SLACK * e.k_scale(k, want), (x, n, route, k)
+            assert abs(e.n0 - 2.0) <= SLACK * 2.0, (x, e.n0)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_the_merged_two_paths_are_the_cycle(self, theta):
+        g, _ = merge_s2(two_paths(theta), "x", "za", "zb")
+        e = curvature_bundle(local_structure(g, "x"))
+        for n in (0.5, 1.0, 2.0, 4.0, INF):
+            k, want = e.k(n)[0], self.fitted(n)
+            assert abs(k - want) <= SLACK * e.k_scale(k, want), (n, k)
+
+    @pytest.mark.parametrize("theta", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_n_1_near_balance(self, theta):
+        """At N = 1 the cycle's K does not jump at balance, and both routes
+        keep it near balance (measured: 3.1e-12 of k_scale at most, down to
+        theta = 1e-8), unlike at N = inf (ROADMAP item 4)."""
+        g = phase_cycle(theta)
+        for x in g.vertex_ids:
+            loc = local_structure(g, x)
+            e = curvature_bundle(loc)
+            for route, k in (("curvature", e.k(1.0)[0]), ("oracle", curvature_oracle(loc, 1.0))):
+                assert abs(k + 2.0) <= SLACK * e.k_scale(k, -2.0), (x, route, k)
 
 
 class TestMagneticLattice:

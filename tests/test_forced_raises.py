@@ -88,6 +88,13 @@ def test_a_balanced_addition_with_a_non_psd_difference_raises(monkeypatch):
         add_spherical_edge(g, x, yi, yj)
 
 
+def test_a_merge_with_a_non_psd_difference_raises(monkeypatch):
+    g, x, za, zb = random_merge_instance(np.random.default_rng(7))
+    monkeypatch.setattr(local_ops, "_psd_within", lambda *mats: False)
+    with pytest.raises(CrossCheckError, match=r"merging produced a non-PSD 4\*Q difference"):
+        merge_s2(g, x, za, zb)
+
+
 def test_a_merge_onto_an_existing_id_is_refused():
     g, x, za, zb = random_merge_instance(np.random.default_rng(7))
     taken = ConnectionGraph(g.dimension, g.field,

@@ -1,3 +1,8 @@
+import contextlib
+import io
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,7 @@ from concurv import (
     s1_in_regular,
     switch,
 )
+from concurv.cli import main
 from concurv.fixtures import fixture_graph
 from concurv.local_ops import S1_IN_TOL
 
@@ -25,7 +31,11 @@ from helpers import (
     random_s1_in_regular_graph,
     random_unitary,
     scaled_rates,
+    two_paths,
 )
+
+# the two 2-paths of ``two_paths(1e-4)``, whose merge closes a phase 4-cycle
+MERGE_PHASE_CYCLE = Path(__file__).with_name("merge_phase_cycle.json")
 
 
 class TestAddSphericalEdge:
@@ -89,14 +99,6 @@ class TestAddSphericalEdge:
         g, x, yi, yj = random_s1_in_regular_graph(np.random.default_rng(104), d=2)
         add_spherical_edge(g, x, yi, yj)   # balanced default: the S1-in check runs
         assert calls == [x, x]             # before and after the edit
-
-    def test_gamma2_assembled_once_per_ball(self, monkeypatch):
-        """The two curvature values take Q from the md-size blocks, so only
-        the PSD difference assembles 4*Gamma_2: once before and once after."""
-        calls = count_gamma2_assemblies(monkeypatch)
-        g, x, yi, yj = random_s1_in_regular_graph(np.random.default_rng(104), d=2)
-        add_spherical_edge(g, x, yi, yj)
-        assert calls == [x, x]
 
     def test_difference_matrix_structure(self):
         # in the gauge where every base-incident connection is the identity,
@@ -212,8 +214,40 @@ class TestMergeS2:
         for trial in range(20):
             d = 1 if trial % 2 == 0 else 2
             g, x, za, zb = random_merge_instance(rng, d=d)
-            _, report = merge_s2(g, x, za, zb)  # raises internally on decrease
+            _, report = merge_s2(g, x, za, zb)  # raises on a non-PSD 4*Q difference
             assert report.after >= report.before - 1e-9
+
+    @pytest.mark.parametrize("theta", [1.0, 1e-2, 1e-4, 1e-7])
+    def test_closing_a_phase_cycle_is_certified(self, theta):
+        """Merging the ends of ``two_paths`` closes the phase 4-cycle, whose
+        exact K(inf) is 0, as is the tree's before it.  The computed K after
+        carries ROADMAP item 4's near-balance error (-5.4e-7 at theta =
+        1e-4, -0.649 at 1e-7), which a comparison of K before and after
+        refuses as a decrease; the 4*Q certificate reads no K."""
+        _, report = merge_s2(two_paths(theta), "x", "za", "zb")
+        assert report.delta_psd is True
+
+    def test_a_near_balanced_draw_is_certified(self):
+        """The second draw of seed 98: its merged ball has a kernel
+        eigenvalue of 3.3e-7, where K(1) after reads 4.1e-9 below K(1)
+        before, but the 4*Q difference is PSD."""
+        rng = np.random.default_rng(98)
+        random_merge_instance(rng, d=1)
+        g, x, za, zb = random_merge_instance(rng, d=2)
+        _, report = merge_s2(g, x, za, zb)
+        assert report.delta_psd is True
+
+    def test_committed_phase_cycle_document(self):
+        """``merge_phase_cycle.json`` is ``two_paths(1e-4)`` bit for bit, and
+        ``concurv merge`` closes its cycle with exit 0 (it exited 2 on the
+        computed K's fall of 5.4e-7)."""
+        assert MERGE_PHASE_CYCLE.read_text(encoding="utf-8") == (
+            json.dumps(two_paths(1e-4).to_document(), indent=2) + "\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--json", "merge", str(MERGE_PHASE_CYCLE), "--vertex", "x",
+                         "--zk", "za", "--zl", "zb"])
+        assert code == 0 and json.loads(out.getvalue())["results"]["merged"] == "za+zb"
 
     def test_dropped_edge_between_merged_pair(self):
         # za ~ zb is allowed (they share no *other* vertex as neighbor);
@@ -226,6 +260,34 @@ class TestMergeS2:
         merged, _ = merge_s2(g, "x", "za", "zb")
         assert not merged.has_edge("za+zb", "za+zb")
         assert sorted(merged.neighbors("za+zb")) == ["y1", "y2"]
+
+
+def test_neither_edit_assembles_gamma2(monkeypatch):
+    """The curvature values and the PSD certificate both read 4*Q from the
+    md-size blocks, so no edit assembles the full 4*Gamma_2."""
+    calls = count_gamma2_assemblies(monkeypatch)
+    rng = np.random.default_rng(104)
+    g, x, yi, yj = random_s1_in_regular_graph(rng, d=2)
+    add_spherical_edge(g, x, yi, yj)
+    g, x, za, zb = random_merge_instance(rng, d=2)
+    merge_s2(g, x, za, zb)
+    assert calls == []
+
+
+@pytest.mark.parametrize("s", [1e-8, 1.0, 1e8])
+def test_every_drawn_edit_is_certified(s):
+    """A seeded stream of 300 merges and 300 balanced additions at S1-in
+    regular centers, d = 1..3, at rates scaled by s: every 4*Q difference
+    is PSD, so no edit raises and each reads ``delta_psd`` True."""
+    rng = np.random.default_rng(36)
+    for trial in range(300):
+        d = 1 + trial % 3
+        g, x, yi, yj = random_s1_in_regular_graph(rng, d=d)
+        _, report = add_spherical_edge(scaled_rates(g, s), x, yi, yj, w_new=s)
+        assert report.delta_psd is True, (trial, "add")
+        g, x, za, zb = random_merge_instance(rng, d=d)
+        _, report = merge_s2(scaled_rates(g, s), x, za, zb)
+        assert report.delta_psd is True, (trial, "merge")
 
 
 def test_s1_in_regular_detection():
@@ -260,9 +322,8 @@ def test_s1_in_regular_rejects_unknown_and_isolated_vertices():
 @pytest.mark.parametrize("s", [1e6, 1e8])
 def test_edits_at_large_rates(s):
     """Edits of graphs whose weights are scaled by s raise no cross-check:
-    the monotonicity slack is relative to the k_scale of the two balls and
-    the PSD slack of the Gamma_2 difference to the size of the two matrices
-    it subtracts.
+    the PSD slack of the 4*Q difference is relative to the size of the two
+    matrices it subtracts.
     With absolute slacks, 2 to 30 of these 30 balanced additions and 4 to 6
     of these 30 merges raised on correct values."""
     rng = np.random.default_rng(105)
@@ -273,4 +334,5 @@ def test_edits_at_large_rates(s):
         assert edit.after >= edit.before - 1e-9 * abs(edit.before)
         g, x, za, zb = random_merge_instance(rng, d=1 + trial % 3)
         _, edit = merge_s2(scaled_rates(g, s), x, za, zb)
+        assert edit.delta_psd
         assert edit.after >= edit.before - 1e-9 * abs(edit.before)

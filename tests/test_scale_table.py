@@ -33,6 +33,7 @@ from concurv import (INF, ConnectionGraph, CrossCheckError, HermitianMatrix, Pro
                      merge_s2, phi_map, product, product_decomposition, switch, tensor,
                      tensor_matrix_check)
 from concurv.fixtures import fixture_graph, fixture_names
+from concurv.hermitian import _scale
 from concurv.local_ops import s1_in_regular
 from concurv.operators import _neighbour_stack
 
@@ -133,7 +134,8 @@ def test_correct_edits_do_not_raise(s):
         _, report = add_spherical_edge(scaled_rates(g, s), x, a, b, w_new=s)
         assert report.delta_psd is True, (x, a, b, s)
     for g, x, a, b in merges:
-        merge_s2(scaled_rates(g, s), x, a, b)
+        _, report = merge_s2(scaled_rates(g, s), x, a, b)
+        assert report.delta_psd is True, (x, a, b, s)
 
 
 @pytest.mark.parametrize("s", SCALES)
@@ -145,25 +147,22 @@ def test_s1_in_regularity_is_free_of_the_rate_unit(s):
         assert s1_in_regular(scaled_rates(g, s), x) == s1_in_regular(g, x), (x, s)
 
 
-def lower_after(monkeypatch, drop: float, at=None):
-    """Make the edits read K after the edit, at each N of ``at`` (every N
-    by default), as K before it minus ``drop`` times the ``k_scale`` of the
-    ball before: an edit eliminates the ball before it first and the ball
-    after it second."""
+def lower_after(monkeypatch, drop: float):
+    """Make the edits read the after-record's 4*Q/2 with its first diagonal
+    entry, at x, lowered by ``drop * _scale(q2)``: an edit eliminates the
+    ball before it first and the ball after it second.  The 4*Q difference
+    then has an eigenvalue below ``-drop / 2`` of the scale at every edit of
+    the table (measured: at most -0.52 drop; an addition leaves the row of x
+    as it is, and a merge's difference has rank d at most)."""
     real = local_ops.curvature_bundle
     seen = []
 
     def bundle(loc):
         e = real(loc)
         if seen:
-            before, own = seen[0], e.k
-
-            def k(n):
-                if at is not None and n not in at:
-                    return own(n)
-                kb, mult = before.k(n)
-                return kb - drop * before.k_scale(kb), mult
-            object.__setattr__(e, "k", k)
+            q2 = e.q2.copy()
+            q2[0, 0] -= drop * _scale(q2)
+            object.__setattr__(e, "q2", q2)
         seen.append(e)
         return e
 
@@ -171,34 +170,37 @@ def lower_after(monkeypatch, drop: float, at=None):
     return seen
 
 
-@pytest.mark.parametrize("s", SCALES)
-def test_a_decrease_of_the_scale_raises_in_both_edits(s, monkeypatch):
+def certified_edits(s: float):
+    """A balanced addition and a merge of each of three families of the
+    table, at rates scaled by s; the new edge has the unit weight times s."""
     adds, merges = edits()
     for family in ("fixtures", "tori", "draws"):
         graphs = [g for g, _ in table()[family]]
-        add = next(e for e in adds if any(e[0] is g for g in graphs))
-        merge = next(e for e in merges if any(e[0] is g for g in graphs))
-        for edit, (g, x, a, b) in ((functools.partial(add_spherical_edge, w_new=s), add),
-                                   (merge_s2, merge)):
-            with monkeypatch.context() as m:
-                seen = lower_after(m, 1e-6)
-                with pytest.raises(CrossCheckError, match="decreased curvature"):
-                    edit(scaled_rates(g, s), x, a, b)
-                assert len(seen) == 2
-
-
-def test_a_decrease_at_n_1_alone_raises_in_both_edits(monkeypatch):
-    """Both edits are checked on one grid: K after the edit read lower at
-    N = 1 only, with K(inf) as computed, raises in each of them."""
-    adds, merges = edits()
-    for family in ("fixtures", "tori", "draws"):
-        graphs = [g for g, _ in table()[family]]
-        for edit, cases in ((add_spherical_edge, adds), (merge_s2, merges)):
+        for edit, cases in ((functools.partial(add_spherical_edge, w_new=s), adds),
+                            (merge_s2, merges)):
             g, x, a, b = next(e for e in cases if any(e[0] is h for h in graphs))
-            with monkeypatch.context() as m:
-                lower_after(m, 1e-6, at=(1.0,))
-                with pytest.raises(CrossCheckError, match=r"decreased curvature at N=1\.0:"):
-                    edit(g, x, a, b)
+            yield edit, (scaled_rates(g, s), x, a, b)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_a_non_psd_difference_of_the_scale_raises_in_both_edits(s, monkeypatch):
+    for edit, case in certified_edits(s):
+        with monkeypatch.context() as m:
+            seen = lower_after(m, INJECTED)
+            with pytest.raises(CrossCheckError, match=r"produced a non-PSD 4\*Q difference"):
+                edit(*case)
+            assert len(seen) == 2
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_a_difference_off_psd_by_rounding_passes_in_both_edits(s, monkeypatch):
+    """The same entry lowered by 1e-12 of the scale, below SLACK: every
+    such edit still reads ``delta_psd`` True."""
+    for edit, case in certified_edits(s):
+        with monkeypatch.context() as m:
+            seen = lower_after(m, 1e-12)
+            _, report = edit(*case)
+            assert report.delta_psd is True and len(seen) == 2, (case[1:], s)
 
 
 def cli_balls():
