@@ -295,26 +295,19 @@ def curvature_oracle(local: LocalStructure, n) -> float:
     scale_g = float(np.max(np.abs(gamma_pad)))
     scale_m = max(float(np.max(np.abs(base))), bound * scale_g)
 
-    def smallest(k: float) -> float:
-        return float(np.linalg.eigvalsh(base - k * gamma_pad)[0])
-
     def feasible(k: float) -> bool:
-        return smallest(k) >= -ORACLE_PSD_SLACK * scale_m
+        return float(np.linalg.eigvalsh(base - k * gamma_pad)[0]) >= -ORACLE_PSD_SLACK * scale_m
+
+    def walk(k: float, want: bool, side: str) -> float:
+        for _ in range(64):
+            if feasible(k) is want:
+                return k
+            k *= 2.0
+        raise CrossCheckError(f"curvature_oracle could not bracket K from {side}")
 
     reach = 4.0 * weight * float(np.max(np.abs(ddh))) / lam_plus
-    lo, hi = -4.0 * (bound + reach), 4.0 * bound
-    for _ in range(64):
-        if feasible(lo):
-            break
-        lo *= 2.0
-    else:
-        raise CrossCheckError("curvature_oracle could not bracket K from below")
-    for _ in range(64):
-        if not feasible(hi):
-            break
-        hi *= 2.0
-    else:
-        raise CrossCheckError("curvature_oracle could not bracket K from above")
+    lo = walk(-4.0 * (bound + reach), True, "below")
+    hi = walk(4.0 * bound, False, "above")
 
     floor = lo
     while hi - lo > ORACLE_BRACKET * max(bound, abs(lo), abs(hi)):
@@ -335,7 +328,7 @@ def curvature_oracle(local: LocalStructure, n) -> float:
     # step before it is rounding noise: the refinement stops before it.
     k, last = hi, INF
     width = 1e-7 * scale_m
-    for _ in range(64):   # the bound of the bracket loops; ordinary balls stop after 1-2 steps
+    for _ in range(64):   # the bound of the bracket walk; ordinary balls stop after 1-2 steps
         mat = base - k * gamma_pad
         w, vecs = np.linalg.eigh(mat)
         v = vecs[:, w <= w[0] + width]

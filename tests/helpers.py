@@ -788,6 +788,8 @@ OVERSIZED_DOCUMENTS = [
       "edges": [{"u": "a", "v": "b"}, {"u": "b", "v": "c"}]}, "2 edges of dimension 2048 exceed"),
 ]
 MALFORMED_DOCUMENTS = {
+    "not_json": ('{"dimension": 1,', "invalid JSON"),
+    "top_level_not_object": ("[]", "must be a JSON object"),
     "vertex_without_id": (_doc_text('{"measure": 1.0}', ""), "missing 'id'"),
     "vertex_not_object": (_doc_text('"a"', ""), "JSON object"),
     "vertices_not_list": ('{"dimension": 1, "vertices": 3}', "must be a list"),

@@ -178,6 +178,7 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and message in err
+        assert err.count("validation error:") == 1 and "Traceback" not in err
 
     def test_oversized_document_exits_1(self, tmp_path, capsys, monkeypatch):
         # in process, with stacking patched to fail: a real run must not allocate

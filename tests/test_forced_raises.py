@@ -48,10 +48,23 @@ def test_a_general_basis_residual_raises(monkeypatch):
 def test_an_oracle_that_cannot_bracket_raises(slack, side, monkeypatch):
     """A PSD slack of -inf makes no K feasible, so the bracket never closes
     from below; one of +inf makes every K feasible, so it never closes from
-    above."""
+    above.  Each end doubles through at most 64 feasibility tests, one
+    eigensolve of the 2-ball matrix each; at +inf the lower end closes on
+    its first.  The one other eigensolve, of 2 Gamma(x) for lambda_+, is
+    counted apart."""
+    loc = g1_ball()
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
     monkeypatch.setattr(curvature, "ORACLE_PSD_SLACK", slack)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     with pytest.raises(CrossCheckError, match=f"could not bracket K from {side}"):
-        curvature_oracle(g1_ball(), INF)
+        curvature_oracle(loc, INF)
+    tests = {"below": 64, "above": 1 + 64}[side]
+    assert sizes == [(loc.m + 1) * loc.d] + [(loc.m + loc.n + 1) * loc.d] * tests
 
 
 def test_a_profile_that_falls_raises(monkeypatch):

@@ -67,6 +67,10 @@ class TestLoadGraph:
         g = fixture_graph("g1_u2")
         assert len(g.edge_list()) == 5 and g.measure("1") == 1.0
 
+    def test_unknown_fixture_names_the_available_ones(self):
+        with pytest.raises(KeyError, match="unknown fixture 'nope'; available: .*g1_u2"):
+            fixture_graph("nope")
+
     def test_u2_fixture_roundtrip(self):
         g = load_graph(json.dumps(fixture_document("g1_u2")))
         assert g.dimension == 2

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from concurv import ValidationError
+from concurv import ValidationError, gamma_matrix, local_structure
+from concurv.fixtures import fixture_graph
 from concurv.hermitian import (
     PINV_RTOL_SCALE,
     HermitianMatrix,
@@ -35,6 +36,10 @@ class TestHermitianMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             HermitianMatrix(np.zeros((2, 3)))
+
+    def test_repr_names_its_size(self):
+        loc = local_structure(fixture_graph("g1_u2"), "1")
+        assert repr(gamma_matrix(loc)) == f"HermitianMatrix(n={(loc.m + 1) * loc.d})"
 
 
 class TestPinv:
